@@ -284,30 +284,6 @@ func benchSolveEngines(b *testing.B, opts core.Options) {
 			o.Engine = diffusion.EngineWorldCache
 			return o
 		}},
-		// The PR 1 world-cache configuration — exhaustive candidate sweep,
-		// hashed coin probes — kept as the acceptance baseline the lazy
-		// loop and the live-edge substrate are measured against.
-		{"engine=" + diffusion.EngineWorldCache + "-pr1", func(o core.Options) core.Options {
-			o.Engine = diffusion.EngineWorldCache
-			o.ExhaustiveID = true
-			o.Diffusion = diffusion.DiffusionHash
-			return o
-		}},
-		// Scalar-kernel variants of the two engines: the default names
-		// above run bit-parallel (64 worlds per machine word), these pin
-		// the one-world-per-pass oracle so the kernel speedup stays
-		// measurable PR over PR. Redemption must match the default
-		// variants exactly — the kernels are bit-identical.
-		{"engine=" + diffusion.EngineMC + "-scalar", func(o core.Options) core.Options {
-			o.Engine = diffusion.EngineMC
-			o.EvalMode = diffusion.EvalScalar
-			return o
-		}},
-		{"engine=" + diffusion.EngineWorldCache + "-scalar", func(o core.Options) core.Options {
-			o.Engine = diffusion.EngineWorldCache
-			o.EvalMode = diffusion.EvalScalar
-			return o
-		}},
 		// The SSR sketch solver: selection runs on reverse-sample cover
 		// counts under the adaptive stopping rule instead of forward
 		// simulation, so Samples only sizes the final measurement.
@@ -384,8 +360,7 @@ func BenchmarkSolveLT(b *testing.B) {
 
 // BenchmarkCampaignReuse measures what the Campaign session amortizes on
 // the Epinions profile at the paper's 1000-sample setting: "cold" builds a
-// fresh Campaign per solve — the deprecated one-shot path, paying engine
-// construction, live-edge row materialization and world-cache snapshot
+// fresh Campaign per solve — paying engine construction, live-edge row materialization and world-cache snapshot
 // allocation every time — while "warm" reuses one Campaign across solves,
 // so every call after the first reads materialized rows and rebases a
 // pooled snapshot. The solved deployments (and the redemption metric) are
@@ -611,11 +586,8 @@ func BenchmarkSSRWarmReuse(b *testing.B) {
 // The GPI visit cap bounds the guaranteed-path enumeration (the one phase
 // whose faithful form is quadratic in the budget-feasible frontier); the
 // world-cache engine's dense tier is over budget at this size, so delta
-// queries run on the CSR inverted index. Both eval modes run — the kernels
-// are bit-identical, so the redemption metrics must agree exactly; the
-// mode=scalar variant keeps the bit-parallel speedup measurable at this
-// scale. Reported metrics: the redemption rate and the end-of-solve heap
-// (the documented memory budget is 2 GiB).
+// queries run on the CSR inverted index. Reported metrics: the redemption
+// rate and the end-of-solve heap (the documented memory budget is 2 GiB).
 func BenchmarkMillionNodeSolve(b *testing.B) {
 	g, err := gen.WattsStrogatz(1_000_000, 10, 0.1, rng.New(77))
 	if err != nil {
@@ -629,27 +601,25 @@ func BenchmarkMillionNodeSolve(b *testing.B) {
 		G: g, Benefit: m.Benefit, SeedCost: m.SeedCost, SCCost: m.SCCost,
 		Budget: 3000,
 	}
-	for _, mode := range diffusion.EvalModes() {
-		b.Run("mode="+mode, func(b *testing.B) {
-			var rate float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sol, err := core.Solve(inst, core.Options{
-					Engine: diffusion.EngineWorldCache, Samples: 100, Seed: 77,
-					GPILimit: 2000, EvalMode: mode,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rate = sol.RedemptionRate
+	b.Run("engine="+diffusion.EngineWorldCache, func(b *testing.B) {
+		var rate float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sol, err := core.Solve(inst, core.Options{
+				Engine: diffusion.EngineWorldCache, Samples: 100, Seed: 77,
+				GPILimit: 2000,
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			b.ReportMetric(rate, "redemption")
-			b.ReportMetric(float64(ms.HeapInuse)/(1<<20), "heapMiB")
-		})
-	}
+			rate = sol.RedemptionRate
+		}
+		b.StopTimer()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(rate, "redemption")
+		b.ReportMetric(float64(ms.HeapInuse)/(1<<20), "heapMiB")
+	})
 	// The SSR sketch solver at the same scale: seed/coupon selection never
 	// forward-simulates (only the final snapshot scoring and the end-of-
 	// solve measurement do), which is the cell this engine is accepted on —

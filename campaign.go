@@ -30,8 +30,8 @@ import (
 // options overriding the campaign's settings for that call only — including
 // WithEngine, so one campaign serves requests across engines. A call-level
 // WithSeed pins the call's streams to that seed alone, making it
-// bit-identical to a one-shot call with the same seed regardless of what
-// else the campaign is doing.
+// bit-identical to the same pinned call on a fresh campaign regardless of
+// what else the campaign is doing.
 //
 // Cancelling the call's context aborts the solve mid-iteration: the call
 // returns an error wrapping both ctx.Err() and a *core.PartialError carrying
@@ -49,9 +49,10 @@ type Campaign struct {
 }
 
 // maxEnginePools bounds the engine-state cache. Calls are keyed by
-// (samples, seed, diffusion, memBudget) — in a serving deployment those
-// come from client requests, so without a cap a client sweeping seeds
-// would grow the map (each entry holds a live-edge substrate) until OOM.
+// (samples, seed, model, memBudget, epsilon, delta) — in a serving
+// deployment those come from client requests, so without a cap a client
+// sweeping seeds would grow the map (each entry holds a live-edge
+// substrate) until OOM.
 // Evicted pools stay alive for calls already using them and are rebuilt on
 // the next request for their key; only warmth is lost, never correctness.
 const maxEnginePools = 16
@@ -70,7 +71,7 @@ const maxIdleSketchWarms = 2
 // engineKey identifies the shared evaluation state two calls may reuse:
 // calls agreeing on these fields see the same possible worlds, so they can
 // share materialized live-edge rows and pooled world-cache snapshots. The
-// engine name is deliberately absent — mc, worldcache, sketch and ssr all
+// engine name is deliberately absent — mc, worldcache and ssr all
 // evaluate through the same underlying estimator — but the triggering
 // model is present: IC and LT calls draw different per-world liveness, so
 // they must never share substrates or snapshots. The SSR accuracy knobs
@@ -80,7 +81,6 @@ type engineKey struct {
 	samples        int
 	seed           uint64
 	model          string
-	diffusion      string
 	memBudget      int64
 	epsilon, delta float64
 }
@@ -111,22 +111,19 @@ type enginePool struct {
 }
 
 // view returns a per-call view of the pool's current prototype estimator.
-func (ep *enginePool) view(ctx context.Context, workers int, evalMode string) *diffusion.Estimator {
+func (ep *enginePool) view(ctx context.Context, workers int) *diffusion.Estimator {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	v := ep.proto.View(ctx, workers)
-	v.EvalMode = evalMode
-	return v
+	return ep.proto.View(ctx, workers)
 }
 
 // checkout returns a world cache over a fresh per-call estimator view,
 // reusing an idle instance's snapshot arrays when one is available, plus the
 // pool's churn epoch at checkout time (hand it back to put).
-func (ep *enginePool) checkout(ctx context.Context, workers int, evalMode string) (*diffusion.WorldCache, *diffusion.Estimator, uint64) {
+func (ep *enginePool) checkout(ctx context.Context, workers int) (*diffusion.WorldCache, *diffusion.Estimator, uint64) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	view := ep.proto.View(ctx, workers)
-	view.EvalMode = evalMode
 	if n := len(ep.idle); n > 0 {
 		wc := ep.idle[n-1]
 		ep.idle = ep.idle[:n-1]
@@ -213,7 +210,7 @@ func (ep *enginePool) applyBatch(inst2 *diffusion.Instance, batch []graph.Edge, 
 // NewCampaign validates the options eagerly and constructs the campaign's
 // default engine: the estimator and its live-edge substrate are built here,
 // once, so every call — and every engine, mc and worldcache alike — reuses
-// them. Option errors (unknown engine or diffusion name, non-positive
+// them. Option errors (unknown engine or model name, non-positive
 // sample count, …) surface from this call with a "want one of …" message
 // instead of failing deep inside a solve.
 func (p *Problem) NewCampaign(opts ...Option) (*Campaign, error) {
@@ -242,7 +239,6 @@ func poolKey(cfg config, seed uint64) engineKey {
 		samples:   cfg.samples,
 		seed:      seed,
 		model:     cfg.model,
-		diffusion: cfg.diffusion,
 		memBudget: cfg.memBudget,
 		epsilon:   cfg.epsilon,
 		delta:     cfg.delta,
@@ -268,7 +264,7 @@ func (c *Campaign) poolLocked(cfg config, seed uint64) (*enginePool, error) {
 	ev, err := diffusion.NewEngineOpts(c.inst, diffusion.EngineOptions{
 		Engine: diffusion.EngineMC, Model: cfg.model,
 		Samples: cfg.samples, Seed: seed,
-		Diffusion: cfg.diffusion, LiveEdgeMemBudget: cfg.memBudget,
+		LiveEdgeMemBudget: cfg.memBudget,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("s3crm: %w", err)
@@ -297,10 +293,10 @@ type call struct {
 	// snapshots — with every other unpinned call.
 	seed uint64
 	// scorerSeed decorrelates the solver's snapshot-selection stream. A
-	// pinned call uses the classic one-shot derivation (seed ^ 0x5c04e) so
-	// results match the deprecated entry points bit for bit; an unpinned
-	// call derives it from the call sequence number, drawing fresh,
-	// reproducible selection noise per call.
+	// pinned call uses the fixed derivation seed ^ 0x5c04e — core's own
+	// default — so its results depend on the seed alone; an unpinned call
+	// derives it from the call sequence number, drawing fresh, reproducible
+	// selection noise per call.
 	scorerSeed uint64
 	// degraded records that the campaign's degradation hook lowered this
 	// call's sample count below what was requested (see WithDegradation);
@@ -390,10 +386,7 @@ type callEngines struct {
 // count, wrapped in a (pooled, epoch-stamped) world cache when the call runs
 // the worldcache engine. With bare set the evaluators stay plain estimator
 // views regardless of the configured engine (the baselines evaluate whole
-// deployments only). The eval mode is a per-call kernel choice, deliberately
-// absent from engineKey: scalar and bit-parallel calls share worlds,
-// substrates and snapshots, so it is stamped on the views rather than baked
-// into the pools. The release func must be invoked with the call's final
+// deployments only). The release func must be invoked with the call's final
 // error; it re-pools checked-out world caches only on success.
 func (c *Campaign) enginesFor(ctx context.Context, cfg config, seeds []uint64, bare, sketchDirtyOK bool) (*callEngines, error) {
 	c.mu.Lock()
@@ -406,7 +399,7 @@ func (c *Campaign) enginesFor(ctx context.Context, cfg config, seeds []uint64, b
 			return nil, err
 		}
 		if !bare && cfg.engine == diffusion.EngineWorldCache {
-			wc, view, epoch := ep.checkout(ctx, cfg.workers, cfg.evalMode)
+			wc, view, epoch := ep.checkout(ctx, cfg.workers)
 			ep := ep
 			puts = append(puts, func(callErr error) {
 				if callErr == nil {
@@ -415,8 +408,8 @@ func (c *Campaign) enginesFor(ctx context.Context, cfg config, seeds []uint64, b
 			})
 			ce.evs = append(ce.evs, wc)
 			ce.views = append(ce.views, view)
-		} else { // mc, sketch, ssr: the estimator itself
-			view := ep.view(ctx, cfg.workers, cfg.evalMode)
+		} else { // mc, ssr: the estimator itself
+			view := ep.view(ctx, cfg.workers)
 			ce.evs = append(ce.evs, view)
 			ce.views = append(ce.views, view)
 		}
@@ -461,34 +454,10 @@ func (c *Campaign) Solve(ctx context.Context, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, view := ce.evs[0], ce.views[0]
-	release := ce.release
-	var scorer diffusion.Evaluator
-	if len(ce.evs) > 1 {
-		scorer = ce.evs[1]
-	}
+	view := ce.views[0]
 	inst := view.Inst
-	sol, err := core.SolveCtx(ctx, inst, core.Options{
-		Engine:            cl.cfg.engine,
-		Model:             cl.cfg.model,
-		Diffusion:         cl.cfg.diffusion,
-		LiveEdgeMemBudget: cl.cfg.memBudget,
-		EvalMode:          cl.cfg.evalMode,
-		Samples:           cl.cfg.samples,
-		Seed:              cl.seed,
-		ScorerSeed:        cl.scorerSeed,
-		Workers:           cl.cfg.workers,
-		GPILimit:          cl.cfg.gpiLimit,
-		ExhaustiveID:      cl.cfg.exhaustiveID,
-		Epsilon:           cl.cfg.epsilon,
-		Delta:             cl.cfg.delta,
-		Evaluator:         ev,
-		Scorer:            scorer,
-		SketchWarm:        ce.sketch,
-		SketchPool:        true,
-		Progress:          cl.progressFor("S3CA"),
-	})
-	release(err)
+	sol, err := core.SolveCtx(ctx, inst, cl.coreOptions(ce))
+	ce.release(err)
 	if err != nil {
 		return nil, fmt.Errorf("s3crm: %w", err)
 	}
@@ -502,6 +471,33 @@ func (c *Campaign) Solve(ctx context.Context, opts ...Option) (*Result, error) {
 	r.ExploredRatio = float64(sol.Stats.ExploredNodes) / float64(inst.G.NumNodes())
 	copySketchStats(r, sol.Stats)
 	return r, nil
+}
+
+// coreOptions is the S3CA solver configuration of one campaign call: the
+// call's settings plus the evaluators, pinned scorer and pooled SSR sample
+// state its engines resolved.
+func (cl *call) coreOptions(ce *callEngines) core.Options {
+	var scorer diffusion.Evaluator
+	if len(ce.evs) > 1 {
+		scorer = ce.evs[1]
+	}
+	return core.Options{
+		Engine:            cl.cfg.engine,
+		Model:             cl.cfg.model,
+		LiveEdgeMemBudget: cl.cfg.memBudget,
+		Samples:           cl.cfg.samples,
+		Seed:              cl.seed,
+		ScorerSeed:        cl.scorerSeed,
+		Workers:           cl.cfg.workers,
+		GPILimit:          cl.cfg.gpiLimit,
+		Epsilon:           cl.cfg.epsilon,
+		Delta:             cl.cfg.delta,
+		Evaluator:         ce.evs[0],
+		Scorer:            scorer,
+		SketchWarm:        ce.sketch,
+		SketchPool:        true,
+		Progress:          cl.progressFor("S3CA"),
+	}
 }
 
 // copySketchStats surfaces the SSR engine's build instrumentation on a
@@ -524,7 +520,7 @@ func (c *Campaign) RunBaseline(ctx context.Context, name string, opts ...Option)
 	}
 	// The baselines have no incremental search paths: they evaluate whole
 	// deployments, so the bare estimator view serves every engine (no
-	// world cache is checked out); the engine name still selects
+	// world cache is checked out); under ssr the engine name still selects
 	// sketch-based candidate pruning.
 	ce, err := c.enginesFor(ctx, cl.cfg, []uint64{cl.seed}, true, false)
 	if err != nil {
@@ -535,9 +531,7 @@ func (c *Campaign) RunBaseline(ctx context.Context, name string, opts ...Option)
 	cfg := baselines.Config{
 		Engine:            cl.cfg.engine,
 		Model:             cl.cfg.model,
-		Diffusion:         cl.cfg.diffusion,
 		LiveEdgeMemBudget: cl.cfg.memBudget,
-		EvalMode:          cl.cfg.evalMode,
 		Samples:           cl.cfg.samples,
 		Seed:              cl.seed,
 		Workers:           cl.cfg.workers,

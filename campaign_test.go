@@ -1,6 +1,7 @@
 // Campaign serving-API tests: concurrency safety, determinism of pinned
-// calls against the one-shot entry points, prompt context cancellation from
-// every engine, eager option validation and the progress event stream.
+// calls against the same calls on fresh campaigns, prompt context
+// cancellation from every engine, eager option validation and the progress
+// event stream.
 package s3crm
 
 import (
@@ -26,6 +27,17 @@ func campaignProblem(t testing.TB) *Problem {
 	return p
 }
 
+// oneShot builds a throwaway campaign for a single call — the reference a
+// pinned call on a busy campaign must reproduce bit for bit.
+func oneShot(t testing.TB, p *Problem, opts ...Option) *Campaign {
+	t.Helper()
+	c, err := p.NewCampaign(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // resultsEqual compares every reported field bit for bit.
 func resultsEqual(a, b *Result) bool {
 	return a.Algorithm == b.Algorithm &&
@@ -42,7 +54,7 @@ func resultsEqual(a, b *Result) bool {
 // TestCampaignConcurrentMatchesOneShot is the acceptance scenario: a single
 // Campaign serves many concurrent Solve and EvaluateBatch calls — across
 // engines, each pinned to its own seed — and every result is bit-identical
-// to the corresponding sequential one-shot call on a fresh problem.
+// to the same pinned call made sequentially on a fresh campaign.
 func TestCampaignConcurrentMatchesOneShot(t *testing.T) {
 	p := campaignProblem(t)
 	c, err := p.NewCampaign(WithSamples(150))
@@ -63,7 +75,7 @@ func TestCampaignConcurrentMatchesOneShot(t *testing.T) {
 		{kind: "solve", engine: "mc", seed: 11},
 		{kind: "solve", engine: "worldcache", seed: 11},
 		{kind: "baseline", engine: "mc", name: "IM-U", seed: 7},
-		{kind: "baseline", engine: "sketch", name: "PM-L", seed: 7},
+		{kind: "baseline", engine: "ssr", name: "PM-L", seed: 7},
 		{kind: "batch", engine: "mc", seed: 7},
 		{kind: "batch", engine: "worldcache", seed: 13},
 		{kind: "solve", engine: "worldcache", seed: 17},
@@ -75,26 +87,27 @@ func TestCampaignConcurrentMatchesOneShot(t *testing.T) {
 		{Seeds: []int{3}},
 	}
 
-	// Sequential one-shot references, each on a throwaway Campaign.
+	// Sequential references, each pinned call on a throwaway Campaign.
 	want := make([][]*Result, len(jobs))
 	for i, j := range jobs {
-		opts := Options{Engine: j.engine, Samples: 150, Seed: j.seed, CandidateCap: 20}
+		fresh := oneShot(t, p, WithSamples(150))
+		pin := []Option{WithEngine(j.engine), WithSeed(j.seed), WithCandidateCap(20)}
 		switch j.kind {
 		case "solve":
-			r, err := Solve(p, opts)
+			r, err := fresh.Solve(ctx, pin...)
 			if err != nil {
 				t.Fatalf("one-shot %+v: %v", j, err)
 			}
 			want[i] = []*Result{r}
 		case "baseline":
-			r, err := RunBaseline(j.name, p, opts)
+			r, err := fresh.RunBaseline(ctx, j.name, pin...)
 			if err != nil {
 				t.Fatalf("one-shot %+v: %v", j, err)
 			}
 			want[i] = []*Result{r}
 		case "batch":
 			for _, dep := range batchDeps {
-				r, err := p.Evaluate(dep, opts)
+				r, err := fresh.Evaluate(ctx, dep, pin...)
 				if err != nil {
 					t.Fatalf("one-shot %+v: %v", j, err)
 				}
@@ -136,8 +149,6 @@ func TestCampaignConcurrentMatchesOneShot(t *testing.T) {
 		}
 		for k := range want[i] {
 			g, w := got[i][k], want[i][k]
-			// ExploredRatio differs only in the one-shot wrapper path for
-			// batches (no solver ran); compare the reported fields.
 			if !resultsEqual(g, w) {
 				t.Errorf("job %d (%+v) result %d diverged:\nconcurrent %+v\none-shot   %+v", i, j, k, g, w)
 			}
@@ -277,9 +288,13 @@ func TestCampaignValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "want one of") || !strings.Contains(err.Error(), "worldcache") {
 		t.Errorf("bad engine error = %v, want a 'want one of' listing", err)
 	}
-	if _, err := p.NewCampaign(WithDiffusion("telepathy")); err == nil ||
-		!strings.Contains(err.Error(), "want one of") || !strings.Contains(err.Error(), "liveedge") {
-		t.Errorf("bad diffusion error = %v, want a 'want one of' listing", err)
+	if _, err := p.NewCampaign(WithEngine("sketch")); err == nil ||
+		!strings.Contains(err.Error(), "want one of [mc worldcache ssr auto]") {
+		t.Errorf("retired sketch engine error = %v, want a 'want one of' listing", err)
+	}
+	if _, err := p.NewCampaign(WithModel("telepathy")); err == nil ||
+		!strings.Contains(err.Error(), "want one of") || !strings.Contains(err.Error(), "lt") {
+		t.Errorf("bad model error = %v, want a 'want one of' listing", err)
 	}
 	if _, err := p.NewCampaign(WithSamples(-3)); err == nil {
 		t.Error("negative samples accepted")
@@ -421,34 +436,6 @@ func TestCampaignEnginePoolBounded(t *testing.T) {
 	}
 	// The default pool still serves unpinned calls after the sweep.
 	if _, err := c.Evaluate(ctx, dep); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeprecatedWrappersStillServe keeps the legacy one-shot surface
-// working through the Campaign bridge.
-func TestDeprecatedWrappersStillServe(t *testing.T) {
-	p := campaignProblem(t)
-	opts := Options{Samples: 150, Seed: 6, CandidateCap: 20}
-	r1, err := Solve(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := p.NewCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.Solve(context.Background(), WithSamples(150), WithSeed(6), WithCandidateCap(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(r1, r2) {
-		t.Errorf("one-shot Solve %+v != pinned campaign Solve %+v", r1, r2)
-	}
-	if _, err := RunBaseline("IM-L", p, opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Evaluate(Deployment{Seeds: []int{0}}, opts); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -401,33 +401,11 @@ func (c *Campaign) resolveSSR(ctx context.Context, opts []Option) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	ev, view := ce.evs[0], ce.views[0]
-	var scorer diffusion.Evaluator
-	if len(ce.evs) > 1 {
-		scorer = ce.evs[1]
-	}
+	view := ce.views[0]
 	inst := view.Inst
-	sol, err := core.SolveCtx(ctx, inst, core.Options{
-		Engine:            cl.cfg.engine,
-		Model:             cl.cfg.model,
-		Diffusion:         cl.cfg.diffusion,
-		LiveEdgeMemBudget: cl.cfg.memBudget,
-		EvalMode:          cl.cfg.evalMode,
-		Samples:           cl.cfg.samples,
-		Seed:              cl.seed,
-		ScorerSeed:        cl.scorerSeed,
-		Workers:           cl.cfg.workers,
-		GPILimit:          cl.cfg.gpiLimit,
-		ExhaustiveID:      cl.cfg.exhaustiveID,
-		Epsilon:           cl.cfg.epsilon,
-		Delta:             cl.cfg.delta,
-		Evaluator:         ev,
-		Scorer:            scorer,
-		SketchWarm:        ce.sketch,
-		SketchWarmApprox:  true,
-		SketchPool:        true,
-		Progress:          cl.progressFor("S3CA"),
-	})
+	o := cl.coreOptions(ce)
+	o.SketchWarmApprox = true
+	sol, err := core.SolveCtx(ctx, inst, o)
 	ce.release(err)
 	if err != nil {
 		return nil, fmt.Errorf("s3crm: %w", err)

@@ -99,8 +99,11 @@ func TestApplyEdgesColdParity(t *testing.T) {
 					r := rand.New(rand.NewSource(31))
 					p, stream := randomChurnProblem(t, r, 24, 72, 14)
 					opts := []Option{
-						WithEngine(engine), WithModel(model), WithDiffusion(diff),
+						WithEngine(engine), WithModel(model),
 						WithSamples(96), WithSeed(7),
+					}
+					if diff == "hash" {
+						opts = append(opts, hashProbes)
 					}
 					warm, err := p.NewCampaign(opts...)
 					if err != nil {

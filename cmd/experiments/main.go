@@ -36,8 +36,7 @@ var baseScale = map[string]int{
 func main() {
 	var (
 		scale   = flag.Int("scale", 1, "extra down-scale multiplier on every dataset")
-		engine  = flag.String("engine", "mc", "evaluation engine: mc, worldcache, sketch")
-		diff    = flag.String("diffusion", "liveedge", "edge-liveness substrate: liveedge (materialized worlds), hash")
+		engine  = flag.String("engine", "mc", "evaluation engine: mc, worldcache, ssr")
 		samples = flag.Int("samples", 300, "Monte-Carlo samples per evaluation")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "parallel Monte-Carlo workers")
@@ -70,7 +69,7 @@ func main() {
 	// SpendBudget mirrors the paper's evaluation regime where every
 	// algorithm's total cost ≈ Binv (see core.Options.SpendBudget); the
 	// Fig. 10 approximation check below uses the strict argmax variant.
-	params := eval.RunParams{Samples: *samples, Seed: *seed, Workers: *workers, Engine: *engine, Diffusion: *diff, CandidateCap: *cap, SpendBudget: true}
+	params := eval.RunParams{Samples: *samples, Seed: *seed, Workers: *workers, Engine: *engine, CandidateCap: *cap, SpendBudget: true}
 	setup := func(name string) eval.Setup {
 		p, err := gen.PresetByName(name)
 		if err != nil {

@@ -17,7 +17,7 @@
 //
 // The evaluation engine follows -engine, defaulting to "auto": the SSR
 // sketch solver at or above 200k users / 2M edges, the incremental world
-// cache below — pass a concrete name (mc, worldcache, sketch, ssr) to pin
+// cache below — pass a concrete name (mc, worldcache, ssr) to pin
 // one. Propagation follows -model: "ic" (independent cascade, the default)
 // or "lt" (linear threshold — in-weights must sum to ≤ 1 per user, which the
 // weighted-cascade probabilities guarantee and -ltnorm establishes for any
@@ -76,9 +76,6 @@ func main() {
 		delta    = flag.Float64("delta", 0.01, "ssr engine failure probability δ in (0,1)")
 		model    = flag.String("model", "ic", "triggering model: ic (independent cascade), lt (linear threshold)")
 		ltnorm   = flag.Bool("ltnorm", false, "scale -graph in-weights to sum ≤ 1 (the -model lt precondition; wc weights already satisfy it)")
-		diff     = flag.String("diffusion", "liveedge", "edge-liveness substrate: liveedge (materialized worlds), hash")
-		evalmode = flag.String("evalmode", "bitparallel", "world-evaluation kernel: bitparallel (64 worlds per machine word), scalar")
-		lazy     = flag.Bool("lazy", true, "CELF lazy-greedy ID loop (false = exhaustive sweep)")
 		gpilimit = flag.Int("gpilimit", 0, "cap guaranteed-path DFS visits per seed (0 = unlimited; set ~2000 for million-node graphs)")
 		samples  = flag.Int("samples", 1000, "Monte-Carlo samples per evaluation")
 		seed     = flag.Uint64("seed", 1, "random seed")
@@ -111,9 +108,6 @@ func main() {
 	opts := []s3crm.Option{
 		s3crm.WithEngine(*engine),
 		s3crm.WithModel(*model),
-		s3crm.WithDiffusion(*diff),
-		s3crm.WithEvalMode(*evalmode),
-		s3crm.WithExhaustiveID(!*lazy),
 		s3crm.WithGPILimit(*gpilimit),
 		s3crm.WithSamples(*samples),
 		s3crm.WithSeed(*seed),
@@ -163,8 +157,8 @@ func main() {
 
 	start := time.Now()
 	// The call-level seed pins the run: output for a given -seed is
-	// bit-identical to the one-shot API (and to earlier releases),
-	// independent of the campaign's call counter.
+	// bit-identical to earlier releases, independent of the campaign's
+	// call counter.
 	var result *s3crm.Result
 	if *algo == "S3CA" {
 		result, err = campaign.Solve(ctx, s3crm.WithSeed(*seed))

@@ -43,7 +43,7 @@ func FuzzApplyEdges(f *testing.F) {
 			t.Fatal(err)
 		}
 		s := &server{problem: problem, campaign: campaign,
-			defaults: defaults{Engine: "mc", Diffusion: "liveedge", Samples: 16}}
+			defaults: defaults{Engine: "mc", Samples: 16}}
 		users, edges := campaign.Users(), campaign.Edges()
 
 		req := httptest.NewRequest(http.MethodPost, "/graph/append", strings.NewReader(body))

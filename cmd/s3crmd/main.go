@@ -17,11 +17,11 @@
 //	POST /solve      run one algorithm. Body: {"algorithm": "S3CA",
 //	                 "engine": "worldcache", "model": "lt", "samples": 1000,
 //	                 "seed": 7, "workers": 4, "candidate_cap": 0,
-//	                 "limited_k": 0, "exhaustive_id": false,
-//	                 "stream": false, "timeout_ms": 0}. algorithm defaults
-//	                 to S3CA; any baseline name (IM-U, IM-L, PM-U, PM-L,
-//	                 IM-S) works. Unknown engine/model/diffusion/eval_mode
-//	                 values — and unknown fields — are rejected with 400;
+//	                 "limited_k": 0, "gpi_limit": 0, "stream": false,
+//	                 "timeout_ms": 0}. algorithm defaults to S3CA; any
+//	                 baseline name (IM-U, IM-L, PM-U, PM-L, IM-S) works.
+//	                 Unknown engine/model values, negative counts or
+//	                 timeouts — and unknown fields — are rejected with 400;
 //	                 oversized bodies with 413.
 //	                 With "stream": true the response is NDJSON: one
 //	                 {"event": …} line per solver progress event, then a
@@ -91,8 +91,6 @@ func main() {
 		delta    = flag.Float64("delta", 0.01, "default ssr engine failure probability δ in (0,1)")
 		model    = flag.String("model", "ic", "default triggering model: ic (independent cascade), lt (linear threshold)")
 		ltnorm   = flag.Bool("ltnorm", false, "scale -graph in-weights to sum ≤ 1 (the lt-model precondition; wc weights already satisfy it)")
-		diff     = flag.String("diffusion", "liveedge", "default edge-liveness substrate: liveedge, hash")
-		evalmode = flag.String("evalmode", "bitparallel", "default world-evaluation kernel: bitparallel, scalar")
 		samples  = flag.Int("samples", 1000, "default Monte-Carlo samples per evaluation")
 		seed     = flag.Uint64("seed", 1, "campaign random seed")
 		workers  = flag.Int("workers", 0, "default parallel Monte-Carlo workers (0 = sequential)")
@@ -132,8 +130,6 @@ func main() {
 	campaign, err := problem.NewCampaign(
 		s3crm.WithEngine(*engine),
 		s3crm.WithModel(*model),
-		s3crm.WithDiffusion(*diff),
-		s3crm.WithEvalMode(*evalmode),
 		s3crm.WithSamples(*samples),
 		s3crm.WithSeed(*seed),
 		s3crm.WithWorkers(*workers),
@@ -153,9 +149,8 @@ func main() {
 	srv := &server{
 		problem: problem, campaign: campaign,
 		defaults: defaults{
-			Engine: *engine, Model: *model, Diffusion: *diff,
-			EvalMode: *evalmode, Samples: *samples, Workers: *workers,
-			Epsilon: *epsilon, Delta: *delta,
+			Engine: *engine, Model: *model, Samples: *samples,
+			Workers: *workers, Epsilon: *epsilon, Delta: *delta,
 		},
 		limiter: limiter, ladder: ladder, faults: faults,
 		solveWeight: *solveW, evaluateWeight: *evalW,
@@ -247,14 +242,12 @@ func loadProblem(dataset string, scale int, graphFile, probModel string, budget 
 }
 
 type defaults struct {
-	Engine    string  `json:"engine"`
-	Model     string  `json:"model"`
-	Diffusion string  `json:"diffusion"`
-	EvalMode  string  `json:"eval_mode"`
-	Samples   int     `json:"samples"`
-	Workers   int     `json:"workers"`
-	Epsilon   float64 `json:"epsilon"`
-	Delta     float64 `json:"delta"`
+	Engine  string  `json:"engine"`
+	Model   string  `json:"model"`
+	Samples int     `json:"samples"`
+	Workers int     `json:"workers"`
+	Epsilon float64 `json:"epsilon"`
+	Delta   float64 `json:"delta"`
 }
 
 type server struct {
@@ -332,19 +325,18 @@ func (s *server) writeShed(w http.ResponseWriter, status int, err error) {
 }
 
 // callParams is the request-level campaign configuration shared by /solve
-// and /evaluate: zero values defer to the campaign's defaults.
+// and /evaluate: zero values defer to the campaign's defaults, and every
+// other value is forwarded to its option, whose validator rejects it (400)
+// when out of range.
 type callParams struct {
 	Engine       string  `json:"engine"`
 	Model        string  `json:"model"`
-	Diffusion    string  `json:"diffusion"`
-	EvalMode     string  `json:"eval_mode"`
 	Samples      int     `json:"samples"`
 	Seed         *uint64 `json:"seed"` // set ⇒ pinned, reproducible call
 	Workers      int     `json:"workers"`
 	CandidateCap int     `json:"candidate_cap"`
 	LimitedK     int     `json:"limited_k"`
 	GPILimit     int     `json:"gpi_limit"`
-	ExhaustiveID bool    `json:"exhaustive_id"`
 	Epsilon      float64 `json:"epsilon"` // ssr engine: approximation slack
 	Delta        float64 `json:"delta"`   // ssr engine: failure probability
 	TimeoutMS    int     `json:"timeout_ms"`
@@ -358,32 +350,23 @@ func (p callParams) options() []s3crm.Option {
 	if p.Model != "" {
 		opts = append(opts, s3crm.WithModel(p.Model))
 	}
-	if p.Diffusion != "" {
-		opts = append(opts, s3crm.WithDiffusion(p.Diffusion))
-	}
-	if p.EvalMode != "" {
-		opts = append(opts, s3crm.WithEvalMode(p.EvalMode))
-	}
-	if p.Samples > 0 {
+	if p.Samples != 0 {
 		opts = append(opts, s3crm.WithSamples(p.Samples))
 	}
 	if p.Seed != nil {
 		opts = append(opts, s3crm.WithSeed(*p.Seed))
 	}
-	if p.Workers > 0 {
+	if p.Workers != 0 {
 		opts = append(opts, s3crm.WithWorkers(p.Workers))
 	}
-	if p.CandidateCap > 0 {
+	if p.CandidateCap != 0 {
 		opts = append(opts, s3crm.WithCandidateCap(p.CandidateCap))
 	}
-	if p.LimitedK > 0 {
+	if p.LimitedK != 0 {
 		opts = append(opts, s3crm.WithLimitedK(p.LimitedK))
 	}
-	if p.GPILimit > 0 {
+	if p.GPILimit != 0 {
 		opts = append(opts, s3crm.WithGPILimit(p.GPILimit))
-	}
-	if p.ExhaustiveID {
-		opts = append(opts, s3crm.WithExhaustiveID(true))
 	}
 	if p.Epsilon != 0 {
 		opts = append(opts, s3crm.WithEpsilon(p.Epsilon))
@@ -396,14 +379,19 @@ func (p callParams) options() []s3crm.Option {
 
 // ctx derives the request context: the per-request timeout_ms when given,
 // else the daemon's default request timeout, else the bare request context.
-func (p callParams) ctx(r *http.Request, def time.Duration) (context.Context, context.CancelFunc) {
-	if p.TimeoutMS > 0 {
-		return context.WithTimeout(r.Context(), time.Duration(p.TimeoutMS)*time.Millisecond)
+// A negative timeout_ms is an error.
+func (p callParams) ctx(r *http.Request, def time.Duration) (context.Context, context.CancelFunc, error) {
+	switch {
+	case p.TimeoutMS < 0:
+		return nil, nil, fmt.Errorf("timeout_ms must be non-negative, got %d", p.TimeoutMS)
+	case p.TimeoutMS > 0:
+		ctx, cancel := context.WithTimeout(r.Context(), time.Duration(p.TimeoutMS)*time.Millisecond)
+		return ctx, cancel, nil
+	case def > 0:
+		ctx, cancel := context.WithTimeout(r.Context(), def)
+		return ctx, cancel, nil
 	}
-	if def > 0 {
-		return context.WithTimeout(r.Context(), def)
-	}
-	return r.Context(), func() {}
+	return r.Context(), func() {}, nil
 }
 
 type solveRequest struct {
@@ -460,8 +448,6 @@ func (s *server) info(w http.ResponseWriter, _ *http.Request) {
 		"engines":      s3crm.Engines(),
 		"engine_usage": s3crm.EngineUsage(),
 		"models":       s3crm.Models(),
-		"diffusions":   s3crm.Diffusions(),
-		"eval_modes":   s3crm.EvalModes(),
 		"baselines":    s3crm.Baselines(),
 	})
 }
@@ -512,7 +498,11 @@ func (s *server) solve(w http.ResponseWriter, r *http.Request) {
 	if req.Algorithm == "" {
 		req.Algorithm = "S3CA"
 	}
-	ctx, cancel := req.ctx(r, s.defaultTimeout)
+	ctx, cancel, err := req.ctx(r, s.defaultTimeout)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	defer cancel()
 	opts := req.options()
 
@@ -573,7 +563,11 @@ func (s *server) evaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("need at least one deployment"))
 		return
 	}
-	ctx, cancel := req.ctx(r, s.defaultTimeout)
+	ctx, cancel, err := req.ctx(r, s.defaultTimeout)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	defer cancel()
 	deps := make([]s3crm.Deployment, len(req.Deployments))
 	for i, d := range req.Deployments {
@@ -613,7 +607,11 @@ func (s *server) graphAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("need at least one edge"))
 		return
 	}
-	ctx, cancel := callParams{TimeoutMS: req.TimeoutMS}.ctx(r, s.defaultTimeout)
+	ctx, cancel, err := callParams{TimeoutMS: req.TimeoutMS}.ctx(r, s.defaultTimeout)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	defer cancel()
 	edges := make([]s3crm.EdgeAdd, len(req.Edges))
 	for i, e := range req.Edges {

@@ -28,7 +28,7 @@ func testServer(t *testing.T, opts ...s3crm.Option) *server {
 		t.Fatal(err)
 	}
 	return &server{problem: problem, campaign: campaign,
-		defaults: defaults{Engine: "mc", Diffusion: "liveedge", Samples: 100}}
+		defaults: defaults{Engine: "mc", Samples: 100}}
 }
 
 func do(t *testing.T, h http.HandlerFunc, method, body string) *httptest.ResponseRecorder {
@@ -91,15 +91,20 @@ func TestSolveEndpoint(t *testing.T) {
 	}
 }
 
-// TestSolveRejectsUnknownNames: unknown engine, triggering-model and
-// diffusion values in POST /solve answer 400 with exactly the functional
-// options' "want one of" message, so clients see the valid set.
+// TestSolveRejectsUnknownNames: unknown engine and triggering-model values
+// in POST /solve answer 400 with exactly the functional options' "want one
+// of" message, so clients see the valid set. The retired oracle fields
+// (diffusion, eval_mode, exhaustive_id) are unknown fields now: 400, never
+// a server error.
 func TestSolveRejectsUnknownNames(t *testing.T) {
 	s := testServer(t)
 	cases := []struct{ body, want string }{
-		{`{"engine":"warp"}`, `unknown engine "warp" (want one of [mc worldcache sketch ssr auto])`},
+		{`{"engine":"warp"}`, `unknown engine "warp" (want one of [mc worldcache ssr auto])`},
+		{`{"engine":"sketch"}`, `unknown engine "sketch" (want one of [mc worldcache ssr auto])`},
 		{`{"model":"voter"}`, `unknown triggering model "voter" (want one of [ic lt])`},
-		{`{"diffusion":"quantum"}`, `unknown diffusion substrate "quantum" (want one of [liveedge hash])`},
+		{`{"diffusion":"hash"}`, `unknown field "diffusion"`},
+		{`{"eval_mode":"scalar"}`, `unknown field "eval_mode"`},
+		{`{"exhaustive_id":true}`, `unknown field "exhaustive_id"`},
 	}
 	for _, tc := range cases {
 		w := do(t, s.solve, http.MethodPost, tc.body)
@@ -112,6 +117,46 @@ func TestSolveRejectsUnknownNames(t *testing.T) {
 		if w.Code != http.StatusBadRequest || !strings.Contains(got.Error, tc.want) {
 			t.Errorf("%s: got %d %q, want 400 containing %q", tc.body, w.Code, got.Error, tc.want)
 		}
+	}
+}
+
+// TestRejectsNegativeNumbers: a negative count or timeout is forwarded to
+// its validator and answers 400 on every endpoint that takes it, instead of
+// silently running with the campaign default.
+func TestRejectsNegativeNumbers(t *testing.T) {
+	s := testServer(t)
+	cases := []struct {
+		name string
+		h    http.HandlerFunc
+		body string
+		want string
+	}{
+		{"solve/samples", s.solve, `{"samples":-5}`, "samples must be positive, got -5"},
+		{"solve/workers", s.solve, `{"workers":-1}`, "workers must be non-negative, got -1"},
+		{"solve/candidate_cap", s.solve, `{"algorithm":"IM-U","candidate_cap":-2}`, "candidate cap must be non-negative, got -2"},
+		{"solve/limited_k", s.solve, `{"algorithm":"IM-L","limited_k":-3}`, "limited-K must be non-negative, got -3"},
+		{"solve/gpi_limit", s.solve, `{"gpi_limit":-4}`, "GPI limit must be non-negative, got -4"},
+		{"solve/timeout_ms", s.solve, `{"timeout_ms":-1}`, "timeout_ms must be non-negative, got -1"},
+		{"evaluate/samples", s.evaluate, `{"deployments":[{"seeds":[0]}],"samples":-5}`, "samples must be positive, got -5"},
+		{"evaluate/timeout_ms", s.evaluate, `{"deployments":[{"seeds":[0]}],"timeout_ms":-1}`, "timeout_ms must be non-negative, got -1"},
+		{"append/timeout_ms", s.graphAppend, `{"edges":[{"from":0,"to":1,"p":0.1}],"timeout_ms":-1}`, "timeout_ms must be non-negative, got -1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := do(t, tc.h, http.MethodPost, tc.body)
+			var got struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if w.Code != http.StatusBadRequest || !strings.Contains(got.Error, tc.want) {
+				t.Errorf("%s: got %d %q, want 400 containing %q", tc.body, w.Code, got.Error, tc.want)
+			}
+		})
+	}
+	if users, edges := s.campaign.Users(), s.campaign.Edges(); users != s.problem.Users() || edges != s.problem.Edges() {
+		t.Fatalf("rejected append changed the graph: %d users, %d edges", users, edges)
 	}
 }
 

@@ -64,8 +64,9 @@ func headingAnchors(body string) map[string]bool {
 }
 
 // TestDocsMentionCurrentSurface keeps the README honest about the pieces
-// this repository actually ships: the quickstart API, the CLIs and the
-// committed bench artifact must all be referenced.
+// this repository actually ships: the quickstart API, the CLIs, every
+// engine and the committed bench artifacts must all be referenced, and the
+// retired oracle knobs must not be.
 func TestDocsMentionCurrentSurface(t *testing.T) {
 	body, err := os.ReadFile("README.md")
 	if err != nil {
@@ -79,9 +80,25 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		"cmd/loadgen", "/statusz", "BENCH_7.json", "Retry-After",
 		"`ssr`", "WithEpsilon", "WithDelta", "BENCH_8.json", "internal/sketch",
 		"ApplyEdges", "Resolve", "/graph/append", "-churn", "BENCH_9.json",
+		"WithLiveEdgeMemBudget", "bench.json",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("README.md no longer mentions %q", want)
+		}
+	}
+	for _, engine := range Engines() {
+		if !strings.Contains(string(body), "| `"+engine+"` |") {
+			t.Errorf("README.md engine table has no row for %q", engine)
+		}
+	}
+	// The oracle knobs and the one-shot API are gone from the public
+	// surface; the README must not advertise them.
+	for _, retired := range []string{
+		"WithDiffusion", "WithEvalMode", "WithExhaustiveID", "-evalmode",
+		"\"eval_mode\"", "| `sketch` |", "s3crm.Options", "s3crm.Solve(",
+	} {
+		if strings.Contains(string(body), retired) {
+			t.Errorf("README.md still documents the retired %q", retired)
 		}
 	}
 	for _, artifact := range []string{"BENCH_4.json", "BENCH_5.json", "BENCH_6.json", "BENCH_7.json", "BENCH_8.json", "BENCH_9.json"} {

@@ -7,8 +7,11 @@ package s3crm
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
+
+	"s3crm/internal/core"
 )
 
 func parityProblem(t *testing.T) *Problem {
@@ -20,6 +23,24 @@ func parityProblem(t *testing.T) *Problem {
 	return p
 }
 
+// runPinned runs algo — "S3CA" or a baseline name — as one call pinned to
+// seed on a fresh campaign built with opts.
+func runPinned(p *Problem, algo string, seed uint64, opts ...Option) (*Result, error) {
+	c, err := p.NewCampaign(opts...)
+	if err != nil {
+		return nil, err
+	}
+	if algo == "S3CA" {
+		return c.Solve(context.Background(), WithSeed(seed))
+	}
+	return c.RunBaseline(context.Background(), algo, WithSeed(seed))
+}
+
+// hashProbes reaches per-probe hashing through the public surface: a
+// one-byte live-edge budget materializes nothing, so every liveness probe
+// takes the substrate's over-budget fallback and recomputes its coin.
+var hashProbes = WithLiveEdgeMemBudget(1)
+
 func TestEngineParity(t *testing.T) {
 	p := parityProblem(t)
 	algos := append([]string{"S3CA"}, Baselines()...)
@@ -29,16 +50,7 @@ func TestEngineParity(t *testing.T) {
 			rates := make(map[string]float64, len(Engines()))
 			var mcRate float64
 			for _, engine := range Engines() {
-				opts := Options{Engine: engine, Samples: 300, Seed: 7}
-				var (
-					r   *Result
-					err error
-				)
-				if algo == "S3CA" {
-					r, err = Solve(p, opts)
-				} else {
-					r, err = RunBaseline(algo, p, opts)
-				}
+				r, err := runPinned(p, algo, 7, WithEngine(engine), WithSamples(300))
 				if err != nil {
 					t.Fatalf("%s under %s: %v", algo, engine, err)
 				}
@@ -72,15 +84,17 @@ func TestEngineParity(t *testing.T) {
 // TestEngineParityLazyID re-runs the S3CA parity matrix with the lazy ID
 // loop pinned off and on: both variants must stay within the same
 // Monte-Carlo tolerance of the exhaustive MC reference under every engine.
+// The exhaustive sweep is a solver-internal reference, so the matrix runs
+// at the core layer.
 func TestEngineParityLazyID(t *testing.T) {
 	p := parityProblem(t)
-	ref, err := Solve(p, Options{Engine: "mc", Samples: 300, Seed: 7, ExhaustiveID: true})
+	ref, err := core.Solve(p.inst, core.Options{Engine: "mc", Samples: 300, Seed: 7, ExhaustiveID: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, engine := range Engines() {
 		for _, exhaustive := range []bool{false, true} {
-			r, err := Solve(p, Options{Engine: engine, Samples: 300, Seed: 7, ExhaustiveID: exhaustive})
+			r, err := core.Solve(p.inst, core.Options{Engine: engine, Samples: 300, Seed: 7, ExhaustiveID: exhaustive})
 			if err != nil {
 				t.Fatalf("S3CA under %s (exhaustive=%v): %v", engine, exhaustive, err)
 			}
@@ -93,10 +107,11 @@ func TestEngineParityLazyID(t *testing.T) {
 	}
 }
 
-// TestDiffusionSubstrateParity pins that the live-edge and hash substrates
-// are interchangeable bit for bit: the materialized worlds hold exactly the
-// flips the hash recomputes, so solver runs are identical — not merely
-// close — across substrates, for S3CA and every baseline.
+// TestDiffusionSubstrateParity pins that materialized live-edge worlds and
+// the over-budget hash fallback are interchangeable bit for bit: the
+// materialized worlds hold exactly the flips the hash recomputes, so solver
+// runs are identical — not merely close — across the two, for S3CA and
+// every baseline.
 func TestDiffusionSubstrateParity(t *testing.T) {
 	p := parityProblem(t)
 	algos := append([]string{"S3CA"}, Baselines()...)
@@ -104,19 +119,10 @@ func TestDiffusionSubstrateParity(t *testing.T) {
 		for _, engine := range Engines() {
 			var rates []float64
 			var seeds [][]int
-			for _, diff := range Diffusions() {
-				opts := Options{Engine: engine, Diffusion: diff, Samples: 200, Seed: 7}
-				var (
-					r   *Result
-					err error
-				)
-				if algo == "S3CA" {
-					r, err = Solve(p, opts)
-				} else {
-					r, err = RunBaseline(algo, p, opts)
-				}
+			for _, substrate := range []Option{nil, hashProbes} {
+				r, err := runPinned(p, algo, 7, WithEngine(engine), WithSamples(200), substrate)
 				if err != nil {
-					t.Fatalf("%s under %s/%s: %v", algo, engine, diff, err)
+					t.Fatalf("%s under %s (hash=%v): %v", algo, engine, substrate != nil, err)
 				}
 				rates = append(rates, r.RedemptionRate)
 				seeds = append(seeds, r.Seeds)
@@ -140,16 +146,24 @@ func TestDiffusionSubstrateParity(t *testing.T) {
 
 func TestEngineUnknownRejected(t *testing.T) {
 	p := parityProblem(t)
-	if _, err := Solve(p, Options{Engine: "quantum", Samples: 50, Seed: 1}); err == nil {
+	if _, err := runPinned(p, "S3CA", 1, WithEngine("quantum"), WithSamples(50)); err == nil {
+		t.Fatal("NewCampaign accepted an unknown engine")
+	}
+	if _, err := runPinned(p, "S3CA", 1, WithEngine("sketch"), WithSamples(50)); err == nil {
+		t.Fatal("NewCampaign accepted the retired sketch engine")
+	}
+	c, err := p.NewCampaign(WithSamples(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := c.Solve(ctx, WithEngine("quantum")); err == nil {
 		t.Fatal("Solve accepted an unknown engine")
 	}
-	if _, err := Solve(p, Options{Diffusion: "quantum", Samples: 50, Seed: 1}); err == nil {
-		t.Fatal("Solve accepted an unknown diffusion substrate")
-	}
-	if _, err := RunBaseline("IM-U", p, Options{Engine: "quantum", Samples: 50, Seed: 1}); err == nil {
+	if _, err := c.RunBaseline(ctx, "IM-U", WithEngine("quantum")); err == nil {
 		t.Fatal("RunBaseline accepted an unknown engine")
 	}
-	if _, err := p.Evaluate(Deployment{Seeds: []int{0}}, Options{Engine: "quantum", Samples: 50}); err == nil {
+	if _, err := c.Evaluate(ctx, Deployment{Seeds: []int{0}}, WithEngine("quantum")); err == nil {
 		t.Fatal("Evaluate accepted an unknown engine")
 	}
 }
@@ -172,12 +186,11 @@ func TestScenarioRoundTripResolves(t *testing.T) {
 			loaded.Users(), loaded.Edges(), loaded.Budget(),
 			orig.Users(), orig.Edges(), orig.Budget())
 	}
-	opts := Options{Engine: "worldcache", Samples: 200, Seed: 5}
-	a, err := Solve(orig, opts)
+	a, err := runPinned(orig, "S3CA", 5, WithEngine("worldcache"), WithSamples(200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(loaded, opts)
+	b, err := runPinned(loaded, "S3CA", 5, WithEngine("worldcache"), WithSamples(200))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,6 @@ type ExhaustiveConfig struct {
 	// Model selects the triggering model the enumeration evaluates under
 	// (see diffusion.Models; empty means diffusion.ModelIC).
 	Model string
-	// EvalMode selects the world-evaluation kernel (see diffusion.EvalModes;
-	// empty means diffusion.EvalBitParallel).
-	EvalMode string
 	// MaxNodes aborts with an error when the instance exceeds this many
 	// users (default 24) — a tripwire against accidentally exponential
 	// runs.
@@ -63,7 +60,6 @@ func Exhaustive(ctx context.Context, in *diffusion.Instance, cfg ExhaustiveConfi
 	ev, err := diffusion.NewEngineOpts(in, diffusion.EngineOptions{
 		Model: cfg.Model, Samples: cfg.Samples, Seed: cfg.Seed,
 		Diffusion: diffusion.DiffusionHash, // tiny instances: skip materialization
-		EvalMode:  cfg.EvalMode,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)

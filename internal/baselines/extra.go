@@ -44,29 +44,20 @@ func risRank(in *diffusion.Instance, cfg Config, maxSeeds int) ([]int32, error) 
 	return ranked, nil
 }
 
-// sketches draws count RR sets under the configured triggering model and
-// diffusion substrate: with the live-edge substrate (the default) an RR set
-// crosses an edge exactly when the forward engines would see it live in the
-// set's world — reading materialized model state within the memory budget,
-// hashing past it — so the sketches and the forward simulators share one
-// liveness source. The hash substrate keeps the sequential-stream drawing:
-// per-in-edge coins under IC (PR 1's behaviour), one categorical in-edge
-// draw per step under LT.
+// sketches draws count RR sets under the configured triggering model
+// through the live-edge substrate: an RR set crosses an edge exactly when
+// the forward engines would see it live in the set's world — reading
+// materialized model state within the memory budget, hashing past it — so
+// the sketches and the forward simulators share one liveness source.
 func (c Config) sketches(in *diffusion.Instance, count int, seed uint64) (*ris.Sketches, error) {
 	src := rng.New(seed)
 	if c.Model == diffusion.ModelLT {
-		if c.Diffusion == diffusion.DiffusionHash {
-			return ris.GenerateLT(in.G, count, src)
-		}
 		coin := rng.NewCoin(seed)
 		le := diffusion.NewLTLiveEdges(in.G, count, coin, c.LiveEdgeMemBudget, true)
 		return ris.GenerateLiveLT(in.G, count, src, func(world, edge uint64, _ float64) bool {
 			// le is nil only for empty-edge graphs, where no probe occurs.
 			return le.Live(world, edge)
 		})
-	}
-	if c.Diffusion == diffusion.DiffusionHash {
-		return ris.Generate(in.G, count, src)
 	}
 	coin := rng.NewCoin(seed)
 	le := diffusion.NewLiveEdges(in.G, count, coin, c.LiveEdgeMemBudget)
@@ -80,7 +71,7 @@ func (c Config) sketches(in *diffusion.Instance, count int, seed uint64) (*ris.S
 
 // sketchPrune ranks the affordable candidates by estimated IC influence —
 // the RR-set cover count of reverse-influence sampling — and keeps the top
-// CandidateCap. This is the EngineSketch candidate-pruning backend: on
+// CandidateCap. This is the EngineSSR candidate-pruning backend: on
 // skewed-probability graphs a raw degree cap keeps hubs with weak edges,
 // while the sketch cap keeps the users that actually spread.
 func sketchPrune(in *diffusion.Instance, cfg Config, affordable []int32) ([]int32, error) {

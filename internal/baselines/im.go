@@ -13,8 +13,9 @@ import (
 // Config parameterizes the baseline runs.
 type Config struct {
 	// Evaluator, when non-nil, is a pre-built evaluation engine used
-	// instead of constructing one from Engine/Diffusion/Samples/Seed — the
-	// serving layer's injection point (see core.Options.Evaluator). The
+	// instead of constructing one from Engine/Model/Samples/Seed — the
+	// serving layer's injection point and the seam tests use to run a
+	// baseline over a parity-oracle engine (see core.Options.Evaluator). The
 	// remaining engine fields should describe the injected engine: sketch
 	// pruning and RIS ranking still read them.
 	Evaluator diffusion.Evaluator
@@ -26,37 +27,28 @@ type Config struct {
 	Strategy Strategy
 	LimitedK int
 	// Engine selects the evaluation engine (see diffusion.Engines; empty
-	// means diffusion.EngineMC). Under diffusion.EngineSketch or
-	// diffusion.EngineSSR, CandidateCap prunes greedy seed candidates by
-	// estimated influence (RR-set cover counts under the configured
-	// triggering model) instead of raw out-degree; the baselines have no
-	// solver-side SSR path, so both names mean the same pruning here.
+	// means diffusion.EngineMC). Under diffusion.EngineSSR, CandidateCap
+	// prunes greedy seed candidates by estimated influence (RR-set cover
+	// counts under the configured triggering model) instead of raw
+	// out-degree; the baselines have no solver-side SSR path, so that
+	// pruning is what the name means here.
 	Engine string
 	// Model selects the triggering model deciding per-world edge liveness
 	// (see diffusion.Models; empty means diffusion.ModelIC). It drives
 	// both the forward evaluations and RR-set drawing: linear-threshold
 	// sketches walk a single sampled in-edge per step.
 	Model string
-	// Diffusion selects the edge-liveness substrate (see
-	// diffusion.Diffusions; empty means diffusion.DiffusionLiveEdge —
-	// materialized live-edge worlds within LiveEdgeMemBudget, hashing past
-	// it). It also drives RR-set drawing: sketches cross an edge exactly
-	// when the forward engines would see it live in the set's world.
-	Diffusion string
 	// LiveEdgeMemBudget caps the live-edge substrate's materialized bytes
-	// (<= 0 means diffusion.DefaultLiveEdgeMemBudget).
+	// (<= 0 means diffusion.DefaultLiveEdgeMemBudget); past it both the
+	// forward engines and RR-set drawing hash every probe instead.
 	LiveEdgeMemBudget int64
-	// EvalMode selects the world-evaluation kernel (see diffusion.EvalModes;
-	// empty means diffusion.EvalBitParallel — 64 worlds per machine word,
-	// bit-identical to diffusion.EvalScalar).
-	EvalMode string
 	// Samples is the Monte-Carlo sample count (default 1000) and Seed the
 	// estimator seed.
 	Samples int
 	Seed    uint64
 	Workers int
 	// CandidateCap restricts greedy seed candidates to the top-N users by
-	// out-degree (or by sketch-estimated influence under EngineSketch); 0
+	// out-degree (or by sketch-estimated influence under EngineSSR); 0
 	// considers everyone. The paper's datasets make full greedy infeasible,
 	// and candidate pruning is the standard practical shortcut.
 	CandidateCap int
@@ -91,8 +83,7 @@ func (c Config) engine(in *diffusion.Instance) (diffusion.Evaluator, error) {
 	ev, err := diffusion.NewEngineOpts(in, diffusion.EngineOptions{
 		Engine: c.Engine, Model: c.Model,
 		Samples: c.Samples, Seed: c.Seed, Workers: c.Workers,
-		Diffusion: c.Diffusion, LiveEdgeMemBudget: c.LiveEdgeMemBudget,
-		EvalMode: c.EvalMode,
+		LiveEdgeMemBudget: c.LiveEdgeMemBudget,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)
@@ -194,7 +185,7 @@ func seedCandidates(in *diffusion.Instance, cfg Config) []int32 {
 		}
 	}
 	if cfg.CandidateCap > 0 && cfg.CandidateCap < len(affordable) {
-		if cfg.Engine == diffusion.EngineSketch || cfg.Engine == diffusion.EngineSSR {
+		if cfg.Engine == diffusion.EngineSSR {
 			if pruned, err := sketchPrune(in, cfg, affordable); err == nil {
 				return pruned
 			}

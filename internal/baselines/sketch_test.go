@@ -49,7 +49,7 @@ func TestSeedCandidatesSketchPruning(t *testing.T) {
 		t.Fatalf("degree pruning kept %v, want the degree-6 hub [0]", byDegree)
 	}
 
-	cfg.Engine = diffusion.EngineSketch
+	cfg.Engine = diffusion.EngineSSR
 	bySketch := seedCandidates(inst, cfg)
 	if len(bySketch) != 1 || bySketch[0] != 1 {
 		t.Fatalf("sketch pruning kept %v, want the certain spreader [1]", bySketch)
@@ -61,7 +61,7 @@ func TestSeedCandidatesSketchPruning(t *testing.T) {
 func TestSeedCandidatesSketchDeterministic(t *testing.T) {
 	inst := sketchInstance(t)
 	cfg := Config{CandidateCap: 3, Samples: 50, Seed: 9, RISSketches: 500,
-		Engine: diffusion.EngineSketch}.withDefaults()
+		Engine: diffusion.EngineSSR}.withDefaults()
 	a := seedCandidates(inst, cfg)
 	b := seedCandidates(inst, cfg)
 	if len(a) != len(b) {
@@ -74,24 +74,25 @@ func TestSeedCandidatesSketchDeterministic(t *testing.T) {
 	}
 }
 
-// TestSeedCandidatesSketchPruningLT drives the linear-threshold RR-set
-// paths end-to-end — ris.GenerateLT under the hash substrate and
-// ris.GenerateLiveLT over the LT chosen-in-edge substrate — through
-// sketchPrune: on the hub-vs-spreader instance (every node has a single
-// in-edge, so it is LT-valid as-is) both must keep the certain spreader. A
-// hard failure in either LT walk would fall back to degree pruning and
-// keep the hub, so the assertion catches silent breakage too.
+// TestSeedCandidatesSketchPruningLT drives the linear-threshold RR-set path
+// end-to-end — ris.GenerateLiveLT over the LT chosen-in-edge substrate,
+// both with materialized rows and past a one-byte memory budget where every
+// probe hashes — through sketchPrune: on the hub-vs-spreader instance
+// (every node has a single in-edge, so it is LT-valid as-is) both must keep
+// the certain spreader. A hard failure in the LT walk would fall back to
+// degree pruning and keep the hub, so the assertion catches silent breakage
+// too.
 func TestSeedCandidatesSketchPruningLT(t *testing.T) {
 	inst := sketchInstance(t)
-	for _, diff := range diffusion.Diffusions() {
+	for _, budget := range []int64{0, 1} {
 		cfg := Config{
 			CandidateCap: 1, Samples: 50, Seed: 3, RISSketches: 2000,
-			Engine: diffusion.EngineSketch, Model: diffusion.ModelLT,
-			Diffusion: diff,
+			Engine: diffusion.EngineSSR, Model: diffusion.ModelLT,
+			LiveEdgeMemBudget: budget,
 		}.withDefaults()
 		got := seedCandidates(inst, cfg)
 		if len(got) != 1 || got[0] != 1 {
-			t.Fatalf("diffusion=%s: LT sketch pruning kept %v, want the certain spreader [1]", diff, got)
+			t.Fatalf("mem budget %d: LT sketch pruning kept %v, want the certain spreader [1]", budget, got)
 		}
 	}
 }

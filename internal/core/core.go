@@ -13,11 +13,14 @@ import (
 // Options configures Solve.
 type Options struct {
 	// Evaluator, when non-nil, is a pre-built evaluation engine the solver
-	// uses instead of constructing one from Engine/Diffusion/Samples/Seed —
+	// uses instead of constructing one from Engine/Model/Samples/Seed —
 	// the serving layer's injection point: a Campaign builds the engine
 	// (and its live-edge substrate) once and hands per-call views to every
-	// solve. The remaining engine fields still parameterize the snapshot
-	// scorer stream, so they should describe the injected engine.
+	// solve. It is also how tests run the solver over a parity oracle (a
+	// hash-substrate or scalar-kernel engine built with
+	// diffusion.NewEngineOpts). The remaining engine fields still
+	// parameterize the snapshot scorer stream, so they should describe the
+	// injected engine.
 	Evaluator diffusion.Evaluator
 	// Scorer, when non-nil, is a pre-built engine for the snapshot
 	// selection pass, replacing the internally constructed
@@ -33,12 +36,11 @@ type Options struct {
 	// Engine selects the evaluation engine: diffusion.EngineMC (the
 	// default, plain Monte Carlo), diffusion.EngineWorldCache (incremental
 	// world-cache evaluation — the ID loop's candidate deltas and the SCM
-	// donor scan replay only the affected worlds/frontiers),
-	// diffusion.EngineSketch (evaluates like MC; sketches accelerate the
-	// baselines' seed ranking, not the solver), or diffusion.EngineSSR (the
-	// SSR sketch solver: selection runs as weighted cover maximization over
-	// coupon-indexed RR samples sized adaptively by Epsilon/Delta, and only
-	// the final deployment is forward-evaluated). diffusion.EngineAuto
+	// donor scan replay only the affected worlds/frontiers) or
+	// diffusion.EngineSSR (the SSR sketch solver: selection runs as
+	// weighted cover maximization over coupon-indexed RR samples sized
+	// adaptively by Epsilon/Delta, and only the final deployment is
+	// forward-evaluated). diffusion.EngineAuto
 	// resolves to ssr or worldcache by instance size before dispatch (see
 	// diffusion.AutoEngine).
 	Engine string
@@ -50,24 +52,10 @@ type Options struct {
 	// propagation kernel, the world-cache replays and the sketches all
 	// follow the selected model.
 	Model string
-	// Diffusion selects the edge-liveness substrate (see
-	// diffusion.Diffusions): diffusion.DiffusionLiveEdge (the default —
-	// per-world liveness materialized once into the model's row layout,
-	// read by every probe) or diffusion.DiffusionHash (recompute the
-	// stateless per-probe function every time). Outcomes are identical;
-	// only speed and memory differ.
-	Diffusion string
 	// LiveEdgeMemBudget caps the bytes the live-edge substrate may commit
 	// to materialized worlds (<= 0 means diffusion.DefaultLiveEdgeMemBudget);
 	// past the cap the solver falls back to hashing.
 	LiveEdgeMemBudget int64
-	// EvalMode selects the world-evaluation kernel (see
-	// diffusion.EvalModes): diffusion.EvalBitParallel (the default — one
-	// BFS pass over the CSR evaluates 64 worlds per machine word, falling
-	// back to scalar automatically when the configuration materializes no
-	// liveness rows) or diffusion.EvalScalar (one world per pass — the
-	// parity oracle). Both kernels produce bit-identical Results.
-	EvalMode string
 	// Samples is the Monte-Carlo sample count per benefit evaluation.
 	// 0 means 1000 (the paper's simulation average count). The SSR engine
 	// sizes its own sample set adaptively (see Epsilon/Delta); Samples then
@@ -114,7 +102,7 @@ type Options struct {
 	// submodular gains, an approximation on instances where an investment
 	// raises another candidate's gain — so this escape hatch both serves as
 	// the reference for TestLazyIDMatchesExhaustive and guards against
-	// pathological non-submodularity.
+	// pathological non-submodularity. It is not exposed by the public API.
 	ExhaustiveID bool
 	// RateTolerance treats redemption rates within this relative fraction
 	// of the running maximum as ties, and ties prefer the later — larger —
@@ -187,7 +175,8 @@ type Stats struct {
 	ExploredNodes int   // distinct users examined across all phases
 	Evaluations   int64 // Monte-Carlo evaluations performed
 	// WorldBlocks counts 64-world blocks evaluated by the bit-parallel
-	// kernel; 0 under EvalScalar or the automatic scalar fallback.
+	// kernel; 0 under the scalar kernel (a parity-oracle engine or the
+	// automatic scalar fallback).
 	WorldBlocks int64
 	// CandidateEvals counts ID-loop candidate marginal-gain evaluations.
 	// The exhaustive sweep pays |candidates| per iteration; the lazy loop
@@ -409,9 +398,7 @@ func SolveCtx(ctx context.Context, inst *diffusion.Instance, opts Options) (*Sol
 		ev, err = diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
 			Engine: opts.Engine, Model: opts.Model,
 			Samples: opts.Samples, Seed: opts.Seed,
-			Workers: opts.Workers, Diffusion: opts.Diffusion,
-			LiveEdgeMemBudget: opts.LiveEdgeMemBudget,
-			EvalMode:          opts.EvalMode,
+			Workers: opts.Workers, LiveEdgeMemBudget: opts.LiveEdgeMemBudget,
 		})
 		if err != nil {
 			return nil, err

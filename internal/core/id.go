@@ -534,8 +534,8 @@ func (s *solver) selectSnapshot(snapshots []*diffusion.Deployment) *diffusion.De
 }
 
 // newScorer builds the independent estimator stream snapshot selection
-// re-scores with, on the same engine and diffusion substrate as the
-// solver's own evaluations (but a decorrelated coin, so the selection is
+// re-scores with, on the same engine and triggering model as the solver's
+// own evaluations (but a decorrelated coin, so the selection is
 // unbiased by the noise that guided the greedy).
 func (s *solver) newScorer() diffusion.Evaluator {
 	if s.opts.Scorer != nil {
@@ -552,13 +552,12 @@ func (s *solver) newScorer() diffusion.Evaluator {
 	scorer, err := diffusion.NewEngineOpts(s.inst, diffusion.EngineOptions{
 		Engine: engine, Model: s.opts.Model, Samples: s.opts.Samples,
 		Seed: seed, Workers: s.opts.Workers,
-		Diffusion: s.opts.Diffusion, LiveEdgeMemBudget: s.opts.LiveEdgeMemBudget,
-		EvalMode: s.opts.EvalMode,
+		LiveEdgeMemBudget: s.opts.LiveEdgeMemBudget,
 	})
 	if err != nil {
 		// Reachable only with an injected Evaluator whose companion option
-		// fields name an unknown engine or substrate; fall back to the
-		// plain estimator so selection still happens on a fresh stream.
+		// fields name an unknown model; fall back to the plain estimator so
+		// selection still happens on a fresh stream.
 		est := diffusion.NewEstimator(s.inst, s.opts.Samples, seed)
 		est.Workers = s.opts.Workers
 		return est

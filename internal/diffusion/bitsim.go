@@ -6,9 +6,10 @@ import (
 	"s3crm/internal/bitset"
 )
 
-// Eval-mode names accepted by EngineOptions.EvalMode and threaded through
-// core.Options, baselines.Config, eval.RunParams and the public
-// s3crm.WithEvalMode.
+// Eval-mode names accepted by EngineOptions.EvalMode. The choice is not a
+// public knob: the bit-parallel kernel is what every caller runs, and the
+// scalar kernel stays as the lone-world path and the parity oracle tests
+// build through NewEngineOpts.
 const (
 	// EvalBitParallel (the default) evaluates 64 possible worlds per machine
 	// word: one BFS pass over the CSR propagates a whole world block, edge

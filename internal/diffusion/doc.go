@@ -33,8 +33,8 @@
 // Evaluator is the seam: EngineMC (Estimator — every evaluation simulates
 // all possible worlds from scratch), EngineWorldCache (WorldCache —
 // per-world snapshots answer the greedy loops' delta queries by replaying
-// only the affected worlds and frontiers) and EngineSketch (MC evaluation
-// plus reverse-influence-sampling candidate pruning for the baselines).
+// only the affected worlds and frontiers) and EngineSSR (MC evaluation of
+// the deployment the SSR sketch solver in internal/core selects).
 // Edge liveness comes from a stateless hash — of (seed, world, edge) under
 // ModelIC, of (seed, world, target node) walked down the in-row under
 // ModelLT — giving common random numbers, so every deployment sees

@@ -3,7 +3,7 @@ package diffusion
 import "fmt"
 
 // Engine names accepted by NewEngine and threaded through core.Options,
-// baselines.Config and the public s3crm.Options.
+// baselines.Config and the public s3crm.WithEngine.
 const (
 	// EngineMC is the plain Monte-Carlo estimator (the paper's setting):
 	// every evaluation re-simulates all possible worlds from scratch.
@@ -14,14 +14,6 @@ const (
 	// identical to EngineMC; the incremental paths make the greedy ID loop
 	// and the SCM donor scan O(delta) instead of O(full simulation).
 	EngineWorldCache = "worldcache"
-	// EngineSketch evaluates like EngineMC but switches baseline seed
-	// ranking to reverse-influence-sampling sketches: CandidateCap prunes
-	// candidates by estimated IC influence (RR-set cover counts) instead of
-	// raw out-degree. The coupon-capacity constraint breaks the
-	// reversibility argument for the S3CRM objective itself, so sketches
-	// serve candidate pruning, not benefit estimation. It is a pruner, not
-	// a solver — the solving counterpart is EngineSSR.
-	EngineSketch = "sketch"
 	// EngineSSR solves through SSR sketches (internal/sketch): per sampled
 	// root, coupon-indexed RR sets gated by redemption-capacity acceptance
 	// probabilities, with the ID loop's selection run as weighted cover
@@ -29,7 +21,10 @@ const (
 	// rule sizing the sample set to a (1−1/e−ε, δ) certificate instead of a
 	// fixed Samples knob. Reported metrics still come from one forward
 	// evaluation of the selected deployment (this evaluator, MC semantics),
-	// so all engines agree on what a redemption rate means.
+	// so all engines agree on what a redemption rate means. The baselines,
+	// which have no sketch solver, rank their CandidateCap candidates by
+	// reverse-influence-sampling cover counts under this engine instead of
+	// raw out-degree.
 	EngineSSR = "ssr"
 	// EngineAuto resolves to EngineSSR or EngineWorldCache by instance size
 	// before any engine is built (see AutoEngine): reverse sampling wins
@@ -42,7 +37,7 @@ const (
 
 // Engines lists the evaluation engines in documentation order.
 func Engines() []string {
-	return []string{EngineMC, EngineWorldCache, EngineSketch, EngineSSR, EngineAuto}
+	return []string{EngineMC, EngineWorldCache, EngineSSR, EngineAuto}
 }
 
 // Auto-selection thresholds: at or above either, AutoEngine picks the SSR
@@ -69,7 +64,7 @@ func AutoEngine(nodes, edges int) string {
 // one place.
 func EngineUsage() string {
 	return "mc (plain Monte Carlo), worldcache (incremental world replay), " +
-		"sketch (RIS-pruned baselines), ssr (SSR sketch solver), " +
+		"ssr (SSR sketch solver), " +
 		"auto (ssr at scale, worldcache below it)"
 }
 
@@ -93,8 +88,8 @@ type Evaluator interface {
 
 // EngineOptions configures NewEngineOpts: which engine to build, its
 // Monte-Carlo parameters, the triggering model that owns per-world edge
-// liveness, and the diffusion substrate the propagation kernel probes that
-// liveness through.
+// liveness, and — for parity oracles only — the diffusion substrate and
+// evaluation kernel the propagation probes that liveness through.
 type EngineOptions struct {
 	// Engine names the evaluation engine (see Engines); empty means EngineMC.
 	Engine string
@@ -126,9 +121,9 @@ type EngineOptions struct {
 }
 
 // NewEngineOpts constructs the configured evaluation engine over inst.
-// EngineSketch returns a plain Monte-Carlo evaluator — its sketches
-// accelerate seed ranking, not benefit estimation — so all engines agree on
-// Evaluate up to floating-point summation order, whatever the substrate.
+// EngineSSR returns a plain Monte-Carlo evaluator — its sketches drive
+// selection, not benefit estimation — so all engines agree on Evaluate up
+// to floating-point summation order, whatever the substrate.
 func NewEngineOpts(inst *Instance, o EngineOptions) (Evaluator, error) {
 	var est *Estimator
 	switch o.Engine {
@@ -138,7 +133,7 @@ func NewEngineOpts(inst *Instance, o EngineOptions) (Evaluator, error) {
 		// accepts every name Engines() lists.
 		o.Engine = AutoEngine(inst.G.NumNodes(), inst.G.NumEdges())
 		return NewEngineOpts(inst, o)
-	case "", EngineMC, EngineSketch, EngineSSR, EngineWorldCache:
+	case "", EngineMC, EngineSSR, EngineWorldCache:
 		est = NewEstimator(inst, o.Samples, o.Seed)
 		est.Workers = o.Workers
 	default:

@@ -8,9 +8,10 @@ import (
 	"s3crm/internal/rng"
 )
 
-// Diffusion substrate names accepted by EngineOptions.Diffusion and threaded
-// through core.Options, baselines.Config, eval.RunParams and the public
-// s3crm.Options.
+// Diffusion substrate names accepted by EngineOptions.Diffusion. The choice
+// is not a public knob: every caller runs the live-edge substrate, which
+// itself falls back to hashing past its memory budget, and DiffusionHash
+// stays as the oracle tests build through NewEngineOpts.
 const (
 	// DiffusionLiveEdge (the default) materializes each world's edge
 	// liveness once so the propagation kernel, the world-cache frontier

@@ -8,7 +8,7 @@ import (
 
 // Triggering-model names accepted by EngineOptions.Model and threaded
 // through core.Options, baselines.Config, eval.RunParams and the public
-// s3crm.Options.
+// s3crm.WithModel.
 //
 // Both models are served through the shared live-edge view (Kempe, Kleinberg
 // and Tardos' triggering-model equivalence): a possible world is a fixed

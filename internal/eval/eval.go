@@ -78,16 +78,11 @@ type RunParams struct {
 	Workers      int
 	Engine       string // evaluation engine (see diffusion.Engines; "" = mc)
 	Model        string // triggering model (see diffusion.Models; "" = ic)
-	Diffusion    string // edge-liveness substrate (see diffusion.Diffusions; "" = liveedge)
-	EvalMode     string // world-evaluation kernel (see diffusion.EvalModes; "" = bitparallel)
 	CandidateCap int    // baseline greedy candidate cap (0 = all users)
 	LimitedK     int    // limited-strategy quota (0 = Dropbox's 32)
 	// SpendBudget makes S3CA return the full-budget deployment, mirroring
 	// the paper's evaluation regime (see core.Options.SpendBudget).
 	SpendBudget bool
-	// ExhaustiveID disables S3CA's CELF-lazy investment loop (see
-	// core.Options.ExhaustiveID).
-	ExhaustiveID bool
 }
 
 func (p RunParams) withDefaults() RunParams {
@@ -125,10 +120,9 @@ func RunOne(algo string, inst *diffusion.Instance, p RunParams) (Measure, error)
 	switch algo {
 	case "S3CA":
 		sol, err := core.Solve(inst, core.Options{
-			Engine: p.Engine, Model: p.Model, Diffusion: p.Diffusion,
+			Engine: p.Engine, Model: p.Model,
 			Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
-			EvalMode:    p.EvalMode,
-			SpendBudget: p.SpendBudget, ExhaustiveID: p.ExhaustiveID,
+			SpendBudget: p.SpendBudget,
 		})
 		if err != nil {
 			return Measure{}, err
@@ -137,9 +131,8 @@ func RunOne(algo string, inst *diffusion.Instance, p RunParams) (Measure, error)
 		meas.ExploredRatio = float64(sol.Stats.ExploredNodes) / float64(inst.G.NumNodes())
 	case "IM-U", "IM-L", "IM-R", "PM-U", "PM-L", "IM-S", "RAND", "DEG":
 		cfg := baselines.Config{
-			Engine: p.Engine, Model: p.Model, Diffusion: p.Diffusion,
+			Engine: p.Engine, Model: p.Model,
 			Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
-			EvalMode:     p.EvalMode,
 			CandidateCap: p.CandidateCap, LimitedK: p.LimitedK,
 		}
 		if algo == "IM-L" || algo == "PM-L" {
@@ -175,12 +168,10 @@ func RunOne(algo string, inst *diffusion.Instance, p RunParams) (Measure, error)
 
 	// Re-measure every algorithm's deployment with a common MC estimator so
 	// comparisons share possible worlds regardless of the engine that drove
-	// the search (full evaluations agree across engines anyway — and across
-	// substrates, which materialize the same coin flips).
+	// the search (full evaluations agree across engines anyway).
 	est, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
 		Engine: diffusion.EngineMC, Model: p.Model, Samples: p.Samples,
-		Seed: p.Seed ^ 0xfeed, Workers: p.Workers, Diffusion: p.Diffusion,
-		EvalMode: p.EvalMode,
+		Seed: p.Seed ^ 0xfeed, Workers: p.Workers,
 	})
 	if err != nil {
 		return Measure{}, err

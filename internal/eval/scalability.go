@@ -126,7 +126,7 @@ func ScalabilityByBudget(c ScalabilityConfig, nodes int, budgets []float64, p Ru
 func runScale(inst *diffusion.Instance, p RunParams) (ScaleRow, error) {
 	start := time.Now()
 	sol, err := core.Solve(inst, core.Options{
-		Engine: p.Engine, Model: p.Model, Diffusion: p.Diffusion,
+		Engine: p.Engine, Model: p.Model,
 		Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
 	})
 	if err != nil {
@@ -199,7 +199,7 @@ func Approximation(c ScalabilityConfig, nodes int, margins []float64, p RunParam
 			return nil, err
 		}
 		sol, err := core.Solve(inst, core.Options{
-			Engine: p.Engine, Model: p.Model, Diffusion: p.Diffusion,
+			Engine: p.Engine, Model: p.Model,
 			Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
 		})
 		if err != nil {

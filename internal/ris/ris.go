@@ -306,7 +306,7 @@ func (s *Sketches) Influence(seeds []int32) float64 {
 
 // CoverCount returns the number of RR sets containing v; scaled by
 // n/Count() it is v's estimated singleton influence. It is the ranking key
-// of the sketch engine's candidate pruning.
+// of the baselines' candidate pruning under the ssr engine.
 func (s *Sketches) CoverCount(v int32) int { return len(s.covers[v]) }
 
 // celfSeed is one lazily re-evaluated TopSeeds queue entry: the marginal

@@ -1,5 +1,6 @@
 // End-to-end triggering-model tests: WithModel("lt") must serve every
-// engine and substrate through the public Campaign surface, with the same
+// engine, on materialized and hashed liveness alike, through the public
+// Campaign surface, with the same
 // agreement guarantees the IC engines enjoy.
 package s3crm
 
@@ -11,14 +12,14 @@ import (
 )
 
 // TestModelLTEndToEnd solves the parity problem under the linear-threshold
-// model across every engine × substrate cell: substrates must agree bit for
-// bit per engine (they read the same per-world selections), full
+// model across every engine, on materialized chosen-in-edge rows and on the
+// over-budget hash walk: the two must agree bit for bit per engine (they
+// read the same per-world selections), full
 // evaluations must agree across engines exactly, and S3CA's world-cache
 // guidance stays within Monte-Carlo tolerance of the MC reference — the
 // same contract the IC matrix pins.
 func TestModelLTEndToEnd(t *testing.T) {
 	p := parityProblem(t)
-	ctx := context.Background()
 	algos := []string{"S3CA", "IM-U", "PM-L"}
 	for _, algo := range algos {
 		t.Run(algo, func(t *testing.T) {
@@ -26,24 +27,14 @@ func TestModelLTEndToEnd(t *testing.T) {
 			var mcRate float64
 			for _, engine := range Engines() {
 				var perDiffusion []float64
-				for _, diff := range Diffusions() {
-					c, err := p.NewCampaign(
-						WithModel("lt"), WithEngine(engine), WithDiffusion(diff),
-						WithSamples(300), WithSeed(7))
+				for _, substrate := range []Option{nil, hashProbes} {
+					r, err := runPinned(p, algo, 7, WithModel("lt"), WithEngine(engine),
+						WithSamples(300), substrate)
 					if err != nil {
-						t.Fatal(err)
-					}
-					var r *Result
-					if algo == "S3CA" {
-						r, err = c.Solve(ctx, WithSeed(7))
-					} else {
-						r, err = c.RunBaseline(ctx, algo, WithSeed(7))
-					}
-					if err != nil {
-						t.Fatalf("%s under %s/%s: %v", algo, engine, diff, err)
+						t.Fatalf("%s under %s (hash=%v): %v", algo, engine, substrate != nil, err)
 					}
 					if r.RedemptionRate <= 0 {
-						t.Fatalf("%s under %s/%s: non-positive redemption rate", algo, engine, diff)
+						t.Fatalf("%s under %s (hash=%v): non-positive redemption rate", algo, engine, substrate != nil)
 					}
 					perDiffusion = append(perDiffusion, r.RedemptionRate)
 				}
@@ -116,13 +107,13 @@ func TestModelLTPinnedReplayDeterminism(t *testing.T) {
 	if first.RedemptionRate != again.RedemptionRate || first.Benefit != again.Benefit {
 		t.Fatalf("warm LT replay drifted: %v vs %v", first, again)
 	}
-	oneShot, err := Solve(p, Options{Model: "lt", Engine: "worldcache", Samples: 200, Seed: 11})
+	fresh, err := runPinned(p, "S3CA", 11, WithModel("lt"), WithEngine("worldcache"), WithSamples(200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oneShot.RedemptionRate != first.RedemptionRate {
-		t.Fatalf("one-shot LT solve %v differs from pinned campaign call %v",
-			oneShot.RedemptionRate, first.RedemptionRate)
+	if fresh.RedemptionRate != first.RedemptionRate {
+		t.Fatalf("pinned LT solve on a fresh campaign %v differs from the warm campaign's %v",
+			fresh.RedemptionRate, first.RedemptionRate)
 	}
 }
 

@@ -17,8 +17,6 @@ type Option func(*config) error
 type config struct {
 	engine       string
 	model        string
-	diffusion    string
-	evalMode     string
 	samples      int
 	minSamples   int
 	degrade      func(requested int) int
@@ -28,7 +26,6 @@ type config struct {
 	limitedK     int
 	candidateCap int
 	gpiLimit     int
-	exhaustiveID bool
 	memBudget    int64
 	epsilon      float64
 	delta        float64
@@ -37,11 +34,9 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		engine:    diffusion.EngineMC,
-		model:     diffusion.ModelIC,
-		diffusion: diffusion.DiffusionLiveEdge,
-		evalMode:  diffusion.EvalBitParallel,
-		samples:   1000,
+		engine:  diffusion.EngineMC,
+		model:   diffusion.ModelIC,
+		samples: 1000,
 	}
 }
 
@@ -62,15 +57,14 @@ func (c config) apply(opts []Option) (config, error) {
 // WithEngine selects the evaluation engine: "mc" (plain Monte Carlo, the
 // default and the paper's setting), "worldcache" (incremental world-cache
 // evaluation — the solver's greedy loops replay only the simulation state a
-// candidate change can affect), "sketch" (reverse-influence-sampling
-// candidate *pruning*: baselines restrict their greedy candidates by
-// sketched influence, then still evaluate forward — a pruner, not a solver)
-// or "ssr" (the SSR sketch *solver*: S3CA's seed/coupon selection runs
-// against reverse-sample cover counts under an adaptive (1−1/e−ε) stopping
-// rule tuned by WithEpsilon and WithDelta, and only the final deployment is
-// measured forward). "auto" defers the choice to instance size, resolving to
-// "ssr" at or above 200k users / 2M edges and "worldcache" below, re-checked
-// per call as ApplyEdges grows the network. See Engines and DESIGN.md
+// candidate change can affect) or "ssr" (the SSR sketch solver: S3CA's
+// seed/coupon selection runs against reverse-sample cover counts under an
+// adaptive (1−1/e−ε) stopping rule tuned by WithEpsilon and WithDelta, and
+// only the final deployment is measured forward; the baselines rank their
+// CandidateCap candidates by sketched influence instead of out-degree).
+// "auto" defers the choice to instance size, resolving to "ssr" at or above
+// 200k users / 2M edges and "worldcache" below, re-checked per call as
+// ApplyEdges grows the network. See Engines and DESIGN.md
 // ("Evaluation engines", "SSR sketch solver"). The engine name is validated
 // eagerly, at NewCampaign or at the call that carries the option.
 func WithEngine(name string) Option {
@@ -110,53 +104,6 @@ func WithModel(name string) Option {
 			}
 		}
 		return fmt.Errorf("unknown triggering model %q (want one of %v)", name, diffusion.Models())
-	}
-}
-
-// WithDiffusion selects the edge-liveness substrate behind every engine:
-// "liveedge" (the default — per-world liveness materialized once into the
-// triggering model's row layout, per-edge coin-flip bit rows under "ic" and
-// per-user chosen-in-edge rows under "lt", read by all probes) or "hash"
-// (recompute the stateless per-probe function every time — the (seed,
-// world, edge) coin under "ic", the categorical in-row walk under "lt").
-// Within a model the substrates produce bit-identical results; see
-// Diffusions.
-func WithDiffusion(name string) Option {
-	return func(c *config) error {
-		if name == "" {
-			name = diffusion.DiffusionLiveEdge
-		}
-		for _, d := range diffusion.Diffusions() {
-			if name == d {
-				c.diffusion = name
-				return nil
-			}
-		}
-		return fmt.Errorf("unknown diffusion substrate %q (want one of %v)", name, diffusion.Diffusions())
-	}
-}
-
-// WithEvalMode selects the world-evaluation kernel behind every engine:
-// "bitparallel" (the default — one breadth-first pass over the graph
-// evaluates 64 possible worlds at once, packing per-world liveness and
-// activation state into machine words; falls back to scalar automatically
-// when the configuration materializes no liveness rows to mask block probes
-// from, i.e. "ic" under the "hash" substrate) or "scalar" (one world per
-// pass — PR 1's kernel, kept as the parity oracle). Both kernels produce
-// bit-identical results; the mode is purely a speed/diagnosis choice. See
-// EvalModes and DESIGN.md ("Bit-parallel evaluation").
-func WithEvalMode(name string) Option {
-	return func(c *config) error {
-		if name == "" {
-			name = diffusion.EvalBitParallel
-		}
-		for _, m := range diffusion.EvalModes() {
-			if name == m {
-				c.evalMode = name
-				return nil
-			}
-		}
-		return fmt.Errorf("unknown eval mode %q (want one of %v)", name, diffusion.EvalModes())
 	}
 }
 
@@ -212,9 +159,8 @@ func WithDegradation(fn func(requested int) int) Option {
 //
 // As a call-level option it additionally pins the call: a pinned call's
 // streams depend only on the given seed (not on the campaign's call
-// counter), so it returns bit-identical results to a one-shot
-// Solve/RunBaseline/Evaluate with the same Options.Seed, whatever calls ran
-// before or run concurrently. Unpinned calls draw per-call streams derived
+// counter), so it returns bit-identical results to the same pinned call on
+// a fresh campaign, whatever calls ran before or run concurrently. Unpinned calls draw per-call streams derived
 // from the campaign seed and the call sequence number (see DESIGN.md,
 // "Serving API").
 func WithSeed(seed uint64) Option {
@@ -254,7 +200,7 @@ func WithLimitedK(k int) Option {
 }
 
 // WithCandidateCap restricts baseline greedy candidates to the top-N users
-// by degree — or by sketch-estimated influence under the sketch engine
+// by degree — or by sketch-estimated influence under the ssr engine
 // (0 = all users).
 func WithCandidateCap(n int) Option {
 	return func(c *config) error {
@@ -277,17 +223,6 @@ func WithGPILimit(n int) Option {
 			return fmt.Errorf("GPI limit must be non-negative, got %d", n)
 		}
 		c.gpiLimit = n
-		return nil
-	}
-}
-
-// WithExhaustiveID disables S3CA's CELF lazy-greedy investment loop and
-// re-evaluates every candidate each iteration — the reference
-// implementation and the escape hatch for adversarially non-submodular
-// instances (see core.Options.ExhaustiveID).
-func WithExhaustiveID(on bool) Option {
-	return func(c *config) error {
-		c.exhaustiveID = on
 		return nil
 	}
 }
@@ -343,71 +278,4 @@ func WithProgress(fn func(Event)) Option {
 		c.progress = fn
 		return nil
 	}
-}
-
-// Options tunes the deprecated one-shot Solve, RunBaseline and
-// Problem.Evaluate entry points.
-//
-// Deprecated: build a Campaign with Problem.NewCampaign and functional
-// options instead; a Campaign amortizes engine construction across calls,
-// supports cancellation, progress streaming and batch evaluation. Options
-// remains as a thin bridge: each one-shot call builds a throwaway Campaign.
-type Options struct {
-	// Engine selects the evaluation engine (see WithEngine).
-	Engine string
-	// Model selects the triggering model (see WithModel).
-	Model string
-	// Diffusion selects the edge-liveness substrate (see WithDiffusion).
-	Diffusion string
-	// EvalMode selects the world-evaluation kernel (see WithEvalMode).
-	EvalMode string
-	// ExhaustiveID disables the CELF lazy-greedy ID loop (see
-	// WithExhaustiveID).
-	ExhaustiveID bool
-	// Samples is the Monte-Carlo sample count per benefit evaluation
-	// (default 1000, the paper's setting).
-	Samples int
-	// Seed makes runs reproducible.
-	Seed uint64
-	// Workers parallelizes Monte-Carlo evaluation (0 = sequential).
-	Workers int
-	// LimitedK overrides the limited coupon strategy quota for baselines
-	// (default 32, Dropbox's).
-	LimitedK int
-	// CandidateCap restricts baseline greedy candidates to the top-N users
-	// by degree (0 = all users).
-	CandidateCap int
-}
-
-// asOptions converts the legacy struct to functional options.
-func (o Options) asOptions() []Option {
-	opts := []Option{WithSeed(o.Seed)}
-	if o.Engine != "" {
-		opts = append(opts, WithEngine(o.Engine))
-	}
-	if o.Model != "" {
-		opts = append(opts, WithModel(o.Model))
-	}
-	if o.Diffusion != "" {
-		opts = append(opts, WithDiffusion(o.Diffusion))
-	}
-	if o.EvalMode != "" {
-		opts = append(opts, WithEvalMode(o.EvalMode))
-	}
-	if o.Samples > 0 {
-		opts = append(opts, WithSamples(o.Samples))
-	}
-	if o.Workers > 0 {
-		opts = append(opts, WithWorkers(o.Workers))
-	}
-	if o.LimitedK > 0 {
-		opts = append(opts, WithLimitedK(o.LimitedK))
-	}
-	if o.CandidateCap > 0 {
-		opts = append(opts, WithCandidateCap(o.CandidateCap))
-	}
-	if o.ExhaustiveID {
-		opts = append(opts, WithExhaustiveID(true))
-	}
-	return opts
 }

@@ -35,9 +35,9 @@
 //
 // Campaign calls accept call-level options (per-request engine selection,
 // seeds, progress sinks), honour context cancellation mid-iteration, and
-// stream per-iteration progress events through WithProgress. The one-shot
-// package-level Solve, RunBaseline and Problem.Evaluate remain as
-// deprecated thin wrappers, each building a throwaway Campaign.
+// stream per-iteration progress events through WithProgress. The Campaign
+// is the only way to solve or evaluate: a single call is a Campaign built
+// for it.
 //
 // # Engines
 //
@@ -45,28 +45,32 @@
 // WithEngine: "mc" (plain Monte Carlo, the default), "worldcache"
 // (incremental world-cache evaluation — the solver's greedy loops replay
 // only the simulation state a candidate change can affect, typically
-// several times faster at the paper's 1000-sample setting), "sketch"
-// (reverse-influence-sampling candidate pruning for the baselines — a
-// pruner, not a solver), or "ssr" (the SSR sketch solver: S3CA's
-// seed/coupon selection runs against reverse-sample cover counts and an
-// adaptive stopping rule certifies a (1−1/e−ε) approximation of the sketch
-// objective with probability 1−δ, tuned by WithEpsilon and WithDelta; only
-// the final deployment is forward-measured). WithEngine("auto") defers the
-// choice to instance size: ssr at or above 200k users / 2M edges, worldcache
-// below — the crossover where reverse sampling overtakes forward world
-// replay in the benchmark suite. All engines agree on reported
-// metrics within Monte-Carlo noise, and every
-// engine serves both triggering models — WithModel("ic"), the default
-// independent cascade, or WithModel("lt"), linear threshold via its
+// several times faster at the paper's 1000-sample setting), or "ssr" (the
+// SSR sketch solver: S3CA's seed/coupon selection runs against
+// reverse-sample cover counts and an adaptive stopping rule certifies a
+// (1−1/e−ε) approximation of the sketch objective with probability 1−δ,
+// tuned by WithEpsilon and WithDelta; only the final deployment is
+// forward-measured). WithEngine("auto") defers the choice to instance size:
+// ssr at or above 200k users / 2M edges, worldcache below — the crossover
+// where reverse sampling overtakes forward world replay in the benchmark
+// suite. All engines agree on reported metrics within Monte-Carlo noise,
+// and every engine serves both triggering models — WithModel("ic"), the
+// default independent cascade, or WithModel("lt"), linear threshold via its
 // live-edge equivalence; see DESIGN.md ("Evaluation engines", "Triggering
 // models" and "Serving API") for the architecture.
+//
+// How worlds are evaluated underneath is not a knob: every engine runs the
+// bit-parallel kernel (64 worlds per machine word) over materialized
+// live-edge rows. The scalar one-world kernel and per-probe hashing are
+// internal, automatic fallbacks — for lone-world replays, and past the
+// live-edge memory budget (WithLiveEdgeMemBudget) — with bit-identical
+// results.
 //
 // See the examples directory for runnable walkthroughs, cmd/s3crmd for the
 // HTTP serving layer and EXPERIMENTS.md for the paper-reproduction results.
 package s3crm
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -388,26 +392,11 @@ func EngineUsage() string { return diffusion.EngineUsage() }
 // live-edge equivalence). Every engine and diffusion substrate serves both.
 func Models() []string { return diffusion.Models() }
 
-// Diffusions lists the edge-liveness substrates accepted by WithDiffusion.
-func Diffusions() []string { return diffusion.Diffusions() }
-
-// EvalModes lists the world-evaluation kernels accepted by WithEvalMode:
-// "bitparallel" (the default — 64 possible worlds per machine word) and
-// "scalar" (one world per pass, the parity oracle). Both produce
-// bit-identical results.
-func EvalModes() []string { return diffusion.EvalModes() }
-
 // Deployment is a hand-built campaign plan for Evaluate: the seed set and
 // the coupon allocation.
 type Deployment struct {
 	Seeds   []int
 	Coupons map[int]int
-}
-
-// buildDeployment validates a public deployment against the problem and
-// converts it to the internal representation.
-func (p *Problem) buildDeployment(dep Deployment) (*diffusion.Deployment, error) {
-	return buildDeploymentFor(p.inst, dep)
 }
 
 // buildDeploymentFor validates a public deployment against one graph view —
@@ -435,46 +424,6 @@ func buildDeploymentFor(inst *diffusion.Instance, dep Deployment) (*diffusion.De
 		d.SetK(int32(v), k)
 	}
 	return d, nil
-}
-
-// Solve runs S3CA, the paper's approximation algorithm, on the problem.
-//
-// Deprecated: build a Campaign with Problem.NewCampaign and call
-// Campaign.Solve — it amortizes engine construction across calls and
-// supports cancellation, progress streaming and batch evaluation. This
-// wrapper builds a throwaway Campaign per call.
-func Solve(p *Problem, opts Options) (*Result, error) {
-	c, err := p.NewCampaign(opts.asOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Solve(context.Background(), WithSeed(opts.Seed))
-}
-
-// RunBaseline runs one of the paper's comparison algorithms.
-//
-// Deprecated: build a Campaign with Problem.NewCampaign and call
-// Campaign.RunBaseline (see the Solve deprecation note).
-func RunBaseline(name string, p *Problem, opts Options) (*Result, error) {
-	c, err := p.NewCampaign(opts.asOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunBaseline(context.Background(), name, WithSeed(opts.Seed))
-}
-
-// Evaluate measures an arbitrary deployment: the expected benefit, the
-// closed-form coupon cost, the redemption rate and hop statistics.
-//
-// Deprecated: build a Campaign with Problem.NewCampaign and call
-// Campaign.Evaluate or Campaign.EvaluateBatch (see the Solve deprecation
-// note).
-func (p *Problem) Evaluate(dep Deployment, opts Options) (*Result, error) {
-	c, err := p.NewCampaign(opts.asOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Evaluate(context.Background(), dep, WithSeed(opts.Seed))
 }
 
 // AdoptionCaseStudy re-weights the problem's network with the coupon

@@ -2,6 +2,7 @@ package s3crm
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
@@ -54,7 +55,7 @@ func TestBuilderErrors(t *testing.T) {
 
 func TestSolvePublicAPI(t *testing.T) {
 	p := paperExample(t)
-	r, err := Solve(p, Options{Samples: 30000, Seed: 1})
+	r, err := runPinned(p, "S3CA", 1, WithSamples(30000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +78,10 @@ func TestSolvePublicAPI(t *testing.T) {
 
 func TestEvaluateCustomDeployment(t *testing.T) {
 	p := paperExample(t)
-	r, err := p.Evaluate(Deployment{
+	r, err := oneShot(t, p, WithSamples(100000)).Evaluate(context.Background(), Deployment{
 		Seeds:   []int{1},
 		Coupons: map[int]int{1: 1},
-	}, Options{Samples: 100000, Seed: 2})
+	}, WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +95,15 @@ func TestEvaluateCustomDeployment(t *testing.T) {
 }
 
 func TestEvaluateValidation(t *testing.T) {
-	p := paperExample(t)
-	if _, err := p.Evaluate(Deployment{Seeds: []int{99}}, Options{Samples: 10}); err == nil {
+	c := oneShot(t, paperExample(t), WithSamples(10))
+	ctx := context.Background()
+	if _, err := c.Evaluate(ctx, Deployment{Seeds: []int{99}}); err == nil {
 		t.Fatal("bad seed accepted")
 	}
-	if _, err := p.Evaluate(Deployment{Coupons: map[int]int{0: -1}}, Options{Samples: 10}); err == nil {
+	if _, err := c.Evaluate(ctx, Deployment{Coupons: map[int]int{0: -1}}); err == nil {
 		t.Fatal("negative coupons accepted")
 	}
-	if _, err := p.Evaluate(Deployment{Coupons: map[int]int{4: 5}}, Options{Samples: 10}); err == nil {
+	if _, err := c.Evaluate(ctx, Deployment{Coupons: map[int]int{4: 5}}); err == nil {
 		t.Fatal("coupons beyond friend count accepted")
 	}
 }
@@ -112,7 +114,7 @@ func TestRunBaselinePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range Baselines() {
-		r, err := RunBaseline(name, p, Options{Samples: 100, Seed: 3, CandidateCap: 30})
+		r, err := runPinned(p, name, 3, WithSamples(100), WithCandidateCap(30))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -123,7 +125,7 @@ func TestRunBaselinePublicAPI(t *testing.T) {
 			t.Fatalf("%s violated budget", name)
 		}
 	}
-	if _, err := RunBaseline("nope", p, Options{}); err == nil {
+	if _, err := runPinned(p, "nope", 0); err == nil {
 		t.Fatal("unknown baseline accepted")
 	}
 }
@@ -182,11 +184,11 @@ func TestScenarioSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed shape: %d/%d/%v", q.Users(), q.Edges(), q.Budget())
 	}
 	// Solving the reloaded problem gives the same result.
-	a, err := Solve(p, Options{Samples: 2000, Seed: 3})
+	a, err := runPinned(p, "S3CA", 3, WithSamples(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(q, Options{Samples: 2000, Seed: 3})
+	b, err := runPinned(q, "S3CA", 3, WithSamples(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestSolveOnDatasetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(p, Options{Samples: 150, Seed: 11})
+	sol, err := runPinned(p, "S3CA", 11, WithSamples(150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +218,7 @@ func TestSolveOnDatasetEndToEnd(t *testing.T) {
 	if len(sol.Seeds) == 0 {
 		t.Fatal("no seeds selected on a generated dataset")
 	}
-	base, err := RunBaseline("IM-U", p, Options{Samples: 150, Seed: 11, CandidateCap: 30})
+	base, err := runPinned(p, "IM-U", 11, WithSamples(150), WithCandidateCap(30))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestSSRParallelBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					sol, err := core.Solve(inst, core.Options{
-						Engine: diffusion.EngineSSR, Model: model, Diffusion: diff,
+						Engine: diffusion.EngineSSR, Model: model,
 						Samples: 500, Seed: 13, Epsilon: 0.1, Delta: 0.01,
 						Workers: workers, Evaluator: ev,
 					})
