@@ -317,20 +317,19 @@ func (c *Campaign) Resolve(ctx context.Context, prev *Result, opts ...Option) (*
 			break
 		}
 		gains := wc.DeltaBenefits(cands)
-		best, bestRate := -1, rate
+		best, bestRate, bestCost := -1, rate, 0.0
 		for i, v := range cands {
-			// cost tracks the committed deployment's total cost exactly
-			// (recomputing the O(n) sweep per candidate would make repair
-			// O(n·candidates) — pathological at million scale).
-			nc := cost + inst.SCCost[v]
-			if inst.Budget > 0 && nc > inst.Budget {
-				continue
-			}
-			if nc <= 0 {
+			// cost tracks the committed deployment's total cost exactly:
+			// one more coupon at v costs its marginal expected redemption
+			// cost, a per-node sum over v's out-edges rather than the O(n)
+			// sweep of the whole deployment. A zero budget affords nothing,
+			// as in Solve.
+			nc := cost + inst.NodeSCCost(v, d.K(v)+1) - inst.NodeSCCost(v, d.K(v))
+			if nc > inst.Budget || nc <= 0 {
 				continue
 			}
 			if nr := gains[i] / nc; nr > bestRate {
-				best, bestRate = i, nr
+				best, bestRate, bestCost = i, nr, nc
 			}
 		}
 		if best < 0 {
@@ -339,7 +338,7 @@ func (c *Campaign) Resolve(ctx context.Context, prev *Result, opts ...Option) (*
 		v := cands[best]
 		d.AddK(v, 1)
 		res2 := wc.Rebase(d)
-		nc := cost + inst.SCCost[v]
+		nc := bestCost
 		if nr := res2.Benefit / nc; nr > rate {
 			res, rate, cost = res2, nr, nc
 			if d.K(v) >= inst.G.OutDegree(v) {

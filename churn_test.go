@@ -349,6 +349,50 @@ func TestResolveWarmRestart(t *testing.T) {
 	}
 }
 
+// TestResolveRepairPricesMarginalCoupons: a repair coupon at v costs the
+// expected redemption cost of v's out-neighbours, not v's own coupon cost.
+// After 1→2 is appended, one more coupon at user 1 looks cheap by user 1's
+// own cost (0.01) but is certain to be redeemed by user 2 at cost 100, far
+// past the budget, so Resolve must keep the adopted deployment. A zero
+// budget affords no repair at all, as in Solve.
+func TestResolveRepairPricesMarginalCoupons(t *testing.T) {
+	ctx := context.Background()
+	for _, budget := range []float64{2.01, 0} {
+		p, err := NewProblem(3).
+			AddEdge(0, 1, 1).
+			SetUser(0, 1, 1, 1).SetUser(1, 1, 1, 0.01).SetUser(2, 10, 1, 100).
+			Budget(budget).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := p.NewCampaign(WithEngine("worldcache"), WithSamples(64), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, err := c.Evaluate(ctx, Deployment{Seeds: []int{0}, Coupons: map[int]int{0: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ApplyEdges(ctx, []EdgeAdd{{From: 1, To: 2, P: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Resolve(ctx, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if budget > 0 && got.TotalCost > budget {
+			t.Fatalf("budget %v: resolve spent %v, coupons %v", budget, got.TotalCost, got.Coupons)
+		}
+		if !reflect.DeepEqual(got.Coupons, prev.Coupons) {
+			t.Fatalf("budget %v: resolve bought unaffordable coupons %v", budget, got.Coupons)
+		}
+		if got.RedemptionRate < prev.RedemptionRate {
+			t.Fatalf("budget %v: resolve rate %v below the adopted deployment's %v",
+				budget, got.RedemptionRate, prev.RedemptionRate)
+		}
+	}
+}
+
 // TestResolveSSRWarmReuse: Resolve on an ssr campaign re-runs the sketch
 // solver warm-started from the pooled sample state — after a ~1% append the
 // watermark check must keep the overwhelming majority of pooled samples, and

@@ -1,6 +1,5 @@
 // Command gengraph generates synthetic social networks and writes them as
-// SNAP-style edge lists (gzip when -out ends in .gz, or the compact binary
-// codec with -binary).
+// SNAP-style edge lists (gzip when -out ends in .gz).
 //
 // Dataset profiles mirror the paper's Table II:
 //
@@ -46,7 +45,6 @@ func main() {
 		mutual     = flag.Bool("mutual", true, "add reciprocal friendship edges")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		out        = flag.String("out", "", "output file; .gz compresses (default stdout)")
-		binary     = flag.Bool("binary", false, "write the compact binary codec instead of text")
 		probs      = flag.Bool("probs", true, "include the probability column in text output")
 		ltnorm     = flag.Bool("ltnorm", false, "scale in-weights to sum ≤ 1 (the linear-threshold precondition; the generators' 1/in-degree weights already satisfy it)")
 		stats      = flag.Bool("stats", false, "print degree/clustering statistics to stderr")
@@ -70,7 +68,7 @@ func main() {
 			s.Nodes, s.Edges, s.MeanOut, s.MaxOut, s.PowerLawExponent, cc)
 	}
 
-	if err := emit(g, *out, *binary, *probs); err != nil {
+	if err := emit(g, *out, *probs); err != nil {
 		fmt.Fprintln(os.Stderr, "gengraph:", err)
 		os.Exit(1)
 	}
@@ -80,7 +78,7 @@ func main() {
 // the name ends in .gz. Close errors are reported: gzip buffers its final
 // block and trailer until Close, and the file's own Close is where a full
 // disk surfaces — swallowing either would exit 0 on a truncated artifact.
-func emit(g *graph.Graph, path string, binary, probs bool) error {
+func emit(g *graph.Graph, path string, probs bool) error {
 	var w io.Writer = os.Stdout
 	var closers []io.Closer
 	if path != "" {
@@ -97,13 +95,10 @@ func emit(g *graph.Graph, path string, binary, probs bool) error {
 		}
 	}
 	var err error
-	switch {
-	case binary:
-		err = gio.WriteBinary(w, g)
-	case !probs:
-		err = gio.WriteEdgeListPlain(w, g)
-	default:
+	if probs {
 		err = gio.WriteEdgeList(w, g)
+	} else {
+		err = gio.WriteEdgeListPlain(w, g)
 	}
 	// Close innermost first (the gzip trailer must land before the file).
 	for i := len(closers) - 1; i >= 0; i-- {

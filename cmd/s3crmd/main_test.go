@@ -120,9 +120,10 @@ func TestSolveRejectsUnknownNames(t *testing.T) {
 	}
 }
 
-// TestRejectsNegativeNumbers: a negative count or timeout is forwarded to
-// its validator and answers 400 on every endpoint that takes it, instead of
-// silently running with the campaign default.
+// TestRejectsNegativeNumbers: a negative count or timeout — or a sample
+// count too large to allocate — is forwarded to its validator and answers
+// 400 on every endpoint that takes it, instead of silently running with the
+// campaign default or exhausting memory.
 func TestRejectsNegativeNumbers(t *testing.T) {
 	s := testServer(t)
 	cases := []struct {
@@ -138,6 +139,8 @@ func TestRejectsNegativeNumbers(t *testing.T) {
 		{"solve/gpi_limit", s.solve, `{"gpi_limit":-4}`, "GPI limit must be non-negative, got -4"},
 		{"solve/timeout_ms", s.solve, `{"timeout_ms":-1}`, "timeout_ms must be non-negative, got -1"},
 		{"evaluate/samples", s.evaluate, `{"deployments":[{"seeds":[0]}],"samples":-5}`, "samples must be positive, got -5"},
+		{"solve/samples_huge", s.solve, `{"samples":2000000000}`, "samples must be at most 1048576, got 2000000000"},
+		{"evaluate/samples_huge", s.evaluate, `{"deployments":[{"seeds":[0]}],"samples":2000000000}`, "samples must be at most 1048576, got 2000000000"},
 		{"evaluate/timeout_ms", s.evaluate, `{"deployments":[{"seeds":[0]}],"timeout_ms":-1}`, "timeout_ms must be non-negative, got -1"},
 		{"append/timeout_ms", s.graphAppend, `{"edges":[{"from":0,"to":1,"p":0.1}],"timeout_ms":-1}`, "timeout_ms must be non-negative, got -1"},
 	}
@@ -157,6 +160,9 @@ func TestRejectsNegativeNumbers(t *testing.T) {
 	}
 	if users, edges := s.campaign.Users(), s.campaign.Edges(); users != s.problem.Users() || edges != s.problem.Edges() {
 		t.Fatalf("rejected append changed the graph: %d users, %d edges", users, edges)
+	}
+	if w := do(t, s.evaluate, http.MethodPost, `{"deployments":[{"seeds":[0]}]}`); w.Code != http.StatusOK {
+		t.Fatalf("daemon stopped serving after the rejections: %d %s", w.Code, w.Body.String())
 	}
 }
 

@@ -91,11 +91,12 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 			t.Errorf("README.md engine table has no row for %q", engine)
 		}
 	}
-	// The oracle knobs and the one-shot API are gone from the public
-	// surface; the README must not advertise them.
+	// The oracle knobs, the one-shot API and the write-only binary graph
+	// codec are gone; the README must not advertise them.
 	for _, retired := range []string{
 		"WithDiffusion", "WithEvalMode", "WithExhaustiveID", "-evalmode",
 		"\"eval_mode\"", "| `sketch` |", "s3crm.Options", "s3crm.Solve(",
+		"-binary", "binary codec",
 	} {
 		if strings.Contains(string(body), retired) {
 			t.Errorf("README.md still documents the retired %q", retired)

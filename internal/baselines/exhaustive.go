@@ -19,9 +19,6 @@ type ExhaustiveConfig struct {
 	MaxK     int // maximum coupons per user (default 2)
 	Samples  int // Monte-Carlo samples per evaluation (default 2000)
 	Seed     uint64
-	// Model selects the triggering model the enumeration evaluates under
-	// (see diffusion.Models; empty means diffusion.ModelIC).
-	Model string
 	// MaxNodes aborts with an error when the instance exceeds this many
 	// users (default 24) — a tripwire against accidentally exponential
 	// runs.
@@ -45,9 +42,10 @@ func (c ExhaustiveConfig) withDefaults() ExhaustiveConfig {
 }
 
 // Exhaustive enumerates every deployment within the configured bounds and
-// returns the one with the maximum redemption rate — the OPT reference of
-// the Fig. 10 approximation validation. Cancelling ctx aborts the
-// enumeration with ctx.Err().
+// returns the one with the maximum redemption rate under the
+// independent-cascade model — the OPT reference of the Fig. 10
+// approximation validation. Cancelling ctx aborts the enumeration with
+// ctx.Err().
 func Exhaustive(ctx context.Context, in *diffusion.Instance, cfg ExhaustiveConfig) (*Outcome, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -58,7 +56,7 @@ func Exhaustive(ctx context.Context, in *diffusion.Instance, cfg ExhaustiveConfi
 		return nil, fmt.Errorf("baselines: exhaustive search on %d users exceeds the %d-user bound", n, cfg.MaxNodes)
 	}
 	ev, err := diffusion.NewEngineOpts(in, diffusion.EngineOptions{
-		Model: cfg.Model, Samples: cfg.Samples, Seed: cfg.Seed,
+		Samples: cfg.Samples, Seed: cfg.Seed,
 		Diffusion: diffusion.DiffusionHash, // tiny instances: skip materialization
 	})
 	if err != nil {

@@ -52,8 +52,6 @@ type Config struct {
 	// considers everyone. The paper's datasets make full greedy infeasible,
 	// and candidate pruning is the standard practical shortcut.
 	CandidateCap int
-	// MaxSweep bounds the seed-size sweep exponent (paper: n = 0..10).
-	MaxSweep int
 	// UseRIS ranks IM seeds with reverse-influence sampling (the paper's
 	// reverse-greedy speedup [15]) instead of forward Monte-Carlo greedy.
 	// RISSketches sets the RR-set count (0 = 200 × |V| capped at 200000).
@@ -64,9 +62,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Samples <= 0 {
 		c.Samples = 1000
-	}
-	if c.MaxSweep <= 0 {
-		c.MaxSweep = 10
 	}
 	if c.Strategy == Limited && c.LimitedK <= 0 {
 		c.LimitedK = DefaultLimitedK
@@ -205,7 +200,7 @@ func seedCandidates(in *diffusion.Instance, cfg Config) []int32 {
 }
 
 // IM runs greedy influence maximization with the configured coupon
-// strategy, sweeping seed sizes |V|/2^n for n = 0..MaxSweep and keeping the
+// strategy, sweeping seed sizes |V|/2^n for n = 0..maxSweep and keeping the
 // budget-feasible configuration with the maximum influence (the paper's
 // IM-U / IM-L baselines). Cancelling ctx aborts between greedy steps with
 // ctx.Err().
@@ -248,6 +243,9 @@ func IM(ctx context.Context, in *diffusion.Instance, cfg Config) (*Outcome, erro
 	return best, nil
 }
 
+// maxSweep bounds the seed-size sweep exponent (paper: n = 0..10).
+const maxSweep = 10
+
 // selectBySweep evaluates the ranked prefix at sizes |V|/2^n, drops seeds
 // that break the budget, and keeps the feasible outcome maximizing score.
 func selectBySweep(ctx context.Context, in *diffusion.Instance, est diffusion.Evaluator, cfg Config,
@@ -258,7 +256,7 @@ func selectBySweep(ctx context.Context, in *diffusion.Instance, est diffusion.Ev
 	var best *Outcome
 	var bestScore float64
 	sweep := 0
-	for exp := 0; exp <= cfg.MaxSweep; exp++ {
+	for exp := 0; exp <= maxSweep; exp++ {
 		if ctx.Err() != nil {
 			return best
 		}

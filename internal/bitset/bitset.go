@@ -15,19 +15,11 @@ const (
 	WordMask  = WordBits - 1
 )
 
-// Words returns the number of words needed to hold n bits.
-func Words(n int) int { return (n + WordMask) >> WordShift }
-
 // Set sets bit i of row.
 func Set(row []uint64, i int) { row[i>>WordShift] |= 1 << (uint(i) & WordMask) }
 
 // Clear clears bit i of row.
 func Clear(row []uint64, i int) { row[i>>WordShift] &^= 1 << (uint(i) & WordMask) }
-
-// Get reports whether bit i of row is set.
-func Get(row []uint64, i int) bool {
-	return row[i>>WordShift]&(1<<(uint(i)&WordMask)) != 0
-}
 
 // Row returns the i-th words-wide row of a packed row-major matrix.
 func Row(buf []uint64, i, words int) []uint64 { return buf[i*words : (i+1)*words] }
@@ -40,23 +32,6 @@ func RangeMask(lo, hi int) uint64 {
 	}
 	return ^uint64(0) >> uint(WordBits-(hi-lo)) << uint(lo)
 }
-
-// TailMask returns the mask selecting the low n bits of a word — the valid
-// worlds of a partial tail block when the sample count is not a multiple of
-// 64. n must be ≤ 64.
-func TailMask(n int) uint64 { return RangeMask(0, n) }
-
-// Count returns the number of set bits in row.
-func Count(row []uint64) int {
-	total := 0
-	for _, w := range row {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-// CountMasked returns the number of set bits of word selected by mask.
-func CountMasked(word, mask uint64) int { return bits.OnesCount64(word & mask) }
 
 // ForEach invokes fn with the index of every set bit below limit, in
 // ascending order.
@@ -71,15 +46,5 @@ func ForEach(row []uint64, limit int, fn func(int)) {
 			}
 			fn(i)
 		}
-	}
-}
-
-// ForEachMask invokes fn with the offset of every set bit of one word, in
-// ascending order.
-func ForEachMask(word uint64, fn func(int)) {
-	for word != 0 {
-		b := bits.TrailingZeros64(word)
-		word &^= 1 << uint(b)
-		fn(b)
 	}
 }

@@ -78,9 +78,6 @@ type Options struct {
 	ScorerSeed uint64
 	// Workers sets estimator parallelism; 0 means sequential.
 	Workers int
-	// MaxIterations caps the ID investment loop as a safety net; 0 means
-	// a generous default proportional to the instance size.
-	MaxIterations int
 	// DisableGPI skips phases 2 and 3 (ablation: ID only).
 	DisableGPI bool
 	// GPILimit caps the guaranteed-path DFS at this many visits per seed
@@ -104,18 +101,6 @@ type Options struct {
 	// the reference for TestLazyIDMatchesExhaustive and guards against
 	// pathological non-submodularity. It is not exposed by the public API.
 	ExhaustiveID bool
-	// RateTolerance treats redemption rates within this relative fraction
-	// of the running maximum as ties, and ties prefer the later — larger —
-	// deployment. The paper reports that every algorithm's total cost
-	// approximately equals Binv, which requires exactly this tie-break:
-	// once the rate plateaus, S3CA keeps investing the remaining budget.
-	// 0 means 0.002; negative disables tie-breaking.
-	RateTolerance float64
-	// UseExactTree evaluates expected benefit with the exact forest
-	// evaluator instead of Monte Carlo whenever the reachable subgraph is
-	// a forest (falling back to sampling otherwise). On tree instances —
-	// the paper's worked examples — this removes all estimator noise.
-	UseExactTree bool
 	// RecordTrajectory captures every ID investment step in
 	// Solution.Trajectory — the Fig. 3 iteration-by-iteration view.
 	RecordTrajectory bool
@@ -143,18 +128,9 @@ type Options struct {
 	SketchPool bool
 }
 
-func (o Options) withDefaults(n int) Options {
+func (o Options) withDefaults() Options {
 	if o.Samples <= 0 {
 		o.Samples = 1000
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 10*n + 10000
-	}
-	if o.RateTolerance == 0 {
-		o.RateTolerance = 0.002
-	}
-	if o.RateTolerance < 0 {
-		o.RateTolerance = 0
 	}
 	if o.Epsilon == 0 {
 		o.Epsilon = 0.1
@@ -335,21 +311,14 @@ func (s *solver) emit(iteration int, spent, rate float64) {
 // enterPhase records the phase for events and PartialError reporting.
 func (s *solver) enterPhase(name string) { s.phase = name }
 
-// benefit evaluates B(S,K) for a deployment: exactly on forests when
-// configured, through the configured engine otherwise.
+// benefit evaluates B(S,K) for a deployment through the configured engine.
 func (s *solver) benefit(d *diffusion.Deployment) float64 {
-	if s.opts.UseExactTree {
-		if b, err := diffusion.ExactTreeBenefit(s.inst, d); err == nil {
-			return b
-		}
-	}
 	return s.est.Benefit(d)
 }
 
-// incremental reports whether the world-cache fast paths apply (the
-// world-cache engine is active and the exact-tree shortcut is off).
+// incremental reports whether the world-cache fast paths apply.
 func (s *solver) incremental() bool {
-	return s.wc != nil && !s.opts.UseExactTree
+	return s.wc != nil
 }
 
 // benefitRebased evaluates B(S,K) of d and, under the world-cache engine,
@@ -388,7 +357,7 @@ func SolveCtx(ctx context.Context, inst *diffusion.Instance, opts Options) (*Sol
 		return nil, err
 	}
 	n := inst.G.NumNodes()
-	opts = opts.withDefaults(n)
+	opts = opts.withDefaults()
 	if opts.Engine == diffusion.EngineAuto {
 		opts.Engine = diffusion.AutoEngine(n, inst.G.NumEdges())
 	}

@@ -12,6 +12,43 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// exactTree is the exact forest evaluator as an engine: B(S, K) comes from
+// diffusion.ExactTreeBenefit whenever the deployment's reachable subgraph
+// is a forest, and from the wrapped Monte-Carlo engine otherwise. Solving
+// the paper's tree-shaped worked examples through it removes all estimator
+// noise. The solver reads only Benefit and Evals, so Evaluate and
+// RedemptionRate stay Monte Carlo.
+type exactTree struct {
+	diffusion.Evaluator
+	inst *diffusion.Instance
+}
+
+func (e exactTree) Benefit(d *diffusion.Deployment) float64 {
+	if b, err := diffusion.ExactTreeBenefit(e.inst, d); err == nil {
+		return b
+	}
+	return e.Evaluator.Benefit(d)
+}
+
+// exactTreeOptions returns 10-sample, seed-1 solve options whose evaluator
+// and snapshot scorer are both exactTree, over the Monte-Carlo engines the
+// solver would otherwise build for those options.
+func exactTreeOptions(t testing.TB, inst *diffusion.Instance) Options {
+	t.Helper()
+	const samples, seed = 10, 1
+	engine := func(seed uint64) diffusion.Evaluator {
+		ev, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{Samples: samples, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exactTree{ev, inst}
+	}
+	return Options{
+		Samples: samples, Seed: seed,
+		Evaluator: engine(seed), Scorer: engine(seed ^ 0x5c04e),
+	}
+}
+
 // example1 is the paper's Fig. 3 instance (see diffusion tests).
 func example1(t testing.TB, budget float64) *diffusion.Instance {
 	t.Helper()
@@ -155,7 +192,7 @@ func TestSolveExactTreeNoNoise(t *testing.T) {
 	// final rate on the Fig. 3 instance is exactly 1.76/0.76 (up to the
 	// tiny seed cost in the denominator).
 	inst := example1(t, 2.85)
-	sol, err := Solve(inst, Options{Samples: 10, Seed: 1, UseExactTree: true})
+	sol, err := Solve(inst, exactTreeOptions(t, inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +326,7 @@ func TestPivotQueueOrdering(t *testing.T) {
 		Budget:   10,
 	}
 	s := &solver{inst: inst, est: diffusion.NewEstimator(inst, 100, 1), explored: make([]bool, 4)}
-	s.opts = Options{}.withDefaults(4)
+	s.opts = Options{}.withDefaults()
 	q := s.buildPivotQueue()
 	if len(q) != 2 {
 		t.Fatalf("queue size = %d, want 2", len(q))
@@ -309,7 +346,7 @@ func TestPivotQueueOrdering(t *testing.T) {
 func TestPivotQueueSkipsUnaffordable(t *testing.T) {
 	inst := example1(t, 2.85) // only node 1 affordable
 	s := &solver{inst: inst, est: diffusion.NewEstimator(inst, 100, 1), explored: make([]bool, 8)}
-	s.opts = Options{}.withDefaults(8)
+	s.opts = Options{}.withDefaults()
 	q := s.buildPivotQueue()
 	if len(q) != 1 || q[0].node != 1 {
 		t.Fatalf("queue = %+v, want only node 1", q)
@@ -323,7 +360,7 @@ func TestGPIPaths(t *testing.T) {
 	// cost 2.84.
 	inst := example1(t, 2.85)
 	s := &solver{inst: inst, est: diffusion.NewEstimator(inst, 1000, 1), explored: make([]bool, 8)}
-	s.opts = Options{Samples: 1000}.withDefaults(8)
+	s.opts = Options{Samples: 1000}.withDefaults()
 	d := diffusion.NewDeployment(8)
 	d.AddSeed(1)
 	d.SetK(1, 1)
@@ -364,7 +401,7 @@ func TestGPIBudgetPrunes(t *testing.T) {
 	// strongest child fit.
 	inst := example1(t, 0.8) // budget - seed cost ≈ 0.8; g(v1,v2) costs 0.76
 	s := &solver{inst: inst, est: diffusion.NewEstimator(inst, 1000, 1), explored: make([]bool, 8)}
-	s.opts = Options{Samples: 1000}.withDefaults(8)
+	s.opts = Options{Samples: 1000}.withDefaults()
 	d := diffusion.NewDeployment(8)
 	d.AddSeed(1)
 	d.SetK(1, 1)
@@ -382,7 +419,7 @@ func TestGPIBudgetPrunes(t *testing.T) {
 func TestGPChainAndLevels(t *testing.T) {
 	inst := treasure(t)
 	s := &solver{inst: inst, est: diffusion.NewEstimator(inst, 1000, 1), explored: make([]bool, 8)}
-	s.opts = Options{Samples: 1000}.withDefaults(8)
+	s.opts = Options{Samples: 1000}.withDefaults()
 	d := diffusion.NewDeployment(8)
 	d.AddSeed(0)
 	d.SetK(0, 1)

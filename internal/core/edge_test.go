@@ -32,7 +32,7 @@ func crossEdge(t testing.TB) *diffusion.Instance {
 func TestGPIHandlesCrossEdges(t *testing.T) {
 	inst := crossEdge(t)
 	s := &solver{inst: inst, est: diffusion.NewEstimator(inst, 500, 1), explored: make([]bool, 4)}
-	s.opts = Options{Samples: 500}.withDefaults(4)
+	s.opts = Options{Samples: 500}.withDefaults()
 	d := diffusion.NewDeployment(4)
 	d.AddSeed(0)
 	d.SetK(0, 1)

@@ -91,7 +91,7 @@ func TestFig1S3CRMPicksCase3(t *testing.T) {
 	// seed v1 with one coupon at v1 and one at v4, redemption rate ≈ 3.1,
 	// beating the IM-style (3.0) and PM-style (3.0) alternatives.
 	inst := fig1(t)
-	sol, err := Solve(inst, Options{Samples: 10, Seed: 1, UseExactTree: true})
+	sol, err := Solve(inst, exactTreeOptions(t, inst))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,15 +26,6 @@ type guaranteedPath struct {
 	benefit float64   // b(s, end): expected benefit incl. dependent extras
 }
 
-// totalK returns ΣK̂ of the path's allocation.
-func (gp *guaranteedPath) totalK() int {
-	t := 0
-	for _, a := range gp.alloc {
-		t += int(a.k)
-	}
-	return t
-}
-
 // gpForest holds GPI's output for one run: all guaranteed paths plus the
 // per-seed DFS structure needed by SCM (parent pointers for ancestor
 // walks).

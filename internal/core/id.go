@@ -7,7 +7,12 @@ import (
 
 	"s3crm/internal/diffusion"
 	"s3crm/internal/pq"
+	"s3crm/internal/sketch"
 )
+
+// maxIDIterations caps the ID investment loop on an n-user instance as a
+// safety net, generously above any budget-feasible investment count.
+func maxIDIterations(n int) int { return 10*n + 10000 }
 
 // investmentDeployment runs phase 2 of S3CA (Alg. 1 lines 9–24): starting
 // from the best pivot source, iteratively invest one SC in the user with
@@ -132,7 +137,7 @@ func (s *solver) investmentLazy(queue []pivotEntry) *diffusion.Deployment {
 	// the selection-bias note in selectSnapshot).
 	snapshots := []*diffusion.Deployment{d.Clone()}
 
-	for iter := 0; iter < s.opts.MaxIterations; iter++ {
+	for iter := 0; iter < maxIDIterations(s.inst.G.NumNodes()); iter++ {
 		if s.aborted() {
 			break
 		}
@@ -369,7 +374,7 @@ func (s *solver) investmentExhaustive(queue []pivotEntry) *diffusion.Deployment 
 	// reports.
 	snapshots := []*diffusion.Deployment{d.Clone()}
 
-	for iter := 0; iter < s.opts.MaxIterations; iter++ {
+	for iter := 0; iter < maxIDIterations(s.inst.G.NumNodes()); iter++ {
 		if s.aborted() {
 			break
 		}
@@ -479,9 +484,10 @@ func (s *solver) investmentExhaustive(queue []pivotEntry) *diffusion.Deployment 
 // selectSnapshot picks D* = argmax redemption rate over the candidate
 // deployments (Alg. 1 line 24), re-scoring every snapshot with a fresh
 // estimator stream so the selection is unbiased by the greedy's own noise.
-// Rates within RateTolerance of the maximum are ties, and ties prefer the
-// later — larger — deployment (the paper reports every algorithm's total
-// cost ≈ Binv, which requires spending through rate plateaus).
+// Rates within sketch.RateTolerance of the maximum are ties, and ties
+// prefer the later — larger — deployment (the paper reports every
+// algorithm's total cost ≈ Binv, which requires spending through rate
+// plateaus).
 func (s *solver) selectSnapshot(snapshots []*diffusion.Deployment) *diffusion.Deployment {
 	if len(snapshots) == 1 {
 		return snapshots[0]
@@ -505,11 +511,6 @@ func (s *solver) selectSnapshot(snapshots []*diffusion.Deployment) *diffusion.De
 		if cost <= 0 {
 			return 0
 		}
-		if s.opts.UseExactTree {
-			if b, err := diffusion.ExactTreeBenefit(s.inst, d); err == nil {
-				return b / cost
-			}
-		}
 		if wcScorer != nil {
 			return wcScorer.Rebase(d).Benefit / cost
 		}
@@ -525,7 +526,7 @@ func (s *solver) selectSnapshot(snapshots []*diffusion.Deployment) *diffusion.De
 		if r > maxRate {
 			maxRate = r
 		}
-		if r >= maxRate*(1-s.opts.RateTolerance) {
+		if r >= maxRate*(1-sketch.RateTolerance) {
 			best = d
 		}
 		s.emit(i+1, s.inst.TotalCost(d), r)

@@ -50,24 +50,20 @@ func (s *solver) sketchSolve(queue []pivotEntry) (*diffusion.Deployment, error) 
 	}
 
 	res, err := sketch.Solve(sketch.Config{
-		Inst:          s.inst,
-		Model:         s.opts.Model,
-		Pivots:        pivots,
-		Seed:          s.opts.Seed,
-		Epsilon:       s.opts.Epsilon,
-		Delta:         s.opts.Delta,
-		RateTolerance: s.opts.RateTolerance,
-		SpendBudget:   s.opts.SpendBudget,
-		Workers:       workers,
-		Warm:          s.opts.SketchWarm,
-		WarmApprox:    s.opts.SketchWarmApprox,
-		Ctx:           s.ctx,
+		Inst:        s.inst,
+		Model:       s.opts.Model,
+		Pivots:      pivots,
+		Seed:        s.opts.Seed,
+		Epsilon:     s.opts.Epsilon,
+		Delta:       s.opts.Delta,
+		SpendBudget: s.opts.SpendBudget,
+		Workers:     workers,
+		Warm:        s.opts.SketchWarm,
+		WarmApprox:  s.opts.SketchWarmApprox,
+		Ctx:         s.ctx,
 		// Snapshot selection runs on forward-measured rates: the sketch
 		// relaxation overestimates coupon marginals, so its own estimates
-		// would stop the trajectory too late (see sketch.Config.Score).
-		Score: func(d *diffusion.Deployment) float64 {
-			return scoreOn(scoreSeq, d)
-		},
+		// would stop the trajectory too late (see sketch.Config.ScoreBatch).
 		ScoreBatch: func(ds []*diffusion.Deployment) []float64 {
 			out := make([]float64, len(ds))
 			w := workers

@@ -18,9 +18,9 @@ import (
 // evaluator removes Monte-Carlo noise so the sequence is deterministic.
 func TestFig3InvestmentSequence(t *testing.T) {
 	inst := example1(t, 2.85)
-	sol, err := Solve(inst, Options{
-		Samples: 10, Seed: 1, UseExactTree: true, RecordTrajectory: true,
-	})
+	opts := exactTreeOptions(t, inst)
+	opts.RecordTrajectory = true
+	sol, err := Solve(inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -441,26 +441,25 @@ func TestExactTreeRejectsNonForest(t *testing.T) {
 	}
 }
 
+// TestActivationProbsTree reads per-user activation probabilities off the
+// exact forest evaluator: with an indicator benefit on user v alone, B(S, K)
+// is exactly the probability that v activates.
 func TestActivationProbsTree(t *testing.T) {
 	inst := example1(t)
 	d := NewDeployment(8)
 	d.AddSeed(1)
 	d.SetK(1, 1)
-	probs, err := ActivationProbsTree(inst, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(probs[1], 1, 1e-12) {
-		t.Fatalf("seed prob = %v, want 1", probs[1])
-	}
-	if !almost(probs[2], 0.6, 1e-12) {
-		t.Fatalf("P(v2) = %v, want 0.6", probs[2])
-	}
-	if !almost(probs[3], 0.16, 1e-12) {
-		t.Fatalf("P(v3) = %v, want 0.16", probs[3])
-	}
-	if probs[4] != 0 {
-		t.Fatalf("P(v4) = %v, want 0 (no coupons at v2)", probs[4])
+	for v, want := range map[int]float64{1: 1, 2: 0.6, 3: 0.16, 4: 0} {
+		ind := *inst
+		ind.Benefit = make([]float64, len(inst.Benefit))
+		ind.Benefit[v] = 1
+		got, err := ExactTreeBenefit(&ind, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !almost(got, want, 1e-12) {
+			t.Fatalf("P(v%d) = %v, want %v", v, got, want)
+		}
 	}
 }
 
@@ -555,6 +554,10 @@ func TestInstanceValidate(t *testing.T) {
 	bad2.Budget = -1
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("negative budget accepted")
+	}
+	bad2.Budget = math.NaN()
+	if err := bad2.Validate(); err == nil {
+		t.Fatal("NaN budget accepted")
 	}
 	bad3 := &Instance{}
 	if err := bad3.Validate(); err == nil {

@@ -2,7 +2,7 @@ package diffusion
 
 import "fmt"
 
-// Engine names accepted by NewEngine and threaded through core.Options,
+// Engine names accepted by NewEngineOpts and threaded through core.Options,
 // baselines.Config and the public s3crm.WithEngine.
 const (
 	// EngineMC is the plain Monte-Carlo estimator (the paper's setting):
@@ -175,12 +175,4 @@ func NewEngineOpts(inst *Instance, o EngineOptions) (Evaluator, error) {
 		return &WorldCache{Est: est}, nil
 	}
 	return est, nil
-}
-
-// NewEngine constructs the named evaluation engine over inst with the
-// default diffusion substrate. The empty name means EngineMC.
-func NewEngine(name string, inst *Instance, samples int, seed uint64, workers int) (Evaluator, error) {
-	return NewEngineOpts(inst, EngineOptions{
-		Engine: name, Samples: samples, Seed: seed, Workers: workers,
-	})
 }

@@ -26,13 +26,14 @@ func (in *Instance) Validate() error {
 		return fmt.Errorf("diffusion: instance arrays (%d,%d,%d) do not match %d nodes",
 			len(in.Benefit), len(in.SeedCost), len(in.SCCost), n)
 	}
+	// The !(x >= 0) form rejects NaN along with negatives.
 	for v := 0; v < n; v++ {
-		if in.Benefit[v] < 0 || in.SeedCost[v] < 0 || in.SCCost[v] < 0 {
-			return fmt.Errorf("diffusion: negative benefit or cost at user %d", v)
+		if !(in.Benefit[v] >= 0 && in.SeedCost[v] >= 0 && in.SCCost[v] >= 0) {
+			return fmt.Errorf("diffusion: negative or NaN benefit or cost at user %d", v)
 		}
 	}
-	if in.Budget < 0 {
-		return fmt.Errorf("diffusion: negative budget %v", in.Budget)
+	if !(in.Budget >= 0) {
+		return fmt.Errorf("diffusion: negative or NaN budget %v", in.Budget)
 	}
 	return nil
 }

@@ -366,16 +366,6 @@ func (le *LiveEdges) fillLT(t int32) *[]int32 {
 	return &row
 }
 
-// Materialized reports whether the row owning the edge's liveness is
-// currently materialized — the edge's bit row under IC, its target's
-// chosen row under LT. Instrumentation for tests and memory diagnostics.
-func (le *LiveEdges) Materialized(edge uint64) bool {
-	if le.lt {
-		return le.materialize && le.chosen[le.target(edge)].Load() != nil
-	}
-	return le.rowPtr(edge).Load() != nil
-}
-
 // SpentBytes returns the bytes currently committed to materialized rows.
 func (le *LiveEdges) SpentBytes() int64 { return le.spent.Load() }
 

@@ -237,14 +237,15 @@ func TestLiveEdgeRowLazy(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	const samples = 50
 	le := NewLiveEdges(inst.G, samples, rng.NewCoin(5), 0)
-	if le.Materialized(7) {
+	materialized := func(edge uint64) bool { return le.rowPtr(edge).Load() != nil }
+	if materialized(7) {
 		t.Fatal("edge 7 materialized before first probe")
 	}
 	le.Live(3, 7)
-	if !le.Materialized(7) {
+	if !materialized(7) {
 		t.Fatal("edge 7 not materialized by a probe")
 	}
-	if le.Materialized(8) {
+	if materialized(8) {
 		t.Fatal("probing edge 7 materialized edge 8")
 	}
 	spent := le.SpentBytes()

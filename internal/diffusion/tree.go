@@ -63,46 +63,3 @@ func ExactTreeBenefit(in *Instance, d *Deployment) (float64, error) {
 	}
 	return total, nil
 }
-
-// ActivationProbsTree returns the per-user activation probability on a
-// forest-shaped reachable subgraph, with the same precondition as
-// ExactTreeBenefit. Users outside the spread have probability zero.
-func ActivationProbsTree(in *Instance, d *Deployment) ([]float64, error) {
-	g := in.G
-	n := g.NumNodes()
-	prob := make([]float64, n)
-	seen := make([]bool, n)
-	queue := make([]int32, 0, 64)
-	for _, s := range d.Seeds() {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		prob[s] = 1
-		queue = append(queue, s)
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		k := d.K(v)
-		if k == 0 {
-			continue
-		}
-		targets, probs := g.OutEdges(v)
-		if len(targets) == 0 {
-			continue
-		}
-		rp := RedeemProbs(probs, k)
-		for j, t := range targets {
-			if rp[j] == 0 {
-				continue
-			}
-			if seen[t] {
-				return nil, fmt.Errorf("diffusion: reachable subgraph is not a forest (node %d reached twice)", t)
-			}
-			seen[t] = true
-			prob[t] = prob[v] * rp[j]
-			queue = append(queue, t)
-		}
-	}
-	return prob, nil
-}

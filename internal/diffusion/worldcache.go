@@ -865,9 +865,6 @@ func scanUnchanged(kOld, kNew, red int) bool {
 	return red < kNew
 }
 
-// BaseResult returns the cached result of the last Rebase.
-func (wc *WorldCache) BaseResult() Result { return wc.baseResult }
-
 // worldRow returns node v's active-world bit row (dense tier only).
 func (wc *WorldCache) worldRow(v int32) []uint64 {
 	return bitset.Row(wc.actT, int(v), wc.actTWords)

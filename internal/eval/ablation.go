@@ -21,12 +21,12 @@ func Ablations(s Setup, p RunParams) (string, error) {
 		name string
 		opts core.Options
 	}{
-		{"full S3CA", core.Options{Model: p.Model, Samples: p.Samples, Seed: p.Seed, Workers: p.Workers}},
-		{"ID only (no GPI/SCM)", core.Options{Model: p.Model, Samples: p.Samples, Seed: p.Seed, Workers: p.Workers, DisableGPI: true}},
-		{"no SCM", core.Options{Model: p.Model, Samples: p.Samples, Seed: p.Seed, Workers: p.Workers, DisableSCM: true}},
-		{"no pivot comparison", core.Options{Model: p.Model, Samples: p.Samples, Seed: p.Seed, Workers: p.Workers, DisablePivot: true}},
-		{"samples/4", core.Options{Model: p.Model, Samples: maxIntAb(p.Samples/4, 10), Seed: p.Seed, Workers: p.Workers}},
-		{"samples×4", core.Options{Model: p.Model, Samples: p.Samples * 4, Seed: p.Seed, Workers: p.Workers}},
+		{"full S3CA", core.Options{Samples: p.Samples, Seed: p.Seed, Workers: p.Workers}},
+		{"ID only (no GPI/SCM)", core.Options{Samples: p.Samples, Seed: p.Seed, Workers: p.Workers, DisableGPI: true}},
+		{"no SCM", core.Options{Samples: p.Samples, Seed: p.Seed, Workers: p.Workers, DisableSCM: true}},
+		{"no pivot comparison", core.Options{Samples: p.Samples, Seed: p.Seed, Workers: p.Workers, DisablePivot: true}},
+		{"samples/4", core.Options{Samples: maxIntAb(p.Samples/4, 10), Seed: p.Seed, Workers: p.Workers}},
+		{"samples×4", core.Options{Samples: p.Samples * 4, Seed: p.Seed, Workers: p.Workers}},
 	}
 	headers := []string{"variant", "redemption", "benefit", "cost", "seconds"}
 	var rows [][]string

@@ -77,7 +77,6 @@ type RunParams struct {
 	Seed         uint64
 	Workers      int
 	Engine       string // evaluation engine (see diffusion.Engines; "" = mc)
-	Model        string // triggering model (see diffusion.Models; "" = ic)
 	CandidateCap int    // baseline greedy candidate cap (0 = all users)
 	LimitedK     int    // limited-strategy quota (0 = Dropbox's 32)
 	// SpendBudget makes S3CA return the full-budget deployment, mirroring
@@ -120,8 +119,7 @@ func RunOne(algo string, inst *diffusion.Instance, p RunParams) (Measure, error)
 	switch algo {
 	case "S3CA":
 		sol, err := core.Solve(inst, core.Options{
-			Engine: p.Engine, Model: p.Model,
-			Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
+			Engine: p.Engine, Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
 			SpendBudget: p.SpendBudget,
 		})
 		if err != nil {
@@ -131,8 +129,7 @@ func RunOne(algo string, inst *diffusion.Instance, p RunParams) (Measure, error)
 		meas.ExploredRatio = float64(sol.Stats.ExploredNodes) / float64(inst.G.NumNodes())
 	case "IM-U", "IM-L", "IM-R", "PM-U", "PM-L", "IM-S", "RAND", "DEG":
 		cfg := baselines.Config{
-			Engine: p.Engine, Model: p.Model,
-			Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
+			Engine: p.Engine, Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
 			CandidateCap: p.CandidateCap, LimitedK: p.LimitedK,
 		}
 		if algo == "IM-L" || algo == "PM-L" {
@@ -170,7 +167,7 @@ func RunOne(algo string, inst *diffusion.Instance, p RunParams) (Measure, error)
 	// comparisons share possible worlds regardless of the engine that drove
 	// the search (full evaluations agree across engines anyway).
 	est, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
-		Engine: diffusion.EngineMC, Model: p.Model, Samples: p.Samples,
+		Engine: diffusion.EngineMC, Samples: p.Samples,
 		Seed: p.Seed ^ 0xfeed, Workers: p.Workers,
 	})
 	if err != nil {

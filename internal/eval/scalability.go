@@ -14,50 +14,38 @@ import (
 )
 
 // ScalabilityConfig drives the Fig. 9 experiments on PPGG-substitute
-// synthetic networks (η = 1.7/2.5, clustering 0.6394 in the paper).
+// synthetic networks.
 type ScalabilityConfig struct {
-	Eta        float64 // power-law exponent; 0 = 1.7 (the paper's setting)
-	Clustering float64 // 0 = 0.6394 (the paper's setting)
-	AvgDegree  int     // edges per node; 0 = 10
-	Mu, Sigma  float64 // benefit distribution; 0 = Facebook's (10, 2)
-	Seed       uint64
+	Seed uint64
 }
 
-func (c ScalabilityConfig) withDefaults() ScalabilityConfig {
-	if c.Eta == 0 {
-		c.Eta = 1.7
-	}
-	if c.Clustering == 0 {
-		c.Clustering = 0.6394
-	}
-	if c.AvgDegree == 0 {
-		c.AvgDegree = 10
-	}
-	if c.Mu == 0 {
-		c.Mu = 10
-	}
-	if c.Sigma == 0 {
-		c.Sigma = 2
-	}
-	return c
-}
+// The Fig. 9 synthetic networks use the paper's PPGG setting — power-law
+// exponent 1.7, clustering 0.6394 — at ten edges per node, with Facebook's
+// N(10, 2) benefit distribution.
+const (
+	synthEta        = 1.7
+	synthClustering = 0.6394
+	synthAvgDegree  = 10
+	synthMu         = 10
+	synthSigma      = 2
+)
 
 // buildSynthetic constructs one pattern-preserving instance of the given
 // size.
-func buildSynthetic(c ScalabilityConfig, nodes int, budget float64, seed uint64) (*diffusion.Instance, error) {
+func buildSynthetic(nodes int, budget float64, seed uint64) (*diffusion.Instance, error) {
 	src := rng.New(seed)
 	g, err := gen.PatternPreserving(gen.PatternConfig{
 		Nodes:        nodes,
-		Edges:        nodes * c.AvgDegree,
-		Eta:          c.Eta,
-		Clustering:   c.Clustering,
+		Edges:        nodes * synthAvgDegree,
+		Eta:          synthEta,
+		Clustering:   synthClustering,
 		MotifSupport: nodes / 40,
 		Mutual:       true,
 	}, src)
 	if err != nil {
 		return nil, err
 	}
-	m, err := costmodel.Assign(g, costmodel.Params{Mu: c.Mu, Sigma: c.Sigma}, src)
+	m, err := costmodel.Assign(g, costmodel.Params{Mu: synthMu, Sigma: synthSigma}, src)
 	if err != nil {
 		return nil, err
 	}
@@ -82,11 +70,10 @@ type ScaleRow struct {
 // ScalabilityBySize reproduces Fig. 9(a,b): S3CA running time and explored
 // ratio versus network size at a fixed budget.
 func ScalabilityBySize(c ScalabilityConfig, sizes []int, budget float64, p RunParams) ([]ScaleRow, error) {
-	c = c.withDefaults()
 	p = p.withDefaults()
 	var rows []ScaleRow
 	for _, n := range sizes {
-		inst, err := buildSynthetic(c, n, budget, c.Seed+uint64(n))
+		inst, err := buildSynthetic(n, budget, c.Seed+uint64(n))
 		if err != nil {
 			return nil, fmt.Errorf("eval: scalability size %d: %w", n, err)
 		}
@@ -104,11 +91,10 @@ func ScalabilityBySize(c ScalabilityConfig, sizes []int, budget float64, p RunPa
 // ScalabilityByBudget reproduces Fig. 9(c,d): S3CA running time and
 // explored ratio versus investment budget at a fixed network size.
 func ScalabilityByBudget(c ScalabilityConfig, nodes int, budgets []float64, p RunParams) ([]ScaleRow, error) {
-	c = c.withDefaults()
 	p = p.withDefaults()
 	var rows []ScaleRow
 	for _, b := range budgets {
-		inst, err := buildSynthetic(c, nodes, b, c.Seed+uint64(nodes))
+		inst, err := buildSynthetic(nodes, b, c.Seed+uint64(nodes))
 		if err != nil {
 			return nil, fmt.Errorf("eval: scalability budget %v: %w", b, err)
 		}
@@ -126,8 +112,7 @@ func ScalabilityByBudget(c ScalabilityConfig, nodes int, budgets []float64, p Ru
 func runScale(inst *diffusion.Instance, p RunParams) (ScaleRow, error) {
 	start := time.Now()
 	sol, err := core.Solve(inst, core.Options{
-		Engine: p.Engine, Model: p.Model,
-		Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
+		Engine: p.Engine, Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
 	})
 	if err != nil {
 		return ScaleRow{}, err
@@ -155,7 +140,6 @@ type ApproxRow struct {
 // enumeration needs smaller instances (DESIGN.md, Substitutions), so nodes
 // defaults to 12.
 func Approximation(c ScalabilityConfig, nodes int, margins []float64, p RunParams) ([]ApproxRow, error) {
-	c = c.withDefaults()
 	p = p.withDefaults()
 	if nodes <= 0 {
 		nodes = 12
@@ -164,8 +148,8 @@ func Approximation(c ScalabilityConfig, nodes int, margins []float64, p RunParam
 	g, err := gen.PatternPreserving(gen.PatternConfig{
 		Nodes:      nodes,
 		Edges:      nodes * 2,
-		Eta:        c.Eta,
-		Clustering: c.Clustering,
+		Eta:        synthEta,
+		Clustering: synthClustering,
 		Mutual:     false,
 	}, src)
 	if err != nil {
@@ -193,14 +177,13 @@ func Approximation(c ScalabilityConfig, nodes int, margins []float64, p RunParam
 			inst.SeedCost[i] = 2 * float64(deg)
 		}
 		opt, err := baselines.Exhaustive(context.Background(), inst, baselines.ExhaustiveConfig{
-			MaxSeeds: 2, MaxK: 2, Samples: p.Samples, Seed: p.Seed, Model: p.Model, MaxNodes: nodes,
+			MaxSeeds: 2, MaxK: 2, Samples: p.Samples, Seed: p.Seed, MaxNodes: nodes,
 		})
 		if err != nil {
 			return nil, err
 		}
 		sol, err := core.Solve(inst, core.Options{
-			Engine: p.Engine, Model: p.Model,
-			Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
+			Engine: p.Engine, Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
 		})
 		if err != nil {
 			return nil, err

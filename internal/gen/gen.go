@@ -8,9 +8,8 @@
 // unavailable offline, so this package builds the closest synthetic
 // equivalents:
 //
-//   - ErdosRenyi and BarabasiAlbert for baseline topologies;
-//   - HolmeKim — preferential attachment with triad closure, giving
-//     power-law degrees plus tunable clustering;
+//   - ErdosRenyi for a baseline topology;
+//   - WattsStrogatz — a rewired ring lattice for large small worlds;
 //   - PatternPreserving — the PPGG substitute: a truncated power-law degree
 //     sequence with exact exponent control (η < 2 included, which growth
 //     models cannot reach), wired by a configuration model, clustered by
@@ -61,126 +60,4 @@ func ErdosRenyi(n, m int, src *rng.Source) (*graph.Graph, error) {
 		return nil, err
 	}
 	return g.WeightByInDegree(), nil
-}
-
-// BarabasiAlbert grows a preferential-attachment graph: each new node
-// attaches to mPerNode existing nodes chosen proportionally to degree. When
-// mutual is true each attachment adds both directions (SNAP's Facebook graph
-// is undirected); otherwise the new node points at its targets.
-func BarabasiAlbert(n, mPerNode int, mutual bool, src *rng.Source) (*graph.Graph, error) {
-	if mPerNode < 1 || n <= mPerNode {
-		return nil, fmt.Errorf("gen: BarabasiAlbert needs 1 <= m < n, got m=%d n=%d", mPerNode, n)
-	}
-	// repeated-nodes trick: attachment targets drawn uniformly from a list
-	// where each node appears once per incident attachment.
-	repeated := make([]int32, 0, 2*n*mPerNode)
-	var edges []graph.Edge
-	addEdge := func(u, v int32) {
-		edges = append(edges, graph.Edge{From: u, To: v})
-		if mutual {
-			edges = append(edges, graph.Edge{From: v, To: u})
-		}
-	}
-	// seed clique among the first mPerNode+1 nodes
-	for u := int32(0); u <= int32(mPerNode); u++ {
-		for v := int32(0); v <= int32(mPerNode); v++ {
-			if u != v && u < v {
-				addEdge(u, v)
-				repeated = append(repeated, u, v)
-			}
-		}
-	}
-	for v := int32(mPerNode) + 1; v < int32(n); v++ {
-		chosen := make(map[int32]struct{}, mPerNode)
-		for len(chosen) < mPerNode {
-			t := repeated[src.Intn(len(repeated))]
-			if t == v {
-				continue
-			}
-			chosen[t] = struct{}{}
-		}
-		for t := range chosen {
-			addEdge(v, t)
-			repeated = append(repeated, v, t)
-		}
-	}
-	g, err := graph.FromEdges(n, dedupEdges(edges))
-	if err != nil {
-		return nil, err
-	}
-	return g.WeightByInDegree(), nil
-}
-
-// HolmeKim is BarabasiAlbert with triad closure: after a preferential
-// attachment step, with probability pTriad the next attachment goes to a
-// random neighbour of the previous target, forming a triangle. Larger
-// pTriad raises the clustering coefficient.
-func HolmeKim(n, mPerNode int, pTriad float64, mutual bool, src *rng.Source) (*graph.Graph, error) {
-	if mPerNode < 1 || n <= mPerNode {
-		return nil, fmt.Errorf("gen: HolmeKim needs 1 <= m < n, got m=%d n=%d", mPerNode, n)
-	}
-	if pTriad < 0 || pTriad > 1 {
-		return nil, fmt.Errorf("gen: HolmeKim pTriad %v outside [0,1]", pTriad)
-	}
-	repeated := make([]int32, 0, 2*n*mPerNode)
-	neighbours := make([][]int32, n) // undirected adjacency for triad steps
-	var edges []graph.Edge
-	addEdge := func(u, v int32) {
-		edges = append(edges, graph.Edge{From: u, To: v})
-		if mutual {
-			edges = append(edges, graph.Edge{From: v, To: u})
-		}
-		neighbours[u] = append(neighbours[u], v)
-		neighbours[v] = append(neighbours[v], u)
-		repeated = append(repeated, u, v)
-	}
-	for u := int32(0); u <= int32(mPerNode); u++ {
-		for v := u + 1; v <= int32(mPerNode); v++ {
-			addEdge(u, v)
-		}
-	}
-	for v := int32(mPerNode) + 1; v < int32(n); v++ {
-		chosen := make(map[int32]struct{}, mPerNode)
-		var last int32 = -1
-		for len(chosen) < mPerNode {
-			var t int32
-			if last >= 0 && len(neighbours[last]) > 0 && src.Float64() < pTriad {
-				t = neighbours[last][src.Intn(len(neighbours[last]))]
-			} else {
-				t = repeated[src.Intn(len(repeated))]
-			}
-			if t == v {
-				continue
-			}
-			if _, dup := chosen[t]; dup {
-				last = t
-				continue
-			}
-			chosen[t] = struct{}{}
-			last = t
-			addEdge(v, t)
-		}
-	}
-	g, err := graph.FromEdges(n, dedupEdges(edges))
-	if err != nil {
-		return nil, err
-	}
-	return g.WeightByInDegree(), nil
-}
-
-// dedupEdges removes duplicate (from,to) pairs, keeping the first
-// occurrence. Generators that add mutual edges can produce duplicates when
-// two attachment steps pick the same pair in both directions.
-func dedupEdges(edges []graph.Edge) []graph.Edge {
-	seen := make(map[int64]struct{}, len(edges))
-	out := edges[:0]
-	for _, e := range edges {
-		key := int64(e.From)<<32 | int64(uint32(e.To))
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, e)
-	}
-	return out
 }

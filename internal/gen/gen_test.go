@@ -52,85 +52,6 @@ func TestErdosRenyiDeterministic(t *testing.T) {
 	}
 }
 
-func TestBarabasiAlbertShape(t *testing.T) {
-	g, err := BarabasiAlbert(500, 3, false, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 500 {
-		t.Fatalf("nodes = %d", g.NumNodes())
-	}
-	// ~3 edges per node beyond the seed clique.
-	if g.NumEdges() < 3*400 {
-		t.Fatalf("too few edges: %d", g.NumEdges())
-	}
-	assertNoSelfLoops(t, g)
-	assertInDegreeWeights(t, g)
-}
-
-func TestBarabasiAlbertMutual(t *testing.T) {
-	g, err := BarabasiAlbert(200, 2, true, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every edge must have its reverse.
-	for _, e := range g.Edges() {
-		if _, ok := g.EdgeProb(e.To, e.From); !ok {
-			t.Fatalf("edge (%d,%d) has no reverse", e.From, e.To)
-		}
-	}
-}
-
-func TestBarabasiAlbertSkew(t *testing.T) {
-	g, err := BarabasiAlbert(2000, 2, false, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := g.Stats()
-	// Preferential attachment must produce hubs: max in-degree far above mean.
-	if s.MaxIn < 10*s.MeanIn {
-		t.Fatalf("no hubs: max in-degree %v vs mean %v", s.MaxIn, s.MeanIn)
-	}
-}
-
-func TestBarabasiAlbertErrors(t *testing.T) {
-	if _, err := BarabasiAlbert(5, 0, false, rng.New(1)); err == nil {
-		t.Fatal("m=0 accepted")
-	}
-	if _, err := BarabasiAlbert(3, 3, false, rng.New(1)); err == nil {
-		t.Fatal("n<=m accepted")
-	}
-}
-
-func TestHolmeKimClusteringRaises(t *testing.T) {
-	src := rng.New(5)
-	low, err := HolmeKim(1500, 3, 0.0, true, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := HolmeKim(1500, 3, 0.9, true, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cLow := low.ApproxClustering(rng.New(11), 300)
-	cHigh := high.ApproxClustering(rng.New(11), 300)
-	if cHigh <= cLow {
-		t.Fatalf("triad closure did not raise clustering: %v <= %v", cHigh, cLow)
-	}
-}
-
-func TestHolmeKimErrors(t *testing.T) {
-	if _, err := HolmeKim(10, 2, -0.5, false, rng.New(1)); err == nil {
-		t.Fatal("negative pTriad accepted")
-	}
-	if _, err := HolmeKim(10, 2, 1.5, false, rng.New(1)); err == nil {
-		t.Fatal("pTriad > 1 accepted")
-	}
-	if _, err := HolmeKim(2, 2, 0.5, false, rng.New(1)); err == nil {
-		t.Fatal("n<=m accepted")
-	}
-}
-
 func TestPatternPreservingShape(t *testing.T) {
 	cfg := PatternConfig{Nodes: 1000, Edges: 8000, Eta: 2.5, Clustering: 0.3, MotifSupport: 30, Mutual: true}
 	g, err := PatternPreserving(cfg, rng.New(6))

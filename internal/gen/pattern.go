@@ -18,10 +18,8 @@ type PatternConfig struct {
 	Edges int
 	// Eta is the power-law exponent of the out-degree sequence; the paper's
 	// PPGG runs use 1.7 and 2.5. Exponents below 2 are fine because the
-	// sequence is truncated at MaxDegree.
+	// sequence is truncated at √Nodes + 2.
 	Eta float64
-	// MaxDegree truncates the degree sequence; 0 means sqrt-of-nodes.
-	MaxDegree int
 	// Clustering is the target mean local clustering coefficient; triad
 	// closure edges are added until a sampled estimate reaches it (or the
 	// closure budget runs out). The paper's PPGG setting is 0.6394.
@@ -51,10 +49,7 @@ func PatternPreserving(cfg PatternConfig, src *rng.Source) (*graph.Graph, error)
 	if cfg.Clustering < 0 || cfg.Clustering > 1 {
 		return nil, fmt.Errorf("gen: PatternPreserving clustering %v outside [0,1]", cfg.Clustering)
 	}
-	maxDeg := cfg.MaxDegree
-	if maxDeg <= 0 {
-		maxDeg = int(math.Sqrt(float64(cfg.Nodes))) + 2
-	}
+	maxDeg := int(math.Sqrt(float64(cfg.Nodes))) + 2
 	if maxDeg >= cfg.Nodes {
 		maxDeg = cfg.Nodes - 1
 	}

@@ -3,8 +3,7 @@
 //   - SNAP-style edge-list text ("FromNodeId\tToNodeId" per line, '#'
 //     comments), the format of the datasets in Table II of the paper, with
 //     an optional third probability column;
-//   - a compact little-endian binary codec for caching generated datasets
-//     between experiment runs.
+//   - JSON scenarios: a graph plus its cost model and budget.
 //
 // The module is fully offline, so in practice these are exercised by the
 // CLIs against locally generated graphs, but the SNAP reader means a user
@@ -14,29 +13,11 @@ package gio
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"s3crm/internal/graph"
 )
-
-// ReadEdgeList parses SNAP-style text. Node ids may be arbitrary
-// non-negative integers; they are densely re-mapped in first-appearance
-// order. Lines starting with '#' or empty lines are skipped. Each data line
-// is "from<ws>to" or "from<ws>to<ws>prob". When the probability column is
-// absent, prob defaults to 0 and callers typically re-weight with
-// (*graph.Graph).WeightByInDegree.
-func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
-	g, _, err := LoadEdgeList(r, LoadOptions{
-		Model:         ModelFile,
-		KeepSelfLoops: true,
-		Duplicates:    graph.DupError,
-	})
-	return g, err
-}
 
 // WriteEdgeList emits the graph as SNAP-style text with the probability
 // column included.
@@ -73,75 +54,4 @@ func WriteEdgeListPlain(w io.Writer, g *graph.Graph) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// binaryMagic identifies the binary graph format; the trailing byte is a
-// format version.
-var binaryMagic = [8]byte{'S', '3', 'C', 'G', 'R', 'P', 'H', 1}
-
-// WriteBinary emits the compact binary encoding:
-//
-//	magic[8] | n int64 | m int64 | m × (from int32, to int32, p float64)
-func WriteBinary(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(g.NumNodes()))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(g.NumEdges()))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	rec := make([]byte, 16)
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		ts, ps := g.OutEdges(v)
-		for i := range ts {
-			binary.LittleEndian.PutUint32(rec[0:], uint32(v))
-			binary.LittleEndian.PutUint32(rec[4:], uint32(ts[i]))
-			binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(ps[i]))
-			if _, err := bw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses the format written by WriteBinary.
-func ReadBinary(r io.Reader) (*graph.Graph, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("gio: reading magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, errors.New("gio: not an s3crm binary graph (bad magic)")
-	}
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("gio: reading header: %w", err)
-	}
-	n := int64(binary.LittleEndian.Uint64(hdr[0:]))
-	m := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	if n < 0 || m < 0 {
-		return nil, errors.New("gio: negative counts in header")
-	}
-	const maxEdges = int64(1) << 34 // ~16G edges: sanity bound against corrupt headers
-	if m > maxEdges {
-		return nil, fmt.Errorf("gio: edge count %d exceeds sanity bound", m)
-	}
-	edges := make([]graph.Edge, 0, m)
-	rec := make([]byte, 16)
-	for i := int64(0); i < m; i++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("gio: reading edge %d: %w", i, err)
-		}
-		edges = append(edges, graph.Edge{
-			From: int32(binary.LittleEndian.Uint32(rec[0:])),
-			To:   int32(binary.LittleEndian.Uint32(rec[4:])),
-			P:    math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
-		})
-	}
-	return graph.FromEdges(int(n), edges)
 }

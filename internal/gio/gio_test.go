@@ -2,11 +2,11 @@ package gio
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"s3crm/internal/graph"
-	"s3crm/internal/rng"
 )
 
 func sample(t *testing.T) *graph.Graph {
@@ -21,13 +21,24 @@ func sample(t *testing.T) *graph.Graph {
 	return g
 }
 
+// readEdgeList loads SNAP text keeping file probabilities (0 when the column
+// is absent), self loops and rejecting duplicates.
+func readEdgeList(r io.Reader) (*graph.Graph, error) {
+	g, _, err := LoadEdgeList(r, LoadOptions{
+		Model:         ModelFile,
+		KeepSelfLoops: true,
+		Duplicates:    graph.DupError,
+	})
+	return g, err
+}
+
 func TestReadEdgeListBasic(t *testing.T) {
 	in := `# a comment
 0	1
 0 2
 1	2
 `
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := readEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +49,7 @@ func TestReadEdgeListBasic(t *testing.T) {
 
 func TestReadEdgeListRemapsSparseIds(t *testing.T) {
 	in := "1000 2000\n2000 30000\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := readEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +67,7 @@ func TestReadEdgeListRemapsSparseIds(t *testing.T) {
 
 func TestReadEdgeListWithProbColumn(t *testing.T) {
 	in := "0 1 0.25\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := readEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"0 1 7.5\n",      // probability out of range (graph layer rejects)
 	}
 	for _, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
+		if _, err := readEdgeList(strings.NewReader(in)); err == nil {
 			t.Fatalf("input %q accepted", in)
 		}
 	}
@@ -89,75 +100,11 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf)
+	g2, err := readEdgeList(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameGraph(t, g, g2)
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	g := sample(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGraph(t, g, g2)
-}
-
-func TestBinaryRoundTripLarger(t *testing.T) {
-	src := rng.New(5)
-	n := 200
-	var edges []graph.Edge
-	seen := map[[2]int32]bool{}
-	for i := 0; i < 1000; i++ {
-		u, v := int32(src.Intn(n)), int32(src.Intn(n))
-		if u == v || seen[[2]int32{u, v}] {
-			continue
-		}
-		seen[[2]int32{u, v}] = true
-		edges = append(edges, graph.Edge{From: u, To: v, P: src.Float64()})
-	}
-	g, err := graph.FromEdges(n, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGraph(t, g, g2)
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a graph at all...")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadBinary(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-func TestReadBinaryTruncated(t *testing.T) {
-	g := sample(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{len(full) - 1, len(full) - 8, 10, 20} {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncated input (cut=%d) accepted", cut)
-		}
-	}
 }
 
 func assertSameGraph(t *testing.T, a, b *graph.Graph) {

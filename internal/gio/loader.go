@@ -26,11 +26,10 @@ const (
 	// standard weighting (computed after self-loop and duplicate handling,
 	// so dropped arcs do not inflate the in-degrees).
 	ModelWeightedCascade = "wc"
-	// ModelTrivalency draws each edge's probability from
-	// LoadOptions.TrivalencyProbs (default 0.1/0.01/0.001) by a stateless
-	// hash of the re-mapped endpoint pair and LoadOptions.Seed:
-	// deterministic for a given file and seed, with no sequential random
-	// stream to keep in sync.
+	// ModelTrivalency draws each edge's probability from the palette
+	// {0.1, 0.01, 0.001} by a stateless hash of the re-mapped endpoint pair
+	// and LoadOptions.Seed: deterministic for a given file and seed, with
+	// no sequential random stream to keep in sync.
 	ModelTrivalency = "trivalency"
 )
 
@@ -47,9 +46,6 @@ type LoadOptions struct {
 	Model string
 	// UniformP is ModelUniform's probability (default 0.1).
 	UniformP float64
-	// TrivalencyProbs is ModelTrivalency's palette (default {0.1, 0.01,
-	// 0.001}).
-	TrivalencyProbs []float64
 	// Seed drives ModelTrivalency's per-edge hash (default 1).
 	Seed uint64
 	// KeepSelfLoops retains u→u arcs instead of dropping them. The
@@ -81,14 +77,6 @@ func (o LoadOptions) withDefaults() (LoadOptions, error) {
 	}
 	if o.UniformP < 0 || o.UniformP > 1 {
 		return o, fmt.Errorf("gio: uniform probability %v outside [0,1]", o.UniformP)
-	}
-	if len(o.TrivalencyProbs) == 0 {
-		o.TrivalencyProbs = []float64{0.1, 0.01, 0.001}
-	}
-	for _, p := range o.TrivalencyProbs {
-		if p < 0 || p > 1 {
-			return o, fmt.Errorf("gio: trivalency probability %v outside [0,1]", o.TrivalencyProbs)
-		}
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -255,7 +243,7 @@ func probAssign(opts LoadOptions) graph.ProbAssign {
 		}
 	case ModelTrivalency:
 		coin := rng.NewCoin(opts.Seed)
-		palette := opts.TrivalencyProbs
+		palette := [...]float64{0.1, 0.01, 0.001}
 		return func(from, to int32, _ int32) float64 {
 			u := coin.Flip(uint64(uint32(from)), uint64(uint32(to)))
 			i := int(u * float64(len(palette)))

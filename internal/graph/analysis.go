@@ -110,49 +110,6 @@ func containsSorted(xs []int32, x int32) bool {
 	return i < len(xs) && xs[i] == x
 }
 
-// WeaklyConnectedComponents returns a component label per node and the
-// number of components, ignoring edge direction.
-func (g *Graph) WeaklyConnectedComponents() (labels []int32, count int) {
-	parent := make([]int32, g.n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for v := int32(0); v < int32(g.n); v++ {
-		ts, _ := g.OutEdges(v)
-		for _, t := range ts {
-			union(v, t)
-		}
-	}
-	labels = make([]int32, g.n)
-	next := int32(0)
-	remap := make(map[int32]int32)
-	for v := int32(0); v < int32(g.n); v++ {
-		r := find(v)
-		id, ok := remap[r]
-		if !ok {
-			id = next
-			remap[r] = id
-			next++
-		}
-		labels[v] = id
-	}
-	return labels, int(next)
-}
-
 // ShortestPaths runs Dijkstra from source with edge weight w = 1 - P, the
 // weighting the paper's IM-S baseline uses ("an edge with a higher influence
 // probability having a smaller weight"). It returns the distance and parent
@@ -204,24 +161,4 @@ func PathTo(parent []int32, target int32) []int32 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// TopKByOutDegree returns the k node ids with the largest out-degree,
-// descending (ties by id). k is clamped to the node count.
-func (g *Graph) TopKByOutDegree(k int) []int32 {
-	if k > g.n {
-		k = g.n
-	}
-	ids := make([]int32, g.n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		da, db := g.OutDegree(ids[a]), g.OutDegree(ids[b])
-		if da != db {
-			return da > db
-		}
-		return ids[a] < ids[b]
-	})
-	return ids[:k]
 }

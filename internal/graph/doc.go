@@ -40,9 +40,8 @@
 //
 // # Construction
 //
-// Graphs are immutable once built. Construction goes through FromEdges (or
-// its convenience wrapper Builder) when an []Edge already exists, and
-// through StreamBuilder when it should not: StreamBuilder accumulates bare
+// Graphs are immutable once built. Construction goes through FromEdges when an
+// []Edge already exists, and through StreamBuilder when it should not: StreamBuilder accumulates bare
 // (from, to[, p]) arcs in columnar arrays and counting-sorts them straight
 // into CSR, so external edge lists stream into the final representation
 // without ever materializing per-edge structs. Duplicate arcs are rejected

@@ -66,40 +66,6 @@ type Graph struct {
 	revEdge    []int32
 }
 
-// Builder accumulates edges and produces an immutable Graph.
-type Builder struct {
-	n     int
-	edges []Edge
-}
-
-// NewBuilder returns a builder for a graph with n nodes (ids 0..n-1).
-func NewBuilder(n int) *Builder {
-	return &Builder{n: n}
-}
-
-// AddEdge records a directed edge. Probabilities outside [0,1] and endpoints
-// outside [0,n) are rejected.
-func (b *Builder) AddEdge(from, to int32, p float64) error {
-	if from < 0 || int(from) >= b.n || to < 0 || int(to) >= b.n {
-		return fmt.Errorf("graph: edge (%d,%d) endpoint out of range [0,%d)", from, to, b.n)
-	}
-	if p < 0 || p > 1 {
-		return fmt.Errorf("graph: edge (%d,%d) probability %v outside [0,1]", from, to, p)
-	}
-	b.edges = append(b.edges, Edge{From: from, To: to, P: p})
-	return nil
-}
-
-// NumEdges returns the number of edges recorded so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
-
-// Build finalizes the graph. Duplicate (from,to) pairs are rejected: the
-// propagation model assigns one coupon slot per neighbour, so parallel edges
-// have no meaning.
-func (b *Builder) Build() (*Graph, error) {
-	return FromEdges(b.n, b.edges)
-}
-
 // FromEdges constructs a Graph from an edge list. The slice is not retained.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
@@ -121,7 +87,7 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) endpoint out of range [0,%d)", e.From, e.To, n)
 		}
-		if e.P < 0 || e.P > 1 {
+		if !(e.P >= 0 && e.P <= 1) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) probability %v outside [0,1]", e.From, e.To, e.P)
 		}
 		counts[e.From+1]++
@@ -526,48 +492,12 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Hops runs a multi-source BFS over out-edges and returns the hop distance
-// from the nearest source for every node, with -1 for unreachable nodes.
-func (g *Graph) Hops(sources []int32) []int32 {
-	dist := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]int32, 0, len(sources))
-	for _, s := range sources {
-		if dist[s] == -1 {
-			dist[s] = 0
-			queue = append(queue, s)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		ts, _ := g.OutEdges(v)
-		for _, t := range ts {
-			if dist[t] == -1 {
-				dist[t] = dist[v] + 1
-				queue = append(queue, t)
-			}
-		}
-	}
-	return dist
-}
-
 // OutDegrees returns a copy of all out-degrees; useful for degree statistics
 // and for seed-cost models that charge proportionally to the friend count.
 func (g *Graph) OutDegrees() []int {
 	ds := make([]int, g.n)
 	for v := 0; v < g.n; v++ {
 		ds[v] = g.OutDegree(int32(v))
-	}
-	return ds
-}
-
-// InDegrees returns a copy of all in-degrees.
-func (g *Graph) InDegrees() []int {
-	ds := make([]int, g.n)
-	for v, d := range g.inDeg {
-		ds[v] = int(d)
 	}
 	return ds
 }
@@ -710,35 +640,4 @@ func (g *Graph) PadNodes(n int) (*Graph, error) {
 	}
 	copy(ng.inDeg, g.inDeg)
 	return ng, nil
-}
-
-// InducedSubgraph returns the subgraph induced by keep (dense re-labelling
-// in the order given) along with the mapping from new ids to original ids.
-func (g *Graph) InducedSubgraph(keep []int32) (*Graph, []int32, error) {
-	newID := make(map[int32]int32, len(keep))
-	orig := make([]int32, len(keep))
-	for i, v := range keep {
-		if v < 0 || int(v) >= g.n {
-			return nil, nil, fmt.Errorf("graph: subgraph node %d out of range", v)
-		}
-		if _, dup := newID[v]; dup {
-			return nil, nil, fmt.Errorf("graph: subgraph node %d listed twice", v)
-		}
-		newID[v] = int32(i)
-		orig[i] = v
-	}
-	var edges []Edge
-	for _, v := range keep {
-		ts, ps := g.OutEdges(v)
-		for i, t := range ts {
-			if u, ok := newID[t]; ok {
-				edges = append(edges, Edge{From: newID[v], To: u, P: ps[i]})
-			}
-		}
-	}
-	sub, err := FromEdges(len(keep), edges)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, orig, nil
 }

@@ -7,22 +7,19 @@ import (
 	"s3crm/internal/rng"
 )
 
-// diamond builds the graph 0→1 (0.9), 0→2 (0.4), 1→3 (0.5), 2→3 (0.8).
-func diamond(t *testing.T) *Graph {
+// mustGraph builds an n-node graph from edges, failing the test on error.
+func mustGraph(t *testing.T, n int, edges ...Edge) *Graph {
 	t.Helper()
-	b := NewBuilder(4)
-	for _, e := range []Edge{
-		{0, 1, 0.9}, {0, 2, 0.4}, {1, 3, 0.5}, {2, 3, 0.8},
-	} {
-		if err := b.AddEdge(e.From, e.To, e.P); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := b.Build()
+	g, err := FromEdges(n, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// diamond builds the graph 0→1 (0.9), 0→2 (0.4), 1→3 (0.5), 2→3 (0.8).
+func diamond(t *testing.T) *Graph {
+	return mustGraph(t, 4, Edge{0, 1, 0.9}, Edge{0, 2, 0.4}, Edge{1, 3, 0.5}, Edge{2, 3, 0.8})
 }
 
 func TestBuildBasics(t *testing.T) {
@@ -50,36 +47,11 @@ func TestAdjacencySortedByDescendingProb(t *testing.T) {
 }
 
 func TestAdjacencyTieBreakById(t *testing.T) {
-	b := NewBuilder(4)
 	// Insert in reverse id order with equal probabilities.
-	for _, to := range []int32{3, 1, 2} {
-		if err := b.AddEdge(0, to, 0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGraph(t, 4, Edge{0, 3, 0.5}, Edge{0, 1, 0.5}, Edge{0, 2, 0.5})
 	ts, _ := g.OutEdges(0)
 	if ts[0] != 1 || ts[1] != 2 || ts[2] != 3 {
 		t.Fatalf("equal-prob ties not broken by id: %v", ts)
-	}
-}
-
-func TestBuilderRejectsBadEdges(t *testing.T) {
-	b := NewBuilder(2)
-	if err := b.AddEdge(0, 2, 0.5); err == nil {
-		t.Fatal("accepted out-of-range target")
-	}
-	if err := b.AddEdge(-1, 0, 0.5); err == nil {
-		t.Fatal("accepted negative source")
-	}
-	if err := b.AddEdge(0, 1, -0.1); err == nil {
-		t.Fatal("accepted negative probability")
-	}
-	if err := b.AddEdge(0, 1, 1.1); err == nil {
-		t.Fatal("accepted probability > 1")
 	}
 }
 
@@ -94,11 +66,19 @@ func TestFromEdgesValidation(t *testing.T) {
 	if _, err := FromEdges(-1, nil); err == nil {
 		t.Fatal("negative node count accepted")
 	}
-	if _, err := FromEdges(1, []Edge{{0, 5, 0.5}}); err == nil {
-		t.Fatal("out-of-range edge accepted")
-	}
-	if _, err := FromEdges(2, []Edge{{0, 1, 2}}); err == nil {
-		t.Fatal("out-of-range probability accepted")
+	for _, tc := range []struct {
+		name string
+		e    Edge
+	}{
+		{"out-of-range target", Edge{0, 5, 0.5}},
+		{"negative source", Edge{-1, 0, 0.5}},
+		{"negative probability", Edge{0, 1, -0.1}},
+		{"probability > 1", Edge{0, 1, 2}},
+		{"NaN probability", Edge{0, 1, math.NaN()}},
+	} {
+		if _, err := FromEdges(2, []Edge{tc.e}); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -156,38 +136,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHops(t *testing.T) {
-	g := diamond(t)
-	d := g.Hops([]int32{0})
-	want := []int32{0, 1, 1, 2}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("Hops = %v, want %v", d, want)
-		}
-	}
-}
-
-func TestHopsMultiSourceAndUnreachable(t *testing.T) {
-	b := NewBuilder(5)
-	if err := b.AddEdge(0, 1, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(2, 3, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := g.Hops([]int32{0, 2})
-	if d[0] != 0 || d[2] != 0 || d[1] != 1 || d[3] != 1 {
-		t.Fatalf("multi-source hops wrong: %v", d)
-	}
-	if d[4] != -1 {
-		t.Fatalf("isolated node hop = %d, want -1", d[4])
-	}
-}
-
 func TestWeightByInDegree(t *testing.T) {
 	g := diamond(t)
 	w := g.WeightByInDegree()
@@ -207,37 +155,45 @@ func TestWeightByInDegree(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := diamond(t)
-	sub, orig, err := g.InducedSubgraph([]int32{0, 1, 3})
+func TestCapInWeights(t *testing.T) {
+	// Node 3 takes in-weights 0.8 + 0.7 = 1.5 (over the LT bound); node 1
+	// and 2 take a single in-edge each (within it).
+	g, err := FromEdges(4, []Edge{
+		{From: 0, To: 1, P: 0.9}, {From: 0, To: 2, P: 0.3},
+		{From: 1, To: 3, P: 0.8}, {From: 2, To: 3, P: 0.7},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.NumNodes() != 3 {
-		t.Fatalf("sub nodes = %d, want 3", sub.NumNodes())
+	capped := g.CapInWeights()
+	if p, _ := capped.EdgeProb(0, 1); p != 0.9 {
+		t.Fatalf("in-bound weight rescaled: %g", p)
 	}
-	// Edges kept: 0→1 and 1→3 (relabelled 0→1, 1→2).
-	if sub.NumEdges() != 2 {
-		t.Fatalf("sub edges = %d, want 2", sub.NumEdges())
+	sum := 0.8 + 0.7 // the accumulation CapInWeights performs
+	if p, _ := capped.EdgeProb(1, 3); p != 0.8/sum {
+		t.Fatalf("edge (1,3) = %g, want %g", p, 0.8/sum)
 	}
-	if orig[2] != 3 {
-		t.Fatalf("orig mapping wrong: %v", orig)
+	if p, _ := capped.EdgeProb(2, 3); p != 0.7/sum {
+		t.Fatalf("edge (2,3) = %g, want %g", p, 0.7/sum)
 	}
-	if _, ok := sub.EdgeProb(0, 1); !ok {
-		t.Fatal("edge 0→1 missing in subgraph")
+	// Every node's in-weights now sum to at most 1 (+ ulp slack).
+	sums := make([]float64, capped.NumNodes())
+	for _, e := range capped.Edges() {
+		sums[e.To] += e.P
 	}
-	if _, ok := sub.EdgeProb(1, 2); !ok {
-		t.Fatal("edge 1→2 (orig 1→3) missing in subgraph")
+	for v, s := range sums {
+		if s > 1+1e-12 {
+			t.Fatalf("node %d in-weights still sum to %g", v, s)
+		}
 	}
-}
-
-func TestInducedSubgraphErrors(t *testing.T) {
-	g := diamond(t)
-	if _, _, err := g.InducedSubgraph([]int32{0, 9}); err == nil {
-		t.Fatal("accepted out-of-range node")
-	}
-	if _, _, err := g.InducedSubgraph([]int32{0, 0}); err == nil {
-		t.Fatal("accepted duplicate node")
+	// A weighted-cascade graph (sums exactly 1) passes through bit-identical.
+	wc := g.WeightByInDegree()
+	same := wc.CapInWeights()
+	e1, e2 := wc.Edges(), same.Edges()
+	for i := range e1 {
+		if e1[i] != e2[i] {
+			t.Fatalf("CapInWeights disturbed a weighted-cascade edge: %v vs %v", e1[i], e2[i])
+		}
 	}
 }
 
@@ -255,51 +211,10 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestWeaklyConnectedComponents(t *testing.T) {
-	b := NewBuilder(6)
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(b.AddEdge(0, 1, 0.5))
-	must(b.AddEdge(2, 1, 0.5)) // 0,1,2 weakly connected
-	must(b.AddEdge(3, 4, 0.5)) // 3,4 connected; 5 isolated
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels, count := g.WeaklyConnectedComponents()
-	if count != 3 {
-		t.Fatalf("components = %d, want 3", count)
-	}
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Fatal("0,1,2 should share a component")
-	}
-	if labels[3] != labels[4] {
-		t.Fatal("3,4 should share a component")
-	}
-	if labels[5] == labels[0] || labels[5] == labels[3] {
-		t.Fatal("5 should be its own component")
-	}
-}
-
 func TestShortestPaths(t *testing.T) {
 	// 0→1 p=0.9 (w=0.1), 1→2 p=0.9 (w=0.1): path cost 0.2
 	// 0→2 p=0.5 (w=0.5): direct cost 0.5 — two-hop high-probability path wins.
-	b := NewBuilder(3)
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(b.AddEdge(0, 1, 0.9))
-	must(b.AddEdge(1, 2, 0.9))
-	must(b.AddEdge(0, 2, 0.5))
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGraph(t, 3, Edge{0, 1, 0.9}, Edge{1, 2, 0.9}, Edge{0, 2, 0.5})
 	dist, parent := g.ShortestPaths(0)
 	if math.Abs(dist[2]-0.2) > 1e-12 {
 		t.Fatalf("dist[2] = %v, want 0.2", dist[2])
@@ -311,14 +226,7 @@ func TestShortestPaths(t *testing.T) {
 }
 
 func TestShortestPathsUnreachable(t *testing.T) {
-	b := NewBuilder(3)
-	if err := b.AddEdge(0, 1, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGraph(t, 3, Edge{0, 1, 0.5})
 	dist, parent := g.ShortestPaths(0)
 	if !math.IsInf(dist[2], 1) {
 		t.Fatalf("unreachable dist = %v, want +inf", dist[2])
@@ -328,32 +236,9 @@ func TestShortestPathsUnreachable(t *testing.T) {
 	}
 }
 
-func TestTopKByOutDegree(t *testing.T) {
-	g := diamond(t)
-	top := g.TopKByOutDegree(2)
-	if top[0] != 0 {
-		t.Fatalf("top degree node = %d, want 0", top[0])
-	}
-	if len(g.TopKByOutDegree(100)) != 4 {
-		t.Fatal("k not clamped to node count")
-	}
-}
-
 func TestApproxClusteringTriangle(t *testing.T) {
 	// A directed 3-cycle is an undirected triangle: clustering 1.
-	b := NewBuilder(3)
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(b.AddEdge(0, 1, 0.5))
-	must(b.AddEdge(1, 2, 0.5))
-	must(b.AddEdge(2, 0, 0.5))
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGraph(t, 3, Edge{0, 1, 0.5}, Edge{1, 2, 0.5}, Edge{2, 0, 0.5})
 	c := g.ApproxClustering(rng.New(1), 50)
 	if math.Abs(c-1) > 1e-9 {
 		t.Fatalf("triangle clustering = %v, want 1", c)
@@ -363,16 +248,7 @@ func TestApproxClusteringTriangle(t *testing.T) {
 func TestApproxClusteringStar(t *testing.T) {
 	// A star has no triangles: clustering 0 for the centre; leaves have
 	// degree 1 and are skipped.
-	b := NewBuilder(5)
-	for to := int32(1); to < 5; to++ {
-		if err := b.AddEdge(0, to, 0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustGraph(t, 5, Edge{0, 1, 0.5}, Edge{0, 2, 0.5}, Edge{0, 3, 0.5}, Edge{0, 4, 0.5})
 	c := g.ApproxClustering(rng.New(1), 50)
 	if c != 0 {
 		t.Fatalf("star clustering = %v, want 0", c)

@@ -36,7 +36,7 @@ type BuildStats struct {
 
 // StreamBuilder accumulates arcs in columnar form — two int32 words per arc
 // plus an optional probability column — and counting-sorts them directly
-// into a Graph's CSR arrays. Unlike Builder it never materializes an []Edge,
+// into a Graph's CSR arrays. Unlike FromEdges it never takes an []Edge,
 // so streaming a SNAP-scale edge list peaks at the columnar accumulation
 // plus the final CSR, with no per-edge struct copy in between.
 //
@@ -142,9 +142,6 @@ func (b *StreamBuilder) AddKeyedProb(from, to int32, p float64, key int32) error
 	b.key = append(b.key, key)
 	return nil
 }
-
-// NumArcs returns the number of arcs recorded so far.
-func (b *StreamBuilder) NumArcs() int { return len(b.src) }
 
 // Build counting-sorts the accumulated arcs into CSR, resolves duplicates
 // per policy, assigns probabilities (probFn nil keeps the recorded ones) and

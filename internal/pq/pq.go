@@ -42,15 +42,6 @@ func (h *Heap[T]) Pop() (T, float64, bool) {
 	return top.value, top.priority, true
 }
 
-// Peek returns the smallest-priority item without removing it.
-func (h *Heap[T]) Peek() (T, float64, bool) {
-	if len(h.items) == 0 {
-		var zero T
-		return zero, 0, false
-	}
-	return h.items[0].value, h.items[0].priority, true
-}
-
 func (h *Heap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -103,13 +94,6 @@ func NewIndexed(n int) *Indexed {
 
 // Len returns the number of queued keys.
 func (h *Indexed) Len() int { return len(h.keys) }
-
-// Contains reports whether key is queued.
-func (h *Indexed) Contains(key int32) bool { return h.pos[key] >= 0 }
-
-// Priority returns the queued priority of key; meaningful only when
-// Contains(key).
-func (h *Indexed) Priority(key int32) float64 { return h.priority[key] }
 
 // DecreaseKey inserts key with the given priority, or lowers its existing
 // priority. Raising an existing priority is ignored (Dijkstra never needs

@@ -26,22 +26,6 @@ func TestHeapOrdering(t *testing.T) {
 	}
 }
 
-func TestHeapPeek(t *testing.T) {
-	var h Heap[int]
-	if _, _, ok := h.Peek(); ok {
-		t.Fatal("peek on empty heap succeeded")
-	}
-	h.Push(7, 7)
-	h.Push(3, 3)
-	v, p, ok := h.Peek()
-	if !ok || v != 3 || p != 3 {
-		t.Fatalf("peek = %v/%v", v, p)
-	}
-	if h.Len() != 2 {
-		t.Fatal("peek consumed an item")
-	}
-}
-
 func TestHeapPropertySortsLikeSort(t *testing.T) {
 	src := rng.New(5)
 	f := func(seed uint64) bool {
@@ -75,18 +59,17 @@ func TestIndexedBasics(t *testing.T) {
 	h.DecreaseKey(3, 3.0)
 	h.DecreaseKey(1, 1.0)
 	h.DecreaseKey(4, 4.0)
-	if !h.Contains(3) || h.Contains(0) {
-		t.Fatal("Contains wrong")
+	if h.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", h.Len())
 	}
-	if h.Priority(1) != 1.0 {
-		t.Fatal("Priority wrong")
+	for _, want := range []int32{1, 3, 4} {
+		k, p, ok := h.Pop()
+		if !ok || k != want || p != float64(want) {
+			t.Fatalf("pop = %d/%v, want %d", k, p, want)
+		}
 	}
-	k, p, ok := h.Pop()
-	if !ok || k != 1 || p != 1.0 {
-		t.Fatalf("pop = %d/%v", k, p)
-	}
-	if h.Contains(1) {
-		t.Fatal("popped key still contained")
+	if _, _, ok := h.Pop(); ok {
+		t.Fatal("pop from drained heap succeeded")
 	}
 }
 

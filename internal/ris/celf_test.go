@@ -57,7 +57,7 @@ func TestTopSeedsCELFMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sketches := range []int{50, 500, 4000} {
-		s, err := Generate(g, sketches, rng.New(uint64(sketches)))
+		s, err := generate(g, sketches, uint64(sketches))
 		if err != nil {
 			t.Fatal(err)
 		}

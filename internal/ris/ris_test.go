@@ -24,23 +24,38 @@ func hubGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
+// generate draws count independent-cascade RR sets whose edge liveness is
+// a hashed per-(world, edge) coin, with roots and coins both from seed.
+func generate(g *graph.Graph, count int, seed uint64) (*Sketches, error) {
+	return GenerateLive(g, count, rng.New(seed), rng.NewCoin(seed).Live)
+}
+
+// generateLT draws count linear-threshold RR sets over diffusion's LT
+// liveness, in which each node selects at most one live in-edge.
+func generateLT(g *graph.Graph, count int, seed uint64) (*Sketches, error) {
+	le := diffusion.NewLTLiveEdges(g, count, rng.NewCoin(seed), 0, false)
+	return GenerateLiveLT(g, count, rng.New(seed), func(world, edge uint64, _ float64) bool {
+		return le.Live(world, edge)
+	})
+}
+
 func TestGenerateErrors(t *testing.T) {
 	g := hubGraph(t)
-	if _, err := Generate(g, 0, rng.New(1)); err == nil {
+	if _, err := generate(g, 0, 1); err == nil {
 		t.Fatal("zero count accepted")
 	}
 	empty, err := graph.FromEdges(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Generate(empty, 10, rng.New(1)); err == nil {
+	if _, err := generate(empty, 10, 1); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
 
 func TestTopSeedsFindsHub(t *testing.T) {
 	g := hubGraph(t)
-	s, err := Generate(g, 2000, rng.New(2))
+	s, err := generate(g, 2000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +67,7 @@ func TestTopSeedsFindsHub(t *testing.T) {
 
 func TestInfluenceMatchesForwardMC(t *testing.T) {
 	g := hubGraph(t)
-	s, err := Generate(g, 40000, rng.New(3))
+	s, err := generate(g, 40000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +91,7 @@ func TestInfluenceAgreesWithDiffusionEstimator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Generate(g, 60000, rng.New(8))
+	s, err := generate(g, 60000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +140,7 @@ func TestTopSeedsGreedyCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Generate(g, 5000, rng.New(4))
+	s, err := generate(g, 5000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +155,7 @@ func TestTopSeedsGreedyCoverage(t *testing.T) {
 
 func TestTopSeedsExhaustsCoverage(t *testing.T) {
 	g := hubGraph(t)
-	s, err := Generate(g, 500, rng.New(5))
+	s, err := generate(g, 500, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +168,12 @@ func TestTopSeedsExhaustsCoverage(t *testing.T) {
 
 func TestCount(t *testing.T) {
 	g := hubGraph(t)
-	s, err := Generate(g, 123, rng.New(6))
+	s, err := generate(g, 123, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Count() != 123 {
-		t.Fatalf("Count = %d, want 123", s.Count())
+	if len(s.sets) != 123 {
+		t.Fatalf("drew %d sets, want 123", len(s.sets))
 	}
 }
 
@@ -183,7 +198,7 @@ func ltTestGraph(t *testing.T) *graph.Graph {
 // its predecessor.
 func TestGenerateLTSetsAreChains(t *testing.T) {
 	g := ltTestGraph(t)
-	s, err := GenerateLT(g, 2000, rng.New(5))
+	s, err := generateLT(g, 2000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +222,7 @@ func TestGenerateLTFrequencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	const count = 20000
-	s, err := GenerateLT(g, count, rng.New(9))
+	s, err := generateLT(g, count, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

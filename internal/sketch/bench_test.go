@@ -45,7 +45,7 @@ func BenchmarkSSRBuild(b *testing.B) {
 	for _, w := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				u := buildUniverse(inst, pivots, defaultUniverseCap)
+				u := buildUniverse(inst, pivots, universeCap)
 				ga := newGates(inst)
 				st := newStore(inst, u, ga, 77, false)
 				st.extend(samples, w)

@@ -45,7 +45,7 @@ func TestStoreParallelBitIdentical(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			build := func(workers int) *store {
-				u := buildUniverse(inst, pivots, defaultUniverseCap)
+				u := buildUniverse(inst, pivots, universeCap)
 				ga := newGates(inst)
 				st := newStore(inst, u, ga, 99, lt)
 				st.extend(512, workers)

@@ -41,12 +41,23 @@ import (
 	"s3crm/internal/rng"
 )
 
-// Defaults for the adaptive sampling schedule.
+// The adaptive sampling schedule: roots are drawn from at most universeCap
+// nodes, and each collection doubles from minSamples up to maxSamples, the
+// cap that stops an uncertifiable instance (Result.Certified then reports
+// false).
 const (
-	defaultUniverseCap = 1 << 18
-	defaultMinSamples  = 256
-	defaultMaxSamples  = 1 << 19
+	universeCap = 1 << 18
+	minSamples  = 256
+	maxSamples  = 1 << 19
 )
+
+// RateTolerance is the snapshot tie-break shared with core's ID loop:
+// redemption rates within this relative fraction of the running maximum
+// tie, and ties prefer the later — larger — deployment. The paper reports
+// that every algorithm's total cost approximately equals Binv, which
+// requires exactly this tie-break: once the rate plateaus, the search keeps
+// investing the remaining budget.
+const RateTolerance = 0.002
 
 // RNG stream tags: the two sample collections draw from per-call streams
 // derived off the solve seed, disjoint from each other and from every
@@ -84,38 +95,21 @@ type Config struct {
 	// (1−1/e−ε)·OPT of the sketch objective with probability 1−δ. Both must
 	// lie in (0, 1).
 	Epsilon, Delta float64
-	// RateTolerance is the snapshot tie-break fraction, already resolved by
-	// the caller (see core.Options.RateTolerance): rates within this
-	// relative fraction of the running maximum tie, and ties prefer the
-	// later — larger — deployment. 0 (and negative) disables tie-breaking.
-	RateTolerance float64
 	// SpendBudget returns the full-budget greedy prefix instead of the
 	// argmax-rate snapshot, mirroring core.Options.SpendBudget.
 	SpendBudget bool
-	// Score, when non-nil, forward-measures a candidate snapshot's
-	// redemption rate and snapshot selection runs on it instead of the
+	// ScoreBatch, when non-nil, forward-measures candidate snapshots'
+	// redemption rates and snapshot selection runs on them instead of the
 	// sketch's own validation estimates. The sketch objective's first-order
 	// relaxation overestimates coupon marginals (a holder's own activation
 	// is not re-checked), so the greedy's *order* is sound but its
 	// estimated rate peak lands too late; a handful of exact forward
 	// measurements over the move trajectory — deployments are small, so
 	// each costs O(active · scan), not O(edges) — pins the peak where the
-	// reported metric actually is. Solve calls Score at most 32 times, on
-	// deployments it may mutate afterwards (do not retain).
-	Score func(*diffusion.Deployment) float64
-	// ScoreBatch, when non-nil, takes precedence over Score: it receives
-	// every candidate snapshot at once (independent deployments the callee
-	// may score concurrently; do not retain) and returns their rates in
-	// order. Candidate choice and the argmax tie-break are identical to the
-	// Score path, so the two select the same snapshot whenever the callee
-	// scores a deployment identically.
+	// reported metric actually is. Solve calls it once with at most 32
+	// independent deployments, which the callee may score concurrently (do
+	// not retain), and reads their rates back in order.
 	ScoreBatch func([]*diffusion.Deployment) []float64
-	// UniverseCap truncates the root-sampling domain (0 means 1<<18 nodes).
-	UniverseCap int
-	// MinSamples and MaxSamples bound the per-collection doubling schedule
-	// (0 means 256 and 1<<19). MaxSamples caps an uncertifiable instance;
-	// Result.Certified reports whether the target was met.
-	MinSamples, MaxSamples int
 	// Workers caps the goroutines sample extension, gate-DP prefill and
 	// ScoreBatch fan-out may use (≤1 means sequential). Draws are keyed by
 	// sample index, never by worker, so every worker count produces
@@ -157,7 +151,7 @@ type Result struct {
 	Rounds     int     // doubling rounds run
 	Samples    int     // total samples visible to the final round, both collections
 	LB, UB     float64 // final benefit bounds on the sketch objective
-	Certified  bool    // the (1−1/e−ε, δ) target was met before MaxSamples
+	Certified  bool    // the (1−1/e−ε, δ) target was met before maxSamples
 	Steps      []Step  // the selected prefix of greedy moves
 	Workers    int     // effective worker cap the build ran under
 	BuildNs    int64   // nanoseconds spent drawing/patching samples
@@ -186,25 +180,6 @@ func Solve(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sketch: unknown model %q (want one of %v)", cfg.Model, diffusion.Models())
 	}
 	n := cfg.Inst.G.NumNodes()
-	ucap := cfg.UniverseCap
-	if ucap <= 0 {
-		ucap = defaultUniverseCap
-	}
-	theta0 := cfg.MinSamples
-	if theta0 <= 0 {
-		theta0 = defaultMinSamples
-	}
-	thetaMax := cfg.MaxSamples
-	if thetaMax <= 0 {
-		thetaMax = defaultMaxSamples
-	}
-	if thetaMax < theta0 {
-		thetaMax = theta0
-	}
-	tol := cfg.RateTolerance
-	if tol < 0 {
-		tol = 0
-	}
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -229,7 +204,7 @@ func Solve(cfg Config) (*Result, error) {
 		buildNs    int64
 		exactState = true
 	)
-	if w := cfg.Warm; w.usable(cfg.Inst, cfg.Seed, lt, ucap, theta0, thetaMax) {
+	if w := cfg.Warm; w.usable(cfg.Inst, cfg.Seed, lt) {
 		if w.exact && !w.Dirty() && w.sig == sig {
 			u, ga, st1, st2 = w.u, w.ga, w.st1, w.st2
 		} else if cfg.WarmApprox {
@@ -242,7 +217,7 @@ func Solve(cfg Config) (*Result, error) {
 		}
 	}
 	if st1 == nil {
-		u = buildUniverse(cfg.Inst, cfg.Pivots, ucap)
+		u = buildUniverse(cfg.Inst, cfg.Pivots, universeCap)
 		if u.total <= 0 {
 			res.Certified = true
 			return res, nil
@@ -256,18 +231,18 @@ func Solve(cfg Config) (*Result, error) {
 	// (OPIM-C's δ/(3·imax) schedule), so the union bound over every round's
 	// two tails holds at 1−δ however early the rule stops.
 	imax := 1
-	for t := theta0; t < thetaMax; t *= 2 {
+	for t := minSamples; t < maxSamples; t *= 2 {
 		imax++
 	}
 	a := math.Log(3 * float64(imax) / cfg.Delta)
 	target := 1 - 1/math.E - cfg.Epsilon
 
-	// An exact warm starts the schedule over from theta0: extension no-ops
+	// An exact warm starts the schedule over from minSamples: extension no-ops
 	// until theta passes the pooled length and the cover passes are limited
 	// to the round's prefix, so the replay is bit-identical to the cold
 	// run. A patched warm skips straight to its pooled length — its earlier
 	// rounds already certified once and the patch preserved sample count.
-	thetaStart := theta0
+	thetaStart := minSamples
 	if !exactState && st1.len() > thetaStart {
 		thetaStart = st1.len()
 	}
@@ -323,7 +298,7 @@ func Solve(cfg Config) (*Result, error) {
 			res.Certified = true
 			break
 		}
-		if theta >= thetaMax {
+		if theta >= maxSamples {
 			break
 		}
 	}
@@ -337,8 +312,8 @@ func Solve(cfg Config) (*Result, error) {
 	// later (larger) deployment.
 	bestIdx := len(moves) - 1
 	if !cfg.SpendBudget {
-		if cfg.ScoreBatch != nil || cfg.Score != nil {
-			bestIdx = selectForward(cfg, moves, cov2, scale, n, tol)
+		if cfg.ScoreBatch != nil {
+			bestIdx = selectForward(cfg.ScoreBatch, moves, cov2, scale, n)
 		} else {
 			maxRate := 0.0
 			for i := range moves {
@@ -346,7 +321,7 @@ func Solve(cfg Config) (*Result, error) {
 				if r > maxRate {
 					maxRate = r
 				}
-				if r >= maxRate*(1-tol) {
+				if r >= maxRate*(1-RateTolerance) {
 					bestIdx = i
 				}
 			}
@@ -369,8 +344,8 @@ func Solve(cfg Config) (*Result, error) {
 	}
 	res.Warm = &Warm{
 		inst: cfg.Inst, seed: cfg.Seed, lt: lt,
-		ucap: ucap, min: theta0, max: thetaMax, sig: sig,
-		u: u, ga: ga, st1: st1, st2: st2,
+		sig: sig,
+		u:   u, ga: ga, st1: st1, st2: st2,
 		exact: exactState,
 	}
 	return res, nil
@@ -383,11 +358,9 @@ func Solve(cfg Config) (*Result, error) {
 const maxScored = 32
 
 // selectForward picks the snapshot index by forward-measured rate over a
-// bounded candidate set of greedy prefixes. The ScoreBatch path hands every
-// candidate out at once (each an independent clone of the greedy prefix)
-// and runs the identical argmax over the returned rates, so batch and
-// one-at-a-time scoring select the same snapshot.
-func selectForward(cfg Config, moves []move, cov2 []int, scale float64, n int, tol float64) int {
+// bounded candidate set of greedy prefixes, each handed to score as an
+// independent clone of the prefix.
+func selectForward(score func([]*diffusion.Deployment) []float64, moves []move, cov2 []int, scale float64, n int) int {
 	cand := make([]bool, len(moves))
 	if len(moves) <= maxScored {
 		for i := range cand {
@@ -413,43 +386,24 @@ func selectForward(cfg Config, moves []move, cov2 []int, scale float64, n int, t
 		cand[len(moves)-1] = true
 	}
 	d := diffusion.NewDeployment(n)
-	if cfg.ScoreBatch != nil {
-		var deps []*diffusion.Deployment
-		var idxs []int
-		for i, mv := range moves {
-			applyMove(d, mv)
-			if cand[i] {
-				deps = append(deps, d.Clone())
-				idxs = append(idxs, i)
-			}
-		}
-		scores := cfg.ScoreBatch(deps)
-		bestIdx, maxRate := len(moves)-1, 0.0
-		first := true
-		for j, i := range idxs {
-			r := scores[j]
-			if first || r > maxRate {
-				maxRate = r
-			}
-			if first || r >= maxRate*(1-tol) {
-				bestIdx = i
-			}
-			first = false
-		}
-		return bestIdx
-	}
-	bestIdx, maxRate := len(moves)-1, 0.0
-	first := true
+	var deps []*diffusion.Deployment
+	var idxs []int
 	for i, mv := range moves {
 		applyMove(d, mv)
-		if !cand[i] {
-			continue
+		if cand[i] {
+			deps = append(deps, d.Clone())
+			idxs = append(idxs, i)
 		}
-		r := cfg.Score(d)
+	}
+	scores := score(deps)
+	bestIdx, maxRate := len(moves)-1, 0.0
+	first := true
+	for j, i := range idxs {
+		r := scores[j]
 		if first || r > maxRate {
 			maxRate = r
 		}
-		if first || r >= maxRate*(1-tol) {
+		if first || r >= maxRate*(1-RateTolerance) {
 			bestIdx = i
 		}
 		first = false

@@ -133,8 +133,8 @@ func TestSingleNodeCertifiesFirstRound(t *testing.T) {
 	if !res.Deployment.IsSeed(0) || res.Deployment.NumSeeds() != 1 {
 		t.Fatalf("deployment = %v, want the lone node seeded", res.Deployment.Seeds())
 	}
-	if res.Samples != 2*defaultMinSamples {
-		t.Fatalf("samples = %d, want the two minimum collections (%d)", res.Samples, 2*defaultMinSamples)
+	if res.Samples != 2*minSamples {
+		t.Fatalf("samples = %d, want the two minimum collections (%d)", res.Samples, 2*minSamples)
 	}
 }
 

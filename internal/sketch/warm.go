@@ -27,12 +27,10 @@ import (
 // by both probes are bit-for-bit what a cold draw over the patched graph
 // would produce.
 type Warm struct {
-	inst     *diffusion.Instance
-	seed     uint64
-	lt       bool
-	ucap     int
-	min, max int
-	sig      uint64 // pivot-queue fingerprint; exact reuse requires equality
+	inst *diffusion.Instance
+	seed uint64
+	lt   bool
+	sig  uint64 // pivot-queue fingerprint; exact reuse requires equality
 
 	u        *universe
 	ga       *gates
@@ -69,21 +67,11 @@ func (w *Warm) Exact() bool { return w != nil && w.exact }
 // Dirty reports whether churn has been noted since the last build or patch.
 func (w *Warm) Dirty() bool { return w != nil && len(w.churn) > 0 }
 
-// Samples returns the pooled per-collection sample count.
-func (w *Warm) Samples() int {
-	if w == nil || w.st1 == nil {
-		return 0
-	}
-	return w.st1.len() + w.st2.len()
-}
-
 // usable reports whether the state was built under the same draw identity
-// as the requesting config: same seed (the coin streams), model, universe
-// cap and doubling schedule, over the instance the caller is solving.
-func (w *Warm) usable(inst *diffusion.Instance, seed uint64, lt bool, ucap, min, max int) bool {
-	return w != nil && w.st1 != nil && w.inst == inst &&
-		w.seed == seed && w.lt == lt && w.ucap == ucap &&
-		w.min == min && w.max == max
+// as the requesting config: same seed (the coin streams) and model, over
+// the instance the caller is solving.
+func (w *Warm) usable(inst *diffusion.Instance, seed uint64, lt bool) bool {
+	return w != nil && w.st1 != nil && w.inst == inst && w.seed == seed && w.lt == lt
 }
 
 // NoteChurn records an appended edge batch whose keys are firstKey,

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used across the
-// reproduction: running moments, quantiles, confidence intervals and
-// histogram summaries for experiment reporting, plus distribution helpers
-// shared by the cost models and graph generators.
+// reproduction: running moments, quantiles and confidence intervals for
+// experiment reporting, plus the power-law exponent estimate the graph
+// statistics report.
 package stats
 
 import (
@@ -16,22 +16,10 @@ type Running struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds x into the accumulator.
 func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	r.n++
 	d := x - r.mean
 	r.mean += d / float64(r.n)
@@ -43,12 +31,6 @@ func (r *Running) N() int { return r.n }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (r *Running) Mean() float64 { return r.mean }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (r *Running) Max() float64 { return r.max }
 
 // Variance returns the unbiased sample variance (n-1 denominator).
 func (r *Running) Variance() float64 {
@@ -72,29 +54,6 @@ func (r *Running) StdErr() float64 {
 // CI95 returns the half-width of a ~95% normal-approximation confidence
 // interval around the mean.
 func (r *Running) CI95() float64 { return 1.96 * r.StdErr() }
-
-// Merge folds another accumulator into r (parallel Welford combination).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	mean := r.mean + d*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	min, max := r.min, r.max
-	if o.min < min {
-		min = o.min
-	}
-	if o.max > max {
-		max = o.max
-	}
-	*r = Running{n: n, mean: mean, m2: m2, min: min, max: max}
-}
 
 // String renders "mean ± ci95 (n=…)".
 func (r *Running) String() string {
@@ -126,27 +85,6 @@ func StdErrFromMoments(n int, mean, meanSq float64) float64 {
 	return math.Sqrt(VarianceFromMoments(n, mean, meanSq) / float64(n))
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Quantile returns the q-quantile (0<=q<=1) of xs using linear
 // interpolation. It copies and sorts the input. Empty input returns 0.
 func Quantile(xs []float64, q float64) float64 {
@@ -170,54 +108,6 @@ func Quantile(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
 }
-
-// Histogram is a fixed-width-bucket histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int
-	totalN  int
-	underN  int
-	overN   int
-	binSize float64
-}
-
-// NewHistogram creates a histogram with n buckets over [lo, hi).
-// It panics if n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: NewHistogram with non-positive bucket count")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram with hi <= lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n), binSize: (hi - lo) / float64(n)}
-}
-
-// Add records x, counting out-of-range values separately.
-func (h *Histogram) Add(x float64) {
-	h.totalN++
-	switch {
-	case x < h.Lo:
-		h.underN++
-	case x >= h.Hi:
-		h.overN++
-	default:
-		i := int((x - h.Lo) / h.binSize)
-		if i >= len(h.Counts) { // guard against float rounding at the edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// N returns the total number of observations including out-of-range ones.
-func (h *Histogram) N() int { return h.totalN }
-
-// Under and Over return the number of observations below Lo / at or above Hi.
-func (h *Histogram) Under() int { return h.underN }
-
-// Over returns the number of observations at or above Hi.
-func (h *Histogram) Over() int { return h.overN }
 
 // PowerLawExponent estimates the exponent alpha of a discrete power-law
 // degree distribution via the maximum-likelihood estimator of Clauset,

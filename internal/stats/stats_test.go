@@ -24,9 +24,6 @@ func TestRunningBasics(t *testing.T) {
 	if !almost(r.Variance(), 2.5, 1e-12) {
 		t.Fatalf("Variance = %v, want 2.5", r.Variance())
 	}
-	if r.Min() != 1 || r.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v, want 1/5", r.Min(), r.Max())
-	}
 }
 
 func TestRunningEmpty(t *testing.T) {
@@ -87,67 +84,6 @@ func TestMomentsDegenerate(t *testing.T) {
 	}
 }
 
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	src := rng.New(4)
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = src.NormFloat64()*3 + 7
-	}
-	var whole Running
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	var a, b Running
-	for i, x := range xs {
-		if i < 321 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	if !almost(a.Mean(), whole.Mean(), 1e-9) {
-		t.Fatalf("merged mean = %v, want %v", a.Mean(), whole.Mean())
-	}
-	if !almost(a.Variance(), whole.Variance(), 1e-9) {
-		t.Fatalf("merged variance = %v, want %v", a.Variance(), whole.Variance())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatal("merged min/max mismatch")
-	}
-}
-
-func TestRunningMergeEmptySides(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(b) // merging empty is a no-op
-	if a != before {
-		t.Fatal("merging empty changed accumulator")
-	}
-	var c Running
-	c.Merge(a)
-	if c != a {
-		t.Fatal("merging into empty should copy")
-	}
-}
-
-func TestMeanSum(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	if Mean([]float64{2, 4}) != 3 {
-		t.Fatal("Mean([2 4]) != 3")
-	}
-	if Sum([]float64{1, 2, 3}) != 6 {
-		t.Fatal("Sum != 6")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	cases := []struct{ q, want float64 }{
@@ -197,41 +133,6 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 11} {
-		h.Add(x)
-	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d, want 7", h.N())
-	}
-	if h.Under() != 1 || h.Over() != 2 {
-		t.Fatalf("Under/Over = %d/%d, want 1/2", h.Under(), h.Over())
-	}
-	wantCounts := []int{2, 1, 0, 0, 1}
-	for i, want := range wantCounts {
-		if h.Counts[i] != want {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, h.Counts[i], want, h.Counts)
-		}
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }
 

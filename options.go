@@ -107,12 +107,21 @@ func WithModel(name string) Option {
 	}
 }
 
+// maxSamples caps the per-call Monte-Carlo sample count. Engines allocate
+// per-world state up front, so an unbounded count is an out-of-memory
+// crash rather than a slow call; 2^20 worlds is ten times the largest
+// count the experiments use.
+const maxSamples = 1 << 20
+
 // WithSamples sets the Monte-Carlo sample count per benefit evaluation
-// (default 1000, the paper's setting).
+// (default 1000, the paper's setting; at most 2^20).
 func WithSamples(n int) Option {
 	return func(c *config) error {
 		if n <= 0 {
 			return fmt.Errorf("samples must be positive, got %d", n)
+		}
+		if n > maxSamples {
+			return fmt.Errorf("samples must be at most %d, got %d", maxSamples, n)
 		}
 		c.samples = n
 		return nil

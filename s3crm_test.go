@@ -46,6 +46,15 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := NewProblem(2).AddEdge(0, 1, 7).Build(); err == nil {
 		t.Fatal("bad probability accepted")
 	}
+	if _, err := NewProblem(3).AddEdge(0, 1, math.NaN()).Budget(5).Build(); err == nil {
+		t.Fatal("NaN probability accepted")
+	}
+	if _, err := NewProblem(2).AddEdge(0, 1, 0.5).Budget(math.NaN()).Build(); err == nil {
+		t.Fatal("NaN budget accepted")
+	}
+	if _, err := NewProblem(2).SetUser(1, math.NaN(), 1, 1).Budget(5).Build(); err == nil {
+		t.Fatal("NaN benefit accepted")
+	}
 	// First error wins and is sticky.
 	b := NewProblem(2).AddEdge(0, 5, 0.5).SetUser(9, 1, 1, 1)
 	if _, err := b.Build(); err == nil {
