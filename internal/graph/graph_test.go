@@ -82,6 +82,26 @@ func TestFromEdgesValidation(t *testing.T) {
 	}
 }
 
+// TestBuilderRejectsBadEdges: the streaming builder validates each arc as
+// it arrives, with the same rules FromEdges applies to a whole edge list.
+func TestBuilderRejectsBadEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		from, to int32
+		p        float64
+	}{
+		{"out-of-range target", 0, 2, 0.5},
+		{"negative source", -1, 0, 0.5},
+		{"negative probability", 0, 1, -0.1},
+		{"probability > 1", 0, 1, 1.1},
+		{"NaN probability", 0, 1, math.NaN()},
+	} {
+		if err := NewStreamBuilder(2).AddProb(tc.from, tc.to, tc.p); err == nil {
+			t.Fatalf("accepted %s", tc.name)
+		}
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	g, err := FromEdges(0, nil)
 	if err != nil {

@@ -108,7 +108,7 @@ func (b *StreamBuilder) AddProb(from, to int32, p float64) error {
 }
 
 func (b *StreamBuilder) addProb(from, to int32, p float64) error {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return fmt.Errorf("graph: edge (%d,%d) probability %v outside [0,1]", from, to, p)
 	}
 	if b.prob == nil {
