@@ -158,6 +158,51 @@ func TestApplyEdgesColdParity(t *testing.T) {
 	}
 }
 
+// TestApplyEdgesLTFromEdgeless: an LT campaign whose graph starts with no
+// edges must evaluate appended edges under LT, not as independent-cascade
+// coins. Node 1 gains two in-edges of weight 0.3: LT activates it with
+// probability 0.45 in this cascade, IC with 0.405, so a warm campaign that
+// fell back to IC coins would drift visibly from the cold one.
+func TestApplyEdgesLTFromEdgeless(t *testing.T) {
+	ctx := context.Background()
+	b := NewProblem(4)
+	for v := 0; v < 4; v++ {
+		b.SetUser(v, 10, 1, 1)
+	}
+	p, err := b.Budget(10).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []Option{WithModel("lt"), WithEngine("mc"), WithSamples(2000), WithSeed(5)}
+	warm, err := p.NewCampaign(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Evaluate(ctx, Deployment{Seeds: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	stream := []EdgeAdd{{From: 0, To: 1, P: 0.3}, {From: 2, To: 1, P: 0.3}, {From: 0, To: 2, P: 0.5}, {From: 1, To: 3, P: 0.5}}
+	if _, err := warm.ApplyEdges(ctx, stream); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := coldProblemAfter(t, p, stream).NewCampaign(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep := Deployment{Seeds: []int{0}, Coupons: map[int]int{0: 2, 1: 1, 2: 1}}
+	rw, err := warm.Evaluate(ctx, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := cold.Evaluate(ctx, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rw, rc) {
+		t.Fatalf("warm LT campaign diverged from cold after churn from an edgeless graph:\nwarm %+v\ncold %+v", rw, rc)
+	}
+}
+
 // TestApplyEdgesSplitEquivalence: the public bit-exactness contract — how an
 // append stream is batched cannot matter. One call, two calls and
 // edge-at-a-time application answer identically.

@@ -57,7 +57,6 @@ func Exhaustive(ctx context.Context, in *diffusion.Instance, cfg ExhaustiveConfi
 	}
 	ev, err := diffusion.NewEngineOpts(in, diffusion.EngineOptions{
 		Samples: cfg.Samples, Seed: cfg.Seed,
-		Diffusion: diffusion.DiffusionHash, // tiny instances: skip materialization
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)

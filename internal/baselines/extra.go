@@ -50,22 +50,16 @@ func risRank(in *diffusion.Instance, cfg Config, maxSeeds int) ([]int32, error) 
 // materialized model state within the memory budget, hashing past it — so
 // the sketches and the forward simulators share one liveness source.
 func (c Config) sketches(in *diffusion.Instance, count int, seed uint64) (*ris.Sketches, error) {
-	src := rng.New(seed)
-	if c.Model == diffusion.ModelLT {
-		coin := rng.NewCoin(seed)
-		le := diffusion.NewLTLiveEdges(in.G, count, coin, c.LiveEdgeMemBudget, true)
-		return ris.GenerateLiveLT(in.G, count, src, func(world, edge uint64, _ float64) bool {
-			// le is nil only for empty-edge graphs, where no probe occurs.
-			return le.Live(world, edge)
-		})
-	}
 	coin := rng.NewCoin(seed)
-	le := diffusion.NewLiveEdges(in.G, count, coin, c.LiveEdgeMemBudget)
-	return ris.GenerateLive(in.G, count, src, func(world, edge uint64, p float64) bool {
-		if le != nil {
-			return le.Live(world, edge)
-		}
-		return coin.Live(world, edge, p)
+	var le *diffusion.LiveEdges
+	generate := ris.GenerateLive
+	if c.Model == diffusion.ModelLT {
+		le, generate = diffusion.NewLTLiveEdges(in.G, count, coin, c.LiveEdgeMemBudget), ris.GenerateLiveLT
+	} else {
+		le = diffusion.NewLiveEdges(in.G, count, coin, c.LiveEdgeMemBudget)
+	}
+	return generate(in.G, count, rng.New(seed), func(world, edge uint64, _ float64) bool {
+		return le.Live(world, edge)
 	})
 }
 

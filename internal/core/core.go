@@ -150,9 +150,8 @@ type Stats struct {
 	GPsCreated    int   // guaranteed paths realized by SCM
 	ExploredNodes int   // distinct users examined across all phases
 	Evaluations   int64 // Monte-Carlo evaluations performed
-	// WorldBlocks counts 64-world blocks evaluated by the bit-parallel
-	// kernel; 0 under the scalar kernel (a parity-oracle engine or the
-	// automatic scalar fallback).
+	// WorldBlocks counts 64-world blocks evaluated by the block kernel,
+	// the sweep every full evaluation and world-cache rebase runs.
 	WorldBlocks int64
 	// CandidateEvals counts ID-loop candidate marginal-gain evaluations.
 	// The exhaustive sweep pays |candidates| per iteration; the lazy loop

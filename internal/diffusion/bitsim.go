@@ -6,37 +6,6 @@ import (
 	"s3crm/internal/bitset"
 )
 
-// Eval-mode names accepted by EngineOptions.EvalMode. The choice is not a
-// public knob: the bit-parallel kernel is what every caller runs, and the
-// scalar kernel stays as the lone-world path and the parity oracle tests
-// build through NewEngineOpts.
-const (
-	// EvalBitParallel (the default) evaluates 64 possible worlds per machine
-	// word: one BFS pass over the CSR propagates a whole world block, edge
-	// probes mask the block's live-bits word from the substrate, and only
-	// the sparse per-world events (activations, first probes) pay per-bit
-	// work. Outcomes are bit-identical to the scalar kernel — see DESIGN.md
-	// ("Bit-parallel evaluation"). Falls back to the scalar kernel
-	// automatically when the call has no liveness substrate to read block
-	// words from (IC under DiffusionHash).
-	EvalBitParallel = "bitparallel"
-	// EvalScalar walks worlds one at a time — the parity oracle the
-	// bit-parallel kernel is tested against, and the only kernel for IC
-	// hash-per-probe evaluation.
-	EvalScalar = "scalar"
-)
-
-// EvalModes lists the world-evaluation kernels in documentation order.
-func EvalModes() []string { return []string{EvalBitParallel, EvalScalar} }
-
-// bitParallel reports whether this estimator's evaluations run the 64-world
-// block kernel: the default unless scalar mode was requested or there is no
-// liveness substrate to mask block probes from (IC under DiffusionHash,
-// where every probe is a fresh hash).
-func (e *Estimator) bitParallel() bool {
-	return e.EvalMode != EvalScalar && e.Live != nil
-}
-
 // blockEntry is one activation event in the block kernel's shared frontier
 // queue: node joined the cascade at hop, in exactly the worlds of mask.
 // Masks for the same node are disjoint across entries — a world activates a
@@ -245,11 +214,12 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, 
 	}
 }
 
-// runBlocks is run's block-kernel counterpart: worlds [lo, hi) are swept in
-// 64-aligned blocks (partial masks at the ragged ends), and the per-world
+// runBlocks simulates worlds [lo, hi) and returns means over that slice
+// tagged with its weight relative to the full sample count. Worlds are swept
+// in 64-aligned blocks (partial masks at the ragged ends), and the per-world
 // aggregates are folded in ascending world order — the same summation
-// sequence as the scalar sweep, so the Result is bit-identical for any
-// [lo, hi) split.
+// sequence as folding simWorld over the range, so the Result is
+// bit-identical for any [lo, hi) split.
 func (e *Estimator) runBlocks(d *Deployment, lo, hi int) Result {
 	bs := e.getBlockScratch()
 	defer e.putBlockScratch(bs)
@@ -257,8 +227,9 @@ func (e *Estimator) runBlocks(d *Deployment, lo, hi int) Result {
 	nblocks := int64(0)
 	for base := lo &^ bitset.WordMask; base < hi; base += bitset.WordBits {
 		if e.cancelled() {
-			// Abort mid-sweep; as in the scalar kernel, the caller must check
-			// ctx.Err() before trusting anything produced after cancellation.
+			// Abort mid-sweep: the partial sums are meaningless, but the
+			// caller is contractually bound to check ctx.Err() before
+			// trusting anything produced after cancellation.
 			break
 		}
 		blo, bhi := 0, bitset.WordBits

@@ -38,16 +38,21 @@
 // Edge liveness comes from a stateless hash — of (seed, world, edge) under
 // ModelIC, of (seed, world, target node) walked down the in-row under
 // ModelLT — giving common random numbers, so every deployment sees
-// identical worlds; it is either recomputed per probe (DiffusionHash) or
-// materialized once per world into the model's row layout
-// (DiffusionLiveEdge, the default; see LiveEdges).
+// identical worlds. One substrate owns that decision (LiveEdges): every
+// estimator probes through it, and it materializes each world's liveness
+// into the model's row layout within a memory budget, hashing per probe
+// past it, with identical outcomes.
 //
-// The single propagation kernel (Estimator.simWorld) iterates the graph's
-// CSR rows directly — a row's global base offset doubles as the coin-flip
-// edge identity — and is shared by every engine, which is what keeps their
-// reported metrics bit-identical. Work shards across workers by contiguous
-// world ranges (worlds are independent; per-worker partial sums recombine
-// in world order, so parallel evaluation equals sequential exactly); graph
+// Worlds are swept by one kernel, the 64-world block kernel
+// (Estimator.simBlock), which iterates the graph's CSR rows directly — a
+// row's global base offset doubles as the coin-flip edge identity — and is
+// shared by every engine, which is what keeps their reported metrics
+// bit-identical. The scalar one-world kernel (Estimator.simWorld) remains
+// as the world cache's lone-world path and as the tests' reference, which
+// the block kernel reproduces world for world. Work shards across workers
+// by contiguous world ranges (worlds are independent; per-worker partial
+// sums recombine in world order, so parallel evaluation equals sequential
+// exactly); graph
 // construction, by contrast, shards by contiguous node ranges (see
 // internal/graph). Both axes are documented in DESIGN.md, "Graph
 // substrate".

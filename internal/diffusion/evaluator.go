@@ -1,6 +1,10 @@
 package diffusion
 
-import "fmt"
+import (
+	"fmt"
+
+	"s3crm/internal/rng"
+)
 
 // Engine names accepted by NewEngineOpts and threaded through core.Options,
 // baselines.Config and the public s3crm.WithEngine.
@@ -87,9 +91,8 @@ type Evaluator interface {
 }
 
 // EngineOptions configures NewEngineOpts: which engine to build, its
-// Monte-Carlo parameters, the triggering model that owns per-world edge
-// liveness, and — for parity oracles only — the diffusion substrate and
-// evaluation kernel the propagation probes that liveness through.
+// Monte-Carlo parameters, and the triggering model that owns per-world edge
+// liveness.
 type EngineOptions struct {
 	// Engine names the evaluation engine (see Engines); empty means EngineMC.
 	Engine string
@@ -104,28 +107,18 @@ type EngineOptions struct {
 	Seed    uint64
 	// Workers sets evaluation parallelism; <= 1 means sequential.
 	Workers int
-	// Diffusion selects the edge-liveness substrate (see Diffusions); empty
-	// means DiffusionLiveEdge — materialized per-world bitsets with an
-	// automatic fall-back to hashing over the memory budget.
-	Diffusion string
 	// LiveEdgeMemBudget caps the bytes the live-edge substrate may commit
 	// to materialized worlds (<= 0 means DefaultLiveEdgeMemBudget). Above
-	// the cap the engine hashes every probe instead; results are identical.
+	// the cap the substrate hashes every probe instead; results are
+	// identical.
 	LiveEdgeMemBudget int64
-	// EvalMode selects the world-evaluation kernel (see EvalModes); empty
-	// means EvalBitParallel — 64 worlds per machine word — with an automatic
-	// scalar fallback when the configuration yields no liveness substrate to
-	// mask block probes from (IC under DiffusionHash). Both kernels produce
-	// bit-identical Results; the mode is purely a speed/diagnosis choice.
-	EvalMode string
 }
 
 // NewEngineOpts constructs the configured evaluation engine over inst.
 // EngineSSR returns a plain Monte-Carlo evaluator — its sketches drive
 // selection, not benefit estimation — so all engines agree on Evaluate up
-// to floating-point summation order, whatever the substrate.
+// to floating-point summation order, whatever the memory budget.
 func NewEngineOpts(inst *Instance, o EngineOptions) (Evaluator, error) {
-	var est *Estimator
 	switch o.Engine {
 	case EngineAuto:
 		// Callers normally resolve auto before building (Campaign.newCall,
@@ -134,8 +127,6 @@ func NewEngineOpts(inst *Instance, o EngineOptions) (Evaluator, error) {
 		o.Engine = AutoEngine(inst.G.NumNodes(), inst.G.NumEdges())
 		return NewEngineOpts(inst, o)
 	case "", EngineMC, EngineSSR, EngineWorldCache:
-		est = NewEstimator(inst, o.Samples, o.Seed)
-		est.Workers = o.Workers
 	default:
 		return nil, fmt.Errorf("diffusion: unknown engine %q (want one of %v)", o.Engine, Engines())
 	}
@@ -143,33 +134,16 @@ func NewEngineOpts(inst *Instance, o EngineOptions) (Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch o.Diffusion {
-	case "", DiffusionLiveEdge, DiffusionHash:
-	default:
-		return nil, fmt.Errorf("diffusion: unknown diffusion substrate %q (want one of %v)", o.Diffusion, Diffusions())
-	}
-	switch o.EvalMode {
-	case "", EvalBitParallel, EvalScalar:
-		est.EvalMode = o.EvalMode
-	default:
-		return nil, fmt.Errorf("diffusion: unknown eval mode %q (want one of %v)", o.EvalMode, EvalModes())
-	}
+	est := &Estimator{Inst: inst, Samples: o.Samples, Workers: o.Workers}
+	coin := rng.NewCoin(o.Seed)
 	switch model {
 	case ModelIC:
-		if o.Diffusion != DiffusionHash {
-			est.Live = NewLiveEdges(inst.G, o.Samples, est.Coin, o.LiveEdgeMemBudget)
-		}
-		// Under DiffusionHash the estimator probes the coin directly
-		// (Live == nil) — PR 1's behaviour, bit-for-bit.
+		est.Live = NewLiveEdges(inst.G, o.Samples, coin, o.LiveEdgeMemBudget)
 	case ModelLT:
 		if err := ValidateLTWeights(inst.G); err != nil {
 			return nil, err
 		}
-		// LT always probes through the substrate: even hash-per-probe
-		// evaluation needs the reverse CSR's in-rows for the categorical
-		// walk. Only materialization is gated by the diffusion choice.
-		est.Live = NewLTLiveEdges(inst.G, o.Samples, est.Coin, o.LiveEdgeMemBudget,
-			o.Diffusion != DiffusionHash)
+		est.Live = NewLTLiveEdges(inst.G, o.Samples, coin, o.LiveEdgeMemBudget)
 	}
 	if o.Engine == EngineWorldCache {
 		return &WorldCache{Est: est}, nil

@@ -8,41 +8,19 @@ import (
 	"s3crm/internal/rng"
 )
 
-// Diffusion substrate names accepted by EngineOptions.Diffusion. The choice
-// is not a public knob: every caller runs the live-edge substrate, which
-// itself falls back to hashing past its memory budget, and DiffusionHash
-// stays as the oracle tests build through NewEngineOpts.
-const (
-	// DiffusionLiveEdge (the default) materializes each world's edge
-	// liveness once so the propagation kernel, the world-cache frontier
-	// replay and RIS sketch generation read precomputed state instead of
-	// recomputing a splitmix64 hash chain per probe. What is materialized
-	// is owned by the triggering model: under IC, per-edge bit rows (one
-	// bit per possible world); under LT, per-node chosen-in-edge rows (the
-	// forward index of the node's selected in-edge per world). Under common
-	// random numbers liveness is deployment-independent, which is what
-	// makes the one-off materialization sound. Rows are filled lazily on
-	// first probe (state no cascade ever reaches costs nothing) and capped
-	// by a memory budget, beyond which probes fall back to hashing —
-	// results are identical either way.
-	DiffusionLiveEdge = "liveedge"
-	// DiffusionHash recomputes the stateless per-probe function every time
-	// (PR 1's behaviour for IC; for LT, the categorical in-row walk):
-	// zero memory overhead, identical outcomes.
-	DiffusionHash = "hash"
-)
-
-// Diffusions lists the diffusion substrates in documentation order.
-func Diffusions() []string { return []string{DiffusionLiveEdge, DiffusionHash} }
-
 // DefaultLiveEdgeMemBudget caps the memory a LiveEdges substrate may commit
 // to materialized rows: 256 MiB, enough for 1000 worlds over a
 // two-million-edge graph even if every edge is probed.
 const DefaultLiveEdgeMemBudget = int64(256) << 20
 
-// LiveEdges is the materialized per-world edge-liveness substrate — the
-// object every engine probes through Live(world, edge), with the layout
-// owned by the triggering model:
+// LiveEdges is the per-world edge-liveness substrate — the one owner of the
+// liveness decision, which every engine probes through Live(world, edge) or
+// BlockMask. Each world's edge liveness is materialized once so the
+// propagation kernels, the world-cache frontier replay and RIS sketch
+// generation read precomputed state instead of recomputing a splitmix64
+// hash chain per probe. Under common random numbers liveness is
+// deployment-independent, which is what makes the one-off materialization
+// sound. The layout is owned by the triggering model:
 //
 //   - IC: per global edge index, a packed row of one bit per possible world
 //     holding the outcome of rng.Coin.Live for that (world, edge) pair. The
@@ -57,9 +35,12 @@ const DefaultLiveEdgeMemBudget = int64(256) << 20
 //     probe of edge e answers chosen[target(e)][world] == e, so at most one
 //     in-edge of a node is ever live in a world.
 //
-// Rows fill lazily on first probe and the total is capped by a byte budget;
-// once the budget is exhausted the remaining probes hash per probe, with
-// identical outcomes (the rows hold the hash function's own draws). Filling
+// Rows fill lazily on first probe (state no cascade ever reaches costs
+// nothing) and the total is capped by a byte budget; once the budget is
+// exhausted the remaining probes hash per probe, with identical outcomes
+// (the rows hold the hash function's own draws). A budget below one row
+// materializes nothing and hashes every probe — the reference the
+// substrate-parity tests compare against. Filling
 // is safe for concurrent use: workers racing on a row each build the
 // (identical, deterministic) contents and the first CAS wins.
 type LiveEdges struct {
@@ -87,9 +68,10 @@ type LiveEdges struct {
 	rows     []atomic.Pointer[[]uint64]
 	extRows  []atomic.Pointer[[]uint64]
 
-	// LT state: per-node chosen-in-edge rows over the shared reverse CSR.
+	// LT state: per-node chosen-in-edge rows over the shared reverse CSR;
+	// chosen is nil when the budget cannot hold one row, and every LT probe
+	// then walks the in-row by hash.
 	lt          bool
-	materialize bool         // false ⇒ every LT probe walks the in-row by hash
 	g           *graph.Graph // reverse CSR access for the categorical walk
 	targets     []int32      // coin key → target node, split like probs
 	tailTargets []int32
@@ -123,20 +105,12 @@ func (le *LiveEdges) rowPtr(edge uint64) *atomic.Pointer[[]uint64] {
 }
 
 // NewLiveEdges returns the independent-cascade substrate for samples worlds
-// over g using coin, or nil when the budget cannot hold even a single row —
-// the caller then probes the coin directly, with identical outcomes.
-// memBudget <= 0 means DefaultLiveEdgeMemBudget.
+// over g using coin. memBudget <= 0 means DefaultLiveEdgeMemBudget.
 func NewLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64) *LiveEdges {
 	if memBudget <= 0 {
 		memBudget = DefaultLiveEdgeMemBudget
 	}
-	if samples <= 0 || g.NumEdges() == 0 {
-		return nil
-	}
 	words := (samples + 63) / 64
-	if int64(words)*8 > memBudget {
-		return nil // cannot materialize anything useful
-	}
 	baseP, _, tailP, _ := g.KeyViewParts()
 	return &LiveEdges{
 		coin:      coin,
@@ -151,22 +125,14 @@ func NewLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64) *
 }
 
 // NewLTLiveEdges returns the linear-threshold substrate for samples worlds
-// over g using coin. Unlike the IC constructor it is required under LT even
-// for hash-per-probe evaluation — the categorical in-row walk needs the
-// reverse CSR — so materialize selects between DiffusionLiveEdge (per-node
-// chosen rows within memBudget, hashing past it) and DiffusionHash (walk on
-// every probe). Outcomes are identical either way. nil is returned only for
-// empty-edge or zero-sample inputs, where no probe can ever occur.
-// memBudget <= 0 means DefaultLiveEdgeMemBudget.
+// over g using coin: per-node chosen rows within memBudget, the categorical
+// in-row walk past it. memBudget <= 0 means DefaultLiveEdgeMemBudget.
 //
 // Callers must have established the LT precondition (ValidateLTWeights):
 // in-weight sums above 1 would truncate the categorical walk.
-func NewLTLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64, materialize bool) *LiveEdges {
+func NewLTLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64) *LiveEdges {
 	if memBudget <= 0 {
 		memBudget = DefaultLiveEdgeMemBudget
-	}
-	if samples <= 0 || g.NumEdges() == 0 {
-		return nil
 	}
 	baseP, baseT, tailP, tailT := g.KeyViewParts()
 	le := &LiveEdges{
@@ -180,8 +146,7 @@ func NewLTLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64,
 		targets:     baseT,
 		tailTargets: tailT,
 	}
-	if materialize && int64(samples)*4 <= memBudget {
-		le.materialize = true
+	if int64(samples)*4 <= memBudget {
 		le.chosen = make([]atomic.Pointer[[]int32], g.NumNodes())
 	}
 	return le
@@ -244,7 +209,7 @@ func (le *LiveEdges) BlockMask(worldBase uint64, edge uint64, probe uint64) uint
 func (le *LiveEdges) ltBlockMask(worldBase uint64, edge uint64, probe uint64) uint64 {
 	t := le.target(edge)
 	var m uint64
-	if le.materialize {
+	if le.chosen != nil {
 		rp := le.chosen[t].Load()
 		if rp == nil {
 			rp = le.fillLT(t)
@@ -294,7 +259,7 @@ func (le *LiveEdges) fill(edge uint64) *[]uint64 {
 // construction, since the rows hold ltChoice's own draws.
 func (le *LiveEdges) ltLive(world uint64, edge uint64) bool {
 	t := le.target(edge)
-	if le.materialize {
+	if le.chosen != nil {
 		rp := le.chosen[t].Load()
 		if rp == nil {
 			rp = le.fillLT(t)
@@ -338,7 +303,7 @@ func (le *LiveEdges) ltChoice(world uint64, t int32) int32 {
 // world — the materialized row when present, the categorical walk otherwise.
 // The graph-churn patch compares old against new selections through it.
 func (le *LiveEdges) chosenEdge(world uint64, t int32) int32 {
-	if le.materialize {
+	if le.chosen != nil {
 		if rp := le.chosen[t].Load(); rp != nil {
 			return (*rp)[world]
 		}
@@ -396,20 +361,19 @@ func (le *LiveEdges) SpentBytes() int64 { return le.spent.Load() }
 func (le *LiveEdges) Extend(g *graph.Graph, churnTargets []int32) *LiveEdges {
 	baseP, baseT, tailP, tailT := g.KeyViewParts()
 	ne := &LiveEdges{
-		coin:        le.coin,
-		probs:       baseP,
-		tailProbs:   tailP,
-		samples:     le.samples,
-		budget:      le.budget,
-		words:       le.words,
-		worldMix:    le.worldMix,
-		lt:          le.lt,
-		materialize: le.materialize,
+		coin:      le.coin,
+		probs:     baseP,
+		tailProbs: tailP,
+		samples:   le.samples,
+		budget:    le.budget,
+		words:     le.words,
+		worldMix:  le.worldMix,
+		lt:        le.lt,
 	}
 	if le.lt {
 		ne.g = g
 		ne.targets, ne.tailTargets = baseT, tailT
-		if le.materialize {
+		if le.chosen != nil {
 			ne.chosen = make([]atomic.Pointer[[]int32], g.NumNodes())
 			carried := int64(0)
 			rowBytes := int64(le.samples) * 4

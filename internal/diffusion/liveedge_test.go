@@ -1,9 +1,11 @@
 package diffusion
 
 import (
+	"fmt"
 	"testing"
 
 	"s3crm/internal/gen"
+	"s3crm/internal/graph"
 	"s3crm/internal/rng"
 )
 
@@ -54,28 +56,22 @@ func liveEdgeDeployments(inst *Instance) []*Deployment {
 }
 
 // substratePair returns hash- and live-substrate estimators for the given
-// triggering model over shared possible worlds: under IC the hash side
-// probes the coin directly (Live == nil); under LT both sides carry the LT
-// substrate, differing only in materialization.
+// triggering model over shared possible worlds: the hash side runs on a
+// 1-byte budget, which materializes nothing and hashes every probe, the
+// live side on the default budget.
 func substratePair(t testing.TB, inst *Instance, model string, samples int, seed uint64, workers int) (hashed, lived *Estimator) {
 	t.Helper()
-	hashed = NewEstimator(inst, samples, seed)
-	hashed.Workers = workers
-	lived = NewEstimator(inst, samples, seed)
-	lived.Workers = workers
-	switch model {
-	case ModelIC:
-		lived.Live = NewLiveEdges(inst.G, samples, lived.Coin, 0)
-	case ModelLT:
-		hashed.Live = NewLTLiveEdges(inst.G, samples, hashed.Coin, 0, false)
-		lived.Live = NewLTLiveEdges(inst.G, samples, lived.Coin, 0, true)
-	default:
-		t.Fatalf("unknown model %q", model)
+	build := func(budget int64) *Estimator {
+		ev, err := NewEngineOpts(inst, EngineOptions{
+			Model: model, Samples: samples, Seed: seed, Workers: workers,
+			LiveEdgeMemBudget: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev.(*Estimator)
 	}
-	if lived.Live == nil {
-		t.Fatal("live substrate unexpectedly over the default memory budget")
-	}
-	return hashed, lived
+	return build(1), build(0)
 }
 
 // TestLiveVsHashParity pins the substrate's core guarantee for both
@@ -136,24 +132,18 @@ func TestLiveEdgeWorldCacheParity(t *testing.T) {
 	}
 }
 
-// TestLiveEdgeMemCapFallback exercises the memory-cap path: a budget too
-// small for even one row makes the constructor decline entirely; a budget
-// holding only a few rows makes later probes hash; results are unchanged
-// in both regimes.
+// TestLiveEdgeMemCapFallback exercises the memory-cap path: a budget
+// holding only a few rows makes later probes hash, and results are
+// unchanged against a substrate that hashes every probe. (A budget below
+// one row is covered by TestLiveSubstrateAlwaysPresent.)
 func TestLiveEdgeMemCapFallback(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	const samples = 100
-	if le := NewLiveEdges(inst.G, samples, rng.NewCoin(3), 8); le != nil {
-		t.Fatalf("NewLiveEdges accepted a %d-byte row under an 8-byte budget", (samples+63)/64*8)
-	}
 
 	// Budget for exactly three rows: the fourth distinct edge must fall
 	// back to hashing, with identical outcomes.
 	rowBytes := int64((samples + 63) / 64 * 8)
 	tiny := NewLiveEdges(inst.G, samples, rng.NewCoin(3), 3*rowBytes)
-	if tiny == nil {
-		t.Fatal("NewLiveEdges declined a three-row budget")
-	}
 	coin := rng.NewCoin(3)
 	probs := inst.G.Probs()
 	for e := 0; e < inst.G.NumEdges(); e++ {
@@ -167,17 +157,17 @@ func TestLiveEdgeMemCapFallback(t *testing.T) {
 		t.Fatalf("substrate committed %d bytes under a %d-byte budget", spent, 3*rowBytes)
 	}
 
-	// An engine under the tiny budget still evaluates identically to the
-	// hash substrate.
+	// An engine under the tiny budget still evaluates identically to one
+	// hashing every probe.
 	capped, err := NewEngineOpts(inst, EngineOptions{
 		Engine: EngineWorldCache, Samples: samples, Seed: 3,
-		Diffusion: DiffusionLiveEdge, LiveEdgeMemBudget: 3 * rowBytes,
+		LiveEdgeMemBudget: 3 * rowBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hashed, err := NewEngineOpts(inst, EngineOptions{
-		Engine: EngineWorldCache, Samples: samples, Seed: 3, Diffusion: DiffusionHash,
+		Engine: EngineWorldCache, Samples: samples, Seed: 3, LiveEdgeMemBudget: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,13 +182,13 @@ func TestLiveEdgeMemCapFallback(t *testing.T) {
 // TestLTLiveEdgeMemCapFallback exercises the LT budget path: a budget
 // holding only a few chosen rows makes later probes recompute the
 // categorical walk per probe, with identical outcomes; evaluations through
-// a capped engine match the hash substrate exactly.
+// a capped engine match a hash-every-probe engine exactly.
 func TestLTLiveEdgeMemCapFallback(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	const samples = 100
 	rowBytes := int64(samples) * 4
-	tiny := NewLTLiveEdges(inst.G, samples, rng.NewCoin(3), 3*rowBytes, true)
-	ref := NewLTLiveEdges(inst.G, samples, rng.NewCoin(3), 0, false)
+	tiny := NewLTLiveEdges(inst.G, samples, rng.NewCoin(3), 3*rowBytes)
+	ref := NewLTLiveEdges(inst.G, samples, rng.NewCoin(3), 1)
 	for e := 0; e < inst.G.NumEdges(); e++ {
 		for w := uint64(0); w < uint64(samples); w += 7 {
 			if got, want := tiny.Live(w, uint64(e)), ref.Live(w, uint64(e)); got != want {
@@ -211,14 +201,14 @@ func TestLTLiveEdgeMemCapFallback(t *testing.T) {
 	}
 	capped, err := NewEngineOpts(inst, EngineOptions{
 		Engine: EngineWorldCache, Model: ModelLT, Samples: samples, Seed: 3,
-		Diffusion: DiffusionLiveEdge, LiveEdgeMemBudget: 3 * rowBytes,
+		LiveEdgeMemBudget: 3 * rowBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hashed, err := NewEngineOpts(inst, EngineOptions{
 		Engine: EngineWorldCache, Model: ModelLT, Samples: samples, Seed: 3,
-		Diffusion: DiffusionHash,
+		LiveEdgeMemBudget: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,10 +253,91 @@ func TestLiveEdgeRowLazy(t *testing.T) {
 	}
 }
 
-// TestEngineOptsUnknownDiffusionRejected covers the option-validation path.
-func TestEngineOptsUnknownDiffusionRejected(t *testing.T) {
-	inst := liveEdgeInstance(t)
-	if _, err := NewEngineOpts(inst, EngineOptions{Samples: 10, Diffusion: "quantum"}); err == nil {
-		t.Fatal("NewEngineOpts accepted an unknown diffusion substrate")
+// TestLiveSubstrateAlwaysPresent pins the single-substrate invariant: every
+// constructor — NewEstimator, and NewEngineOpts for both models and both
+// engines, on edgeless and non-empty graphs, at the default and a 1-byte
+// budget, plus WithGraph after WithEdges — yields an estimator whose Live
+// substrate is present, matches the model and drives the block kernel. A
+// 1-byte budget materializes nothing, and its probes equal the coin's.
+func TestLiveSubstrateAlwaysPresent(t *testing.T) {
+	const samples, seed = 70, 5
+	edgeless, err := graph.FromEdges(6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []struct {
+		name string
+		inst *Instance
+	}{{"edgeless", unitInstance(edgeless)}, {"edges", liveEdgeInstance(t)}}
+	check := func(t *testing.T, est *Estimator, lt bool, budget int64) {
+		t.Helper()
+		if est.Live == nil {
+			t.Fatal("estimator has no liveness substrate")
+		}
+		if est.Live.lt != lt {
+			t.Fatalf("substrate lt=%v, want %v", est.Live.lt, lt)
+		}
+		n := est.Inst.G.NumNodes()
+		d := NewDeployment(n)
+		d.AddSeed(0)
+		for v := int32(0); v < int32(n); v++ {
+			d.SetK(v, est.Inst.G.OutDegree(v))
+		}
+		before := est.BlockEvals()
+		est.Evaluate(d)
+		if est.BlockEvals() <= before {
+			t.Fatal("Evaluate swept no 64-world blocks")
+		}
+		if budget != 1 {
+			return
+		}
+		if spent := est.Live.SpentBytes(); spent != 0 {
+			t.Fatalf("1-byte budget committed %d bytes", spent)
+		}
+		coin := rng.NewCoin(seed)
+		for e := uint64(0); e < uint64(est.Inst.G.NumEdges()); e++ {
+			for w := uint64(0); w < samples; w++ {
+				want := false
+				if lt {
+					want = est.Live.ltChoice(w, est.Live.target(e)) == int32(e)
+				} else {
+					want = coin.Live(w, e, est.Live.prob(e))
+				}
+				if got := est.Live.Live(w, e); got != want {
+					t.Fatalf("edge %d world %d: substrate %v, coin %v", e, w, got, want)
+				}
+			}
+		}
+	}
+	for _, gc := range graphs {
+		name, inst := gc.name, gc.inst
+		t.Run("NewEstimator/"+name, func(t *testing.T) {
+			check(t, NewEstimator(inst, samples, seed), false, 0)
+		})
+		for _, engine := range []string{EngineMC, EngineWorldCache} {
+			for _, model := range Models() {
+				for _, budget := range []int64{0, 1} {
+					t.Run(fmt.Sprintf("%s/%s/%s/budget=%d", engine, model, name, budget), func(t *testing.T) {
+						_, est := newTestEngine(t, inst, EngineOptions{
+							Engine: engine, Model: model, Samples: samples, Seed: seed,
+							LiveEdgeMemBudget: budget,
+						})
+						check(t, est, model == ModelLT, budget)
+
+						// WithGraph after WithEdges keeps the substrate and
+						// its model, edgeless origin included.
+						batch := []graph.Edge{{From: 0, To: 1, P: 0.3}, {From: 1, To: 2, P: 0.4}}
+						if name == "edges" {
+							batch = []graph.Edge{{From: 0, To: int32(inst.G.NumNodes()), P: 0.3}}
+						}
+						g2, err := inst.G.WithEdges(batch)
+						if err != nil {
+							t.Fatal(err)
+						}
+						check(t, est.WithGraph(unitInstance(g2), ChurnTargets(batch)), model == ModelLT, budget)
+					})
+				}
+			}
+		}
 	}
 }

@@ -27,22 +27,14 @@ import (
 type Estimator struct {
 	Inst    *Instance
 	Samples int // number of possible worlds; must be > 0
-	Coin    rng.Coin
 	Workers int // parallel workers; <= 1 means sequential
-	// Live, when non-nil, is the model-aware liveness substrate: edge
-	// probes read precomputed per-world state instead of hashing. Outcomes
-	// are identical to per-probe hashing by construction (the rows hold
-	// the hash function's own draws, materialized once per world). Set by
-	// NewEngineOpts; nil means the independent-cascade hash probed through
-	// Coin directly — under ModelLT the substrate is always present, since
-	// even hash-per-probe evaluation walks the reverse CSR.
+	// Live is the model-aware liveness substrate every edge probe goes
+	// through (see LiveEdges): it owns the coin and decides liveness, reading
+	// precomputed per-world rows within its memory budget and hashing past
+	// it, with identical outcomes either way. NewEstimator attaches the
+	// independent-cascade substrate; NewEngineOpts attaches the configured
+	// model's.
 	Live *LiveEdges
-
-	// EvalMode selects the world-evaluation kernel (see EvalModes): empty or
-	// EvalBitParallel runs the 64-worlds-per-word block kernel whenever Live
-	// is present, EvalScalar forces the one-world-at-a-time sweep. The two
-	// kernels produce bit-identical Results; set by NewEngineOpts.
-	EvalMode string
 
 	// ctx, when non-nil, is checked periodically inside the simulation
 	// loop so a cancelled serving request aborts mid-evaluation instead of
@@ -69,27 +61,30 @@ func (e *Estimator) cancelled() bool {
 }
 
 // View returns a per-call estimator sharing the receiver's possible worlds
-// — the same coin stream and the same (lazily filled, concurrency-safe)
-// live-edge substrate — but carrying its own cancellation context, worker
-// count and instrumentation counters. Views of one estimator may evaluate
+// — the same (lazily filled, concurrency-safe) live-edge substrate — but
+// carrying its own cancellation context, worker count and instrumentation
+// counters. Views of one estimator may evaluate
 // concurrently; results are identical to the receiver's by construction,
 // because edge liveness depends only on (seed, world, edge).
 func (e *Estimator) View(ctx context.Context, workers int) *Estimator {
 	return &Estimator{
-		Inst:     e.Inst,
-		Samples:  e.Samples,
-		Coin:     e.Coin,
-		Workers:  workers,
-		Live:     e.Live,
-		EvalMode: e.EvalMode,
-		ctx:      ctx,
+		Inst:    e.Inst,
+		Samples: e.Samples,
+		Workers: workers,
+		Live:    e.Live,
+		ctx:     ctx,
 	}
 }
 
-// NewEstimator returns an estimator over inst with the given sample count
-// and coin seed.
+// NewEstimator returns an independent-cascade estimator over inst with the
+// given sample count and coin seed, probing through a default-budget
+// substrate.
 func NewEstimator(inst *Instance, samples int, seed uint64) *Estimator {
-	return &Estimator{Inst: inst, Samples: samples, Coin: rng.NewCoin(seed)}
+	return &Estimator{
+		Inst:    inst,
+		Samples: samples,
+		Live:    NewLiveEdges(inst.G, samples, rng.NewCoin(seed), 0),
+	}
 }
 
 // simScratch holds per-world propagation state, reused across worlds via
@@ -149,9 +144,8 @@ type Result struct {
 	Explored     float64 // expected nodes examined per world: activated plus probed inactive out-neighbours
 	// BenefitSqMean is the mean of the squared per-world benefit — the
 	// second raw moment the serving layer turns into a Monte-Carlo
-	// standard-error bar (stats.StdErrFromMoments). Both kernels accumulate
-	// it from the same bit-identical per-world benefit values, so it agrees
-	// across eval modes exactly like Benefit itself.
+	// standard-error bar (stats.StdErrFromMoments), accumulated in ascending
+	// world order from the same per-world benefits as Benefit itself.
 	BenefitSqMean float64
 
 	// weight is the fraction of the full sample count a partial result
@@ -177,10 +171,8 @@ func (e *Estimator) RedemptionRate(d *Deployment) float64 {
 // Evals returns the number of Evaluate calls made so far.
 func (e *Estimator) Evals() int64 { return e.evals.Load() }
 
-// BlockEvals returns the number of 64-world blocks the bit-parallel kernel
-// has swept — 0 whenever evaluation ran scalar (EvalScalar, or no liveness
-// substrate). Instrumentation for the solver's stats and the eval-mode
-// fallback tests.
+// BlockEvals returns the number of 64-world blocks the block kernel has
+// swept. Instrumentation for the solver's stats.
 func (e *Estimator) BlockEvals() int64 { return e.blocks.Load() }
 
 // Evaluate runs the full simulation and returns all aggregate metrics.
@@ -191,7 +183,7 @@ func (e *Estimator) Evaluate(d *Deployment) Result {
 	e.evals.Add(1)
 	workers := e.Workers
 	if workers <= 1 || e.Samples < 4*workers {
-		return e.run(d, 0, e.Samples)
+		return e.runBlocks(d, 0, e.Samples)
 	}
 	results := make([]Result, workers)
 	var wg sync.WaitGroup
@@ -208,7 +200,7 @@ func (e *Estimator) Evaluate(d *Deployment) Result {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			results[w] = e.run(d, lo, hi)
+			results[w] = e.runBlocks(d, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -256,8 +248,9 @@ type worldRecord struct {
 // returning the world's benefit, realized SC cost, farthest hop, activated
 // count and examined-node count. When rec is non-nil the world's activation
 // order and scan state are appended to it (the world-cache engine's
-// snapshot). This is the single propagation kernel: every engine evaluates
-// worlds through it, which is what keeps the engines in agreement.
+// snapshot). This is the lone-world kernel: the world cache re-simulates
+// isolated worlds through it, and the tests fold it over worlds as the
+// reference the 64-world block kernel (simBlock) must reproduce exactly.
 func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *worldRecord) (worldB, worldC float64, maxHop int32, activated, explored int) {
 	// Rows come through OutRow so the kernel works on every graph lineage:
 	// on plain CSR graphs keys is nil and the row's base offset doubles as
@@ -265,7 +258,7 @@ func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *wo
 	// overlay or key-remapped graphs the per-edge stable keys identify the
 	// coins instead.
 	g := e.Inst.G
-	le := e.Live // nil ⇒ hash per probe
+	le := e.Live
 	s.reset()
 	for _, seed := range d.Seeds() {
 		if !s.active(seed) {
@@ -287,7 +280,7 @@ func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *wo
 		coupons := d.K(v)
 		stop, redeemed := 0, 0
 		if coupons > 0 {
-			targets, probs, keys, kbase := g.OutRow(v)
+			targets, _, keys, kbase := g.OutRow(v)
 			base := uint64(kbase)
 			j := 0
 			for ; j < len(targets); j++ {
@@ -308,13 +301,7 @@ func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *wo
 				if keys != nil {
 					ek = uint64(uint32(keys[j]))
 				}
-				live := false
-				if le != nil {
-					live = le.Live(world, ek)
-				} else {
-					live = e.Coin.Live(world, ek, probs[j])
-				}
-				if live {
+				if le.Live(world, ek) {
 					s.activate(t, s.hop[v]+1)
 					worldC += e.Inst.SCCost[t]
 					redeemed++
@@ -329,48 +316,6 @@ func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *wo
 		}
 	}
 	return worldB, worldC, maxHop, len(s.queue), explored
-}
-
-// run simulates worlds [lo, hi) and returns means over that slice tagged
-// with its weight relative to the full sample count. The bit-parallel and
-// scalar kernels return bit-identical Results, so the dispatch is purely a
-// speed choice.
-func (e *Estimator) run(d *Deployment, lo, hi int) Result {
-	if e.bitParallel() {
-		return e.runBlocks(d, lo, hi)
-	}
-	s := e.getScratch()
-	defer e.putScratch(s)
-	var sumB, sumB2, sumC, sumA, sumH, sumX float64
-	for w := lo; w < hi; w++ {
-		if w&63 == 0 && e.cancelled() {
-			// Abort mid-sweep: the partial sums are meaningless, but the
-			// caller is contractually bound to check ctx.Err() before
-			// trusting anything produced after cancellation.
-			break
-		}
-		worldB, worldC, maxHop, activated, explored := e.simWorld(s, d, uint64(w), nil)
-		sumB += worldB
-		sumB2 += worldB * worldB
-		sumC += worldC
-		sumA += float64(activated)
-		sumH += float64(maxHop)
-		sumX += float64(explored)
-	}
-	count := float64(hi - lo)
-	if count == 0 {
-		return Result{}
-	}
-	r := Result{
-		Benefit:       sumB / count,
-		RealizedCost:  sumC / count,
-		Activated:     sumA / count,
-		FarthestHop:   sumH / count,
-		Explored:      sumX / count,
-		BenefitSqMean: sumB2 / count,
-	}
-	r.weight = count / float64(e.Samples)
-	return r
 }
 
 // String implements fmt.Stringer for debugging.

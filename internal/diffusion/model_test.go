@@ -25,10 +25,15 @@ func diamondLTInstance(t testing.TB) *Instance {
 	return &Instance{G: g, Benefit: ones, SeedCost: ones, SCCost: ones, Budget: 10}
 }
 
+// ltEstimator builds an LT estimator whose substrate materializes chosen
+// rows, or — with materialize false — a 1-byte budget that hashes every
+// probe through the categorical walk.
 func ltEstimator(inst *Instance, samples int, seed uint64, materialize bool) *Estimator {
-	est := NewEstimator(inst, samples, seed)
-	est.Live = NewLTLiveEdges(inst.G, samples, est.Coin, 0, materialize)
-	return est
+	budget := int64(1)
+	if materialize {
+		budget = 0
+	}
+	return &Estimator{Inst: inst, Samples: samples, Live: NewLTLiveEdges(inst.G, samples, rng.NewCoin(seed), budget)}
 }
 
 func TestExactLTOnDiamond(t *testing.T) {
@@ -246,8 +251,8 @@ func TestLTSingleLiveInEdgePerWorld(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	g := inst.G
 	const samples = 2000
-	mat := NewLTLiveEdges(g, samples, rng.NewCoin(13), 0, true)
-	hash := NewLTLiveEdges(g, samples, rng.NewCoin(13), 0, false)
+	mat := NewLTLiveEdges(g, samples, rng.NewCoin(13), 0)
+	hash := NewLTLiveEdges(g, samples, rng.NewCoin(13), 1)
 	probs := g.Probs()
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
 		_, eidx := g.InEdges(v)

@@ -56,22 +56,17 @@ func churnSources(batch []graph.Edge) []int32 {
 
 // WithGraph returns an estimator over inst2 — whose graph must extend the
 // receiver's via graph.WithEdges — sharing the receiver's possible worlds:
-// same coin, sample count, worker count and eval mode, with the liveness
-// substrate carried forward by LiveEdges.Extend (churnTargets are the batch's
+// same sample count and worker count, with the liveness substrate (and its
+// coin) carried forward by LiveEdges.Extend (churnTargets are the batch's
 // distinct targets, see ChurnTargets; ignored under IC). The receiver stays
 // fully usable over the old view — in-flight evaluations are unaffected.
 func (e *Estimator) WithGraph(inst2 *Instance, churnTargets []int32) *Estimator {
-	e2 := &Estimator{
-		Inst:     inst2,
-		Samples:  e.Samples,
-		Coin:     e.Coin,
-		Workers:  e.Workers,
-		EvalMode: e.EvalMode,
+	return &Estimator{
+		Inst:    inst2,
+		Samples: e.Samples,
+		Workers: e.Workers,
+		Live:    e.Live.Extend(inst2.G, churnTargets),
 	}
-	if e.Live != nil {
-		e2.Live = e.Live.Extend(inst2.G, churnTargets)
-	}
-	return e2
 }
 
 // PatchEdges moves the cache onto e2, an estimator produced by
@@ -154,7 +149,7 @@ func (wc *WorldCache) PatchEdges(e2 *Estimator, batch []graph.Edge) Result {
 			affected[w] = true
 		}
 	}
-	if old.Live != nil && old.Live.lt {
+	if old.Live.lt {
 		oldLive, newLive := old.Live, e2.Live
 		for _, t := range ChurnTargets(batch) {
 			for w := 0; w < samples; w++ {

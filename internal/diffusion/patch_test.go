@@ -14,35 +14,31 @@ import (
 // appended batches — exactly the keys WithEdges hands out).
 
 // churnCase is one cell of the churn-parity matrix: triggering model ×
-// liveness substrate × live-edge memory budget (1 byte forces every row to
-// the hash fallback — the mem-capped path must patch identically).
+// live-edge memory budget, named by the substrate regime the budget puts
+// the substrate in. "liveedge" materializes within the default budget,
+// "liveedge-memcap" holds a few rows and hashes past them (so one lineage
+// mixes carried rows with hashed probes), and "hash" runs on 1 byte, which
+// materializes nothing — every regime must patch identically.
 type churnCase struct {
-	model, diff string
-	memBudget   int64
+	model, regime string
+	memBudget     int64
 }
+
+// churnMemCap holds 32 IC rows or one LT row at 96 samples.
+const churnMemCap = 512
 
 func churnMatrix() []churnCase {
 	var out []churnCase
 	for _, model := range []string{ModelIC, ModelLT} {
-		for _, diff := range []string{DiffusionLiveEdge, DiffusionHash} {
-			for _, budget := range []int64{0, 1} {
-				if diff == DiffusionHash && budget == 1 {
-					continue // hash substrate has no materialized rows to cap
-				}
-				out = append(out, churnCase{model, diff, budget})
-			}
-		}
+		out = append(out,
+			churnCase{model, "hash", 1},
+			churnCase{model, "liveedge", 0},
+			churnCase{model, "liveedge-memcap", churnMemCap})
 	}
 	return out
 }
 
-func (c churnCase) name() string {
-	n := c.model + "-" + c.diff
-	if c.memBudget > 0 {
-		n += "-memcap"
-	}
-	return n
-}
+func (c churnCase) name() string { return c.model + "-" + c.regime }
 
 // arcKey packs an arc for duplicate avoidance.
 func arcKey(from, to int32) int64 { return int64(from)<<32 | int64(uint32(to)) }
@@ -169,7 +165,7 @@ func TestEstimatorChurnParity(t *testing.T) {
 				base, steps := churnLineage(t, r, 3)
 				opts := EngineOptions{
 					Engine: EngineMC, Model: tc.model, Samples: 96, Seed: 11,
-					Diffusion: tc.diff, LiveEdgeMemBudget: tc.memBudget,
+					LiveEdgeMemBudget: tc.memBudget,
 				}
 				ev, err := NewEngineOpts(unitInstance(base), opts)
 				if err != nil {
@@ -210,8 +206,8 @@ func TestEstimatorChurnParity(t *testing.T) {
 // evaluations — the invariant the public churn-parity contract rests on.
 func TestEstimatorChurnBatchSplitEquivalence(t *testing.T) {
 	for _, tc := range []churnCase{
-		{ModelIC, DiffusionLiveEdge, 0},
-		{ModelLT, DiffusionLiveEdge, 0},
+		{ModelIC, "liveedge", 0},
+		{ModelLT, "liveedge", 0},
 	} {
 		t.Run(tc.name(), func(t *testing.T) {
 			r := rand.New(rand.NewSource(4242))
@@ -219,7 +215,6 @@ func TestEstimatorChurnBatchSplitEquivalence(t *testing.T) {
 			joined := append(append([]graph.Edge(nil), steps[0]...), steps[1]...)
 			opts := EngineOptions{
 				Engine: EngineMC, Model: tc.model, Samples: 64, Seed: 3,
-				Diffusion: tc.diff,
 			}
 			build := func(batches ...[]graph.Edge) *Estimator {
 				ev, err := NewEngineOpts(unitInstance(base), opts)
@@ -265,7 +260,7 @@ func TestWorldCachePatchParity(t *testing.T) {
 				base, steps := churnLineage(t, r, 3)
 				opts := EngineOptions{
 					Engine: EngineMC, Model: tc.model, Samples: 96, Seed: 5,
-					Diffusion: tc.diff, LiveEdgeMemBudget: tc.memBudget,
+					LiveEdgeMemBudget: tc.memBudget,
 				}
 				ev, err := NewEngineOpts(unitInstance(base), opts)
 				if err != nil {
@@ -330,7 +325,7 @@ func TestWorldCachePatchParity(t *testing.T) {
 func TestWorldCachePatchNeverRebased(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	base, steps := churnLineage(t, r, 1)
-	opts := EngineOptions{Engine: EngineMC, Model: ModelIC, Samples: 64, Seed: 2, Diffusion: DiffusionLiveEdge}
+	opts := EngineOptions{Engine: EngineMC, Model: ModelIC, Samples: 64, Seed: 2}
 	ev, err := NewEngineOpts(unitInstance(base), opts)
 	if err != nil {
 		t.Fatal(err)

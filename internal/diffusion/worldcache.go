@@ -176,8 +176,8 @@ func (wc *WorldCache) rebaseFull(d *Deployment) Result {
 	wc.sizeMaterialized()
 	workers := e.Workers
 	if workers <= 1 || e.Samples < 4*workers {
-		wc.rebaseRange(d, 0, e.Samples)
-	} else if e.bitParallel() {
+		wc.rebaseBlocks(d, 0, e.Samples)
+	} else {
 		// Block-aligned worker ranges: a 64-world block split between two
 		// workers would be simulated twice with partial masks. Alignment
 		// cannot drift results — snapshots are per-world and refreshSums
@@ -203,26 +203,7 @@ func (wc *WorldCache) rebaseFull(d *Deployment) Result {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				wc.rebaseRange(d, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		var wg sync.WaitGroup
-		per := e.Samples / workers
-		extra := e.Samples % workers
-		start := 0
-		for i := 0; i < workers; i++ {
-			count := per
-			if i < extra {
-				count++
-			}
-			lo, hi := start, start+count
-			start = hi
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				wc.rebaseRange(d, lo, hi)
+				wc.rebaseBlocks(d, lo, hi)
 			}(lo, hi)
 		}
 		wg.Wait()
@@ -293,55 +274,21 @@ func (wc *WorldCache) materializeDense() {
 	}
 }
 
-// rebaseRange re-simulates worlds [lo, hi) into their snapshots. Each
-// world's record reuses its previous capacity, and workers touch disjoint
-// world ranges, so the parallel rebase produces bit-identical snapshots to
-// the sequential one.
-func (wc *WorldCache) rebaseRange(d *Deployment, lo, hi int) {
-	e := wc.Est
-	if e.bitParallel() {
-		wc.rebaseBlocks(d, lo, hi)
-		return
-	}
-	s := e.getScratch()
-	defer e.putScratch(s)
-	hint := 16
-	for w := lo; w < hi; w++ {
-		if w&63 == 0 && e.cancelled() {
-			// Abort the sweep. The cache is now inconsistent (some worlds
-			// stale); the caller must discard this WorldCache after seeing
-			// the cancellation — the Campaign layer never pools a cache
-			// whose call returned an error.
-			return
-		}
-		ws := &wc.worlds[w]
-		if cap(ws.rec.nodes) == 0 {
-			// Fresh cache: pre-size this world's record near its
-			// neighbour's final size, avoiding the doubling-growth
-			// allocations a cold rebase would otherwise pay per world.
-			ws.rec.nodes = make([]int32, 0, hint)
-			ws.rec.scanStop = make([]int32, 0, hint)
-			ws.rec.scanRed = make([]int32, 0, hint)
-			ws.rec.probed = make([]int32, 0, hint+hint/2)
-		}
-		wc.resimWorld(s, d, w, false)
-		hint = len(ws.rec.nodes) + 8
-	}
-}
-
-// rebaseBlocks is rebaseRange's block-kernel form: worlds [lo, hi) are
-// re-simulated one 64-aligned block at a time (partial masks at the ragged
-// ends). Snapshots are bit-identical to the scalar sweep's — simBlock
-// reproduces every world's scalar activation order — so the rebase stays
-// deterministic whatever the worker split.
+// rebaseBlocks re-simulates worlds [lo, hi) into their snapshots, one
+// 64-aligned block at a time (partial masks at the ragged ends). Each
+// world's snapshot is bit-identical to simWorld's — simBlock reproduces
+// every world's scalar activation order — and workers touch disjoint block
+// ranges, so the rebase stays deterministic whatever the worker split.
 func (wc *WorldCache) rebaseBlocks(d *Deployment, lo, hi int) {
 	e := wc.Est
 	bs := e.getBlockScratch()
 	defer e.putBlockScratch(bs)
 	for base := lo &^ 63; base < hi; base += 64 {
 		if e.cancelled() {
-			// Abort the sweep; as in the scalar path, the caller discards a
-			// cancelled cache.
+			// Abort the sweep. The cache is now inconsistent (some worlds
+			// stale); the caller must discard this WorldCache after seeing
+			// the cancellation — the Campaign layer never pools a cache
+			// whose call returned an error.
 			return
 		}
 		blo, bhi := 0, 64
@@ -413,32 +360,24 @@ func (wc *WorldCache) resimBlock(bs *blockScratch, d *Deployment, base int, mask
 	}
 }
 
-// resimWorlds re-simulates a scattered ascending set of worlds, routing
-// runs that share a 64-world block through the block kernel and lone
-// worlds through the scalar kernel (a one-bit mask pays the block
-// bookkeeping for no parallelism). Snapshots are identical either way.
+// resimWorlds re-simulates a scattered ascending set of worlds into their
+// snapshot slots (see sweepWorlds). Snapshots are identical whichever kernel
+// a world runs through.
 func (wc *WorldCache) resimWorlds(d *Deployment, worlds []int32, mat bool) {
-	e := wc.Est
-	if !e.bitParallel() {
-		s := e.getScratch()
-		defer e.putScratch(s)
-		for _, w := range worlds {
-			wc.resimWorld(s, d, int(w), mat)
-		}
-		return
-	}
+	wc.Est.sweepWorlds(worlds,
+		func(s *simScratch, w int) { wc.resimWorld(s, d, w, mat) },
+		func(bs *blockScratch, base int, mask uint64) { wc.resimBlock(bs, d, base, mask, mat) })
+}
+
+// sweepWorlds visits a scattered ascending set of worlds: runs sharing a
+// 64-world block go to block (one BFS pass for the run), lone worlds to
+// lone (a one-bit mask pays the block bookkeeping for no parallelism).
+// Scratch comes from the estimator's pools on first use.
+func (e *Estimator) sweepWorlds(worlds []int32, lone func(s *simScratch, w int), block func(bs *blockScratch, base int, mask uint64)) {
 	var (
 		s  *simScratch
 		bs *blockScratch
 	)
-	defer func() {
-		if s != nil {
-			e.putScratch(s)
-		}
-		if bs != nil {
-			e.putBlockScratch(bs)
-		}
-	}()
 	for i := 0; i < len(worlds); {
 		base := int(worlds[i]) &^ 63
 		j := i
@@ -449,13 +388,15 @@ func (wc *WorldCache) resimWorlds(d *Deployment, worlds []int32, mat bool) {
 		if j == i+1 {
 			if s == nil {
 				s = e.getScratch()
+				defer e.putScratch(s)
 			}
-			wc.resimWorld(s, d, int(worlds[i]), mat)
+			lone(s, int(worlds[i]))
 		} else {
 			if bs == nil {
 				bs = e.getBlockScratch()
+				defer e.putBlockScratch(bs)
 			}
-			wc.resimBlock(bs, d, base, mask, mat)
+			block(bs, base, mask)
 		}
 		i = j
 	}
@@ -610,12 +551,11 @@ func (wc *WorldCache) advanceSeed(d *Deployment, s int32) Result {
 	e.evals.Add(1)
 	g := e.Inst.G
 	in := e.Inst
-	targets, probs, keys, kbase := g.OutRow(s)
+	targets, _, keys, kbase := g.OutRow(s)
 	k := d.K(s)
 	m := d.NumSeeds()
 	eBase := uint64(kbase)
 	le := e.Live
-	coin := e.Coin
 	stop := int32(0)
 	if k > 0 {
 		stop = int32(len(targets))
@@ -635,13 +575,7 @@ func (wc *WorldCache) advanceSeed(d *Deployment, s int32) Result {
 				if keys != nil {
 					ek = uint64(uint32(keys[j]))
 				}
-				live := false
-				if le != nil {
-					live = le.Live(uint64(w), ek)
-				} else {
-					live = coin.Live(uint64(w), ek, probs[j])
-				}
-				if live || (!d.IsSeed(t) && abits[t>>6]&(1<<(uint(t)&63)) != 0) {
+				if le.Live(uint64(w), ek) || (!d.IsSeed(t) && abits[t>>6]&(1<<(uint(t)&63)) != 0) {
 					patchable = false
 					break
 				}
@@ -801,10 +735,9 @@ func (wc *WorldCache) patchScanTail(v int32, w int) bool {
 		return false
 	}
 	g := wc.Est.Inst.G
-	targets, probs, keys, kbase := g.OutRow(v)
+	targets, _, keys, kbase := g.OutRow(v)
 	idx := int(v)*wc.Est.Samples + w
 	stop := int(wc.denseStop[idx])
-	coin := wc.Est.Coin
 	le := wc.Est.Live
 	base := uint64(kbase)
 	for j := stop; j < len(targets); j++ {
@@ -812,13 +745,7 @@ func (wc *WorldCache) patchScanTail(v int32, w int) bool {
 		if keys != nil {
 			ek = uint64(uint32(keys[j]))
 		}
-		live := false
-		if le != nil {
-			live = le.Live(uint64(w), ek)
-		} else {
-			live = coin.Live(uint64(w), ek, probs[j])
-		}
-		if live {
+		if le.Live(uint64(w), ek) {
 			return false // the resumed scan could redeem here: re-simulate
 		}
 	}
@@ -1148,19 +1075,12 @@ func (wc *WorldCache) deltaByCandidate(cands []int32, out []float64) []float64 {
 func (wc *WorldCache) replayAddCouponBits(sc *deltaScratch, world uint64, v int32, stop int) float64 {
 	in := wc.Est.Inst
 	g := in.G
-	coin := wc.Est.Coin
 	le := wc.Est.Live
 	act := wc.act[int(world)*wc.actWords : (int(world)+1)*wc.actWords]
-	live := func(edge uint64, p float64) bool {
-		if le != nil {
-			return le.Live(world, edge)
-		}
-		return coin.Live(world, edge, p)
-	}
 	activeBase := func(t int32) bool { return act[t>>6]&(1<<(uint(t)&63)) != 0 }
 	sc.nextReplay()
 	delta := 0.0
-	targets, probs, keys, kbase := g.OutRow(v)
+	targets, _, keys, kbase := g.OutRow(v)
 	base := uint64(kbase)
 	for j := stop; j < len(targets); j++ {
 		t := targets[j]
@@ -1171,7 +1091,7 @@ func (wc *WorldCache) replayAddCouponBits(sc *deltaScratch, world uint64, v int3
 		if keys != nil {
 			ek = uint64(uint32(keys[j]))
 		}
-		if live(ek, probs[j]) {
+		if le.Live(world, ek) {
 			sc.dStamp[t] = sc.dEpoch
 			sc.queue = append(sc.queue, t)
 			break // the single extra coupon is spent
@@ -1184,7 +1104,7 @@ func (wc *WorldCache) replayAddCouponBits(sc *deltaScratch, world uint64, v int3
 		if coupons == 0 {
 			continue
 		}
-		ts, ps, uk, ukb := g.OutRow(u)
+		ts, _, uk, ukb := g.OutRow(u)
 		ub := uint64(ukb)
 		redeemed := 0
 		for j, t := range ts {
@@ -1198,7 +1118,7 @@ func (wc *WorldCache) replayAddCouponBits(sc *deltaScratch, world uint64, v int3
 			if uk != nil {
 				ek = uint64(uint32(uk[j]))
 			}
-			if live(ek, ps[j]) {
+			if le.Live(world, ek) {
 				sc.dStamp[t] = sc.dEpoch
 				sc.queue = append(sc.queue, t)
 				redeemed++
@@ -1242,17 +1162,10 @@ func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, world uint64, v int32) f
 	}
 	in := wc.Est.Inst
 	g := in.G
-	coin := wc.Est.Coin
 	le := wc.Est.Live
-	live := func(edge uint64, p float64) bool {
-		if le != nil {
-			return le.Live(world, edge)
-		}
-		return coin.Live(world, edge, p)
-	}
 	sc.nextReplay()
 	delta := 0.0
-	targets, probs, keys, kbase := g.OutRow(v)
+	targets, _, keys, kbase := g.OutRow(v)
 	base := uint64(kbase)
 	for j := int(sc.stop[v]); j < len(targets); j++ {
 		t := targets[j]
@@ -1263,7 +1176,7 @@ func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, world uint64, v int32) f
 		if keys != nil {
 			ek = uint64(uint32(keys[j]))
 		}
-		if live(ek, probs[j]) {
+		if le.Live(world, ek) {
 			sc.dStamp[t] = sc.dEpoch
 			sc.queue = append(sc.queue, t)
 			break // the single extra coupon is spent
@@ -1276,7 +1189,7 @@ func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, world uint64, v int32) f
 		if coupons == 0 {
 			continue
 		}
-		ts, ps, uk, ukb := g.OutRow(u)
+		ts, _, uk, ukb := g.OutRow(u)
 		ub := uint64(ukb)
 		redeemed := 0
 		for j, t := range ts {
@@ -1290,7 +1203,7 @@ func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, world uint64, v int32) f
 			if uk != nil {
 				ek = uint64(uint32(uk[j]))
 			}
-			if live(ek, ps[j]) {
+			if le.Live(world, ek) {
 				sc.dStamp[t] = sc.dEpoch
 				sc.queue = append(sc.queue, t)
 				redeemed++
@@ -1344,50 +1257,22 @@ func (wc *WorldCache) EvaluateDelta(d *Deployment, changed []int32) float64 {
 			}
 		}
 	}
-	// Both kernels produce identical per-world benefits, and the deltas fold
-	// into the sum in ascending world order either way, so the block grouping
-	// below is bit-identical to the scalar sweep.
+	// Per-world benefits are identical whichever kernel sweepWorlds routes a
+	// world through, and the deltas fold into the sum in ascending world
+	// order.
 	sum := wc.baseSumB
-	if e.bitParallel() {
-		bs := e.getBlockScratch()
-		defer e.putBlockScratch(bs)
-		var s *simScratch
-		defer func() {
-			if s != nil {
-				e.putScratch(s)
+	e.sweepWorlds(worlds,
+		func(s *simScratch, w int) {
+			b, _, _, _, _ := e.simWorld(s, d, uint64(w), nil)
+			sum += b - wc.worlds[w].benefit
+		},
+		func(bs *blockScratch, base int, mask uint64) {
+			e.simBlock(bs, d, uint64(base), mask, nil)
+			e.blocks.Add(1)
+			for m := mask; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros64(m)
+				sum += bs.worldB[b] - wc.worlds[base+b].benefit
 			}
-		}()
-		for i := 0; i < len(worlds); {
-			base := int(worlds[i]) &^ 63
-			j := i
-			var mask uint64
-			for ; j < len(worlds) && int(worlds[j]) < base+64; j++ {
-				mask |= 1 << (uint(worlds[j]) & 63)
-			}
-			if j == i+1 {
-				w := worlds[i]
-				if s == nil {
-					s = e.getScratch()
-				}
-				b, _, _, _, _ := e.simWorld(s, d, uint64(w), nil)
-				sum += b - wc.worlds[w].benefit
-			} else {
-				e.simBlock(bs, d, uint64(base), mask, nil)
-				e.blocks.Add(1)
-				for m := mask; m != 0; m &= m - 1 {
-					b := bits.TrailingZeros64(m)
-					sum += bs.worldB[b] - wc.worlds[base+b].benefit
-				}
-			}
-			i = j
-		}
-		return sum / float64(e.Samples)
-	}
-	s := e.getScratch()
-	defer e.putScratch(s)
-	for _, w := range worlds {
-		b, _, _, _, _ := e.simWorld(s, d, uint64(w), nil)
-		sum += b - wc.worlds[w].benefit
-	}
+		})
 	return sum / float64(e.Samples)
 }

@@ -169,13 +169,12 @@ func TestWorldCacheParallelRebaseMatchesSequential(t *testing.T) {
 }
 
 // newModelWorldCache builds a world cache whose estimator probes liveness
-// under the given triggering model (IC hashes the coin directly; LT always
-// carries the substrate).
+// under the given triggering model.
 func newModelWorldCache(t testing.TB, inst *Instance, samples int, seed uint64, model string) *WorldCache {
 	t.Helper()
 	wc := NewWorldCache(inst, samples, seed, 0)
 	if model == ModelLT {
-		wc.Est.Live = NewLTLiveEdges(inst.G, samples, wc.Est.Coin, 0, true)
+		wc.Est.Live = NewLTLiveEdges(inst.G, samples, rng.NewCoin(seed), 0)
 	}
 	return wc
 }

@@ -31,9 +31,10 @@ func generate(g *graph.Graph, count int, seed uint64) (*Sketches, error) {
 }
 
 // generateLT draws count linear-threshold RR sets over diffusion's LT
-// liveness, in which each node selects at most one live in-edge.
+// liveness, in which each node selects at most one live in-edge. The 1-byte
+// budget materializes nothing: every probe walks the in-row by hash.
 func generateLT(g *graph.Graph, count int, seed uint64) (*Sketches, error) {
-	le := diffusion.NewLTLiveEdges(g, count, rng.NewCoin(seed), 0, false)
+	le := diffusion.NewLTLiveEdges(g, count, rng.NewCoin(seed), 1)
 	return GenerateLiveLT(g, count, rng.New(seed), func(world, edge uint64, _ float64) bool {
 		return le.Live(world, edge)
 	})

@@ -15,23 +15,24 @@ import (
 // GPI caches). Everything the substrate touches — adjacency order, global
 // edge indexes, coin flips, summation order — must leave these bits alone;
 // a 1-ulp drift here means a representation change leaked into results.
-// The hash rows run the solver over per-probe-hashing engines built as
-// parity oracles and injected through core.Options.Evaluator and Scorer.
+// The hash rows run the solver over engines on a 1-byte live-edge budget —
+// nothing materialized, every probe hashed — injected through
+// core.Options.Evaluator and Scorer.
 func TestCSRGoldenParity(t *testing.T) {
 	cases := []struct {
 		name    string
 		preset  gen.Preset
 		scale   int
 		engine  string
-		diff    string
+		hash    bool
 		rate    float64
 		slowish bool
 	}{
-		{"facebook20-mc-hash", gen.Facebook, 20, diffusion.EngineMC, diffusion.DiffusionHash, 0.43138959694774442, false},
-		{"facebook20-wc-live", gen.Facebook, 20, diffusion.EngineWorldCache, diffusion.DiffusionLiveEdge, 0.43138959694774442, false},
-		{"epinions400-wc-live", gen.Epinions, 400, diffusion.EngineWorldCache, diffusion.DiffusionLiveEdge, 0.47337202259135702, true},
-		{"epinions400-mc-live", gen.Epinions, 400, diffusion.EngineMC, diffusion.DiffusionLiveEdge, 0.47337202259135702, true},
-		{"epinions400-mc-hash", gen.Epinions, 400, diffusion.EngineMC, diffusion.DiffusionHash, 0.47337202259135702, true},
+		{"facebook20-mc-hash", gen.Facebook, 20, diffusion.EngineMC, true, 0.43138959694774442, false},
+		{"facebook20-wc-live", gen.Facebook, 20, diffusion.EngineWorldCache, false, 0.43138959694774442, false},
+		{"epinions400-wc-live", gen.Epinions, 400, diffusion.EngineWorldCache, false, 0.47337202259135702, true},
+		{"epinions400-mc-live", gen.Epinions, 400, diffusion.EngineMC, false, 0.47337202259135702, true},
+		{"epinions400-mc-hash", gen.Epinions, 400, diffusion.EngineMC, true, 0.47337202259135702, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,10 +44,10 @@ func TestCSRGoldenParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := core.Options{Samples: 200, Seed: 77, Engine: tc.engine}
-			if tc.diff == diffusion.DiffusionHash {
+			if tc.hash {
 				oracle := func(seed uint64) diffusion.Evaluator {
 					ev, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
-						Engine: tc.engine, Samples: 200, Seed: seed, Diffusion: tc.diff,
+						Engine: tc.engine, Samples: 200, Seed: seed, LiveEdgeMemBudget: 1,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -59,11 +59,11 @@
 // live-edge equivalence; see DESIGN.md ("Evaluation engines", "Triggering
 // models" and "Serving API") for the architecture.
 //
-// How worlds are evaluated underneath is not a knob: every engine runs the
-// bit-parallel kernel (64 worlds per machine word) over materialized
-// live-edge rows. The scalar one-world kernel and per-probe hashing are
-// internal, automatic fallbacks — for lone-world replays, and past the
-// live-edge memory budget (WithLiveEdgeMemBudget) — with bit-identical
+// How worlds are evaluated underneath is not a knob: every engine probes
+// edge liveness through one live-edge substrate and sweeps worlds with the
+// bit-parallel block kernel (64 worlds per machine word). The substrate
+// reads materialized rows within the live-edge memory budget
+// (WithLiveEdgeMemBudget) and hashes each probe past it, with bit-identical
 // results.
 //
 // See the examples directory for runnable walkthroughs, cmd/s3crmd for the

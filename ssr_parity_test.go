@@ -124,12 +124,15 @@ func TestSSRParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, model := range []string{diffusion.ModelIC, diffusion.ModelLT} {
-		for _, diff := range []string{diffusion.DiffusionLiveEdge, diffusion.DiffusionHash} {
-			t.Run(model+"-"+diff, func(t *testing.T) {
+		for _, sub := range []struct {
+			name   string
+			budget int64 // 1 byte: nothing materialized, every probe hashed
+		}{{"liveedge", 0}, {"hash", 1}} {
+			t.Run(model+"-"+sub.name, func(t *testing.T) {
 				solve := func(workers int) *core.Solution {
 					ev, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
-						Engine: diffusion.EngineMC, Model: model, Diffusion: diff,
-						Samples: 500, Seed: 13,
+						Engine: diffusion.EngineMC, Model: model,
+						Samples: 500, Seed: 13, LiveEdgeMemBudget: sub.budget,
 					})
 					if err != nil {
 						t.Fatal(err)
