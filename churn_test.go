@@ -496,6 +496,66 @@ func TestResolveSSRWarmReuse(t *testing.T) {
 	}
 }
 
+// TestResolveSSRNodeGrowth: an append whose endpoints reach past Users() —
+// new users as edge tails and as edge heads — grows the node set under a
+// pooled SSR sample state. The warm Resolve must still take the patch path
+// and keep most samples, and the grown campaign's next cold Solve must stay
+// within budget.
+func TestResolveSSRNodeGrowth(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(23))
+	p, stream := randomChurnProblem(t, r, 120, 1200, 8)
+	c, err := p.NewCampaign(WithEngine("ssr"), WithSamples(64), WithSeed(5),
+		WithEpsilon(0.2), WithDelta(0.1), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := c.Solve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.Users()
+	pmax := 1.0 / float64(n+4)
+	stream = append(stream,
+		EdgeAdd{From: n, To: prev.Seeds[0], P: pmax},
+		EdgeAdd{From: prev.Seeds[0], To: n + 1, P: pmax},
+		EdgeAdd{From: n + 1, To: n + 2, P: pmax},
+		EdgeAdd{From: n + 2, To: 3, P: pmax},
+	)
+	if _, err := c.ApplyEdges(ctx, stream); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Users(); got != n+3 {
+		t.Fatalf("Users() = %d after the append, want %d", got, n+3)
+	}
+	got, err := c.Resolve(ctx, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := got.SketchReused + got.SketchRedrawn
+	if total == 0 {
+		t.Fatal("ssr Resolve did not take the warm patch path (no reuse accounting)")
+	}
+	if frac := float64(got.SketchReused) / float64(total); frac < 0.9 {
+		t.Fatalf("reused %d of %d pooled samples (%.2f), want >= 0.90",
+			got.SketchReused, total, frac)
+	}
+	budget := p.Budget()
+	if got.TotalCost > budget*(1+1e-9) {
+		t.Fatalf("warm resolve spent %.4f of budget %.4f", got.TotalCost, budget)
+	}
+	cold, err := c.Solve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.SketchBuildNs == 0 {
+		t.Fatal("solve after node growth did not run the ssr engine")
+	}
+	if cold.TotalCost > budget*(1+1e-9) {
+		t.Fatalf("cold solve after node growth spent %.4f of budget %.4f", cold.TotalCost, budget)
+	}
+}
+
 // TestSketchPoolEpochStaleness: a sample state checked out before an
 // ApplyEdges never saw that append's NoteChurn, so its watermark log is
 // incomplete — re-pooling it would let a later Resolve patch against missing

@@ -11,6 +11,9 @@
 //	{"name":"BenchmarkIDLoop/engine=worldcache-16","iterations":1,
 //	 "ns_per_op":123456,"metrics":{"redemption":0.42,"evals":9}}
 //
+// The -benchmem columns (B/op, allocs/op) land in metrics like any custom
+// metric.
+//
 // Non-benchmark lines (headers, PASS/ok, -v logs) pass through untouched to
 // stderr, so piping `go test | benchjson` loses nothing.
 package main

@@ -32,9 +32,10 @@ func epinionsBenchInstance(b *testing.B) *diffusion.Instance {
 	}
 }
 
-// BenchmarkSSRBuild isolates the tentpole's parallel sample build: one full
+// BenchmarkSSRBuild isolates the worker-sharded SSR sample build: one full
 // store construction — universe closure, gate-DP prefill, sharded reverse
-// walks, shard merge — at a fixed sample count, across worker counts. The
+// walks, arena merge, CSR posting index — at a fixed sample count, across
+// worker counts. The
 // workers=1 cell is the sequential baseline the sharded cells are accepted
 // against; the outputs are byte-identical by construction (sample-index-
 // keyed streams), so the ratio is pure build throughput.

@@ -73,8 +73,8 @@ func newMaximizer(inst *diffusion.Instance, st *store, scale float64, limit int)
 	}
 	for c := 0; c < kmax; c++ {
 		m.deg[c] = make([]int32, n)
-		for v, list := range st.slotCover[c] {
-			m.deg[c][v] = int32(prefixLen(list, limit))
+		for v := range m.deg[c] {
+			m.deg[c][v] = int32(prefixLen(st.slotList(c, int32(v)), limit))
 		}
 	}
 	return m
@@ -216,9 +216,9 @@ func (m *maximizer) applyPivot(p Pivot) bool {
 		m.d.SetK(v, k)
 	}
 	m.cost += dc
-	m.cover(m.st.rootCover[v])
+	m.cover(m.st.rootList(v))
 	for c := wasK; c < k; c++ {
-		m.cover(m.st.slotCover[c][v])
+		m.cover(m.st.slotList(c, v))
 	}
 	m.absorb(v)
 	m.moves = append(m.moves, move{
@@ -233,7 +233,7 @@ func (m *maximizer) applyCoupon(e coverEntry, dc float64) {
 	v := e.node
 	m.d.AddK(v, 1)
 	m.cost += dc
-	m.cover(m.st.slotCover[e.slot][v])
+	m.cover(m.st.slotList(int(e.slot), v))
 	if m.d.K(v) == 1 {
 		m.absorb(v) // first coupon: the node's out-neighbours join the pool
 	} else {

@@ -27,11 +27,12 @@ func randomSketchInstance(t *testing.T, r *rand.Rand, n, m int) *diffusion.Insta
 	return uniformInstance(t, n, edges, 1, float64(n))
 }
 
-// TestStoreParallelBitIdentical is the tentpole's determinism contract at
-// the store level: extending a sample collection with any worker count must
-// produce byte-identical state, because every random decision is keyed by
-// the global sample index, roots are assigned sequentially, and shards merge
-// in ascending sample order. Two extend calls per build also exercise the
+// TestStoreParallelBitIdentical is the build's determinism contract at the
+// store level: extending a sample collection with any worker count must
+// produce byte-identical state — arena, offsets and CSR postings — because
+// every random decision is keyed by the global sample index, roots are
+// assigned sequentially, shards merge in ascending sample order and the
+// postings are a counting pass over the merged result. Two extend calls per build also exercise the
 // doubling path (the second call must treat the first's samples as an
 // immutable prefix).
 func TestStoreParallelBitIdentical(t *testing.T) {
@@ -70,10 +71,10 @@ func TestStoreParallelBitIdentical(t *testing.T) {
 				if !reflect.DeepEqual(st.offs, base.offs) {
 					t.Fatalf("workers=%d: slot offsets diverged", w)
 				}
-				if !reflect.DeepEqual(st.rootCover, base.rootCover) {
+				if !reflect.DeepEqual(st.root, base.root) {
 					t.Fatalf("workers=%d: root postings diverged", w)
 				}
-				if !reflect.DeepEqual(st.slotCover, base.slotCover) {
+				if !reflect.DeepEqual(st.slot, base.slot) {
 					t.Fatalf("workers=%d: slot postings diverged", w)
 				}
 			}

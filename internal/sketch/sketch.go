@@ -209,7 +209,7 @@ func Solve(cfg Config) (*Result, error) {
 			u, ga, st1, st2 = w.u, w.ga, w.st1, w.st2
 		} else if cfg.WarmApprox {
 			start := time.Now()
-			w.patch()
+			w.patch(workers)
 			buildNs += int64(time.Since(start))
 			res.Reused, res.Redrawn = w.Reused, w.Redrawn
 			u, ga, st1, st2 = w.u, w.ga, w.st1, w.st2
@@ -445,10 +445,10 @@ func replay(moves []move, st *store, limit int) []int {
 	out := make([]int, len(moves))
 	for i, mv := range moves {
 		if mv.seed {
-			mark(st.rootCover[mv.node])
+			mark(st.rootList(mv.node))
 		}
 		for c := mv.slotLo; c < mv.slotHi; c++ {
-			mark(st.slotCover[c][mv.node])
+			mark(st.slotList(int(c), mv.node))
 		}
 		out[i] = cnt
 	}

@@ -108,24 +108,43 @@ const gateScan = 32
 // folds the capacity constraint — the part that breaks plain RIS — into
 // the sample distribution. α is computed from the capacity DP of
 // diffusion.RedeemProbs, probability-weighted over the root's strongest
-// in-edges, and depends only on the instance, so one cache serves both
-// sample collections. compute is pure given its scratch, so prefill can fan
-// cache fills across workers; a filled cache is read-only and safe to share
-// across draw shards.
+// in-edges, and depends only on the instance, so one table serves both
+// sample collections. The table is node-indexed — root r's α lives at
+// alpha[r·kmax:(r+1)·kmax], valid once filled[r] is set — and compute is
+// pure given its scratch, so prefill can fan fills across workers; a
+// filled table is read-only and safe to share across draw shards.
 type gates struct {
-	inst  *diffusion.Instance
-	cache map[int32][]float64
+	inst   *diffusion.Instance
+	alpha  []float64 // len = nodes·kmax
+	filled []bool    // len = nodes
 }
 
 func newGates(inst *diffusion.Instance) *gates {
-	return &gates{inst: inst, cache: make(map[int32][]float64)}
+	ga := &gates{inst: inst}
+	ga.grow(inst.G.NumNodes())
+	return ga
 }
 
-// compute derives α for root r using the caller's DP scratch; it reads only
-// the instance, so concurrent calls with distinct scratches are safe.
-func (ga *gates) compute(r int32, dist *[kmax + 1]float64) []float64 {
+// grow extends the table to n nodes; entries for new nodes start unfilled.
+func (ga *gates) grow(n int) {
+	if extra := n - len(ga.filled); extra > 0 {
+		ga.alpha = append(ga.alpha, make([]float64, extra*kmax)...)
+		ga.filled = append(ga.filled, make([]bool, extra)...)
+	}
+}
+
+// row is root r's slot of the table, filled or not.
+func (ga *gates) row(r int32) []float64 {
+	i := int(r) * kmax
+	return ga.alpha[i : i+kmax : i+kmax]
+}
+
+// compute derives α for root r into a (len kmax) using the caller's DP
+// scratch; it reads only the instance, so concurrent calls with distinct
+// outputs and scratches are safe.
+func (ga *gates) compute(r int32, a []float64, dist *[kmax + 1]float64) {
 	g := ga.inst.G
-	a := make([]float64, kmax)
+	clear(a)
 	srcs, _ := g.InEdges(r)
 	if len(srcs) > gateScan {
 		srcs = srcs[:gateScan]
@@ -169,32 +188,28 @@ func (ga *gates) compute(r int32, dist *[kmax + 1]float64) []float64 {
 			a[c] = 0
 		}
 	}
-	return a
 }
 
 func (ga *gates) alphas(r int32) []float64 {
-	if a, ok := ga.cache[r]; ok {
-		return a
+	a := ga.row(r)
+	if !ga.filled[r] {
+		var dist [kmax + 1]float64
+		ga.compute(r, a, &dist)
+		ga.filled[r] = true
 	}
-	var dist [kmax + 1]float64
-	a := ga.compute(r, &dist)
-	ga.cache[r] = a
 	return a
 }
 
-// prefill computes and caches α for every distinct uncached root in roots,
-// fanning the capacity DPs across workers with per-worker scratch. Cache
-// insertion happens on the calling goroutine, so after prefill the cache is
+// prefill fills α for every distinct unfilled root in roots, fanning the
+// capacity DPs across workers with per-worker scratch. The filled marks are
+// set on the calling goroutine (they double as the dedup marks) and each
+// worker writes only its own roots' rows, so after prefill the table is
 // read-only for the draw shards.
 func (ga *gates) prefill(roots []int32, workers int) {
 	var need []int32
-	seen := make(map[int32]bool)
 	for _, r := range roots {
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
-		if _, ok := ga.cache[r]; !ok {
+		if !ga.filled[r] {
+			ga.filled[r] = true
 			need = append(need, r)
 		}
 	}
@@ -207,11 +222,10 @@ func (ga *gates) prefill(roots []int32, workers int) {
 	if workers <= 1 {
 		var dist [kmax + 1]float64
 		for _, r := range need {
-			ga.cache[r] = ga.compute(r, &dist)
+			ga.compute(r, ga.row(r), &dist)
 		}
 		return
 	}
-	out := make([][]float64, len(need))
 	var wg sync.WaitGroup
 	next := int64(-1)
 	for w := 0; w < workers; w++ {
@@ -224,14 +238,11 @@ func (ga *gates) prefill(roots []int32, workers int) {
 				if i >= len(need) {
 					return
 				}
-				out[i] = ga.compute(need[i], &dist)
+				ga.compute(need[i], ga.row(need[i]), &dist)
 			}
 		}()
 	}
 	wg.Wait()
-	for i, r := range need {
-		ga.cache[r] = out[i]
-	}
 }
 
 // store is one SSR sample collection. Sample i consists of a
@@ -260,42 +271,69 @@ type store struct {
 	walker *ris.Walker
 	extra  []*ris.Walker // per-shard walkers beyond walker, grown lazily
 	lt     bool
+	live   ris.LiveFunc                // IC edge liveness, off coin
+	unif   func(uint64, int32) float64 // LT per-(world, node) uniform, off coin
 
 	roots []int32 // per-sample root
 	marks []int64 // per-sample watermark: keyed-edge count at draw time
 	arena []int32 // concatenated slot member lists (roots excluded)
 	offs  []int64 // len = numSamples·kmax + 1
 
-	rootCover map[int32][]int32       // node -> samples rooted at it
-	slotCover [kmax]map[int32][]int32 // slot -> node -> samples covered
+	// Inverted indexes, rebuilt by index after every extend and rebuild:
+	// root maps a node to the samples rooted at it, slot[c] to the samples
+	// whose slot-c set holds it, each list in ascending sample order.
+	root postings
+	slot [kmax]postings
+}
+
+// postings is an inverted node → samples index in CSR form: node v's
+// samples are post[off[v]:off[v+1]].
+type postings struct {
+	off  []int64 // len = nodes+1
+	post []int32
+}
+
+// list returns v's samples, nil for ids past the index.
+func (p *postings) list(v int32) []int32 {
+	if int(v)+1 >= len(p.off) {
+		return nil
+	}
+	return p.post[p.off[v]:p.off[v+1]]
 }
 
 func newStore(inst *diffusion.Instance, u *universe, ga *gates, seed uint64, lt bool) *store {
-	st := &store{
+	coin := rng.NewCoin(seed)
+	return &store{
 		u: u, ga: ga,
-		coin:      rng.NewCoin(seed),
-		g:         inst.G,
-		walker:    ris.NewWalker(inst.G),
-		lt:        lt,
-		offs:      make([]int64, 1),
-		rootCover: make(map[int32][]int32),
+		coin:   coin,
+		g:      inst.G,
+		walker: ris.NewWalker(inst.G),
+		lt:     lt,
+		live:   coin.Live,
+		unif: func(world uint64, node int32) float64 {
+			return coin.Flip(world, itemLTBase|uint64(uint32(node)))
+		},
+		offs: make([]int64, 1),
 	}
-	for c := range st.slotCover {
-		st.slotCover[c] = make(map[int32][]int32)
-	}
-	return st
 }
 
 func (st *store) len() int { return len(st.roots) }
 
+// rootList returns the samples rooted at v, in ascending order.
+func (st *store) rootList(v int32) []int32 { return st.root.list(v) }
+
+// slotList returns the samples whose slot-c set holds v, in ascending order.
+func (st *store) slotList(c int, v int32) []int32 { return st.slot[c].list(v) }
+
 // retarget points the store's draw machinery at inst's (extended) graph;
 // existing samples keep their draws — the stable per-edge coin keys make a
 // redraw over the new graph reproduce every walk that never touched an
-// appended row.
+// appended row. The shared gate table grows to the new node count.
 func (st *store) retarget(inst *diffusion.Instance) {
 	st.g = inst.G
 	st.walker = ris.NewWalker(inst.G)
 	st.extra = nil
+	st.ga.grow(inst.G.NumNodes())
 }
 
 // shardMinSamples is the smallest per-shard sample count worth a goroutine:
@@ -303,52 +341,50 @@ func (st *store) retarget(inst *diffusion.Instance) {
 const shardMinSamples = 64
 
 // shardDraw is one worker's slice of an extension: a contiguous sample
-// range's member arena, per-slot offsets and inverted postings, all local
-// to the shard. Shards merge in worker order — ascending sample order — so
-// the merged store is byte-identical to a sequential build.
+// range's member arena and per-slot offsets, local to the shard. Shards
+// merge in worker order — ascending sample order — so the merged store is
+// byte-identical to a sequential build.
 type shardDraw struct {
 	arena []int32
 	offs  []int64 // shard-relative; entry per (sample, slot)
-	post  [kmax]map[int32][]int32
+}
+
+// drawSample appends sample i's kmax slot member lists (root excluded) to
+// arena, with one end offset per slot in offs, drawing with walker wk.
+// scratch is reused walk storage; the grown buffers are returned.
+func (st *store) drawSample(i int, wk *ris.Walker, arena []int32, offs []int64, scratch []int32) ([]int32, []int64, []int32) {
+	root := st.roots[i]
+	alphas := st.ga.alphas(root)
+	w0 := uint64(i) * worldsPerSample
+	for c := 0; c < kmax; c++ {
+		w := w0 + uint64(c)
+		members := scratch[:0]
+		if st.coin.Flip(w, itemGate) < alphas[c] {
+			if st.lt {
+				members = wk.DrawLT(members, root, w, st.unif)
+			} else {
+				members = wk.Draw(members, root, w, st.live, false)
+			}
+		}
+		for _, v := range members {
+			if v != root { // the root's own coupons never activate the root
+				arena = append(arena, v)
+			}
+		}
+		offs = append(offs, int64(len(arena)))
+		scratch = members
+	}
+	return arena, offs, scratch
 }
 
 // drawShard draws samples [lo, hi) with the given walker. It reads only
-// immutable store state (the universe, the prefilled gate cache, the roots
+// immutable store state (the universe, the prefilled gate table, the roots
 // prefix and the stateless coin), so shards run concurrently.
 func (st *store) drawShard(lo, hi int, wk *ris.Walker) *shardDraw {
 	sd := &shardDraw{}
-	for c := range sd.post {
-		sd.post[c] = make(map[int32][]int32)
-	}
-	live := func(world, e uint64, p float64) bool { return st.coin.Live(world, e, p) }
-	unif := func(world uint64, node int32) float64 {
-		return st.coin.Flip(world, itemLTBase|uint64(uint32(node)))
-	}
 	var scratch []int32
 	for i := lo; i < hi; i++ {
-		root := st.roots[i]
-		alphas := st.ga.alphas(root)
-		w0 := uint64(i) * worldsPerSample
-		for c := 0; c < kmax; c++ {
-			w := w0 + uint64(c)
-			members := scratch[:0]
-			if st.coin.Flip(w, itemGate) < alphas[c] {
-				if st.lt {
-					members = wk.DrawLT(members, root, w, unif)
-				} else {
-					members = wk.Draw(members, root, w, live, false)
-				}
-			}
-			for _, v := range members {
-				if v == root {
-					continue // the root's own coupons never activate the root
-				}
-				sd.arena = append(sd.arena, v)
-				sd.post[c][v] = append(sd.post[c][v], int32(i))
-			}
-			sd.offs = append(sd.offs, int64(len(sd.arena)))
-			scratch = members
-		}
+		sd.arena, sd.offs, scratch = st.drawSample(i, wk, sd.arena, sd.offs, scratch)
 	}
 	return sd
 }
@@ -367,10 +403,9 @@ func (st *store) shardWalker(k int) *ris.Walker {
 
 // extend draws samples until the store holds target of them, sharding the
 // draws across up to workers goroutines. Roots are assigned sequentially
-// (cheap benefit-proportional picks, and the inverted root postings must
-// append in sample order), the gate DPs prefill in parallel, and the walk
-// shards merge in worker order, so the result is byte-identical for any
-// worker count.
+// (cheap benefit-proportional picks), the gate DPs prefill in parallel, the
+// walk shards merge in worker order, and the inverted indexes are rebuilt
+// by a counting pass, so the result is byte-identical for any worker count.
 func (st *store) extend(target, workers int) {
 	lo := st.len()
 	if target <= lo {
@@ -381,7 +416,6 @@ func (st *store) extend(target, workers int) {
 		root := st.u.pick(st.coin.Flip(uint64(i)*worldsPerSample, itemRoot))
 		st.roots = append(st.roots, root)
 		st.marks = append(st.marks, mark)
-		st.rootCover[root] = append(st.rootCover[root], int32(i))
 	}
 	st.ga.prefill(st.roots[lo:], workers)
 
@@ -422,73 +456,109 @@ func (st *store) extend(target, workers int) {
 		for _, o := range sd.offs {
 			st.offs = append(st.offs, base+o)
 		}
-		for c := 0; c < kmax; c++ {
-			for v, list := range sd.post[c] {
-				st.slotCover[c][v] = append(st.slotCover[c][v], list...)
-			}
-		}
 	}
+	st.index(workers)
 }
 
-// rebuild re-packs the arena, offsets and inverted postings after churn:
-// samples not marked bad are copied bit-for-bit, bad ones are re-drawn over
-// the (re-targeted) graph with their original sample-index keys — exactly
-// the draw a cold build at the same index would make over the new rows.
-// Roots and their postings are untouched: the root-sampling universe stays
-// frozen between full builds, so sample i's root never moves.
-func (st *store) rebuild(bad []bool) (reused, redrawn int) {
+// rebuild re-packs the arena and offsets after churn: samples not marked
+// bad are copied bit-for-bit, bad ones are re-drawn over the (re-targeted)
+// graph with their original sample-index keys — exactly the draw a cold
+// build at the same index would make over the new rows — and the inverted
+// indexes are rebuilt over the result. Roots are untouched: the
+// root-sampling universe stays frozen between full builds, so sample i's
+// root never moves.
+func (st *store) rebuild(bad []bool, workers int) (reused, redrawn int) {
 	mark := int64(st.g.NumEdges())
-	live := func(world, e uint64, p float64) bool { return st.coin.Live(world, e, p) }
-	unif := func(world uint64, node int32) float64 {
-		return st.coin.Flip(world, itemLTBase|uint64(uint32(node)))
-	}
 	arena := make([]int32, 0, len(st.arena))
 	offs := make([]int64, 1, cap(st.offs))
-	var sc [kmax]map[int32][]int32
-	for c := range sc {
-		sc[c] = make(map[int32][]int32, len(st.slotCover[c]))
-	}
 	var scratch []int32
 	for i := 0; i < st.len(); i++ {
 		if !bad[i] {
 			reused++
-			for c := 0; c < kmax; c++ {
-				for _, v := range st.members(i, c) {
-					arena = append(arena, v)
-					sc[c][v] = append(sc[c][v], int32(i))
-				}
-				offs = append(offs, int64(len(arena)))
+			base := i * kmax
+			lo, hi := st.offs[base], st.offs[base+kmax]
+			shift := int64(len(arena)) - lo
+			arena = append(arena, st.arena[lo:hi]...)
+			for _, o := range st.offs[base+1 : base+kmax+1] {
+				offs = append(offs, o+shift)
 			}
 			continue
 		}
 		redrawn++
 		st.marks[i] = mark
-		root := st.roots[i]
-		alphas := st.ga.alphas(root)
-		w0 := uint64(i) * worldsPerSample
-		for c := 0; c < kmax; c++ {
-			w := w0 + uint64(c)
-			members := scratch[:0]
-			if st.coin.Flip(w, itemGate) < alphas[c] {
-				if st.lt {
-					members = st.walker.DrawLT(members, root, w, unif)
-				} else {
-					members = st.walker.Draw(members, root, w, live, false)
-				}
-			}
-			for _, v := range members {
-				if v == root {
-					continue
-				}
-				arena = append(arena, v)
-				sc[c][v] = append(sc[c][v], int32(i))
-			}
-			offs = append(offs, int64(len(arena)))
-			scratch = members
+		arena, offs, scratch = st.drawSample(i, st.walker, arena, offs, scratch)
+	}
+	st.arena, st.offs = arena, offs
+	st.index(workers)
+	return reused, redrawn
+}
+
+// index rebuilds the root and per-slot inverted indexes from roots and the
+// member arena, sized by the graph's current node count. The four indexes
+// are independent, so they build on up to workers goroutines; each is a
+// deterministic counting pass, so the output does not depend on the worker
+// count.
+func (st *store) index(workers int) {
+	nodes, samples := st.g.NumNodes(), st.len()
+	jobs := [kmax + 1]func(){func() {
+		st.root.count(nodes, samples, func(i int) []int32 { return st.roots[i : i+1] })
+	}}
+	for c := 0; c < kmax; c++ {
+		jobs[c+1] = func() {
+			st.slot[c].count(nodes, samples, func(i int) []int32 { return st.members(i, c) })
 		}
 	}
-	st.arena, st.offs, st.slotCover = arena, offs, sc
-	return reused, redrawn
+	workers = max(1, min(workers, len(jobs)))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := w; j < len(jobs); j += workers {
+				jobs[j]()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// count rebuilds p as the CSR index over nodes of samples [0, samples),
+// where list(i) holds sample i's distinct nodes, reusing p's arrays where
+// they fit. The first pass counts per node into off[v] and prefix-sums it
+// to v's end; the second walks the samples backwards and places each at its
+// node's decremented cursor, which leaves off[v] at v's start and every
+// list in ascending sample order.
+func (p *postings) count(nodes, samples int, list func(i int) []int32) {
+	off := p.off
+	if len(off) == nodes+1 {
+		clear(off)
+	} else {
+		off = make([]int64, nodes+1)
+	}
+	for i := 0; i < samples; i++ {
+		for _, v := range list(i) {
+			off[v]++
+		}
+	}
+	for v := 1; v < nodes; v++ {
+		off[v] += off[v-1]
+	}
+	if nodes > 0 {
+		off[nodes] = off[nodes-1]
+	}
+	post := p.post[:0]
+	if size := int(off[nodes]); cap(post) >= size {
+		post = post[:size]
+	} else {
+		post = make([]int32, size)
+	}
+	for i := samples - 1; i >= 0; i-- {
+		for _, v := range list(i) {
+			off[v]--
+			post[off[v]] = int32(i)
+		}
+	}
+	p.off, p.post = off, post
 }
 
 // members returns sample i's slot-c member list.

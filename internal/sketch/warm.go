@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"cmp"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -9,7 +10,7 @@ import (
 	"s3crm/internal/graph"
 )
 
-// Warm is a poolable SSR sample state: the root universe, the gate cache
+// Warm is a poolable SSR sample state: the root universe, the gate table
 // and both sample collections of a finished Solve, plus the bookkeeping
 // needed to reuse them in a later call. A Warm that is exact and unchurned
 // replays the cold doubling schedule bit-identically; after append-only
@@ -105,7 +106,7 @@ func (w *Warm) NoteChurn(inst *diffusion.Instance, batch []graph.Edge, firstKey 
 // α over the patched graph and comparing bit-for-bit detects exactly the
 // affected roots. Even then a sample re-draws only if the new α flips one
 // of its gate decisions against its replayed gate coin — every kept
-// sample's decisions stay consistent with the (updated) cache, which is
+// sample's decisions stay consistent with the (updated) table, which is
 // what makes the flip comparison sound across successive patches.
 //
 // Walks. Reverse walks read only the in-rows of the nodes they record (the
@@ -118,8 +119,9 @@ func (w *Warm) NoteChurn(inst *diffusion.Instance, batch []graph.Edge, firstKey 
 //
 // Survivors are copied bit-for-bit; the rest re-draw over the patched
 // graph under their original sample-index keys. Redraws are few by
-// construction, so the rebuild runs sequentially.
-func (w *Warm) patch() {
+// construction, so they run sequentially; the inverted indexes rebuild on
+// up to workers goroutines.
+func (w *Warm) patch(workers int) {
 	if !w.Dirty() {
 		return
 	}
@@ -128,11 +130,20 @@ func (w *Warm) patch() {
 	w.st1.retarget(w.inst)
 	w.st2.retarget(w.inst)
 
-	byTo := make(map[int32][]churnEdge)
-	fromSet := make(map[int32]bool)
+	// The churn grouped by head, and a node-indexed mark of its tails.
+	byTo := slices.Clone(w.churn)
+	slices.SortStableFunc(byTo, func(a, b churnEdge) int { return cmp.Compare(a.to, b.to) })
+	into := func(v int32) []churnEdge {
+		lo, _ := slices.BinarySearchFunc(byTo, v, func(e churnEdge, v int32) int { return cmp.Compare(e.to, v) })
+		hi := lo
+		for hi < len(byTo) && byTo[hi].to == v {
+			hi++
+		}
+		return byTo[lo:hi]
+	}
+	from := make([]bool, g.NumNodes())
 	for _, e := range w.churn {
-		byTo[e.to] = append(byTo[e.to], e)
-		fromSet[e.from] = true
+		from[e.from] = true
 	}
 
 	stores := [2]*store{w.st1, w.st2}
@@ -141,19 +152,22 @@ func (w *Warm) patch() {
 		bads[si] = make([]bool, st.len())
 	}
 
-	// Gate probe: recompute α for every cached root whose DP inputs may have
-	// moved, keep the cache current, and flag only the samples whose gate
+	// Gate probe: recompute α for every filled root whose DP inputs may have
+	// moved, keep the table current, and flag only the samples whose gate
 	// decisions flip under the new values.
 	var dist [kmax + 1]float64
-	for r, old := range w.ga.cache {
-		touched := byTo[r] != nil
+	for r, ok := range w.ga.filled {
+		if !ok {
+			continue
+		}
+		touched := len(into(int32(r))) > 0
 		if !touched {
-			srcs, _ := g.InEdges(r)
+			srcs, _ := g.InEdges(int32(r))
 			if len(srcs) > gateScan {
 				srcs = srcs[:gateScan]
 			}
 			for _, u := range srcs {
-				if fromSet[u] {
+				if from[u] {
 					touched = true
 					break
 				}
@@ -162,13 +176,16 @@ func (w *Warm) patch() {
 		if !touched {
 			continue
 		}
-		a2 := w.ga.compute(r, &dist)
-		if slices.Equal(old, a2) {
+		row := w.ga.row(int32(r))
+		var old, a2 [kmax]float64
+		copy(old[:], row)
+		w.ga.compute(int32(r), a2[:], &dist)
+		if old == a2 {
 			continue
 		}
-		w.ga.cache[r] = a2
+		copy(row, a2[:])
 		for si, st := range stores {
-			for _, s := range st.rootCover[r] {
+			for _, s := range st.rootList(int32(r)) {
 				wd := uint64(s) * worldsPerSample
 				for c := 0; c < kmax; c++ {
 					f := st.coin.Flip(wd+uint64(c), itemGate)
@@ -198,8 +215,11 @@ func (w *Warm) patch() {
 			}
 			return false
 		}
-		for v, edges := range byTo {
-			for _, s := range st.rootCover[v] {
+		for lo := 0; lo < len(byTo); {
+			v := byTo[lo].to
+			edges := into(v)
+			lo += len(edges)
+			for _, s := range st.rootList(v) {
 				if bad[s] {
 					continue
 				}
@@ -218,7 +238,7 @@ func (w *Warm) patch() {
 				}
 			}
 			for c := 0; c < kmax; c++ {
-				for _, s := range st.slotCover[c][v] {
+				for _, s := range st.slotList(c, v) {
 					if !bad[s] && hit(s, c, edges) {
 						bad[s] = true
 					}
@@ -229,7 +249,7 @@ func (w *Warm) patch() {
 
 	reused, redrawn := 0, 0
 	for si, st := range stores {
-		re, rd := st.rebuild(bads[si])
+		re, rd := st.rebuild(bads[si], workers)
 		reused += re
 		redrawn += rd
 	}
