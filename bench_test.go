@@ -584,10 +584,11 @@ func BenchmarkSSRWarmReuse(b *testing.B) {
 // Watts–Strogatz small world (10M directed edges, 1/in-degree weights) —
 // the large-scale profile EXPERIMENTS.md ("Large-graph scaling") documents.
 // The GPI visit cap bounds the guaranteed-path enumeration (the one phase
-// whose faithful form is quadratic in the budget-feasible frontier); the
-// world-cache engine's dense tier is over budget at this size, so delta
-// queries run on the CSR inverted index. Reported metrics: the redemption
-// rate and the end-of-solve heap (the documented memory budget is 2 GiB).
+// whose faithful form is quadratic in the budget-feasible frontier). The
+// world-cache engine finds affected worlds through its CSR inverted index
+// and sweeps its delta queries world by world. Reported metrics: the
+// redemption rate and the end-of-solve heap (the documented memory budget
+// is 2 GiB).
 func BenchmarkMillionNodeSolve(b *testing.B) {
 	g, err := gen.WattsStrogatz(1_000_000, 10, 0.1, rng.New(77))
 	if err != nil {

@@ -63,11 +63,9 @@ func (s *solver) marginalSCCost(d *diffusion.Deployment, v int32) float64 {
 // --- CELF lazy greedy ---
 
 // lazyBatchSize bounds how many stale heap entries are re-evaluated per
-// batch. The world-cache engine's dense tier answers single candidates in
-// O(their own replays), so the batch stays small to avoid evaluating
-// entries deeper than the next fresh top; the fallback tiers pay one
-// per-world stamp repopulation per call, which a batch of a few still
-// amortizes.
+// batch. The world-cache engine pays one per-world stamp repopulation per
+// call, which a batch of a few amortizes; the batch stays small to avoid
+// evaluating entries deeper than the next fresh top.
 const lazyBatchSize = 4
 
 // lazyID is the CELF state of one investment loop: a max-heap of candidate

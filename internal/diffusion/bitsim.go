@@ -114,11 +114,7 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, 
 			}
 			bs.seen[seed] |= seenNew
 			for m := seenNew; m != 0; m &= m - 1 {
-				w := bits.TrailingZeros64(m)
-				bs.explored[w]++
-				if recs != nil {
-					recs[w].probed = append(recs[w].probed, seed)
-				}
+				bs.explored[bits.TrailingZeros64(m)]++
 			}
 		}
 		bs.active[seed] |= newMask
@@ -170,11 +166,7 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, 
 				}
 				bs.seen[t] |= seenNew
 				for m := seenNew; m != 0; m &= m - 1 {
-					w := bits.TrailingZeros64(m)
-					bs.explored[w]++
-					if recs != nil {
-						recs[w].probed = append(recs[w].probed, t)
-					}
+					bs.explored[bits.TrailingZeros64(m)]++
 				}
 			}
 			ek := eBase + uint64(j)

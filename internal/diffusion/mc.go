@@ -233,15 +233,18 @@ func (e *Estimator) putScratch(s *simScratch) { e.pool.Put(s) }
 // neighbour never offered a coupon (the node's out-degree when the scan ran
 // to the end of the list); scanRed is how many coupons the scan redeemed. A
 // scan with scanRed == K stopped for lack of coupons, so granting one more
-// coupon resumes exactly at scanStop. probed lists every node examined in
-// the world — activated or offered a coupon — in first-examination order;
-// its length is the world's Explored count, and the world cache rebuilds
-// its seen-bitsets from it when patching scans incrementally.
+// coupon resumes exactly at scanStop.
 type worldRecord struct {
 	nodes    []int32
 	scanStop []int32
 	scanRed  []int32
-	probed   []int32
+}
+
+// reset empties the record, keeping its capacity for the next simulation.
+func (r *worldRecord) reset() {
+	r.nodes = r.nodes[:0]
+	r.scanStop = r.scanStop[:0]
+	r.scanRed = r.scanRed[:0]
 }
 
 // simWorld propagates one possible world for deployment d using scratch s,
@@ -265,9 +268,6 @@ func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *wo
 			s.activate(seed, 0)
 			if s.see(seed) {
 				explored++
-				if rec != nil {
-					rec.probed = append(rec.probed, seed)
-				}
 			}
 		}
 	}
@@ -293,9 +293,6 @@ func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *wo
 				}
 				if s.see(t) {
 					explored++ // probed: a coin was flipped for t
-					if rec != nil {
-						rec.probed = append(rec.probed, t)
-					}
 				}
 				ek := base + uint64(j)
 				if keys != nil {

@@ -10,8 +10,8 @@ import (
 // This file is the world-cache side of dynamic graphs: an edge batch applied
 // through graph.WithEdges moves a warm WorldCache onto the extended view by
 // re-simulating only the worlds the appended edges can actually perturb,
-// leaving every other world's snapshot — records, bitsets, dense scan state —
-// untouched and provably identical to a cold rebase over the new graph.
+// leaving every other world's snapshot untouched and provably identical to a
+// cold rebase over the new graph.
 
 // ChurnTargets returns the distinct target nodes of batch in ascending
 // order — the nodes whose in-edge distribution the batch changes, which is
@@ -162,14 +162,8 @@ func (wc *WorldCache) PatchEdges(e2 *Estimator, batch []graph.Edge) Result {
 			}
 		}
 	}
-	var resim []int32
-	for w, hit := range affected {
-		if hit {
-			resim = append(resim, int32(w))
-		}
-	}
 	wc.Est = e2
-	wc.resimWorlds(wc.base, resim, true)
+	wc.resimWorlds(wc.base, affectedWorlds(affected))
 	wc.invBuilt = false
 	wc.refreshSums()
 	return wc.baseResult

@@ -38,8 +38,10 @@ type overlay struct {
 	baseN int // nodes covered by the base CSR (len(offsets)-1)
 	extra int // appended edges across the lineage (beyond the base arrays)
 	// rowOf[v] indexes rows, or -1 when v kept its base row. len == n.
+	// Rows are held by pointer, so an append copies one word per prior
+	// row rather than its four slice headers.
 	rowOf []int32
-	rows  []mergedRow
+	rows  []*mergedRow
 
 	// Key-indexed views, split so an append never copies them: the base
 	// prefix (keys [0, len(baseKP))) is immutable and SHARED across the
@@ -70,7 +72,7 @@ type mergedRow struct {
 // row returns v's merged row, or nil when v kept its base row.
 func (ov *overlay) row(v int32) *mergedRow {
 	if i := ov.rowOf[v]; i >= 0 {
-		return &ov.rows[i]
+		return ov.rows[i]
 	}
 	return nil
 }
@@ -140,7 +142,7 @@ func (g *Graph) WithEdges(batch []Edge) (*Graph, error) {
 	// Overlay: clone the row index, share prior merged rows (immutable once
 	// built), rebuild the rows of sources this batch touches.
 	ov := &overlay{extra: len(batch)}
-	var rows []mergedRow
+	var rows []*mergedRow
 	if g.ov != nil {
 		ov.baseN = g.ov.baseN
 		ov.extra += g.ov.extra
@@ -229,7 +231,7 @@ func (g *Graph) WithEdges(batch []Edge) (*Graph, error) {
 		}
 		row.byTarget = bt
 		ov.rowOf[s] = int32(len(rows))
-		rows = append(rows, row)
+		rows = append(rows, &row)
 	}
 	ov.rows = rows
 	ng.ov = ov
