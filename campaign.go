@@ -324,21 +324,12 @@ func (c *Campaign) newCall(opts []Option) (call, error) {
 	cl := call{cfg: cfg, seq: c.seq.Add(1), seed: cfg.seed}
 	if cfg.degrade != nil {
 		// Graceful degradation: the hook may downgrade the call to fewer
-		// Monte-Carlo worlds (never more, never below the WithMinSamples
-		// floor or one world). The degraded sample count keys its own
-		// engine pool, so a ladder of a few rungs stays warm per rung.
-		if eff := cfg.degrade(cfg.samples); eff < cfg.samples {
-			floor := cfg.minSamples
-			if floor < 1 {
-				floor = 1
-			}
-			if eff < floor {
-				eff = floor
-			}
-			if eff < cfg.samples {
-				cl.cfg.samples = eff
-				cl.degraded = true
-			}
+		// Monte-Carlo worlds (never more, never below one world). The
+		// degraded sample count keys its own engine pool, so a ladder of a
+		// few rungs stays warm per rung.
+		if eff := max(cfg.degrade(cfg.samples), 1); eff < cfg.samples {
+			cl.cfg.samples = eff
+			cl.degraded = true
 		}
 	}
 	if cfg.seedPinned {
@@ -529,16 +520,15 @@ func (c *Campaign) RunBaseline(ctx context.Context, name string, opts ...Option)
 	view := ce.views[0]
 	inst := view.Inst
 	cfg := baselines.Config{
-		Engine:            cl.cfg.engine,
-		Model:             cl.cfg.model,
-		LiveEdgeMemBudget: cl.cfg.memBudget,
-		Samples:           cl.cfg.samples,
-		Seed:              cl.seed,
-		Workers:           cl.cfg.workers,
-		CandidateCap:      cl.cfg.candidateCap,
-		LimitedK:          cl.cfg.limitedK,
-		Evaluator:         view,
-		Progress:          cl.progressFor(name),
+		Engine:       cl.cfg.engine,
+		Model:        cl.cfg.model,
+		Samples:      cl.cfg.samples,
+		Seed:         cl.seed,
+		Workers:      cl.cfg.workers,
+		CandidateCap: cl.cfg.candidateCap,
+		LimitedK:     cl.cfg.limitedK,
+		Evaluator:    view,
+		Progress:     cl.progressFor(name),
 	}
 	var o *baselines.Outcome
 	switch name {

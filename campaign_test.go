@@ -460,3 +460,31 @@ func ExampleCampaign_Solve() {
 	// Output:
 	// seeds: [0]
 }
+
+// TestCampaignDegradationClamp: a degradation hook may lower a call's
+// Monte-Carlo worlds but never raise them, and never below one world.
+func TestCampaignDegradationClamp(t *testing.T) {
+	p := campaignProblem(t)
+	ctx := context.Background()
+	dep := Deployment{Seeds: []int{0}, Coupons: map[int]int{0: 1}}
+	for _, tc := range []struct {
+		hook     int
+		want     int
+		degraded bool
+	}{
+		{hook: 40, want: 40, degraded: true},
+		{hook: 0, want: 1, degraded: true},
+		{hook: 500, want: 100, degraded: false},
+	} {
+		c := oneShot(t, p, WithSamples(100), WithSeed(3),
+			WithDegradation(func(int) int { return tc.hook }))
+		r, err := c.Evaluate(ctx, dep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.EffectiveSamples != tc.want || r.Degraded != tc.degraded {
+			t.Errorf("hook %d: effective %d degraded %v, want %d %v",
+				tc.hook, r.EffectiveSamples, r.Degraded, tc.want, tc.degraded)
+		}
+	}
+}

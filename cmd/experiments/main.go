@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"s3crm/internal/costmodel"
+	"s3crm/internal/diffusion"
 	"s3crm/internal/eval"
 	"s3crm/internal/gen"
 )
@@ -36,7 +37,7 @@ var baseScale = map[string]int{
 func main() {
 	var (
 		scale   = flag.Int("scale", 1, "extra down-scale multiplier on every dataset")
-		engine  = flag.String("engine", "mc", "evaluation engine: mc, worldcache, ssr")
+		engine  = flag.String("engine", "mc", "evaluation engine: "+diffusion.EngineUsage())
 		samples = flag.Int("samples", 300, "Monte-Carlo samples per evaluation")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "parallel Monte-Carlo workers")

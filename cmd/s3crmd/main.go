@@ -77,6 +77,20 @@ import (
 	"s3crm/internal/serve"
 )
 
+// flooredLadder is the daemon's degradation hook: the ladder's sample cap
+// at the current queue pressure, floored at floor — a downgrade below the
+// floor runs at min(floor, requested) instead, so the floor never raises a
+// request.
+func flooredLadder(ladder *serve.Ladder, floor int, pressure func() float64) func(requested int) int {
+	return func(requested int) int {
+		eff := ladder.Samples(requested, pressure())
+		if eff < floor {
+			eff = min(floor, requested)
+		}
+		return eff
+	}
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -121,6 +135,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "s3crmd:", err)
 		os.Exit(1)
 	}
+	if *minSamples < 0 {
+		fmt.Fprintf(os.Stderr, "s3crmd: -min-samples must be non-negative, got %d\n", *minSamples)
+		os.Exit(1)
+	}
 	faults, err := serve.ParseFaults(*faultSpec, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "s3crmd:", err)
@@ -136,10 +154,7 @@ func main() {
 		s3crm.WithCandidateCap(*cap),
 		s3crm.WithEpsilon(*epsilon),
 		s3crm.WithDelta(*delta),
-		s3crm.WithMinSamples(*minSamples),
-		s3crm.WithDegradation(func(requested int) int {
-			return ladder.Samples(requested, limiter.Pressure())
-		}),
+		s3crm.WithDegradation(flooredLadder(ladder, *minSamples, limiter.Pressure)),
 	)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "s3crmd:", err)

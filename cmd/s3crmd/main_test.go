@@ -353,19 +353,18 @@ func TestQueueDeadline503(t *testing.T) {
 	}
 }
 
-// TestDegradedSolve: with a degradation hook active, a solve reports the
-// downgraded sample count, the degraded flag and a non-zero standard
-// error, and /statusz counts it. A pressure-0 rung makes the downgrade
-// deterministic; pressure-driven triggering is covered by internal/serve
-// and the loadgen smoke run.
+// TestDegradedSolve: with the daemon's degradation hook active, a solve
+// reports the downgraded sample count, the degraded flag and a non-zero
+// standard error, and /statusz counts it. A pressure-0 rung makes the
+// downgrade deterministic; pressure-driven triggering is covered by
+// internal/serve and the loadgen smoke run.
 func TestDegradedSolve(t *testing.T) {
 	ladder, err := serve.ParseLadder("0:40")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := testServer(t,
-		s3crm.WithMinSamples(25),
-		s3crm.WithDegradation(func(requested int) int { return ladder.Samples(requested, 0) }))
+		s3crm.WithDegradation(flooredLadder(ladder, 25, func() float64 { return 0 })))
 	w := do(t, s.solve, http.MethodPost, `{"algorithm":"S3CA","engine":"worldcache","seed":7}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("degraded solve: %d %s", w.Code, w.Body.String())
@@ -387,6 +386,35 @@ func TestDegradedSolve(t *testing.T) {
 	}
 	if s.degraded.Load() != 1 {
 		t.Fatalf("degraded counter = %d, want 1", s.degraded.Load())
+	}
+}
+
+// TestFlooredLadder pins the -min-samples floor of the daemon's hook: a
+// rung above the floor applies as-is, a rung below it runs at the floor,
+// and the floor never raises a request that is already below it.
+func TestFlooredLadder(t *testing.T) {
+	ladder, err := serve.ParseLadder("0.25:250,0.75:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		requested int
+		pressure  float64
+		want      int
+	}{
+		{1000, 0, 1000}, // no rung reached
+		{1000, 0.5, 250},
+		{1000, 0.9, 50}, // rung 10 floored at 50
+		{30, 0.9, 30},   // below the floor already: never raised
+		{40, 0, 40},
+	} {
+		hook := flooredLadder(ladder, 50, func() float64 { return tc.pressure })
+		if got := hook(tc.requested); got != tc.want {
+			t.Errorf("requested %d at pressure %v: got %d, want %d", tc.requested, tc.pressure, got, tc.want)
+		}
+	}
+	if got := flooredLadder(nil, 50, func() float64 { return 1 })(1000); got != 1000 {
+		t.Errorf("ladder off: got %d, want 1000", got)
 	}
 }
 

@@ -17,7 +17,7 @@ type Config struct {
 	// serving layer's injection point and the seam tests use to run a
 	// baseline over a parity-oracle engine (see core.Options.Evaluator). The
 	// remaining engine fields should describe the injected engine: sketch
-	// pruning and RIS ranking still read them.
+	// pruning still reads them.
 	Evaluator diffusion.Evaluator
 	// Progress, when non-nil, receives one event per greedy ranking step
 	// and per sweep configuration. Called synchronously; keep it cheap.
@@ -27,7 +27,8 @@ type Config struct {
 	Strategy Strategy
 	LimitedK int
 	// Engine selects the evaluation engine (see diffusion.Engines; empty
-	// means diffusion.EngineMC). Under diffusion.EngineSSR, CandidateCap
+	// means diffusion.EngineMC; diffusion.EngineAuto resolves by instance
+	// size at every entry point). Under diffusion.EngineSSR, CandidateCap
 	// prunes greedy seed candidates by estimated influence (RR-set cover
 	// counts under the configured triggering model) instead of raw
 	// out-degree; the baselines have no solver-side SSR path, so that
@@ -38,10 +39,6 @@ type Config struct {
 	// both the forward evaluations and RR-set drawing: linear-threshold
 	// sketches walk a single sampled in-edge per step.
 	Model string
-	// LiveEdgeMemBudget caps the live-edge substrate's materialized bytes
-	// (<= 0 means diffusion.DefaultLiveEdgeMemBudget); past it both the
-	// forward engines and RR-set drawing hash every probe instead.
-	LiveEdgeMemBudget int64
 	// Samples is the Monte-Carlo sample count (default 1000) and Seed the
 	// estimator seed.
 	Samples int
@@ -52,14 +49,15 @@ type Config struct {
 	// considers everyone. The paper's datasets make full greedy infeasible,
 	// and candidate pruning is the standard practical shortcut.
 	CandidateCap int
-	// UseRIS ranks IM seeds with reverse-influence sampling (the paper's
-	// reverse-greedy speedup [15]) instead of forward Monte-Carlo greedy.
-	// RISSketches sets the RR-set count (0 = 200 × |V| capped at 200000).
-	UseRIS      bool
-	RISSketches int
 }
 
-func (c Config) withDefaults() Config {
+// withDefaults fills the defaults and resolves diffusion.EngineAuto by
+// in's size, as core.SolveCtx does, so candidate pruning sees the concrete
+// engine.
+func (c Config) withDefaults(in *diffusion.Instance) Config {
+	if c.Engine == diffusion.EngineAuto {
+		c.Engine = diffusion.AutoEngine(in.G.NumNodes(), in.G.NumEdges())
+	}
 	if c.Samples <= 0 {
 		c.Samples = 1000
 	}
@@ -78,7 +76,6 @@ func (c Config) engine(in *diffusion.Instance) (diffusion.Evaluator, error) {
 	ev, err := diffusion.NewEngineOpts(in, diffusion.EngineOptions{
 		Engine: c.Engine, Model: c.Model,
 		Samples: c.Samples, Seed: c.Seed, Workers: c.Workers,
-		LiveEdgeMemBudget: c.LiveEdgeMemBudget,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)
@@ -181,11 +178,7 @@ func seedCandidates(in *diffusion.Instance, cfg Config) []int32 {
 	}
 	if cfg.CandidateCap > 0 && cfg.CandidateCap < len(affordable) {
 		if cfg.Engine == diffusion.EngineSSR {
-			if pruned, err := sketchPrune(in, cfg, affordable); err == nil {
-				return pruned
-			}
-			// Sketch generation failed (degenerate graph): fall back to
-			// the degree heuristic below.
+			return sketchPrune(in, cfg, affordable)
 		}
 		sort.Slice(affordable, func(a, b int) bool {
 			da, db := in.G.OutDegree(affordable[a]), in.G.OutDegree(affordable[b])
@@ -208,26 +201,17 @@ func IM(ctx context.Context, in *diffusion.Instance, cfg Config) (*Outcome, erro
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.withDefaults(in)
 	est, err := cfg.engine(in)
 	if err != nil {
 		return nil, err
 	}
 
 	maxSeeds := in.G.NumNodes() // n = 0 means |V| seeds
-	var ranked []int32
-	if cfg.UseRIS {
-		var err error
-		ranked, err = risRank(in, cfg, maxSeeds)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		ranked = greedyRank(ctx, in, cfg, maxSeeds, func(seeds []int32) float64 {
-			d := applyStrategy(in, seeds, cfg.Strategy, cfg.LimitedK)
-			return est.Evaluate(d).Activated
-		})
-	}
+	ranked := greedyRank(ctx, in, cfg, maxSeeds, func(seeds []int32) float64 {
+		d := applyStrategy(in, seeds, cfg.Strategy, cfg.LimitedK)
+		return est.Evaluate(d).Activated
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("baselines: IM aborted: %w", err)
 	}

@@ -20,7 +20,7 @@ func IMS(ctx context.Context, in *diffusion.Instance, cfg Config) (*Outcome, err
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.withDefaults(in)
 	est, err := cfg.engine(in)
 	if err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ func PM(ctx context.Context, in *diffusion.Instance, cfg Config) (*Outcome, erro
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.withDefaults(in)
 	est, err := cfg.engine(in)
 	if err != nil {
 		return nil, err

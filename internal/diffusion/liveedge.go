@@ -16,9 +16,9 @@ const DefaultLiveEdgeMemBudget = int64(256) << 20
 // LiveEdges is the per-world edge-liveness substrate — the one owner of the
 // liveness decision, which every engine probes through Live(world, edge) or
 // BlockMask. Each world's edge liveness is materialized once so the
-// propagation kernels, the world-cache frontier replay and RIS sketch
-// generation read precomputed state instead of recomputing a splitmix64
-// hash chain per probe. Under common random numbers liveness is
+// propagation kernels and the world-cache frontier replay read precomputed
+// state instead of recomputing a splitmix64 hash chain per probe. Under
+// common random numbers liveness is
 // deployment-independent, which is what makes the one-off materialization
 // sound. The layout is owned by the triggering model:
 //
@@ -271,11 +271,14 @@ func (le *LiveEdges) ltLive(world uint64, edge uint64) bool {
 	return le.ltChoice(world, t) == int32(edge)
 }
 
-// ltItemKey maps a node id into a coin item key disjoint from every global
-// edge index (edge indexes are bounded by the int32 CSR cap, well below
-// 2^40), so at a shared seed the LT selection uniforms never coincide with
-// IC's per-edge coin flips — the two models' streams share no draws.
-func ltItemKey(t int32) uint64 { return uint64(uint32(t)) | 1<<40 }
+// LTItemKey maps a node id into the coin item key of its LT selection
+// uniform: node t selects its in-edge in world w by coin.Flip(w,
+// LTItemKey(t)). The key is disjoint from every global edge index (edge
+// indexes are bounded by the int32 CSR cap, well below 2^40), so at a
+// shared seed the LT selection uniforms never coincide with IC's per-edge
+// coin flips — the two models' streams share no draws. Reverse walkers that
+// must reproduce this substrate's LT worlds draw through the same key.
+func LTItemKey(t int32) uint64 { return uint64(uint32(t)) | 1<<40 }
 
 // ltChoice returns the forward global index of the in-edge node t selects
 // in world, or -1 when the draw lands past the in-weight sum (no live
@@ -288,7 +291,7 @@ func (le *LiveEdges) ltChoice(world uint64, t int32) int32 {
 	if len(eidx) == 0 {
 		return -1
 	}
-	u := le.coin.Flip(world, ltItemKey(t))
+	u := le.coin.Flip(world, LTItemKey(t))
 	cum := 0.0
 	for _, e := range eidx {
 		cum += le.prob(uint64(e))

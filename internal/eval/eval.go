@@ -127,7 +127,7 @@ func RunOne(algo string, inst *diffusion.Instance, p RunParams) (Measure, error)
 		}
 		dep = sol.Deployment
 		meas.ExploredRatio = float64(sol.Stats.ExploredNodes) / float64(inst.G.NumNodes())
-	case "IM-U", "IM-L", "IM-R", "PM-U", "PM-L", "IM-S", "RAND", "DEG":
+	case "IM-U", "IM-L", "PM-U", "PM-L", "IM-S":
 		cfg := baselines.Config{
 			Engine: p.Engine, Samples: p.Samples, Seed: p.Seed, Workers: p.Workers,
 			CandidateCap: p.CandidateCap, LimitedK: p.LimitedK,
@@ -142,17 +142,10 @@ func RunOne(algo string, inst *diffusion.Instance, p RunParams) (Measure, error)
 		switch algo {
 		case "IM-U", "IM-L":
 			o, err = baselines.IM(context.Background(), inst, cfg)
-		case "IM-R": // IM with reverse-influence-sampling seed ranking
-			cfg.UseRIS = true
-			o, err = baselines.IM(context.Background(), inst, cfg)
 		case "PM-U", "PM-L":
 			o, err = baselines.PM(context.Background(), inst, cfg)
 		case "IM-S":
 			o, err = baselines.IMS(context.Background(), inst, cfg)
-		case "RAND":
-			o, err = baselines.Random(context.Background(), inst, cfg)
-		case "DEG":
-			o, err = baselines.HighDegree(context.Background(), inst, cfg)
 		}
 		if err != nil {
 			return Measure{}, err

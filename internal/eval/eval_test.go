@@ -75,22 +75,6 @@ func TestRunOneAllAlgorithms(t *testing.T) {
 	}
 }
 
-func TestRunOneExtraAlgorithms(t *testing.T) {
-	inst, err := BuildInstance(tinySetup())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []string{"RAND", "DEG", "IM-R"} {
-		m, err := RunOne(algo, inst, tinyParams())
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if m.TotalCost > inst.Budget+1e-9 {
-			t.Fatalf("%s violated budget", algo)
-		}
-	}
-}
-
 func TestRunOneUnknownAlgorithm(t *testing.T) {
 	inst, err := BuildInstance(tinySetup())
 	if err != nil {

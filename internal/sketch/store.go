@@ -22,7 +22,7 @@ const kmax = 3
 // of (coin seed, world, item): worlds stride by worldsPerSample so each
 // (sample, slot) pair owns a world, and the item keys below stay clear of
 // both forward edge indices and the forward substrates' LT node keys
-// (1<<40 | node), so no SSR draw can collide with an engine draw even under
+// (diffusion.LTItemKey), so no SSR draw can collide with an engine draw even under
 // a shared seed. Because every draw is keyed by the global sample index —
 // never by a worker id — a sharded parallel build produces byte-identical
 // collections for any worker count.
@@ -363,7 +363,7 @@ func (st *store) drawSample(i int, wk *ris.Walker, arena []int32, offs []int64, 
 			if st.lt {
 				members = wk.DrawLT(members, root, w, st.unif)
 			} else {
-				members = wk.Draw(members, root, w, st.live, false)
+				members = wk.Draw(members, root, w, st.live)
 			}
 		}
 		for _, v := range members {

@@ -18,7 +18,6 @@ type config struct {
 	engine       string
 	model        string
 	samples      int
-	minSamples   int
 	degrade      func(requested int) int
 	seed         uint64
 	seedPinned   bool // a call-level WithSeed pins the call's RNG streams
@@ -128,28 +127,14 @@ func WithSamples(n int) Option {
 	}
 }
 
-// WithMinSamples sets the floor a degradation hook may not push the
-// effective sample count below (default 0 — degradation is only bounded by
-// a minimum of one world). It does not affect WithSamples itself: an
-// explicit request below the floor is honoured as-is; only hook-driven
-// downgrades are clamped.
-func WithMinSamples(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("min samples must be non-negative, got %d", n)
-		}
-		c.minSamples = n
-		return nil
-	}
-}
-
 // WithDegradation installs a degradation hook: at the start of every call
 // the hook receives the requested Monte-Carlo sample count and returns the
 // count the call should actually run with. A return below the request
 // downgrades the call — trading estimation precision for latency — and the
 // call's Result reports Degraded, EffectiveSamples and a correspondingly
-// wider StdErr. Returns above the request, and anything below the
-// WithMinSamples floor (or 1), are clamped; nil removes the hook.
+// wider StdErr. Returns above the request are ignored and returns below
+// one world are clamped to one; any higher floor is the hook's to apply
+// (cmd/s3crmd floors its ladder at -min-samples). nil removes the hook.
 //
 // The hook runs on every call — possibly concurrently — so it must be
 // cheap and safe for concurrent use. This is the seam the serving layer
