@@ -39,7 +39,6 @@ func sketchPrune(in *diffusion.Instance, cfg Config, affordable []int32) []int32
 func coverCounts(g *graph.Graph, model string, count int, seed uint64) []int32 {
 	coin := rng.NewCoin(seed)
 	roots := rng.New(seed)
-	unif := func(world uint64, v int32) float64 { return coin.Flip(world, diffusion.LTItemKey(v)) }
 	wk := ris.NewWalker(g)
 	n := g.NumNodes()
 	covers := make([]int32, n)
@@ -47,9 +46,9 @@ func coverCounts(g *graph.Graph, model string, count int, seed uint64) []int32 {
 	for i := 0; i < count; i++ {
 		root := int32(roots.Intn(n))
 		if model == diffusion.ModelLT {
-			set = wk.DrawLT(set[:0], root, uint64(i), unif)
+			set = wk.DrawLT(set[:0], root, uint64(i), coin, diffusion.LTItemBase)
 		} else {
-			set = wk.Draw(set[:0], root, uint64(i), coin.Live)
+			set = wk.Draw(set[:0], root, uint64(i), coin)
 		}
 		for _, v := range set {
 			covers[v]++

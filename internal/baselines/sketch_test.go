@@ -196,7 +196,7 @@ func fullProbeCovers(g *graph.Graph, model string, count int, seed uint64, budge
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
 			covers[v]++
-			srcs, eidx := g.InEdges(v)
+			srcs, eidx, _ := g.InEdges(v)
 			for j, u := range srcs {
 				if !seen[u] && le.Live(uint64(i), uint64(eidx[j])) {
 					seen[u] = true

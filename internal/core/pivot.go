@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+
+	"s3crm/internal/diffusion"
 )
 
 // pivotEntry is one pivot source: a user evaluated standalone, with the
@@ -38,6 +40,7 @@ func (s *solver) buildPivotQueue() []pivotEntry {
 	n := in.G.NumNodes()
 	scan := func(lo, hi int32) []pivotEntry {
 		entries := make([]pivotEntry, 0, 64)
+		var rp []float64 // per-scan redeem-probability scratch
 		for v := lo; v < hi; v++ {
 			seedCost := in.SeedCost[v]
 			if seedCost > in.Budget {
@@ -47,17 +50,28 @@ func (s *solver) buildPivotQueue() []pivotEntry {
 			if seedMR <= 0 {
 				continue
 			}
-			k := 0
-			couponCost := in.NodeSCCost(v, 1)
-			gain := in.StandaloneBenefit(v, 1) - in.Benefit[v]
-			if couponCost > 0 && seedCost+couponCost <= in.Budget && safeRatio(gain, couponCost) > 0 {
-				k = 1
+			// One capacity DP yields both one-coupon quantities,
+			// NodeSCCost(v, 1) and StandaloneBenefit(v, 1), summed in the
+			// same order as those functions so every rate is bit-identical.
+			targets, probs := in.G.OutEdges(v)
+			if cap(rp) < len(probs) {
+				rp = make([]float64, len(probs))
 			}
-			totalCost := seedCost + in.NodeSCCost(v, k)
+			rp = rp[:len(probs)]
+			diffusion.RedeemProbsInto(rp, probs, 1)
+			couponCost, benefit1 := 0.0, in.Benefit[v]
+			for j, t := range targets {
+				couponCost += in.SCCost[t] * rp[j]
+				benefit1 += in.Benefit[t] * rp[j]
+			}
+			k, cost, benefit := 0, 0.0, in.Benefit[v]
+			if couponCost > 0 && seedCost+couponCost <= in.Budget && safeRatio(benefit1-in.Benefit[v], couponCost) > 0 {
+				k, cost, benefit = 1, couponCost, benefit1
+			}
 			entries = append(entries, pivotEntry{
 				node: v,
 				k:    k,
-				rate: safeRatio(in.StandaloneBenefit(v, k), totalCost),
+				rate: safeRatio(benefit, seedCost+cost),
 			})
 		}
 		return entries

@@ -271,14 +271,19 @@ func (le *LiveEdges) ltLive(world uint64, edge uint64) bool {
 	return le.ltChoice(world, t) == int32(edge)
 }
 
-// LTItemKey maps a node id into the coin item key of its LT selection
-// uniform: node t selects its in-edge in world w by coin.Flip(w,
-// LTItemKey(t)). The key is disjoint from every global edge index (edge
-// indexes are bounded by the int32 CSR cap, well below 2^40), so at a
+// LTItemBase is the item range of the LT selection uniforms: node t selects
+// its in-edge in world w by coin.Flip(w, LTItemKey(t)), with LTItemKey(t) =
+// LTItemBase|uint32(t). The range is disjoint from every global edge index
+// (edge indexes are bounded by the int32 CSR cap, well below 2^40), so at a
 // shared seed the LT selection uniforms never coincide with IC's per-edge
 // coin flips — the two models' streams share no draws. Reverse walkers that
-// must reproduce this substrate's LT worlds draw through the same key.
-func LTItemKey(t int32) uint64 { return uint64(uint32(t)) | 1<<40 }
+// must reproduce this substrate's LT worlds pass LTItemBase to
+// ris.Walker.DrawLT.
+const LTItemBase = uint64(1) << 40
+
+// LTItemKey maps a node id into the coin item key of its LT selection
+// uniform (see LTItemBase).
+func LTItemKey(t int32) uint64 { return LTItemBase | uint64(uint32(t)) }
 
 // ltChoice returns the forward global index of the in-edge node t selects
 // in world, or -1 when the draw lands past the in-weight sum (no live
@@ -287,16 +292,16 @@ func LTItemKey(t int32) uint64 { return uint64(uint32(t)) | 1<<40 }
 // the accumulation order is fixed by that row, so every caller — row fills
 // and per-probe hashing alike — computes the identical choice.
 func (le *LiveEdges) ltChoice(world uint64, t int32) int32 {
-	_, eidx := le.g.InEdges(t)
-	if len(eidx) == 0 {
+	_, keys, probs := le.g.InEdges(t)
+	if len(keys) == 0 {
 		return -1
 	}
 	u := le.coin.Flip(world, LTItemKey(t))
 	cum := 0.0
-	for _, e := range eidx {
-		cum += le.prob(uint64(e))
+	for j, p := range probs {
+		cum += p
 		if u < cum {
-			return e
+			return keys[j]
 		}
 	}
 	return -1

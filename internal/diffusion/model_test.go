@@ -255,7 +255,7 @@ func TestLTSingleLiveInEdgePerWorld(t *testing.T) {
 	hash := NewLTLiveEdges(g, samples, rng.NewCoin(13), 1)
 	probs := g.Probs()
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
-		_, eidx := g.InEdges(v)
+		_, eidx, _ := g.InEdges(v)
 		if len(eidx) == 0 {
 			continue
 		}

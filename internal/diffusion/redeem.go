@@ -36,8 +36,15 @@ func RedeemProbsInto(out []float64, probs []float64, k int) {
 		k = len(probs)
 	}
 	// dist[c] = probability that exactly c coupons were redeemed so far,
-	// c in [0, k]; k is absorbing.
-	dist := make([]float64, k+1)
+	// c in [0, k]; k is absorbing. Small k — every coupon count the solvers
+	// probe in their hot loops — keeps the row on the stack.
+	var small [16]float64
+	var dist []float64
+	if k < len(small) {
+		dist = small[:k+1]
+	} else {
+		dist = make([]float64, k+1)
+	}
 	dist[0] = 1
 	for j, p := range probs {
 		// P(redeem at j) = p · P(count < k)

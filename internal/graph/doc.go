@@ -24,9 +24,10 @@
 //     index, the identity under which Monte-Carlo coin flips and live-edge
 //     worlds address it;
 //   - reverse: the transpose in the same layout, built lazily on first use
-//     (reverse-influence sampling is the only consumer), with each reverse
-//     slot carrying the forward global edge index so probabilities and coin
-//     flips are shared, never duplicated.
+//     (reverse-influence sampling and the LT live-edge walk are the only
+//     consumers), with each reverse slot carrying the edge's stable coin key
+//     — so coin flips are shared with the forward direction — and a copy of
+//     its probability, so reverse walks read their in-rows sequentially.
 //
 // Offsets are int32, which caps a graph at 2^31-1 edges — ~17 GiB of
 // forward CSR — far past the million-node target; construction rejects

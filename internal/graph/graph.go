@@ -54,16 +54,19 @@ type Graph struct {
 	ov *overlay
 
 	// Reverse CSR, built lazily on first InEdges call (reverse-influence
-	// sampling is the only consumer; the solve path never pays for it).
-	// revSources[revOffsets[v]:revOffsets[v+1]] are v's in-neighbours sorted
-	// by descending forward probability (ties by ascending source id — the
-	// mirror of the forward invariant), and revEdge the stable coin key of
-	// each slot (the forward global index on plain graphs), so probabilities
-	// (KeyProbs()[key]) and coin flips are shared with the forward walk.
+	// sampling and the LT live-edge walk are the only consumers; the solve
+	// path never pays for it). revSources[revOffsets[v]:revOffsets[v+1]] are
+	// v's in-neighbours sorted by descending forward probability (ties by
+	// ascending source id — the mirror of the forward invariant); revEdge
+	// holds the stable coin key of each slot (the forward global index on
+	// plain graphs), so coin flips are shared with the forward walk, and
+	// revProbs the probability of that key, so reverse walks read every
+	// in-edge sequentially instead of jumping by key.
 	revOnce    sync.Once
 	revOffsets []int32
 	revSources []int32
 	revEdge    []int32
+	revProbs   []float64
 }
 
 // FromEdges constructs a Graph from an edge list. The slice is not retained.
@@ -304,13 +307,14 @@ func (g *Graph) EdgeIndexBase(v int32) int64 {
 
 // Probs returns all edge probabilities in global CSR order: the probability
 // of the edge at CSR position i is Probs()[i]. Positions are coin keys only
-// on graphs without remapped keys; key-indexed consumers use KeyProbs.
+// on graphs without remapped keys; key-indexed consumers use KeyProbs, or
+// KeyViewParts on overlay graphs.
 // Panics on a graph with a live delta overlay (the array would be
 // incomplete). The slice aliases the graph's internal storage and must not
 // be modified.
 func (g *Graph) Probs() []float64 {
 	if g.ov != nil {
-		panic("graph: Probs on a delta-overlay graph (appended edges are not in the CSR arrays); use KeyProbs")
+		panic("graph: Probs on a delta-overlay graph (appended edges are not in the CSR arrays); use KeyViewParts")
 	}
 	return g.probs
 }
@@ -319,15 +323,12 @@ func (g *Graph) Probs() []float64 {
 // KeyProbs()[k] is the probability of the edge whose Monte-Carlo coin is
 // salted with k. On graphs whose keys equal CSR positions this is Probs()
 // itself; on keyed graphs it is the key-indexed view materialized at build
-// time; on overlay graphs the flat array is materialized lazily, at most
-// once, from the lineage-shared base prefix and the overlay tail (callers
-// that can consume the split form directly use KeyViewParts and skip the
-// O(edges) materialization). The slice aliases graph storage and must not
-// be modified. Safe for concurrent use.
+// time. Panics on a graph with a live delta overlay, whose key-indexed view
+// exists only in the split form of KeyViewParts. The slice aliases graph
+// storage and must not be modified.
 func (g *Graph) KeyProbs() []float64 {
 	if g.ov != nil {
-		g.ov.keyOnce.Do(g.materializeKeyViews)
-		return g.keyProbs
+		panic("graph: KeyProbs on a delta-overlay graph; use KeyViewParts")
 	}
 	if g.keyProbs != nil {
 		return g.keyProbs
@@ -337,13 +338,12 @@ func (g *Graph) KeyProbs() []float64 {
 
 // KeyTargets returns edge target nodes indexed by stable coin key — the
 // key-indexed companion of KeyProbs, consumed by the LT live-edge substrate
-// to map a probed edge key to the node whose chosen-in-edge decides it. The
-// slice aliases graph storage and must not be modified. Safe for concurrent
-// use.
+// to map a probed edge key to the node whose chosen-in-edge decides it.
+// Panics on a graph with a live delta overlay, like KeyProbs. The slice
+// aliases graph storage and must not be modified.
 func (g *Graph) KeyTargets() []int32 {
 	if g.ov != nil {
-		g.ov.keyOnce.Do(g.materializeKeyViews)
-		return g.keyTargets
+		panic("graph: KeyTargets on a delta-overlay graph; use KeyViewParts")
 	}
 	if g.keyTargets != nil {
 		return g.keyTargets
@@ -352,13 +352,15 @@ func (g *Graph) KeyTargets() []int32 {
 }
 
 // buildReverse materializes the reverse CSR: a forward sweep scatters every
-// edge into its target's row (counting sort on the already-known in-degrees),
-// then each row is sorted by descending forward probability, ties by
-// ascending source — exactly the order a standalone transpose graph would
-// store, so reverse walks consume random streams identically to one. The
-// sweep iterates OutRow, so overlay graphs get a full merged reverse (base
-// and appended in-edges interleaved in the invariant order a cold rebuild
-// would produce) and revEdge records stable coin keys on every lineage.
+// edge's source, coin key and probability into its target's row (counting
+// sort on the already-known in-degrees), then each row is sorted by its own
+// aligned probabilities, descending, ties by ascending source — exactly the
+// order a standalone transpose graph would store, so reverse walks consume
+// random streams identically to one. The sweep iterates OutRow, so overlay
+// graphs get a full merged reverse (base and appended in-edges interleaved
+// in the invariant order a cold rebuild would produce) without reading
+// the key-indexed views, and revEdge records stable coin keys on every
+// lineage.
 func (g *Graph) buildReverse() {
 	n, m := g.n, g.NumEdges()
 	g.revOffsets = make([]int32, n+1)
@@ -367,10 +369,11 @@ func (g *Graph) buildReverse() {
 	}
 	g.revSources = make([]int32, m)
 	g.revEdge = make([]int32, m)
+	g.revProbs = make([]float64, m)
 	cursor := make([]int32, n)
 	copy(cursor, g.revOffsets[:n])
 	for v := int32(0); v < int32(n); v++ {
-		targets, _, keys, kbase := g.OutRow(v)
+		targets, probs, keys, kbase := g.OutRow(v)
 		for j, t := range targets {
 			i := cursor[t]
 			g.revSources[i] = v
@@ -379,50 +382,52 @@ func (g *Graph) buildReverse() {
 			} else {
 				g.revEdge[i] = int32(kbase) + int32(j)
 			}
+			g.revProbs[i] = probs[j]
 			cursor[t]++
 		}
 	}
-	kp := g.KeyProbs()
 	_ = shardNodes(n, m, func(lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			rlo, rhi := g.revOffsets[v], g.revOffsets[v+1]
-			srcs, eidx := g.revSources[rlo:rhi], g.revEdge[rlo:rhi]
-			sort.Sort(revSorter{sources: srcs, edges: eidx, probs: kp})
+			sort.Sort(revSorter{sources: g.revSources[rlo:rhi], keys: g.revEdge[rlo:rhi], probs: g.revProbs[rlo:rhi]})
 		}
 		return nil
 	})
 }
 
+// revSorter orders one reverse row by descending probability, ties by
+// ascending source, swapping the three aligned arrays together.
 type revSorter struct {
 	sources []int32
-	edges   []int32
+	keys    []int32
 	probs   []float64
 }
 
 func (r revSorter) Len() int { return len(r.sources) }
 func (r revSorter) Less(i, j int) bool {
-	pi, pj := r.probs[r.edges[i]], r.probs[r.edges[j]]
-	if pi != pj {
-		return pi > pj
+	if r.probs[i] != r.probs[j] {
+		return r.probs[i] > r.probs[j]
 	}
 	return r.sources[i] < r.sources[j]
 }
 func (r revSorter) Swap(i, j int) {
 	r.sources[i], r.sources[j] = r.sources[j], r.sources[i]
-	r.edges[i], r.edges[j] = r.edges[j], r.edges[i]
+	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
+	r.probs[i], r.probs[j] = r.probs[j], r.probs[i]
 }
 
 // InEdges returns v's in-neighbours sorted by descending influence
-// probability (ties by ascending source id) together with each in-edge's
-// stable coin key — the identity under which its probability
-// (KeyProbs()[key]) and its Monte-Carlo coin live. On plain graphs keys
-// equal forward global CSR indices, preserving the historical contract.
-// The reverse CSR is built once, lazily, on first call; the slices alias
-// graph storage and must not be modified. Safe for concurrent use.
-func (g *Graph) InEdges(v int32) (sources, edgeKeys []int32) {
+// probability (ties by ascending source id), each in-edge's stable coin key
+// — the identity its Monte-Carlo coin is salted with — and its
+// probability, aligned slot for slot: probs[j] is the probability of key
+// keys[j] (KeyProbs()[keys[j]] on graphs without an overlay). On plain
+// graphs keys equal forward global CSR indices. The reverse CSR is built
+// once, lazily, on first call; the slices alias graph storage and must not
+// be modified. Safe for concurrent use.
+func (g *Graph) InEdges(v int32) (sources, keys []int32, probs []float64) {
 	g.revOnce.Do(g.buildReverse)
 	lo, hi := g.revOffsets[v], g.revOffsets[v+1]
-	return g.revSources[lo:hi], g.revEdge[lo:hi]
+	return g.revSources[lo:hi], g.revEdge[lo:hi], g.revProbs[lo:hi]
 }
 
 // lookupThreshold is the degree below which a linear adjacency scan beats

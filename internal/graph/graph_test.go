@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"s3crm/internal/rng"
@@ -316,5 +317,114 @@ func TestPropertyRandomGraphsWellFormed(t *testing.T) {
 		if !f(src.Uint64()) {
 			t.Fatalf("random graph property violated at iteration %d", i)
 		}
+	}
+}
+
+// checkReverseLayout asserts the reverse CSR's layout on g: every in-edge
+// appears exactly once, in its target's row, with the probability aligned
+// to its slot equal to the key-indexed view's (KeyProbs, or KeyViewParts on
+// overlay graphs) and to the forward row's; each row runs by descending
+// probability, ties by ascending source.
+func checkReverseLayout(t *testing.T, name string, g *Graph) {
+	t.Helper()
+	kp, kt := flatKeyViews(g)
+	seen := make([]bool, g.NumEdges())
+	for v := int32(0); int(v) < g.NumNodes(); v++ {
+		srcs, keys, probs := g.InEdges(v)
+		if len(srcs) != g.InDegree(v) || len(keys) != len(srcs) || len(probs) != len(srcs) {
+			t.Fatalf("%s: node %d: %d sources, %d keys, %d probs, in-degree %d",
+				name, v, len(srcs), len(keys), len(probs), g.InDegree(v))
+		}
+		for j, k := range keys {
+			if seen[k] {
+				t.Fatalf("%s: key %d listed twice", name, k)
+			}
+			seen[k] = true
+			if kt[k] != v {
+				t.Fatalf("%s: node %d slot %d: key %d targets %d", name, v, j, k, kt[k])
+			}
+			if probs[j] != kp[k] {
+				t.Fatalf("%s: node %d slot %d: aligned prob %v, KeyProbs[%d] %v", name, v, j, probs[j], k, kp[k])
+			}
+			if p, ok := g.EdgeProb(srcs[j], v); !ok || p != probs[j] {
+				t.Fatalf("%s: node %d slot %d: forward edge (%d,%d) prob %v,%v, aligned %v",
+					name, v, j, srcs[j], v, p, ok, probs[j])
+			}
+			if j > 0 && (probs[j-1] < probs[j] || probs[j-1] == probs[j] && srcs[j-1] >= srcs[j]) {
+				t.Fatalf("%s: node %d slots %d,%d out of order: (%d,%v) before (%d,%v)",
+					name, v, j-1, j, srcs[j-1], probs[j-1], srcs[j], probs[j])
+			}
+		}
+	}
+	for k, ok := range seen {
+		if !ok {
+			t.Fatalf("%s: key %d missing from the reverse CSR", name, k)
+		}
+	}
+}
+
+// TestReverseLayout checks the aligned reverse layout on every way a graph
+// is built: plain and key-remapped construction, a two-batch overlay
+// lineage, its compaction, and the re-weighting, padding and in-weight
+// capping rebuilds. Probabilities are quantized to quarters so rows are
+// full of ties (zeros included) for the source tie-break to order.
+func TestReverseLayout(t *testing.T) {
+	const n = 200
+	edges := dedupKeepFirst(genEdges(n, 2400, true))
+	for i := range edges {
+		edges[i].P = math.Floor(edges[i].P*4) / 4
+	}
+	base, extra := edges[:2000], edges[2000:]
+	plain, err := FromEdges(n, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reversed input order makes FromEdgesStable keep a non-identity key map.
+	reversed := slices.Clone(base)
+	slices.Reverse(reversed)
+	stable, err := FromEdgesStable(n, reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stable.eid == nil {
+		t.Fatal("reversed input kept the identity key map")
+	}
+	batch1 := append([]Edge{{From: 3, To: n + 2, P: 0.5}, {From: n + 1, To: 4, P: 0.75}}, extra[:len(extra)/2]...)
+	og1, err := stable.WithEdges(batch1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	og2, err := og1.WithEdges(extra[len(extra)/2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := og2.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reweighted, err := stable.Reweight(func(from, to int32, p float64) float64 {
+		return float64((from+to)%3) / 4
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded, err := stable.PadNodes(n + 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"FromEdges", plain},
+		{"FromEdgesStable", stable},
+		{"WithEdges", og1},
+		{"WithEdges twice", og2},
+		{"Compact", compact},
+		{"Reweight", reweighted},
+		{"PadNodes", padded},
+		{"CapInWeights", og2.CapInWeights()},
+	} {
+		checkReverseLayout(t, c.name, c.g)
 	}
 }

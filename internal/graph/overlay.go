@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Delta overlay: edges appended after the CSR was frozen.
@@ -47,16 +46,13 @@ type overlay struct {
 	// prefix (keys [0, len(baseKP))) is immutable and SHARED across the
 	// whole lineage, while the tail (keys len(baseKP)…m-1, in key order)
 	// covers only the appended edges and is copied per append — O(batch),
-	// not O(total edges). KeyProbs/KeyTargets materialize the flat arrays
-	// at most once, on demand, for consumers that need random access over
-	// every key (reverse-CSR builds, RIS walks); the live-edge substrate
-	// reads the split form directly via KeyViewParts and never pays for
-	// the materialization.
-	baseKP  []float64
-	baseKT  []int32
-	tailKP  []float64
-	tailKT  []int32
-	keyOnce sync.Once
+	// not O(total edges). They are only ever read in this split form
+	// (KeyViewParts): the reverse CSR carries its own aligned
+	// probabilities, and the live-edge substrate indexes the two parts.
+	baseKP []float64
+	baseKT []int32
+	tailKP []float64
+	tailKT []int32
 }
 
 // mergedRow is one churned source's full out-row: base edges and appended
@@ -238,29 +234,13 @@ func (g *Graph) WithEdges(batch []Edge) (*Graph, error) {
 	return ng, nil
 }
 
-// materializeKeyViews builds the flat key-indexed probability/target arrays
-// of an overlay graph from the shared base prefix and the lineage tail. It
-// runs at most once per graph, under ov.keyOnce, and only for consumers
-// that genuinely need the flat form — see KeyProbs.
-func (g *Graph) materializeKeyViews() {
-	ov := g.ov
-	m := len(ov.baseKP) + len(ov.tailKP)
-	kp := make([]float64, m)
-	copy(kp, ov.baseKP)
-	copy(kp[len(ov.baseKP):], ov.tailKP)
-	kt := make([]int32, m)
-	copy(kt, ov.baseKT)
-	copy(kt[len(ov.baseKT):], ov.tailKT)
-	g.keyProbs, g.keyTargets = kp, kt
-}
-
 // KeyViewParts returns the key-indexed views in their split form — the
 // immutable base prefix shared across a WithEdges lineage plus the overlay
-// tail — without materializing the flat arrays: key k reads baseP[k] when
-// k < len(baseP) and tailP[k-len(baseP)] otherwise. On graphs without an
-// overlay the tail is empty and the prefix covers every key. This is the
-// accessor the live-edge substrate extends through, which is what keeps
-// appending a churn batch O(batch), not O(edges).
+// tail: key k reads baseP[k] when k < len(baseP) and tailP[k-len(baseP)]
+// otherwise. On graphs without an overlay the tail is empty and the prefix
+// covers every key. This is the accessor the live-edge substrate extends
+// through, which is what keeps appending a churn batch O(batch), not
+// O(edges).
 func (g *Graph) KeyViewParts() (baseP []float64, baseT []int32, tailP []float64, tailT []int32) {
 	if g.ov != nil {
 		return g.ov.baseKP, g.ov.baseKT, g.ov.tailKP, g.ov.tailKT

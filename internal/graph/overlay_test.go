@@ -2,7 +2,7 @@ package graph
 
 import (
 	"reflect"
-	"sync"
+	"slices"
 	"testing"
 )
 
@@ -18,6 +18,13 @@ func rowKeys(g *Graph, v int32) []int32 {
 		}
 	}
 	return out
+}
+
+// flatKeyViews concatenates g's split key-indexed views into flat
+// key → probability and key → target arrays.
+func flatKeyViews(g *Graph) ([]float64, []int32) {
+	bp, bt, tp, tt := g.KeyViewParts()
+	return slices.Concat(bp, tp), slices.Concat(bt, tt)
 }
 
 func baseTestGraph(t *testing.T) *Graph {
@@ -62,8 +69,8 @@ func TestWithEdgesMatchesColdMergeTopology(t *testing.T) {
 		if og.OutDegree(v) != cold.OutDegree(v) || og.InDegree(v) != cold.InDegree(v) {
 			t.Fatalf("degree mismatch at %d", v)
 		}
-		ws, _ := cold.InEdges(v)
-		gs, _ := og.InEdges(v)
+		ws, _, _ := cold.InEdges(v)
+		gs, _, _ := og.InEdges(v)
 		if !reflect.DeepEqual(append([]int32{}, ws...), append([]int32{}, gs...)) {
 			t.Fatalf("in-row %d: overlay %v cold %v", v, gs, ws)
 		}
@@ -116,8 +123,9 @@ func TestWithEdgesKeysStableAndAppended(t *testing.T) {
 			t.Fatalf("appended edge %v key = %d, want %d", e, got[[2]int32{e.From, e.To}], m+int32(i))
 		}
 	}
-	// KeyProbs is consistent with the per-row view, including via InEdges.
-	kp := og.KeyProbs()
+	// The key views are consistent with the per-row view, including via
+	// InEdges.
+	kp, kt := flatKeyViews(og)
 	for v := int32(0); v < int32(og.NumNodes()); v++ {
 		_, ps := og.OutEdges(v)
 		ks := rowKeys(og, v)
@@ -126,7 +134,7 @@ func TestWithEdgesKeysStableAndAppended(t *testing.T) {
 				t.Fatalf("KeyProbs[%d] = %v, want %v", ks[j], kp[ks[j]], ps[j])
 			}
 		}
-		srcs, eks := og.InEdges(v)
+		srcs, eks, _ := og.InEdges(v)
 		for i := range srcs {
 			p, ok := og.EdgeProb(srcs[i], v)
 			if !ok || kp[eks[i]] != p {
@@ -134,7 +142,6 @@ func TestWithEdgesKeysStableAndAppended(t *testing.T) {
 			}
 		}
 	}
-	kt := og.KeyTargets()
 	for e, k := range got {
 		if kt[k] != e[1] {
 			t.Fatalf("KeyTargets[%d] = %d, want %d", k, kt[k], e[1])
@@ -182,10 +189,11 @@ func TestCompactCarriesKeysAndMatchesStableRebuild(t *testing.T) {
 				t.Fatalf("row %d keys drift: overlay %v compacted %v", v, rowKeys(og, v), rowKeys(h, v))
 			}
 		}
-		if !reflect.DeepEqual(og.KeyProbs(), h.KeyProbs()) {
+		okp, okt := flatKeyViews(og)
+		if !reflect.DeepEqual(okp, h.KeyProbs()) {
 			t.Fatal("KeyProbs drift after compaction")
 		}
-		if !reflect.DeepEqual(og.KeyTargets(), h.KeyTargets()) {
+		if !reflect.DeepEqual(okt, h.KeyTargets()) {
 			t.Fatal("KeyTargets drift after compaction")
 		}
 	}
@@ -193,9 +201,8 @@ func TestCompactCarriesKeysAndMatchesStableRebuild(t *testing.T) {
 
 // TestKeyViewPartsMatchFlatViews pins the split key-view contract the
 // live-edge substrate extends through: base prefix + tail concatenate to
-// exactly the lazily-materialized flat arrays, the prefix is shared (not
-// copied) across the whole WithEdges lineage, and concurrent flat-view
-// materialization is safe (this test rides the CI -race job).
+// exactly the flat arrays of the lineage's compaction, and the prefix is
+// shared (not copied) across the whole WithEdges lineage.
 func TestKeyViewPartsMatchFlatViews(t *testing.T) {
 	g := baseTestGraph(t)
 	o1, err := g.WithEdges([]Edge{{0, 4, 0.8}, {4, 1, 0.4}})
@@ -214,17 +221,11 @@ func TestKeyViewPartsMatchFlatViews(t *testing.T) {
 	if len(tp2) != o2.OverlayEdges() || len(tt2) != o2.OverlayEdges() {
 		t.Fatalf("tail covers %d/%d keys, want %d", len(tp2), len(tt2), o2.OverlayEdges())
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o2.KeyProbs()
-			o2.KeyTargets()
-		}()
+	cg, err := o2.Compact()
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	kp, kt := o2.KeyProbs(), o2.KeyTargets()
+	kp, kt := cg.KeyProbs(), cg.KeyTargets()
 	if len(kp) != o2.NumEdges() || len(kt) != o2.NumEdges() {
 		t.Fatalf("flat views cover %d/%d keys, want %d", len(kp), len(kt), o2.NumEdges())
 	}
@@ -417,6 +418,8 @@ func TestDynamicGraphGuards(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"CSR":           func() { og.CSR() },
 		"Probs":         func() { og.Probs() },
+		"KeyProbs":      func() { og.KeyProbs() },
+		"KeyTargets":    func() { og.KeyTargets() },
 		"EdgeIndexBase": func() { og.EdgeIndexBase(0) },
 	} {
 		func() {

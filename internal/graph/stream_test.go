@@ -176,7 +176,7 @@ func TestInEdgesMatchesReverse(t *testing.T) {
 	}
 	probs := g.Probs()
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
-		srcs, eidx := g.InEdges(v)
+		srcs, eidx, _ := g.InEdges(v)
 		ts, ps := rev.OutEdges(v)
 		if len(srcs) != len(ts) {
 			t.Fatalf("node %d: %d in-edges vs %d transpose out-edges", v, len(srcs), len(ts))

@@ -11,6 +11,13 @@
 // With uniformly drawn roots, a node's expected influence is proportional to
 // the fraction of RR sets containing it.
 //
+// Both walks read the graph's reverse CSR row by row — sources, coin keys
+// and probabilities in three aligned arrays (graph.InEdges) — and draw
+// straight off an rng.Coin: the world's mixing round is hashed once per
+// draw, and each in-edge's coin is keyed by its stable forward edge key, so
+// a walk reproduces the forward engines' coin flips for the same seed and
+// world.
+//
 // Walker is the repository's only reverse walk. It has two consumers, each
 // keeping its own sample bookkeeping: the SSR sketch solver draws
 // coupon-indexed RR sets into its sample store, and the baselines rank their
@@ -20,13 +27,10 @@
 // sketch solver gates each walk by coupon slot rather than using raw RR sets.
 package ris
 
-import "s3crm/internal/graph"
-
-// LiveFunc reports whether the forward edge with the given stable coin key
-// (graph.InEdges' edge-key slot) and probability p is live in the given
-// world — typically rng.Coin.Live, so a walk reproduces the forward
-// engines' coin flips for the same seed and world.
-type LiveFunc func(world uint64, edge uint64, p float64) bool
+import (
+	"s3crm/internal/graph"
+	"s3crm/internal/rng"
+)
 
 // Walker draws individual RR sets over g's shared reverse CSR, reusing its
 // visited-stamp and queue scratch across draws. Callers own the sample
@@ -34,7 +38,6 @@ type LiveFunc func(world uint64, edge uint64, p float64) bool
 // Walker is not safe for concurrent use.
 type Walker struct {
 	g       *graph.Graph
-	probs   []float64
 	visited []int32
 	queue   []int32
 	gen     int32
@@ -42,7 +45,7 @@ type Walker struct {
 
 // NewWalker prepares a walker over g's shared reverse CSR.
 func NewWalker(g *graph.Graph) *Walker {
-	w := &Walker{g: g, probs: g.KeyProbs(), visited: make([]int32, g.NumNodes())}
+	w := &Walker{g: g, visited: make([]int32, g.NumNodes())}
 	for i := range w.visited {
 		w.visited[i] = -1
 	}
@@ -64,60 +67,63 @@ func (w *Walker) nextGen() int32 {
 }
 
 // Draw appends to dst the independent-cascade RR set rooted at root — every
-// node whose forward path to root is live in world — and returns the
-// extended slice. Liveness is a per-edge bit, so the walk order within an
-// in-row cannot change which nodes the set contains.
-func (w *Walker) Draw(dst []int32, root int32, world uint64, live LiveFunc) []int32 {
+// node whose forward path to root is live in world under coin — and returns
+// the extended slice. An in-edge is live when coin.Live(world, key, p) holds
+// for its coin key and probability. Liveness is a per-edge bit, so the walk
+// order within an in-row cannot change which nodes the set contains.
+func (w *Walker) Draw(dst []int32, root int32, world uint64, coin rng.Coin) []int32 {
+	wc := coin.World(world)
 	cur := w.nextGen()
-	w.queue = append(w.queue[:0], root)
-	w.visited[root] = cur
-	for head := 0; head < len(w.queue); head++ {
-		v := w.queue[head]
+	visited, queue := w.visited, append(w.queue[:0], root)
+	visited[root] = cur
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		dst = append(dst, v)
-		srcs, eidx := w.g.InEdges(v)
+		srcs, keys, probs := w.g.InEdges(v)
 		for j, u := range srcs {
-			if w.visited[u] == cur {
-				continue
-			}
-			e := uint64(eidx[j])
-			if live(world, e, w.probs[e]) {
-				w.visited[u] = cur
-				w.queue = append(w.queue, u)
+			if visited[u] != cur && wc.Live(uint64(keys[j]), probs[j]) {
+				visited[u] = cur
+				queue = append(queue, u)
 			}
 		}
 	}
+	w.queue = queue
 	return dst
 }
 
 // DrawLT appends to dst the RR set rooted at root under the linear-threshold
-// model with an explicit per-node uniform unif(world, v) — the categorical
-// in-row walk of the LT live-edge view, stateless and order-independent.
-// Each dequeued node selects at most one in-edge: the one whose
-// cumulative-probability interval contains the uniform, none when the
-// uniform lands in the remaining mass.
-func (w *Walker) DrawLT(dst []int32, root int32, world uint64, unif func(world uint64, node int32) float64) []int32 {
+// model — the categorical in-row walk of the LT live-edge view, stateless
+// and order-independent. Node v's uniform is coin.Flip(world,
+// itemBase|uint32(v)), so callers pick the item range that keeps the draw
+// apart from their other coins. Each dequeued node selects at most one
+// in-edge: the one whose cumulative-probability interval, summed in in-row
+// order, contains the uniform; none when the uniform lands in the remaining
+// mass.
+func (w *Walker) DrawLT(dst []int32, root int32, world uint64, coin rng.Coin, itemBase uint64) []int32 {
+	wc := coin.World(world)
 	cur := w.nextGen()
-	w.queue = append(w.queue[:0], root)
-	w.visited[root] = cur
-	for head := 0; head < len(w.queue); head++ {
-		v := w.queue[head]
+	visited, queue := w.visited, append(w.queue[:0], root)
+	visited[root] = cur
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		dst = append(dst, v)
-		srcs, eidx := w.g.InEdges(v)
-		if len(eidx) == 0 {
+		srcs, _, probs := w.g.InEdges(v)
+		if len(probs) == 0 {
 			continue
 		}
-		u := unif(world, v)
+		u := wc.Flip(itemBase | uint64(uint32(v)))
 		cum := 0.0
-		for j, e := range eidx {
-			cum += w.probs[e]
+		for j, p := range probs {
+			cum += p
 			if u < cum {
-				if t := srcs[j]; w.visited[t] != cur {
-					w.visited[t] = cur
-					w.queue = append(w.queue, t)
+				if t := srcs[j]; visited[t] != cur {
+					visited[t] = cur
+					queue = append(queue, t)
 				}
 				break
 			}
 		}
 	}
+	w.queue = queue
 	return dst
 }

@@ -27,20 +27,19 @@ func hubGraph(t testing.TB) *graph.Graph {
 
 // draw returns count RR sets over g, set i rooted at the i-th draw of
 // rng.New(seed) and walked in world i of rng.NewCoin(seed): by liveness
-// coins under IC, by diffusion's LT selection uniform (diffusion.LTItemKey)
-// under LT.
+// coins under IC, by diffusion's LT selection uniform (item range
+// diffusion.LTItemBase) under LT.
 func draw(g *graph.Graph, count int, seed uint64, lt bool) [][]int32 {
 	coin := rng.NewCoin(seed)
 	roots := rng.New(seed)
-	unif := func(world uint64, v int32) float64 { return coin.Flip(world, diffusion.LTItemKey(v)) }
 	w := NewWalker(g)
 	sets := make([][]int32, count)
 	for i := range sets {
 		root := int32(roots.Intn(g.NumNodes()))
 		if lt {
-			sets[i] = w.DrawLT(nil, root, uint64(i), unif)
+			sets[i] = w.DrawLT(nil, root, uint64(i), coin, diffusion.LTItemBase)
 		} else {
-			sets[i] = w.Draw(nil, root, uint64(i), coin.Live)
+			sets[i] = w.Draw(nil, root, uint64(i), coin)
 		}
 	}
 	return sets

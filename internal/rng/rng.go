@@ -154,22 +154,37 @@ type Coin struct {
 func NewCoin(seed uint64) Coin { return Coin{seed: splitmix64(seed)} }
 
 // Flip returns a uniform float64 in [0,1) determined by (seed, world, item).
-func (c Coin) Flip(world uint64, item uint64) float64 {
-	x := c.seed ^ splitmix64(world^0xd1342543de82ef95)
-	x = splitmix64(x ^ splitmix64(item))
-	return float64(x>>11) / (1 << 53)
-}
+func (c Coin) Flip(world uint64, item uint64) float64 { return c.World(world).Flip(item) }
 
 // Live reports whether the coin for (world, item) lands below p — i.e.
 // whether an edge with influence probability p is live in the given world.
-func (c Coin) Live(world uint64, item uint64, p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return c.Flip(world, item) < p
+func (c Coin) Live(world uint64, item uint64, p float64) bool { return c.World(world).Live(item, p) }
+
+// WorldCoin is a Coin fixed to one world: the seed and world-mixing rounds
+// of Flip are folded into one word up front, so each flip pays a single
+// item round plus the final mix. Coin.Flip and Coin.Live are wrappers over
+// it, so a walk that draws many items in one world gets outcomes
+// bit-identical to per-call flips.
+type WorldCoin struct {
+	mix uint64
+}
+
+// World returns the coin of the given world.
+func (c Coin) World(world uint64) WorldCoin {
+	return WorldCoin{mix: c.seed ^ splitmix64(world^0xd1342543de82ef95)}
+}
+
+// Flip returns the uniform float64 in [0,1) of item in this world.
+func (wc WorldCoin) Flip(item uint64) float64 {
+	return float64(splitmix64(wc.mix^splitmix64(item))>>11) / (1 << 53)
+}
+
+// Live reports whether item's coin in this world lands below p. A flip
+// lies in [0,1), so p ≥ 1 is always live and p ≤ 0 never is; the latter
+// skips the hash. The one-expression form keeps Live within the inliner's
+// budget, so a walk's per-edge draw costs no call.
+func (wc WorldCoin) Live(item uint64, p float64) bool {
+	return p > 0 && wc.Flip(item) < p
 }
 
 // WorldMix precomputes the per-world mixing term of Flip for worlds

@@ -252,3 +252,32 @@ func BenchmarkCoinFlip(b *testing.B) {
 		_ = c.Flip(uint64(i), uint64(i*7))
 	}
 }
+
+// TestWorldCoinMatchesCoin checks the per-world coin against Coin.Flip,
+// Coin.Live and the coin hash spelled out round by round, over random
+// (world, item, p) — p drawn from [-0.5, 1.5) so both clamps are hit.
+func TestWorldCoinMatchesCoin(t *testing.T) {
+	src := New(17)
+	for _, seed := range []uint64{0, 1, 77, 1 << 63} {
+		c := NewCoin(seed)
+		for i := 0; i < 20000; i++ {
+			world, item := src.Uint64()>>src.Intn(64), src.Uint64()>>src.Intn(64)
+			p := 2*src.Float64() - 0.5
+			if i%97 == 0 {
+				p = float64(i%3) / 2 // exact 0, 0.5 and 1
+			}
+			x := splitmix64(splitmix64(seed) ^ splitmix64(world^0xd1342543de82ef95) ^ splitmix64(item))
+			ref := float64(x>>11) / (1 << 53)
+			wc := c.World(world)
+			if got := wc.Flip(item); got != ref || c.Flip(world, item) != ref {
+				t.Fatalf("seed %d world %d item %d: World.Flip %v, Flip %v, reference %v",
+					seed, world, item, got, c.Flip(world, item), ref)
+			}
+			want := p >= 1 || (p > 0 && ref < p)
+			if got := wc.Live(item, p); got != want || c.Live(world, item, p) != want {
+				t.Fatalf("seed %d world %d item %d p %v: World.Live %v, Live %v, reference %v",
+					seed, world, item, p, got, c.Live(world, item, p), want)
+			}
+		}
+	}
+}

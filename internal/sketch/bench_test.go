@@ -2,6 +2,8 @@ package sketch
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"s3crm/internal/costmodel"
@@ -35,15 +37,19 @@ func epinionsBenchInstance(b *testing.B) *diffusion.Instance {
 // BenchmarkSSRBuild isolates the worker-sharded SSR sample build: one full
 // store construction — universe closure, gate-DP prefill, sharded reverse
 // walks, arena merge, CSR posting index — at a fixed sample count, across
-// worker counts. The
-// workers=1 cell is the sequential baseline the sharded cells are accepted
-// against; the outputs are byte-identical by construction (sample-index-
-// keyed streams), so the ratio is pure build throughput.
+// worker counts 1, 2 and GOMAXPROCS, duplicates dropped — the counts a
+// machine can actually run in parallel. The workers=1 cell is the sequential
+// baseline the sharded cells are accepted against; the outputs are
+// byte-identical by construction (sample-index-keyed streams), so the ratio
+// is pure build throughput. Every cell reports GOMAXPROCS next to it.
 func BenchmarkSSRBuild(b *testing.B) {
 	inst := epinionsBenchInstance(b)
 	pivots := standalonePivots(inst)
 	const samples = 1 << 14
-	for _, w := range []int{1, 4, 8} {
+	procs := runtime.GOMAXPROCS(0)
+	sweep := []int{1, 2, procs}
+	slices.Sort(sweep)
+	for _, w := range slices.Compact(sweep) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				u := buildUniverse(inst, pivots, universeCap)
@@ -52,6 +58,7 @@ func BenchmarkSSRBuild(b *testing.B) {
 				st.extend(samples, w)
 			}
 			b.ReportMetric(samples, "samples")
+			b.ReportMetric(float64(procs), "gomaxprocs")
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -145,7 +146,7 @@ func (ga *gates) row(r int32) []float64 {
 func (ga *gates) compute(r int32, a []float64, dist *[kmax + 1]float64) {
 	g := ga.inst.G
 	clear(a)
-	srcs, _ := g.InEdges(r)
+	srcs, _, _ := g.InEdges(r)
 	if len(srcs) > gateScan {
 		srcs = srcs[:gateScan]
 	}
@@ -271,8 +272,6 @@ type store struct {
 	walker *ris.Walker
 	extra  []*ris.Walker // per-shard walkers beyond walker, grown lazily
 	lt     bool
-	live   ris.LiveFunc                // IC edge liveness, off coin
-	unif   func(uint64, int32) float64 // LT per-(world, node) uniform, off coin
 
 	roots []int32 // per-sample root
 	marks []int64 // per-sample watermark: keyed-edge count at draw time
@@ -302,18 +301,13 @@ func (p *postings) list(v int32) []int32 {
 }
 
 func newStore(inst *diffusion.Instance, u *universe, ga *gates, seed uint64, lt bool) *store {
-	coin := rng.NewCoin(seed)
 	return &store{
 		u: u, ga: ga,
-		coin:   coin,
+		coin:   rng.NewCoin(seed),
 		g:      inst.G,
 		walker: ris.NewWalker(inst.G),
 		lt:     lt,
-		live:   coin.Live,
-		unif: func(world uint64, node int32) float64 {
-			return coin.Flip(world, itemLTBase|uint64(uint32(node)))
-		},
-		offs: make([]int64, 1),
+		offs:   make([]int64, 1),
 	}
 }
 
@@ -361,9 +355,9 @@ func (st *store) drawSample(i int, wk *ris.Walker, arena []int32, offs []int64, 
 		members := scratch[:0]
 		if st.coin.Flip(w, itemGate) < alphas[c] {
 			if st.lt {
-				members = wk.DrawLT(members, root, w, st.unif)
+				members = wk.DrawLT(members, root, w, st.coin, itemLTBase)
 			} else {
-				members = wk.Draw(members, root, w, st.live)
+				members = wk.Draw(members, root, w, st.coin)
 			}
 		}
 		for _, v := range members {
@@ -450,6 +444,13 @@ func (st *store) extend(target, workers int) {
 		}
 		wg.Wait()
 	}
+	var members, slots int
+	for _, sd := range shards {
+		members += len(sd.arena)
+		slots += len(sd.offs)
+	}
+	st.arena = slices.Grow(st.arena, members)
+	st.offs = slices.Grow(st.offs, slots)
 	for _, sd := range shards {
 		base := int64(len(st.arena))
 		st.arena = append(st.arena, sd.arena...)

@@ -162,7 +162,7 @@ func (w *Warm) patch(workers int) {
 		}
 		touched := len(into(int32(r))) > 0
 		if !touched {
-			srcs, _ := g.InEdges(int32(r))
+			srcs, _, _ := g.InEdges(int32(r))
 			if len(srcs) > gateScan {
 				srcs = srcs[:gateScan]
 			}
