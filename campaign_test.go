@@ -182,7 +182,9 @@ func TestCampaignWarmReuseDeterminism(t *testing.T) {
 }
 
 // TestCampaignEvaluateBatchMatchesEvaluate pins batch-vs-single and
-// parallel-vs-sequential equivalence.
+// parallel-vs-sequential equivalence: a parallel batch fans deployments out
+// across workers, and a single Evaluate under WithWorkers splits its world
+// sweep, both bit-identical to sequential as WithWorkers promises.
 func TestCampaignEvaluateBatchMatchesEvaluate(t *testing.T) {
 	p := campaignProblem(t)
 	c, err := p.NewCampaign(WithSamples(300), WithSeed(9))
@@ -215,6 +217,15 @@ func TestCampaignEvaluateBatchMatchesEvaluate(t *testing.T) {
 		}
 		if !resultsEqual(sequential[i], parallel[i]) {
 			t.Errorf("dep %d: sequential batch %+v != parallel batch %+v", i, sequential[i], parallel[i])
+		}
+		for _, workers := range []int{2, 3, 7} {
+			split, err := c.Evaluate(ctx, deps[i], WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEqual(sequential[i], split) {
+				t.Errorf("dep %d workers=%d: sequential %+v != parallel sweep %+v", i, workers, sequential[i], split)
+			}
 		}
 	}
 }

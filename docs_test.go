@@ -80,7 +80,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		"cmd/loadgen", "/statusz", "BENCH_7.json", "Retry-After",
 		"`ssr`", "WithEpsilon", "WithDelta", "BENCH_8.json", "internal/sketch",
 		"ApplyEdges", "Resolve", "/graph/append", "-churn", "BENCH_9.json",
-		"WithLiveEdgeMemBudget", "bench.json",
+		"bench.json",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("README.md no longer mentions %q", want)
@@ -91,13 +91,14 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 			t.Errorf("README.md engine table has no row for %q", engine)
 		}
 	}
-	// The oracle knobs, the substrate and kernel selectors, the one-shot
-	// API and the write-only binary graph codec are gone; the README must
-	// not advertise them.
+	// The oracle knobs, the substrate and kernel selectors, the live-edge
+	// budget option, the one-shot API and the write-only binary graph codec
+	// are gone; the README must not advertise them.
 	for _, retired := range []string{
 		"WithDiffusion", "WithEvalMode", "WithExhaustiveID", "-evalmode",
 		"\"eval_mode\"", "| `sketch` |", "s3crm.Options", "s3crm.Solve(",
 		"-binary", "binary codec", "DiffusionHash", "EvalScalar", "EvalMode",
+		"WithLiveEdgeMemBudget",
 	} {
 		if strings.Contains(string(body), retired) {
 			t.Errorf("README.md still documents the retired %q", retired)

@@ -36,10 +36,14 @@ func runPinned(p *Problem, algo string, seed uint64, opts ...Option) (*Result, e
 	return c.RunBaseline(context.Background(), algo, WithSeed(seed))
 }
 
-// hashProbes reaches per-probe hashing through the public surface: a
-// one-byte live-edge budget materializes nothing, so every liveness probe
-// takes the substrate's over-budget fallback and recomputes its coin.
-var hashProbes = WithLiveEdgeMemBudget(1)
+// hashProbes reaches per-probe hashing through a Campaign: a one-byte
+// live-edge budget materializes nothing, so every liveness probe takes the
+// substrate's over-budget fallback and recomputes its coin. The budget is
+// not a public option; the campaign's config carries it to the engine key.
+var hashProbes Option = func(c *config) error {
+	c.memBudget = 1
+	return nil
+}
 
 func TestEngineParity(t *testing.T) {
 	p := parityProblem(t)

@@ -17,8 +17,7 @@ type Options struct {
 	// the serving layer's injection point: a Campaign builds the engine
 	// (and its live-edge substrate) once and hands per-call views to every
 	// solve. It is also how tests run the solver over a parity oracle (a
-	// hash-substrate or scalar-kernel engine built with
-	// diffusion.NewEngineOpts). The remaining engine fields still
+	// hash-substrate engine built with diffusion.NewEngineOpts). The remaining engine fields still
 	// parameterize the snapshot scorer stream, so they should describe the
 	// injected engine.
 	Evaluator diffusion.Evaluator
@@ -150,8 +149,9 @@ type Stats struct {
 	GPsCreated    int   // guaranteed paths realized by SCM
 	ExploredNodes int   // distinct users examined across all phases
 	Evaluations   int64 // Monte-Carlo evaluations performed
-	// WorldBlocks counts 64-world blocks evaluated by the block kernel,
-	// the sweep every full evaluation and world-cache rebase runs.
+	// WorldBlocks counts blocks of up to 64 worlds evaluated by the block
+	// kernel, the sweep every evaluation and world-cache re-simulation
+	// runs; a world re-simulated alone counts as one block.
 	WorldBlocks int64
 	// CandidateEvals counts ID-loop candidate marginal-gain evaluations.
 	// The exhaustive sweep pays |candidates| per iteration; the lazy loop

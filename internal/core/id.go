@@ -501,8 +501,9 @@ func (s *solver) selectSnapshot(snapshots []*diffusion.Deployment) *diffusion.De
 	// Under the world-cache engine the scorer is a world cache too, and the
 	// snapshots form a chain differing by one investment each: rebasing
 	// along the chain re-simulates only the affected worlds per coupon step
-	// (seed steps pay a full pass). refreshSums keeps the values
-	// bit-identical to full evaluations, so the selection is unchanged.
+	// (seed steps pay a full pass). The cache folds its per-world values
+	// exactly as a full evaluation does, so the scores are bit-identical
+	// and the selection is unchanged.
 	wcScorer, _ := scorer.(*diffusion.WorldCache)
 	score := func(d *diffusion.Deployment) float64 {
 		cost := s.inst.TotalCost(d)

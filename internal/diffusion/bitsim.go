@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"math/bits"
+	"sync"
 
 	"s3crm/internal/bitset"
 )
@@ -10,12 +11,40 @@ import (
 // queue: node joined the cascade at hop, in exactly the worlds of mask.
 // Masks for the same node are disjoint across entries — a world activates a
 // node at most once — so the queue restricted to any single world is that
-// world's scalar activation order, which is what makes every per-world
-// outcome (including float accumulation order) bit-identical to simWorld.
+// world's one-world activation order, which is what makes every per-world
+// outcome (including float accumulation order) bit-identical to a scalar
+// BFS of that world alone.
 type blockEntry struct {
 	node int32
 	hop  int32
 	mask uint64
+}
+
+// worldSlots holds per-world aggregates, one slot per world in
+// struct-of-arrays form: the benefit and realized SC cost, the farthest
+// hop, and the activated and examined node counts. The arrays are padded to
+// whole 64-world blocks, so every block's window is 64 slots long. Benefit
+// and realized cost accumulate per world in that world's activation order —
+// the block kernel's bit-identity anchor — while the integer aggregates are
+// exact whatever the order.
+type worldSlots struct {
+	benefit   []float64
+	cost      []float64
+	hop       []int32
+	activated []int32
+	explored  []int32
+}
+
+// newWorldSlots returns slots for n worlds, padded to whole blocks.
+func newWorldSlots(n int) *worldSlots {
+	n = (n + bitset.WordMask) &^ bitset.WordMask
+	return &worldSlots{
+		benefit:   make([]float64, n),
+		cost:      make([]float64, n),
+		hop:       make([]int32, n),
+		activated: make([]int32, n),
+		explored:  make([]int32, n),
+	}
 }
 
 // blockScratch holds one 64-world block's propagation state, pooled on the
@@ -26,38 +55,19 @@ type blockScratch struct {
 	touched []int32  // nodes with a nonzero seen word, for the O(touched) reset
 	queue   []blockEntry
 
-	// Per-world aggregates of the current block. Benefit and realized cost
-	// accumulate per world in that world's activation order — the kernel's
-	// bit-identity anchor — while the integer aggregates are exact whatever
-	// the order.
-	worldB    [64]float64
-	worldC    [64]float64
-	maxHop    [64]int32
-	activated [64]int32
-	explored  [64]int32
-
 	// Per-entry offer-scan state, cleared only at the scanned worlds' slots.
 	cnt  [64]int32 // coupons redeemed by the current scan, per world
 	stop [64]int32 // scan resume position for capacity-stopped worlds
 }
 
-// reset clears the previous block's node state and the aggregate slots of
-// the worlds about to be simulated.
-func (bs *blockScratch) reset(blockMask uint64) {
+// reset clears the previous block's node state.
+func (bs *blockScratch) reset() {
 	for _, v := range bs.touched {
 		bs.active[v] = 0
 		bs.seen[v] = 0
 	}
 	bs.touched = bs.touched[:0]
 	bs.queue = bs.queue[:0]
-	for m := blockMask; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		bs.worldB[w] = 0
-		bs.worldC[w] = 0
-		bs.maxHop[w] = 0
-		bs.activated[w] = 0
-		bs.explored[w] = 0
-	}
 }
 
 func (e *Estimator) getBlockScratch() *blockScratch {
@@ -77,32 +87,48 @@ func (e *Estimator) getBlockScratch() *blockScratch {
 
 func (e *Estimator) putBlockScratch(bs *blockScratch) { e.blockPool.Put(bs) }
 
-// simBlock propagates the 64 worlds [worldBase, worldBase+64) selected by
-// blockMask for deployment d — simWorld's block counterpart, evaluating the
-// whole block in one BFS pass over the CSR. worldBase must be 64-aligned.
+// simBlock propagates the worlds of the 64-aligned block at worldBase
+// selected by blockMask for deployment d, in one BFS pass over the CSR,
+// overwriting each world's slots in out; with recs non-nil, recs[world] is
+// reset and receives the world's activation record (the world-cache
+// snapshot). Both are indexed by absolute world. Every set bit is one
+// world, so a one-bit mask runs a world alone.
 //
-// Per-world outcomes are bit-identical to 64 simWorld calls. The coupon
-// capacity makes cascades order-dependent (an offer scan consumes coupons
-// in adjacency order, skipping already-active targets for free), so the
-// kernel replicates each world's scalar event order exactly: entries are
-// appended to the shared FIFO queue at the activation event that created
-// them, with the mask of exactly the worlds activated at that moment.
-// Restricted to any world w, the queue is then world w's scalar activation
-// order (induction over queue positions), every active/seen bit is read and
+// Per-world outcomes are bit-identical to simulating each world on its own
+// (the scalar reference in bitsim_test.go). The coupon capacity makes
+// cascades order-dependent (an offer scan consumes coupons in adjacency
+// order, skipping already-active targets for free), so the kernel
+// replicates each world's scalar event order exactly: entries are appended
+// to the shared FIFO queue at the activation event that created them, with
+// the mask of exactly the worlds activated at that moment. Restricted to
+// any world w, the queue is then world w's scalar activation order
+// (induction over queue positions), every active/seen bit is read and
 // written at its scalar timing, and the per-world float sums accumulate in
 // the scalar order. What the block buys is the dense part: membership tests
 // and edge-liveness probes for all 64 worlds collapse into whole-word
 // AND/OR/ANDN against the substrate's bit rows.
-//
-// With recs non-nil (the world-cache snapshot path) entry recs[b] — indexed
-// by in-block world offset — receives that world's activation record; every
-// entry under a set blockMask bit must be non-nil, and its slices are
-// appended to (callers reset them).
-func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, blockMask uint64, recs *[64]*worldRecord) {
+func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blockMask uint64, out *worldSlots, recs []worldRecord) {
 	g := e.Inst.G
 	le := e.Live
 	in := e.Inst
-	bs.reset(blockMask)
+	// This block's 64-slot windows.
+	worldB := (*[64]float64)(out.benefit[worldBase:])
+	worldC := (*[64]float64)(out.cost[worldBase:])
+	maxHop := (*[64]int32)(out.hop[worldBase:])
+	activated := (*[64]int32)(out.activated[worldBase:])
+	explored := (*[64]int32)(out.explored[worldBase:])
+	bs.reset()
+	for m := blockMask; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		worldB[w] = 0
+		worldC[w] = 0
+		maxHop[w] = 0
+		activated[w] = 0
+		explored[w] = 0
+		if recs != nil {
+			recs[worldBase+w].reset()
+		}
+	}
 	for _, seed := range d.Seeds() {
 		newMask := blockMask &^ bs.active[seed]
 		if newMask == 0 {
@@ -114,7 +140,7 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, 
 			}
 			bs.seen[seed] |= seenNew
 			for m := seenNew; m != 0; m &= m - 1 {
-				bs.explored[bits.TrailingZeros64(m)]++
+				explored[bits.TrailingZeros64(m)]++
 			}
 		}
 		bs.active[seed] |= newMask
@@ -126,18 +152,17 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, 
 		benefit := in.Benefit[v]
 		for m := ent.mask; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
-			bs.worldB[w] += benefit
-			bs.activated[w]++
-			if ent.hop > bs.maxHop[w] {
-				bs.maxHop[w] = ent.hop
+			worldB[w] += benefit
+			activated[w]++
+			if ent.hop > maxHop[w] {
+				maxHop[w] = ent.hop
 			}
 		}
 		coupons := d.K(v)
 		if coupons == 0 {
 			if recs != nil {
 				for m := ent.mask; m != 0; m &= m - 1 {
-					w := bits.TrailingZeros64(m)
-					rec := recs[w]
+					rec := &recs[worldBase+bits.TrailingZeros64(m)]
 					rec.nodes = append(rec.nodes, v)
 					rec.scanStop = append(rec.scanStop, 0)
 					rec.scanRed = append(rec.scanRed, 0)
@@ -166,14 +191,14 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, 
 				}
 				bs.seen[t] |= seenNew
 				for m := seenNew; m != 0; m &= m - 1 {
-					bs.explored[bits.TrailingZeros64(m)]++
+					explored[bits.TrailingZeros64(m)]++
 				}
 			}
 			ek := eBase + uint64(j)
 			if keys != nil {
 				ek = uint64(uint32(keys[j]))
 			}
-			liveMask := le.BlockMask(worldBase, ek, probe)
+			liveMask := le.BlockMask(uint64(worldBase), ek, probe)
 			if liveMask == 0 {
 				continue
 			}
@@ -182,7 +207,7 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, 
 			cost := in.SCCost[t]
 			for m := liveMask; m != 0; m &= m - 1 {
 				w := bits.TrailingZeros64(m)
-				bs.worldC[w] += cost
+				worldC[w] += cost
 				bs.cnt[w]++
 				if int(bs.cnt[w]) >= coupons {
 					capMask &^= 1 << uint(w)
@@ -197,7 +222,7 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, 
 				if capMask&(1<<uint(w)) == 0 {
 					st = bs.stop[w]
 				}
-				rec := recs[w]
+				rec := &recs[worldBase+w]
 				rec.nodes = append(rec.nodes, v)
 				rec.scanStop = append(rec.scanStop, st)
 				rec.scanRed = append(rec.scanRed, bs.cnt[w])
@@ -206,57 +231,106 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, 
 	}
 }
 
-// runBlocks simulates worlds [lo, hi) and returns means over that slice
-// tagged with its weight relative to the full sample count. Worlds are swept
-// in 64-aligned blocks (partial masks at the ragged ends), and the per-world
-// aggregates are folded in ascending world order — the same summation
-// sequence as folding simWorld over the range, so the Result is
-// bit-identical for any [lo, hi) split.
-func (e *Estimator) runBlocks(d *Deployment, lo, hi int) Result {
+// sweepAll simulates worlds [0, Samples) for deployment d in 64-aligned
+// blocks (a partial mask on the ragged tail block), writing world w's
+// aggregates to its slots in out and, with recs non-nil, its activation
+// record to recs[w]. With Workers > 1 the blocks split into contiguous
+// per-worker ranges; every world lands in its own slot whatever the split,
+// so the slots — and their fold (foldWorlds) — are identical at every
+// worker count.
+func (e *Estimator) sweepAll(d *Deployment, out *worldSlots, recs []worldRecord) {
+	nb := (e.Samples + bitset.WordMask) / bitset.WordBits
+	workers := min(e.Workers, nb)
+	if workers <= 1 {
+		e.sweepBlocks(d, out, recs, 0, nb)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			e.sweepBlocks(d, out, recs, lo, hi)
+		}(i*nb/workers, (i+1)*nb/workers)
+	}
+	wg.Wait()
+}
+
+// sweepBlocks simulates blocks [lo, hi) of sweepAll's worlds.
+func (e *Estimator) sweepBlocks(d *Deployment, out *worldSlots, recs []worldRecord, lo, hi int) {
 	bs := e.getBlockScratch()
 	defer e.putBlockScratch(bs)
-	var sumB, sumB2, sumC, sumA, sumH, sumX float64
-	nblocks := int64(0)
-	for base := lo &^ bitset.WordMask; base < hi; base += bitset.WordBits {
+	e.blocks.Add(int64(hi - lo))
+	for b := lo; b < hi; b++ {
 		if e.cancelled() {
-			// Abort mid-sweep: the partial sums are meaningless, but the
-			// caller is contractually bound to check ctx.Err() before
-			// trusting anything produced after cancellation.
-			break
+			// Abort mid-sweep. The unvisited slots keep stale values: a
+			// cancelled Evaluate returns garbage and a world cache is left
+			// inconsistent, so callers must check ctx.Err() before trusting
+			// anything produced after cancellation (the Campaign layer never
+			// pools a cache whose call failed).
+			return
 		}
-		blo, bhi := 0, bitset.WordBits
-		if base < lo {
-			blo = lo - base
-		}
-		if base+bitset.WordBits > hi {
-			bhi = hi - base
-		}
-		mask := bitset.RangeMask(blo, bhi)
-		e.simBlock(bs, d, uint64(base), mask, nil)
-		nblocks++
-		for m := mask; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			sumB += bs.worldB[w]
-			sumB2 += bs.worldB[w] * bs.worldB[w]
-			sumC += bs.worldC[w]
-			sumA += float64(bs.activated[w])
-			sumH += float64(bs.maxHop[w])
-			sumX += float64(bs.explored[w])
-		}
+		base := b * bitset.WordBits
+		e.simBlock(bs, d, base, bitset.RangeMask(0, min(e.Samples-base, bitset.WordBits)), out, recs)
 	}
-	e.blocks.Add(nblocks)
-	count := float64(hi - lo)
-	if count == 0 {
-		return Result{}
-	}
-	r := Result{
-		Benefit:       sumB / count,
-		RealizedCost:  sumC / count,
-		Activated:     sumA / count,
-		FarthestHop:   sumH / count,
-		Explored:      sumX / count,
-		BenefitSqMean: sumB2 / count,
-	}
-	r.weight = count / float64(e.Samples)
-	return r
 }
+
+// foldWorlds returns the means of the first n worlds' slots, folded in
+// ascending world order — the one summation sequence behind every full
+// evaluation, fresh or cached — together with the raw benefit sum.
+func foldWorlds(out *worldSlots, n int) (Result, float64) {
+	var b, b2, c, a, h, x float64
+	for w, wb := range out.benefit[:n] {
+		b += wb
+		b2 += wb * wb
+		c += out.cost[w]
+		a += float64(out.activated[w])
+		h += float64(out.hop[w])
+		x += float64(out.explored[w])
+	}
+	count := float64(n)
+	return Result{
+		Benefit:       b / count,
+		RealizedCost:  c / count,
+		Activated:     a / count,
+		FarthestHop:   h / count,
+		Explored:      x / count,
+		BenefitSqMean: b2 / count,
+	}, b
+}
+
+// sweepWorlds simulates a scattered ascending set of worlds for deployment
+// d into their slots in out (and records in recs, when non-nil), running
+// each run of worlds that shares a 64-world block as one mask — a lone
+// world as a one-bit mask.
+func (e *Estimator) sweepWorlds(d *Deployment, worlds []int32, out *worldSlots, recs []worldRecord) {
+	if len(worlds) == 0 {
+		return
+	}
+	bs := e.getBlockScratch()
+	defer e.putBlockScratch(bs)
+	n := int64(0)
+	for i := 0; i < len(worlds); n++ {
+		base := int(worlds[i]) &^ bitset.WordMask
+		var mask uint64
+		for ; i < len(worlds) && int(worlds[i]) < base+bitset.WordBits; i++ {
+			mask |= 1 << (uint(worlds[i]) & bitset.WordMask)
+		}
+		e.simBlock(bs, d, base, mask, out, recs)
+	}
+	e.blocks.Add(n)
+}
+
+// getSlots returns pooled slots for at least n worlds, to be handed back
+// to slotPool; their contents are stale until simulated over.
+func getSlots(n int) *worldSlots {
+	if s, ok := slotPool.Get().(*worldSlots); ok && len(s.benefit) >= n {
+		return s
+	}
+	return newWorldSlots(n)
+}
+
+// slotPool recycles per-world slots (*worldSlots) across estimators and
+// their per-call views, which would otherwise each allocate fresh slots per
+// evaluation; pooled slots serve any sample count up to their length.
+var slotPool sync.Pool

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"s3crm/internal/graph"
 	"s3crm/internal/rng"
 )
 
@@ -29,40 +30,124 @@ func newTestEngine(t testing.TB, inst *Instance, o EngineOptions) (Evaluator, *E
 	return ev, ev.(*Estimator)
 }
 
-// scalarEvaluate is the tests' reference for Estimator.Evaluate: it folds
-// simWorld over the worlds in ascending order, over the same worker ranges
-// Evaluate splits the sweep into, and combines the ranges as Evaluate does.
-// The block kernel must reproduce it bit for bit.
-func scalarEvaluate(e *Estimator, d *Deployment) Result {
-	workers := e.Workers
-	if workers <= 1 || e.Samples < 4*workers {
-		return scalarRange(e, d, 0, e.Samples)
-	}
-	var total Result
-	per, extra, lo := e.Samples/workers, e.Samples%workers, 0
-	for w := 0; w < workers; w++ {
-		hi := lo + per
-		if w < extra {
-			hi++
-		}
-		r := scalarRange(e, d, lo, hi)
-		lo = hi
-		total.Benefit += r.Benefit * r.weight
-		total.RealizedCost += r.RealizedCost * r.weight
-		total.Activated += r.Activated * r.weight
-		total.FarthestHop += r.FarthestHop * r.weight
-		total.Explored += r.Explored * r.weight
-		total.BenefitSqMean += r.BenefitSqMean * r.weight
-	}
-	total.weight = 1
-	return total
+// simScratch holds the scalar reference's per-world propagation state,
+// reused across worlds via epoch stamping so large arrays are never
+// cleared.
+type simScratch struct {
+	epoch int32
+	stamp []int32 // stamp[v] == epoch ⇒ v active in current world
+	seen  []int32 // seen[v] == epoch ⇒ v examined (activated or probed)
+	hop   []int32
+	queue []int32
 }
 
-// scalarRange folds simWorld over worlds [lo, hi) in ascending order.
-func scalarRange(e *Estimator, d *Deployment, lo, hi int) Result {
+func newSimScratch(n int) *simScratch {
+	return &simScratch{
+		stamp: make([]int32, n),
+		seen:  make([]int32, n),
+		hop:   make([]int32, n),
+		queue: make([]int32, 0, 256),
+	}
+}
+
+func (s *simScratch) reset() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped; clear stamps once per 2^31 worlds
+		for i := range s.stamp {
+			s.stamp[i] = -1
+			s.seen[i] = -1
+		}
+		s.epoch = 1
+	}
+	s.queue = s.queue[:0]
+}
+
+func (s *simScratch) active(v int32) bool { return s.stamp[v] == s.epoch }
+
+func (s *simScratch) activate(v, hop int32) {
+	s.stamp[v] = s.epoch
+	s.hop[v] = hop
+	s.queue = append(s.queue, v)
+}
+
+// see marks v as examined this world and reports whether it was new.
+func (s *simScratch) see(v int32) bool {
+	if s.seen[v] == s.epoch {
+		return false
+	}
+	s.seen[v] = s.epoch
+	return true
+}
+
+// simWorld is the scalar reference kernel the block kernel (simBlock) must
+// reproduce world for world: it propagates one possible world for
+// deployment d with a plain one-world BFS, returning the world's benefit,
+// realized SC cost, farthest hop, activated count and examined-node count,
+// and appending the world's activation order and scan state to rec when
+// rec is non-nil.
+func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *worldRecord) (worldB, worldC float64, maxHop int32, activated, explored int) {
+	g := e.Inst.G
+	le := e.Live
+	s.reset()
+	for _, seed := range d.Seeds() {
+		if !s.active(seed) {
+			s.activate(seed, 0)
+			if s.see(seed) {
+				explored++
+			}
+		}
+	}
+	for head := 0; head < len(s.queue); head++ {
+		v := s.queue[head]
+		worldB += e.Inst.Benefit[v]
+		if s.hop[v] > maxHop {
+			maxHop = s.hop[v]
+		}
+		coupons := d.K(v)
+		stop, redeemed := 0, 0
+		if coupons > 0 {
+			targets, _, keys, kbase := g.OutRow(v)
+			base := uint64(kbase)
+			j := 0
+			for ; j < len(targets); j++ {
+				if redeemed >= coupons {
+					break
+				}
+				t := targets[j]
+				if s.active(t) {
+					continue // already active: no coupon consumed
+				}
+				if s.see(t) {
+					explored++ // probed: a coin was flipped for t
+				}
+				ek := base + uint64(j)
+				if keys != nil {
+					ek = uint64(uint32(keys[j]))
+				}
+				if le.Live(world, ek) {
+					s.activate(t, s.hop[v]+1)
+					worldC += e.Inst.SCCost[t]
+					redeemed++
+				}
+			}
+			stop = j
+		}
+		if rec != nil {
+			rec.nodes = append(rec.nodes, v)
+			rec.scanStop = append(rec.scanStop, int32(stop))
+			rec.scanRed = append(rec.scanRed, int32(redeemed))
+		}
+	}
+	return worldB, worldC, maxHop, len(s.queue), explored
+}
+
+// scalarEvaluate is the tests' reference for Estimator.Evaluate: it folds
+// simWorld over the worlds in ascending order. The block kernel must
+// reproduce it bit for bit at every worker count.
+func scalarEvaluate(e *Estimator, d *Deployment) Result {
 	s := newSimScratch(e.Inst.G.NumNodes())
 	var sumB, sumB2, sumC, sumA, sumH, sumX float64
-	for w := lo; w < hi; w++ {
+	for w := 0; w < e.Samples; w++ {
 		b, c, hop, activated, explored := e.simWorld(s, d, uint64(w), nil)
 		sumB += b
 		sumB2 += b * b
@@ -71,7 +156,7 @@ func scalarRange(e *Estimator, d *Deployment, lo, hi int) Result {
 		sumH += float64(hop)
 		sumX += float64(explored)
 	}
-	count := float64(hi - lo)
+	count := float64(e.Samples)
 	return Result{
 		Benefit:       sumB / count,
 		RealizedCost:  sumC / count,
@@ -79,7 +164,6 @@ func scalarRange(e *Estimator, d *Deployment, lo, hi int) Result {
 		FarthestHop:   sumH / count,
 		Explored:      sumX / count,
 		BenefitSqMean: sumB2 / count,
-		weight:        count / float64(e.Samples),
 	}
 }
 
@@ -87,48 +171,60 @@ func scalarRange(e *Estimator, d *Deployment, lo, hi int) Result {
 // returned got:
 //   - every world's snapshot record and metrics equal simWorld's for that
 //     world;
-//   - got equals the sequential scalar fold (a cached Result carries no
-//     BenefitSqMean);
+//   - got equals the scalar fold;
 //   - for every candidate v, EvaluateDelta of the base plus one coupon at v
-//     equals baseSumB plus Σ_w (simWorld_w − worlds[w].benefit) folded in
+//     equals baseSumB plus Σ_w (simWorld_w − outs.benefit[w]) folded in
 //     ascending world order, where every unaffected world adds exactly 0.
-//     Sweeping all candidates reaches both the block runs and the lone
-//     worlds EvaluateDelta routes through simWorld.
 func checkCacheStep(t *testing.T, wc *WorldCache, got Result, cands []int32, step int) {
 	t.Helper()
+	checkSnapshots(t, wc, step)
 	e := wc.Est
-	s := newSimScratch(e.Inst.G.NumNodes())
-	for w := range wc.worlds {
-		var rec worldRecord
-		b, c, hop, activated, explored := e.simWorld(s, wc.base, uint64(w), &rec)
-		ws := &wc.worlds[w]
-		if ws.benefit != b || ws.cost != c || ws.hop != hop ||
-			int(ws.activated) != activated || int(ws.explored) != explored {
-			t.Fatalf("step %d world %d: snapshot metrics (%v %v %d %d %d) != simWorld (%v %v %d %d %d)",
-				step, w, ws.benefit, ws.cost, ws.hop, ws.activated, ws.explored, b, c, hop, activated, explored)
-		}
-		if !slices.Equal(ws.rec.nodes, rec.nodes) || !slices.Equal(ws.rec.scanStop, rec.scanStop) ||
-			!slices.Equal(ws.rec.scanRed, rec.scanRed) {
-			t.Fatalf("step %d world %d: snapshot record %+v != simWorld %+v", step, w, ws.rec, rec)
-		}
-	}
-	want := scalarRange(e, wc.base, 0, e.Samples)
-	want.BenefitSqMean = 0
-	if got != want {
+	if want := scalarEvaluate(e, wc.base); got != want {
 		t.Fatalf("step %d: Rebase %v != scalar fold %v", step, got, want)
 	}
 	for _, v := range cands {
 		trial := wc.base.Clone()
 		trial.AddK(v, 1)
-		sum := wc.baseSumB
-		for w := range wc.worlds {
-			b, _, _, _, _ := e.simWorld(s, trial, uint64(w), nil)
-			sum += b - wc.worlds[w].benefit
-		}
-		if got, want := wc.EvaluateDelta(trial, []int32{v}), sum/float64(e.Samples); got != want {
+		if got, want := wc.EvaluateDelta(trial, []int32{v}), scalarDelta(wc, trial); got != want {
 			t.Fatalf("step %d candidate %d: EvaluateDelta %v != scalar delta fold %v", step, v, got, want)
 		}
 	}
+}
+
+// checkSnapshots asserts that every world's snapshot record and metrics
+// equal simWorld's for the cache's base deployment.
+func checkSnapshots(t *testing.T, wc *WorldCache, step int) {
+	t.Helper()
+	e := wc.Est
+	s := newSimScratch(e.Inst.G.NumNodes())
+	o := wc.outs
+	for w := range wc.recs {
+		var rec worldRecord
+		b, c, hop, activated, explored := e.simWorld(s, wc.base, uint64(w), &rec)
+		r := &wc.recs[w]
+		if o.benefit[w] != b || o.cost[w] != c || o.hop[w] != hop ||
+			int(o.activated[w]) != activated || int(o.explored[w]) != explored {
+			t.Fatalf("step %d world %d: snapshot metrics (%v %v %d %d %d) != simWorld (%v %v %d %d %d)",
+				step, w, o.benefit[w], o.cost[w], o.hop[w], o.activated[w], o.explored[w], b, c, hop, activated, explored)
+		}
+		if !slices.Equal(r.nodes, rec.nodes) || !slices.Equal(r.scanStop, rec.scanStop) ||
+			!slices.Equal(r.scanRed, rec.scanRed) {
+			t.Fatalf("step %d world %d: snapshot record %+v != simWorld %+v", step, w, *r, rec)
+		}
+	}
+}
+
+// scalarDelta is the reference for EvaluateDelta(d, ·): baseSumB plus
+// Σ_w (simWorld_w(d) − outs.benefit[w]), folded in ascending world order.
+func scalarDelta(wc *WorldCache, d *Deployment) float64 {
+	e := wc.Est
+	s := newSimScratch(e.Inst.G.NumNodes())
+	sum := wc.baseSumB
+	for w := range wc.recs {
+		b, _, _, _, _ := e.simWorld(s, d, uint64(w), nil)
+		sum += b - wc.outs.benefit[w]
+	}
+	return sum / float64(e.Samples)
 }
 
 // TestBitParallelScalarParity is the block kernel's contract: across every
@@ -181,27 +277,23 @@ func TestBitParallelMemCapParity(t *testing.T) {
 }
 
 // TestBitParallelWorkersParity checks the block kernel at every worker
-// count against the scalar fold over the same (unaligned) worker ranges:
-// the partial blocks a split boundary cuts must reproduce the scalar
-// per-world outcomes bit for bit. (Parallel vs sequential differs in the
-// last float bits by the per-range fold — that cross-count drift is pinned
-// to tolerance, not exactness.)
+// count against the sequential scalar fold: per-worker block ranges fill
+// per-world slots that fold in ascending world order, so the parallel
+// Result must equal the scalar reference bit for bit, for every deployment.
 func TestBitParallelWorkersParity(t *testing.T) {
 	inst := liveEdgeInstance(t)
-	const samples = 200
-	d := liveEdgeDeployments(inst)[0]
-	_, seq := newTestEngine(t, inst, EngineOptions{Engine: EngineMC, Samples: samples, Seed: 7})
-	want := seq.Evaluate(d)
-	for _, workers := range []int{2, 3, 7} {
-		_, est := newTestEngine(t, inst, EngineOptions{Engine: EngineMC, Samples: samples, Seed: 7, Workers: workers})
-		a, b := est.Evaluate(d), scalarEvaluate(est, d)
-		if a != b {
-			t.Fatalf("workers=%d: block %v != scalar %v", workers, a, b)
+	forWorkerCells(t, func(t *testing.T, o EngineOptions) {
+		_, seq := newTestEngine(t, inst, o)
+		for _, workers := range []int{2, 3, 7} {
+			o.Workers = workers
+			_, est := newTestEngine(t, inst, o)
+			for i, d := range liveEdgeDeployments(inst) {
+				if got, want := est.Evaluate(d), scalarEvaluate(seq, d); got != want {
+					t.Fatalf("workers=%d deployment %d: parallel %v != scalar %v", workers, i, got, want)
+				}
+			}
 		}
-		if !almost(a.Benefit, want.Benefit, 1e-9) || !almost(a.FarthestHop, want.FarthestHop, 1e-9) {
-			t.Fatalf("workers=%d: parallel %v drifted from sequential %v", workers, a, want)
-		}
-	}
+	})
 }
 
 // worldCacheChain drives a world cache through a rebase chain — coupon
@@ -289,6 +381,117 @@ func TestWorldCacheBitParallelRebaseWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rareStarInstance returns a star of rare edges and a deployment over it:
+// the seed, user 0, offers coupons to users 1..30 over edges of probability
+// 0.006, so of 170 worlds each of them is active in about one; each holds
+// three weak out-edges into users 31..40, and users 1..10 hold two coupons.
+func rareStarInstance(t *testing.T) (*Instance, *Deployment) {
+	t.Helper()
+	var es []graph.Edge
+	for i := int32(1); i <= 30; i++ {
+		es = append(es, graph.Edge{From: 0, To: i, P: 0.006})
+		for j := int32(0); j < 3; j++ {
+			es = append(es, graph.Edge{From: i, To: 31 + (i+3*j)%10, P: 0.05})
+		}
+	}
+	g, err := graph.FromEdges(41, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	inst := &Instance{G: g, Benefit: make([]float64, n), SeedCost: make([]float64, n), SCCost: make([]float64, n), Budget: 1e9}
+	for i := 0; i < n; i++ {
+		inst.Benefit[i] = 0.5 + 0.1*float64(i)
+		inst.SeedCost[i] = 1
+		inst.SCCost[i] = 0.3 + 0.01*float64(i)
+	}
+	d := NewDeployment(n)
+	d.AddSeed(0)
+	d.SetK(0, 30)
+	for i := int32(1); i <= 10; i++ {
+		d.SetK(i, 2)
+	}
+	return inst, d
+}
+
+// TestWorldCacheLoneWorldResims drives each scattered re-simulation path —
+// the coupon advance, EvaluateDelta and PatchEdges — onto a node the base
+// activates in exactly one world, so the path re-simulates that world alone
+// in its 64-world block (asserted through the block counter: one block, for
+// one world). Every snapshot, Result and delta must still equal the scalar
+// reference.
+func TestWorldCacheLoneWorldResims(t *testing.T) {
+	inst, d := rareStarInstance(t)
+	const samples = 170
+	n := int32(inst.G.NumNodes())
+	wc := NewWorldCache(inst, samples, 63, 0)
+	checkCacheStep(t, wc, wc.Rebase(d), nil, 0)
+	// loneNode returns a node the base activates in exactly one world whose
+	// record entry passes keep.
+	loneNode := func(what string, keep func(v int32, w, pos int32) bool) int32 {
+		t.Helper()
+		wc.buildInverted()
+		for v := int32(0); v < n; v++ {
+			if ws, ps := wc.activeWorlds(v); len(ws) == 1 && keep(v, ws[0], ps[0]) {
+				return v
+			}
+		}
+		t.Fatalf("%s: no node is active in exactly one world", what)
+		return -1
+	}
+	// resimmed runs op and asserts that it swept exactly one block on est.
+	resimmed := func(what string, est *Estimator, op func()) {
+		t.Helper()
+		before := est.BlockEvals()
+		op()
+		if got := est.BlockEvals() - before; got != 1 {
+			t.Fatalf("%s re-simulated %d blocks, want the lone world's one", what, got)
+		}
+	}
+	roomy := func(v int32) bool { return wc.base.K(v) < inst.G.OutDegree(v) }
+
+	// EvaluateDelta: one more coupon at v re-simulates v's one world.
+	v := loneNode("EvaluateDelta", func(v int32, _, _ int32) bool { return roomy(v) })
+	trial := wc.base.Clone()
+	trial.AddK(v, 1)
+	var got float64
+	resimmed("EvaluateDelta", wc.Est, func() { got = wc.EvaluateDelta(trial, []int32{v}) })
+	if want := scalarDelta(wc, trial); got != want {
+		t.Fatalf("EvaluateDelta at %d: %v != scalar delta fold %v", v, got, want)
+	}
+
+	// advance: v's one scan ran out of coupons, so one more moves it.
+	v = loneNode("advance", func(v int32, w, pos int32) bool {
+		return roomy(v) && int(wc.recs[w].scanRed[pos]) == wc.base.K(v)
+	})
+	next := wc.base.Clone()
+	next.AddK(v, 1)
+	var res Result
+	resimmed("advance", wc.Est, func() { res = wc.Rebase(next) })
+	checkCacheStep(t, wc, res, nil, 1)
+
+	// PatchEdges: an edge appended to the row of a user whose one scan ran
+	// to the row's end is probed there.
+	u := loneNode("PatchEdges", func(u int32, w, pos int32) bool {
+		k := wc.base.K(u)
+		return k > 0 && int(wc.recs[w].scanRed[pos]) < k
+	})
+	targets, _, _, _ := inst.G.OutRow(u)
+	x := int32(1)
+	for x == u || slices.Contains(targets, x) {
+		x++
+	}
+	batch := []graph.Edge{{From: u, To: x, P: 0.5}}
+	g2, err := inst.G.WithEdges(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst2 := &Instance{G: g2, Benefit: inst.Benefit, SeedCost: inst.SeedCost, SCCost: inst.SCCost, Budget: inst.Budget}
+	e2 := wc.Est.WithGraph(inst2, ChurnTargets(batch))
+	resimmed("PatchEdges", e2, func() { res = wc.PatchEdges(e2, batch) })
+	checkCacheStep(t, wc, res, nil, 2)
 }
 
 // TestBenefitSqMeanMoments pins the second-moment channel the block kernel

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -303,18 +304,34 @@ func TestMCParallelMatchesSequential(t *testing.T) {
 	d.AddSeed(1)
 	d.SetK(1, 2)
 	d.SetK(2, 2)
-	seq := NewEstimator(inst, 5000, 9)
-	par := NewEstimator(inst, 5000, 9)
-	par.Workers = 4
-	a, b := seq.Evaluate(d), par.Evaluate(d)
-	if !almost(a.Benefit, b.Benefit, 1e-9) {
-		t.Fatalf("parallel benefit %v != sequential %v", b.Benefit, a.Benefit)
-	}
-	if !almost(a.RealizedCost, b.RealizedCost, 1e-9) {
-		t.Fatalf("parallel cost %v != sequential %v", b.RealizedCost, a.RealizedCost)
-	}
-	if !almost(a.FarthestHop, b.FarthestHop, 1e-9) {
-		t.Fatalf("parallel hops %v != sequential %v", b.FarthestHop, a.FarthestHop)
+	forWorkerCells(t, func(t *testing.T, o EngineOptions) {
+		_, seq := newTestEngine(t, inst, o)
+		want := seq.Evaluate(d)
+		for _, workers := range []int{2, 3, 7} {
+			o.Workers = workers
+			_, par := newTestEngine(t, inst, o)
+			if got := par.Evaluate(d); got != want {
+				t.Fatalf("workers=%d: parallel %v != sequential %v", workers, got, want)
+			}
+		}
+	})
+}
+
+// forWorkerCells runs check once per (model, substrate, sample count) cell
+// of the worker-parity tests, with sequential MC engine options; the 170-
+// sample cell ends in a ragged tail block.
+func forWorkerCells(t *testing.T, check func(t *testing.T, o EngineOptions)) {
+	for _, model := range Models() {
+		for _, sub := range substrateBudgets {
+			for _, samples := range []int{100, 170, 1000} {
+				t.Run(fmt.Sprintf("%s/%s/%d", model, sub.name, samples), func(t *testing.T) {
+					check(t, EngineOptions{
+						Engine: EngineMC, Model: model, Samples: samples, Seed: 9,
+						LiveEdgeMemBudget: sub.budget,
+					})
+				})
+			}
+		}
 	}
 }
 

@@ -47,13 +47,13 @@
 // (Estimator.simBlock), which iterates the graph's CSR rows directly — a
 // row's global base offset doubles as the coin-flip edge identity — and is
 // shared by every engine, which is what keeps their reported metrics
-// bit-identical. The scalar one-world kernel (Estimator.simWorld) remains
-// as the world cache's lone-world path and as the tests' reference, which
-// the block kernel reproduces world for world. Work shards across workers
-// by contiguous world ranges (worlds are independent; per-worker partial
-// sums recombine in world order, so parallel evaluation equals sequential
-// exactly); graph
-// construction, by contrast, shards by contiguous node ranges (see
-// internal/graph). Both axes are documented in DESIGN.md, "Graph
-// substrate".
+// bit-identical. A world re-simulated alone runs as a one-bit block; the
+// scalar one-world kernel lives in the tests as the reference the block
+// kernel reproduces world for world. Every full sweep (Estimator.Evaluate,
+// the world cache's full rebase) shards across workers by contiguous,
+// block-aligned world ranges, writes each world's aggregates into its own
+// slot and folds the slots in ascending world order, so parallel
+// evaluation equals sequential exactly. Graph construction, by contrast,
+// shards by contiguous node ranges (see internal/graph). Both axes are
+// documented in DESIGN.md, "Graph substrate".
 package diffusion

@@ -142,7 +142,7 @@ func (wc *WorldCache) PatchEdges(e2 *Estimator, batch []graph.Edge) Result {
 			if affected[w] {
 				continue
 			}
-			rec := &wc.worlds[w].rec
+			rec := &wc.recs[w]
 			if int(rec.scanRed[ps[i]]) == k && rec.scanStop[ps[i]] <= prefixLen {
 				continue // capacity-stopped inside the unchanged prefix
 			}
@@ -163,8 +163,8 @@ func (wc *WorldCache) PatchEdges(e2 *Estimator, batch []graph.Edge) Result {
 		}
 	}
 	wc.Est = e2
-	wc.resimWorlds(wc.base, affectedWorlds(affected))
+	e2.sweepWorlds(wc.base, affectedWorlds(affected), wc.outs, wc.recs)
 	wc.invBuilt = false
-	wc.refreshSums()
+	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, samples)
 	return wc.baseResult
 }

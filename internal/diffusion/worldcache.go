@@ -1,11 +1,6 @@
 package diffusion
 
-import (
-	"math/bits"
-	"sync"
-
-	"s3crm/internal/bitset"
-)
+import "sync"
 
 // WorldCache is the EngineWorldCache implementation of Evaluator: a
 // Monte-Carlo engine that snapshots the per-world activation state of a
@@ -42,10 +37,11 @@ type WorldCache struct {
 	baseResult Result
 	baseSumB   float64 // raw Σ per-world benefit (baseResult.Benefit × Samples)
 
-	// Per-world snapshot: activation record (in activation order, with
-	// offer-scan state) plus the world's aggregate metrics. Record slices
-	// keep their capacity across rebases and advances.
-	worlds []worldState
+	// Per-world snapshot, indexed by world: the aggregate metrics and the
+	// activation record (in activation order, with offer-scan state). Record
+	// slices keep their capacity across rebases and advances.
+	outs *worldSlots
+	recs []worldRecord
 
 	// Inverted activation index over the records in CSR form, which finds
 	// the worlds a changed node can affect; rebuilt lazily after every
@@ -60,16 +56,6 @@ type WorldCache struct {
 
 	poolOnce sync.Once
 	pool     sync.Pool // of *deltaScratch
-}
-
-// worldState is one possible world's snapshot.
-type worldState struct {
-	rec       worldRecord
-	benefit   float64
-	cost      float64
-	hop       int32
-	activated int32
-	explored  int32
 }
 
 // maxAdvanceChanged bounds how many coupon-count differences the
@@ -109,7 +95,8 @@ func (wc *WorldCache) BlockEvals() int64 { return wc.Est.BlockEvals() }
 // deployment is free; a deployment differing from the base only in the
 // coupon counts of a few nodes re-simulates only the worlds that activate a
 // changed node; anything else simulates every world. The returned Result
-// equals a sequential Estimator.Evaluate of d exactly, whichever path ran.
+// equals Estimator.Evaluate of d exactly, whichever path ran, at every
+// worker count.
 func (wc *WorldCache) Rebase(d *Deployment) Result {
 	e := wc.Est
 	if e.Samples <= 0 {
@@ -133,179 +120,13 @@ func (wc *WorldCache) rebaseFull(d *Deployment) Result {
 	e.evals.Add(1)
 	wc.base = d.Clone()
 	wc.invBuilt = false
-	if len(wc.worlds) != e.Samples {
-		wc.worlds = make([]worldState, e.Samples)
+	if len(wc.recs) != e.Samples {
+		wc.outs = newWorldSlots(e.Samples)
+		wc.recs = make([]worldRecord, e.Samples)
 	}
-	workers := e.Workers
-	if workers <= 1 || e.Samples < 4*workers {
-		wc.rebaseBlocks(d, 0, e.Samples)
-	} else {
-		// Block-aligned worker ranges: a 64-world block split between two
-		// workers would be simulated twice with partial masks. Alignment
-		// cannot drift results — snapshots are per-world and refreshSums
-		// folds them in ascending world order regardless of the split.
-		nb := (e.Samples + 63) / 64
-		if workers > nb {
-			workers = nb
-		}
-		var wg sync.WaitGroup
-		per := nb / workers
-		extra := nb % workers
-		start := 0
-		for i := 0; i < workers; i++ {
-			count := per
-			if i < extra {
-				count++
-			}
-			lo, hi := start*64, (start+count)*64
-			start += count
-			if hi > e.Samples {
-				hi = e.Samples
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				wc.rebaseBlocks(d, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	wc.refreshSums()
+	e.sweepAll(d, wc.outs, wc.recs)
+	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
 	return wc.baseResult
-}
-
-// rebaseBlocks re-simulates worlds [lo, hi) into their snapshots, one
-// 64-aligned block at a time (partial masks at the ragged ends). Each
-// world's snapshot is bit-identical to simWorld's — simBlock reproduces
-// every world's scalar activation order — and workers touch disjoint block
-// ranges, so the rebase stays deterministic whatever the worker split.
-func (wc *WorldCache) rebaseBlocks(d *Deployment, lo, hi int) {
-	e := wc.Est
-	bs := e.getBlockScratch()
-	defer e.putBlockScratch(bs)
-	for base := lo &^ 63; base < hi; base += 64 {
-		if e.cancelled() {
-			// Abort the sweep. The cache is now inconsistent (some worlds
-			// stale); the caller must discard this WorldCache after seeing
-			// the cancellation — the Campaign layer never pools a cache
-			// whose call returned an error.
-			return
-		}
-		blo, bhi := 0, 64
-		if base < lo {
-			blo = lo - base
-		}
-		if base+64 > hi {
-			bhi = hi - base
-		}
-		wc.resimBlock(bs, d, base, bitset.RangeMask(blo, bhi))
-	}
-}
-
-// resimBlock re-simulates the masked worlds of the 64-aligned block at base
-// into their snapshot slots — resimWorld's block counterpart, sharing one
-// BFS pass across the block.
-func (wc *WorldCache) resimBlock(bs *blockScratch, d *Deployment, base int, mask uint64) {
-	e := wc.Est
-	e.blocks.Add(1)
-	var recs [64]*worldRecord
-	for m := mask; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		rec := &wc.worlds[base+b].rec
-		rec.reset()
-		recs[b] = rec
-	}
-	e.simBlock(bs, d, uint64(base), mask, &recs)
-	for m := mask; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		ws := &wc.worlds[base+b]
-		ws.benefit = bs.worldB[b]
-		ws.cost = bs.worldC[b]
-		ws.hop = bs.maxHop[b]
-		ws.activated = bs.activated[b]
-		ws.explored = bs.explored[b]
-	}
-}
-
-// resimWorlds re-simulates a scattered ascending set of worlds into their
-// snapshot slots (see sweepWorlds). Snapshots are identical whichever kernel
-// a world runs through.
-func (wc *WorldCache) resimWorlds(d *Deployment, worlds []int32) {
-	wc.Est.sweepWorlds(worlds,
-		func(s *simScratch, w int) { wc.resimWorld(s, d, w) },
-		func(bs *blockScratch, base int, mask uint64) { wc.resimBlock(bs, d, base, mask) })
-}
-
-// sweepWorlds visits a scattered ascending set of worlds: runs sharing a
-// 64-world block go to block (one BFS pass for the run), lone worlds to
-// lone (a one-bit mask pays the block bookkeeping for no parallelism).
-// Scratch comes from the estimator's pools on first use.
-func (e *Estimator) sweepWorlds(worlds []int32, lone func(s *simScratch, w int), block func(bs *blockScratch, base int, mask uint64)) {
-	var (
-		s  *simScratch
-		bs *blockScratch
-	)
-	for i := 0; i < len(worlds); {
-		base := int(worlds[i]) &^ 63
-		j := i
-		var mask uint64
-		for ; j < len(worlds) && int(worlds[j]) < base+64; j++ {
-			mask |= 1 << (uint(worlds[j]) & 63)
-		}
-		if j == i+1 {
-			if s == nil {
-				s = e.getScratch()
-				defer e.putScratch(s)
-			}
-			lone(s, int(worlds[i]))
-		} else {
-			if bs == nil {
-				bs = e.getBlockScratch()
-				defer e.putBlockScratch(bs)
-			}
-			block(bs, base, mask)
-		}
-		i = j
-	}
-}
-
-// resimWorld re-simulates one world into its snapshot slot.
-func (wc *WorldCache) resimWorld(s *simScratch, d *Deployment, w int) {
-	ws := &wc.worlds[w]
-	ws.rec.reset()
-	b, c, hop, activated, explored := wc.Est.simWorld(s, d, uint64(w), &ws.rec)
-	ws.benefit = b
-	ws.cost = c
-	ws.hop = hop
-	ws.activated = int32(activated)
-	ws.explored = int32(explored)
-}
-
-// refreshSums recomputes the aggregate Result from the per-world metrics in
-// ascending world order — the same summation order as a sequential full
-// evaluation, so the cached Result is bit-identical however the per-world
-// values were produced (full rebase, parallel rebase or incremental
-// advance).
-func (wc *WorldCache) refreshSums() {
-	var b, c, a, h, x float64
-	for w := range wc.worlds {
-		ws := &wc.worlds[w]
-		b += ws.benefit
-		c += ws.cost
-		a += float64(ws.activated)
-		h += float64(ws.hop)
-		x += float64(ws.explored)
-	}
-	count := float64(wc.Est.Samples)
-	wc.baseSumB = b
-	wc.baseResult = Result{
-		Benefit:      b / count,
-		RealizedCost: c / count,
-		Activated:    a / count,
-		FarthestHop:  h / count,
-		Explored:     x / count,
-		weight:       1,
-	}
 }
 
 // couponDiff compares d against the base: when both hold the same seed set
@@ -352,15 +173,15 @@ func (wc *WorldCache) advance(d *Deployment, changed []int32) Result {
 		kOld, kNew := wc.base.K(v), d.K(v)
 		ws, ps := wc.activeWorlds(v)
 		for i, w := range ws {
-			if !scanUnchanged(kOld, kNew, int(wc.worlds[w].rec.scanRed[ps[i]])) {
+			if !scanUnchanged(kOld, kNew, int(wc.recs[w].scanRed[ps[i]])) {
 				affected[w] = true
 			}
 		}
 	}
-	wc.resimWorlds(d, affectedWorlds(affected))
+	e.sweepWorlds(d, affectedWorlds(affected), wc.outs, wc.recs)
 	wc.base = d.Clone()
 	wc.invBuilt = false
-	wc.refreshSums()
+	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
 	return wc.baseResult
 }
 
@@ -405,9 +226,9 @@ func (wc *WorldCache) buildInverted() {
 	wc.invCnt = wc.invCnt[:n+1]
 	wc.invOff = wc.invOff[:n+1]
 	clear(wc.invCnt)
-	for w := range wc.worlds {
-		total += len(wc.worlds[w].rec.nodes)
-		for _, v := range wc.worlds[w].rec.nodes {
+	for w := range wc.recs {
+		total += len(wc.recs[w].nodes)
+		for _, v := range wc.recs[w].nodes {
 			wc.invCnt[v+1]++
 		}
 	}
@@ -422,8 +243,8 @@ func (wc *WorldCache) buildInverted() {
 	wc.invWorld = wc.invWorld[:total]
 	wc.invPos = wc.invPos[:total]
 	cursor := wc.invCnt[:n] // reuse the counting array as the fill cursor
-	for w := range wc.worlds {
-		for i, v := range wc.worlds[w].rec.nodes {
+	for w := range wc.recs {
+		for i, v := range wc.recs[w].nodes {
 			at := cursor[v]
 			wc.invWorld[at] = int32(w)
 			wc.invPos[at] = int32(i)
@@ -574,9 +395,9 @@ func (wc *WorldCache) DeltaBenefits(cands []int32) []float64 {
 // into out, sweeping every world in ascending order. The O(|A_w|) stamp
 // repopulation is paid once per world and amortized across cands.
 func (wc *WorldCache) deltaWorlds(sc *deltaScratch, cands []int32, out []float64) {
-	for w := range wc.worlds {
+	for w := range wc.recs {
 		sc.nextWorld()
-		rec := &wc.worlds[w].rec
+		rec := &wc.recs[w]
 		for i, v := range rec.nodes {
 			sc.stamp[v] = sc.epoch
 			sc.stop[v] = rec.scanStop[i]
@@ -678,22 +499,13 @@ func (wc *WorldCache) EvaluateDelta(d *Deployment, changed []int32) float64 {
 		}
 	}
 	worlds := affectedWorlds(affected)
-	// Per-world benefits are identical whichever kernel sweepWorlds routes a
-	// world through, and the deltas fold into the sum in ascending world
-	// order.
+	slots := getSlots(e.Samples)
+	defer slotPool.Put(slots)
+	e.sweepWorlds(d, worlds, slots, nil)
+	// The deltas fold into the raw base sum in ascending world order.
 	sum := wc.baseSumB
-	e.sweepWorlds(worlds,
-		func(s *simScratch, w int) {
-			b, _, _, _, _ := e.simWorld(s, d, uint64(w), nil)
-			sum += b - wc.worlds[w].benefit
-		},
-		func(bs *blockScratch, base int, mask uint64) {
-			e.simBlock(bs, d, uint64(base), mask, nil)
-			e.blocks.Add(1)
-			for m := mask; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m)
-				sum += bs.worldB[b] - wc.worlds[base+b].benefit
-			}
-		})
+	for _, w := range worlds {
+		sum += slots.benefit[w] - wc.outs.benefit[w]
+	}
 	return sum / float64(e.Samples)
 }

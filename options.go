@@ -221,19 +221,6 @@ func WithGPILimit(n int) Option {
 	}
 }
 
-// WithLiveEdgeMemBudget caps the bytes the live-edge substrate may commit
-// to materialized worlds (0 = the package default); past the cap probes
-// fall back to hashing with identical results.
-func WithLiveEdgeMemBudget(bytes int64) Option {
-	return func(c *config) error {
-		if bytes < 0 {
-			return fmt.Errorf("live-edge memory budget must be non-negative, got %d", bytes)
-		}
-		c.memBudget = bytes
-		return nil
-	}
-}
-
 // WithEpsilon sets the SSR engine's approximation slack: the "ssr" solve
 // keeps doubling its sample collections until the selected deployment is
 // certified within (1−1/e−ε) of the sketch-objective optimum (default 0.1).

@@ -62,9 +62,8 @@
 // How worlds are evaluated underneath is not a knob: every engine probes
 // edge liveness through one live-edge substrate and sweeps worlds with the
 // bit-parallel block kernel (64 worlds per machine word). The substrate
-// reads materialized rows within the live-edge memory budget
-// (WithLiveEdgeMemBudget) and hashes each probe past it, with bit-identical
-// results.
+// reads materialized rows within a fixed live-edge memory budget and hashes
+// each probe past it, with bit-identical results.
 //
 // See the examples directory for runnable walkthroughs, cmd/s3crmd for the
 // HTTP serving layer and EXPERIMENTS.md for the paper-reproduction results.
