@@ -11,6 +11,7 @@ import (
 	"s3crm/internal/core"
 	"s3crm/internal/diffusion"
 	"s3crm/internal/graph"
+	"s3crm/internal/par"
 	"s3crm/internal/progress"
 	"s3crm/internal/rng"
 	"s3crm/internal/sketch"
@@ -592,46 +593,25 @@ func (c *Campaign) EvaluateBatch(ctx context.Context, deps []Deployment, opts ..
 			return nil, err
 		}
 	}
+	// The deployments fan out across the call's workers, each worker
+	// evaluating sequentially on its own view of the base view (worlds are
+	// stateless, so the fan-out is bit-identical to one loop); a lone
+	// deployment keeps the configured per-evaluation parallelism instead. A
+	// cancelled view breaks out of its world sweep with partial sums, so a
+	// result finished under a cancelled ctx is garbage and is never stored.
 	results := make([]*Result, len(ds))
-	workers := cl.cfg.workers
-	if workers > len(ds) {
-		workers = len(ds)
-	}
-	if workers <= 1 || len(ds) < 2 {
-		// Sequential batch: one view, per-evaluation parallelism as
-		// configured. The cancellation check runs after each evaluation —
-		// a cancelled view breaks out of its world sweep with partial
-		// sums, so a result computed under a cancelled ctx is garbage and
-		// must never be returned.
-		for i, d := range ds {
-			results[i] = resultFrom("custom", inst, d, base, cl.cfg.samples, cl.degraded)
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("s3crm: evaluate aborted after %d of %d deployments: %w", i, len(ds), err)
+	par.Each(len(ds), cl.cfg.workers, func() func(int) {
+		view := base
+		if len(ds) > 1 {
+			view = base.View(ctx, 0)
+		}
+		return func(i int) {
+			r := resultFrom("custom", inst, ds[i], view, cl.cfg.samples, cl.degraded)
+			if ctx.Err() == nil {
+				results[i] = r
 			}
 		}
-		return results, nil
-	}
-	// Parallel batch: fan the deployments out across workers, each worker
-	// evaluating sequentially on its own view derived from the call's base
-	// view (evaluations are independent and worlds stateless, so the
-	// fan-out is bit-identical to the sequential loop).
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			view := base.View(ctx, 0)
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(ds) || ctx.Err() != nil {
-					return
-				}
-				results[i] = resultFrom("custom", inst, ds[i], view, cl.cfg.samples, cl.degraded)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		done := 0
 		for _, r := range results {

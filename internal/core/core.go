@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"s3crm/internal/diffusion"
 	"s3crm/internal/progress"
@@ -240,10 +241,10 @@ type solver struct {
 	stats      Stats
 	trajectory []TrajectoryPoint
 	sketchWarm *sketch.Warm // SSR engine's poolable sample state
-	// extraEvals counts forward evaluations made on sequential estimator
-	// views (the ssr snapshot scorer), which the shared estimator's own
-	// counter cannot see.
-	extraEvals int64
+	// viewEvals and viewBlocks count the forward evaluations, and their
+	// 64-world blocks, made on per-goroutine sequential views of the engine
+	// (seqView), which the engine's own counters cannot see.
+	viewEvals, viewBlocks atomic.Int64
 
 	// Exhaustive-sweep scratch, reused across ID iterations so the inner
 	// loop allocates nothing: influence marks (cleared via the marked list,
@@ -303,7 +304,7 @@ func (s *solver) emit(iteration int, spent, rate float64) {
 		Spent:          spent,
 		Rate:           rate,
 		CandidateEvals: s.stats.CandidateEvals,
-		Evaluations:    s.est.Evals(),
+		Evaluations:    s.evaluations(),
 	})
 }
 
@@ -314,6 +315,40 @@ func (s *solver) enterPhase(name string) { s.phase = name }
 func (s *solver) benefit(d *diffusion.Deployment) float64 {
 	return s.est.Benefit(d)
 }
+
+// estimatorViewer is satisfied by *diffusion.Estimator. Goroutines that
+// score deployments side by side each evaluate on a sequential (workers=0)
+// view of it, so no evaluation also splits its worlds across the engine's
+// workers; an engine without views scores on the calling goroutine alone.
+type estimatorViewer interface {
+	View(ctx context.Context, workers int) *diffusion.Estimator
+}
+
+// seqView returns a sequential view of the engine for one scoring
+// goroutine, or nil when the engine offers no views.
+func (s *solver) seqView() *diffusion.Estimator {
+	if vr, ok := s.est.(estimatorViewer); ok {
+		return vr.View(s.ctx, 0)
+	}
+	return nil
+}
+
+// benefitOn evaluates d on view, or through the engine when view is nil,
+// adding a view's evaluation and blocks to the solver's counters so Stats
+// read the same at every worker count.
+func (s *solver) benefitOn(view *diffusion.Estimator, d *diffusion.Deployment) float64 {
+	if view == nil {
+		return s.benefit(d)
+	}
+	blocks := view.BlockEvals()
+	b := view.Benefit(d)
+	s.viewEvals.Add(1)
+	s.viewBlocks.Add(view.BlockEvals() - blocks)
+	return b
+}
+
+// evaluations returns the forward evaluations made so far, views included.
+func (s *solver) evaluations() int64 { return s.est.Evals() + s.viewEvals.Load() }
 
 // incremental reports whether the world-cache fast paths apply.
 func (s *solver) incremental() bool {
@@ -451,8 +486,8 @@ func (s *solver) partial() error {
 	if !s.aborted() {
 		return nil
 	}
-	s.stats.Evaluations = s.est.Evals() + s.extraEvals
-	s.stats.WorldBlocks = worldBlocks(s.est)
+	s.stats.Evaluations = s.evaluations()
+	s.stats.WorldBlocks = worldBlocks(s.est) + s.viewBlocks.Load()
 	return &PartialError{Phase: s.phase, Stats: s.stats, Err: s.err}
 }
 
@@ -466,8 +501,8 @@ func (s *solver) finish(d *diffusion.Deployment) *Solution {
 	if total > 0 {
 		rate = benefit / total
 	}
-	s.stats.Evaluations = s.est.Evals() + s.extraEvals
-	s.stats.WorldBlocks = worldBlocks(s.est)
+	s.stats.Evaluations = s.evaluations()
+	s.stats.WorldBlocks = worldBlocks(s.est) + s.viewBlocks.Load()
 	return &Solution{
 		Deployment:     d,
 		Benefit:        benefit,

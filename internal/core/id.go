@@ -2,10 +2,9 @@ package core
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"s3crm/internal/diffusion"
+	"s3crm/internal/par"
 	"s3crm/internal/pq"
 	"s3crm/internal/sketch"
 )
@@ -574,42 +573,27 @@ func maxInt(a, b int) int {
 
 // evalCandidates returns, for each candidate, the expected benefit of the
 // deployment with one extra coupon at that candidate. With multiple workers
-// the evaluations run concurrently on cloned deployments; results are
-// identical to sequential evaluation because the estimator's possible
-// worlds are stateless.
+// the evaluations run concurrently, each worker on its own clone of the
+// deployment and sequential view of the engine; results are identical to
+// sequential evaluation because the estimator's possible worlds are
+// stateless.
 func (s *solver) evalCandidates(d *diffusion.Deployment, candidates []int32) []float64 {
 	out := make([]float64, len(candidates))
 	workers := s.opts.Workers
-	if workers <= 1 || len(candidates) < 4 {
-		for i, v := range candidates {
-			d.AddK(v, 1)
-			out[i] = s.benefit(d)
-			d.AddK(v, -1)
+	if _, ok := s.est.(estimatorViewer); !ok || len(candidates) < 4 {
+		workers = 1
+	}
+	par.Each(len(candidates), workers, func() func(int) {
+		local, view := d, (*diffusion.Estimator)(nil)
+		if workers > 1 {
+			local, view = d.Clone(), s.seqView()
 		}
-		return out
-	}
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := d.Clone()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(candidates) {
-					return
-				}
-				v := candidates[i]
-				local.AddK(v, 1)
-				out[i] = s.benefit(local)
-				local.AddK(v, -1)
-			}
-		}()
-	}
-	wg.Wait()
+		return func(i int) {
+			v := candidates[i]
+			local.AddK(v, 1)
+			out[i] = s.benefitOn(view, local)
+			local.AddK(v, -1)
+		}
+	})
 	return out
 }

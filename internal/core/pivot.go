@@ -3,9 +3,9 @@ package core
 import (
 	"runtime"
 	"sort"
-	"sync"
 
 	"s3crm/internal/diffusion"
+	"s3crm/internal/par"
 )
 
 // pivotEntry is one pivot source: a user evaluated standalone, with the
@@ -80,28 +80,15 @@ func (s *solver) buildPivotQueue() []pivotEntry {
 	// Options.Workers governs solver parallelism everywhere (0 means
 	// sequential — callers pinning CPU rely on that), so the scan fans out
 	// only when workers were requested, capped by the machine.
-	var entries []pivotEntry
-	workers := s.opts.Workers
-	if m := runtime.GOMAXPROCS(0); workers > m {
-		workers = m
+	workers := min(s.opts.Workers, runtime.GOMAXPROCS(0))
+	if n < 1<<14 {
+		workers = 1
 	}
-	if workers > 1 && n >= 1<<14 {
-		parts := make([][]pivotEntry, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := int32(n*w/workers), int32(n*(w+1)/workers)
-			wg.Add(1)
-			go func(w int, lo, hi int32) {
-				defer wg.Done()
-				parts[w] = scan(lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, part := range parts {
-			entries = append(entries, part...)
-		}
-	} else {
-		entries = scan(0, int32(n))
+	parts := make([][]pivotEntry, max(workers, 1))
+	par.Ranges(n, workers, func(w, lo, hi int) { parts[w] = scan(int32(lo), int32(hi)) })
+	entries := parts[0]
+	for _, part := range parts[1:] {
+		entries = append(entries, part...)
 	}
 	// Touch sequentially: the scan goroutines must not race on the solver's
 	// explored marks, and every enqueued user counts as examined.

@@ -1,23 +1,11 @@
 package core
 
 import (
-	"context"
-	"sync"
-	"sync/atomic"
-
 	"s3crm/internal/diffusion"
+	"s3crm/internal/par"
 	"s3crm/internal/progress"
 	"s3crm/internal/sketch"
 )
-
-// estimatorViewer is satisfied by *diffusion.Estimator: the ssr path scores
-// candidate snapshots on sequential (workers=0) views so that every forward
-// measurement it makes is independent of the Workers knob — parallelism
-// comes from fanning candidates across goroutines, one sequential view
-// each, which is what keeps ssr Results bit-identical for any worker count.
-type estimatorViewer interface {
-	View(ctx context.Context, workers int) *diffusion.Estimator
-}
 
 // sketchSolve runs the SSR sketch engine over phase 1's pivot queue: the
 // queue (already rate-ordered) seeds the cover maximizer exactly as it
@@ -37,16 +25,10 @@ func (s *solver) sketchSolve(queue []pivotEntry) (*diffusion.Deployment, error) 
 	}
 	s.stats.SketchWorkers = workers
 
-	vr, canView := s.est.(estimatorViewer)
-	scoreSeq := diffusion.Evaluator(s.est)
-	if canView {
-		scoreSeq = vr.View(s.ctx, 0)
-	}
-	var scored atomic.Int64
-	scoreOn := func(ev diffusion.Evaluator, d *diffusion.Deployment) float64 {
-		scored.Add(1)
-		cost := s.inst.SeedCostOf(d) + s.inst.SCCostOf(d)
-		return safeRatio(ev.Benefit(d), cost)
+	// Snapshots score on sequential views: see estimatorViewer.
+	scoreWorkers := workers
+	if _, ok := s.est.(estimatorViewer); !ok {
+		scoreWorkers = 1
 	}
 
 	res, err := sketch.Solve(sketch.Config{
@@ -66,33 +48,13 @@ func (s *solver) sketchSolve(queue []pivotEntry) (*diffusion.Deployment, error) 
 		// would stop the trajectory too late (see sketch.Config.ScoreBatch).
 		ScoreBatch: func(ds []*diffusion.Deployment) []float64 {
 			out := make([]float64, len(ds))
-			w := workers
-			if w > len(ds) {
-				w = len(ds)
-			}
-			if !canView || w <= 1 {
-				for i, d := range ds {
-					out[i] = scoreOn(scoreSeq, d)
+			par.Each(len(ds), scoreWorkers, func() func(int) {
+				view := s.seqView()
+				return func(i int) {
+					d := ds[i]
+					out[i] = safeRatio(s.benefitOn(view, d), s.inst.SeedCostOf(d)+s.inst.SCCostOf(d))
 				}
-				return out
-			}
-			var wg sync.WaitGroup
-			next := int64(-1)
-			for k := 0; k < w; k++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					view := vr.View(s.ctx, 0)
-					for {
-						i := int(atomic.AddInt64(&next, 1))
-						if i >= len(ds) {
-							return
-						}
-						out[i] = scoreOn(view, ds[i])
-					}
-				}()
-			}
-			wg.Wait()
+			})
 			return out
 		},
 		OnRound: func(round, samples int, gap float64, buildNs int64) {
@@ -104,7 +66,7 @@ func (s *solver) sketchSolve(queue []pivotEntry) (*diffusion.Deployment, error) 
 					Iteration:     round,
 					Samples:       samples,
 					BoundGap:      gap,
-					Evaluations:   s.est.Evals() + scored.Load(),
+					Evaluations:   s.evaluations(),
 					SketchWorkers: workers,
 					SketchBuildNs: buildNs,
 				})
@@ -123,7 +85,6 @@ func (s *solver) sketchSolve(queue []pivotEntry) (*diffusion.Deployment, error) 
 	if s.opts.SketchPool {
 		s.sketchWarm = res.Warm
 	}
-	s.extraEvals = scored.Load()
 	if s.opts.RecordTrajectory {
 		for _, st := range res.Steps {
 			action := "coupon"

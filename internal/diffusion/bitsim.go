@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"s3crm/internal/bitset"
+	"s3crm/internal/par"
 )
 
 // blockEntry is one activation event in the block kernel's shared frontier
@@ -235,25 +236,12 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 // blocks (a partial mask on the ragged tail block), writing world w's
 // aggregates to its slots in out and, with recs non-nil, its activation
 // record to recs[w]. With Workers > 1 the blocks split into contiguous
-// per-worker ranges; every world lands in its own slot whatever the split,
-// so the slots — and their fold (foldWorlds) — are identical at every
-// worker count.
+// per-worker ranges (par.Ranges); every world lands in its own slot whatever
+// the split, so the slots — and their fold (foldWorlds) — are identical at
+// every worker count.
 func (e *Estimator) sweepAll(d *Deployment, out *worldSlots, recs []worldRecord) {
 	nb := (e.Samples + bitset.WordMask) / bitset.WordBits
-	workers := min(e.Workers, nb)
-	if workers <= 1 {
-		e.sweepBlocks(d, out, recs, 0, nb)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			e.sweepBlocks(d, out, recs, lo, hi)
-		}(i*nb/workers, (i+1)*nb/workers)
-	}
-	wg.Wait()
+	par.Ranges(nb, e.Workers, func(_, lo, hi int) { e.sweepBlocks(d, out, recs, lo, hi) })
 }
 
 // sweepBlocks simulates blocks [lo, hi) of sweepAll's worlds.

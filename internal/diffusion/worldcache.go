@@ -1,6 +1,10 @@
 package diffusion
 
-import "sync"
+import (
+	"sync"
+
+	"s3crm/internal/par"
+)
 
 // WorldCache is the EngineWorldCache implementation of Evaluator: a
 // Monte-Carlo engine that snapshots the per-world activation state of a
@@ -346,43 +350,21 @@ func (wc *WorldCache) putDelta(sc *deltaScratch) { wc.pool.Put(sc) }
 //
 // The query sweeps the worlds in ascending order, repopulating each world's
 // stamp map once and amortizing it across the candidate batch. Workers
-// split the batch into contiguous candidate chunks and each sweeps every
-// world for its own chunk, so a candidate's per-world deltas fold in the
-// same order at every worker count: the result is bit-identical to the
-// sequential sweep.
+// split the batch into contiguous candidate chunks (par.Ranges) and each
+// sweeps every world for its own chunk, so a candidate's per-world deltas
+// fold in the same order at every worker count: the result is bit-identical
+// to the sequential sweep.
 func (wc *WorldCache) DeltaBenefits(cands []int32) []float64 {
 	if wc.base == nil {
 		panic("diffusion: DeltaBenefits before Rebase")
 	}
 	out := make([]float64, len(cands))
-	if len(cands) == 0 {
-		return out
-	}
 	e := wc.Est
-	if workers := min(e.Workers, len(cands)); workers <= 1 {
+	par.Ranges(len(cands), e.Workers, func(_, lo, hi int) {
 		sc := wc.getDelta()
-		wc.deltaWorlds(sc, cands, out)
+		wc.deltaWorlds(sc, cands[lo:hi], out[lo:hi])
 		wc.putDelta(sc)
-	} else {
-		var wg sync.WaitGroup
-		per, extra := len(cands)/workers, len(cands)%workers
-		lo := 0
-		for i := 0; i < workers; i++ {
-			hi := lo + per
-			if i < extra {
-				hi++
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				sc := wc.getDelta()
-				wc.deltaWorlds(sc, cands[lo:hi], out[lo:hi])
-				wc.putDelta(sc)
-			}(lo, hi)
-			lo = hi
-		}
-		wg.Wait()
-	}
+	})
 	base := wc.baseResult.Benefit
 	inv := 1 / float64(e.Samples)
 	for i := range out {

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+
+	"s3crm/internal/par"
 )
 
 // Edge is one directed edge with its influence probability.
@@ -155,30 +157,12 @@ func (g *Graph) finalizeRange(lo, hi int) error {
 
 // shardNodes runs fn over contiguous node ranges covering [0, n), in
 // parallel when the graph is large enough to pay for the fan-out. The first
-// error wins; fn must touch only state owned by its range.
+// error in range order wins; fn must touch only state owned by its range.
 func shardNodes(n, edges int, fn func(lo, hi int) error) error {
-	workers := runtime.GOMAXPROCS(0)
 	const minEdgesPerShard = 1 << 16
-	if maxShards := edges/minEdgesPerShard + 1; workers > maxShards {
-		workers = maxShards
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return fn(0, n)
-	}
+	workers := min(runtime.GOMAXPROCS(0), edges/minEdgesPerShard+1)
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = fn(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	par.Ranges(n, workers, func(w, lo, hi int) { errs[w] = fn(lo, hi) })
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -426,5 +427,49 @@ func TestReverseLayout(t *testing.T) {
 		{"CapInWeights", og2.CapInWeights()},
 	} {
 		checkReverseLayout(t, c.name, c.g)
+	}
+}
+
+// TestShardNodesParallelMatchesSequential builds one edge list large enough
+// for shardNodes to fan out (at least two shards' worth of edges) under
+// GOMAXPROCS 4 and 1: the row sorts, the target index and the reverse CSR
+// must come out identical. Probabilities are quantized to quarters so rows
+// are full of ties for the id tie-breaks to order.
+func TestShardNodesParallelMatchesSequential(t *testing.T) {
+	edges := dedupKeepFirst(genEdges(20000, 150000, true))
+	for i := range edges {
+		edges[i].P = math.Floor(edges[i].P*4) / 4
+	}
+	if len(edges) < 2<<16 {
+		t.Fatalf("only %d distinct edges; shardNodes would not fan out", len(edges))
+	}
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	build := func(procs int) *Graph {
+		runtime.GOMAXPROCS(procs)
+		g, err := FromEdges(20000, slices.Clone(edges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.InEdges(0) // builds the reverse CSR under the same GOMAXPROCS
+		return g
+	}
+	seq, sharded := build(1), build(4)
+	for _, c := range []struct {
+		name string
+		eq   bool
+	}{
+		{"offsets", slices.Equal(seq.offsets, sharded.offsets)},
+		{"targets", slices.Equal(seq.targets, sharded.targets)},
+		{"probs", slices.Equal(seq.probs, sharded.probs)},
+		{"byTarget", slices.Equal(seq.byTarget, sharded.byTarget)},
+		{"revOffsets", slices.Equal(seq.revOffsets, sharded.revOffsets)},
+		{"revSources", slices.Equal(seq.revSources, sharded.revSources)},
+		{"revEdge", slices.Equal(seq.revEdge, sharded.revEdge)},
+		{"revProbs", slices.Equal(seq.revProbs, sharded.revProbs)},
+	} {
+		if !c.eq {
+			t.Errorf("%s differ between GOMAXPROCS 1 and 4", c.name)
+		}
 	}
 }

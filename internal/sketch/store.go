@@ -2,11 +2,10 @@ package sketch
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"s3crm/internal/diffusion"
 	"s3crm/internal/graph"
+	"s3crm/internal/par"
 	"s3crm/internal/ris"
 	"s3crm/internal/rng"
 )
@@ -214,36 +213,10 @@ func (ga *gates) prefill(roots []int32, workers int) {
 			need = append(need, r)
 		}
 	}
-	if len(need) == 0 {
-		return
-	}
-	if workers > len(need) {
-		workers = len(need)
-	}
-	if workers <= 1 {
+	par.Each(len(need), workers, func() func(int) {
 		var dist [kmax + 1]float64
-		for _, r := range need {
-			ga.compute(r, ga.row(r), &dist)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var dist [kmax + 1]float64
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(need) {
-					return
-				}
-				ga.compute(need[i], ga.row(need[i]), &dist)
-			}
-		}()
-	}
-	wg.Wait()
+		return func(i int) { ga.compute(need[i], ga.row(need[i]), &dist) }
+	})
 }
 
 // store is one SSR sample collection. Sample i consists of a
@@ -414,36 +387,14 @@ func (st *store) extend(target, workers int) {
 	st.ga.prefill(st.roots[lo:], workers)
 
 	n := target - lo
-	w := workers
-	if w > n/shardMinSamples {
-		w = n / shardMinSamples
-	}
-	if w < 1 {
-		w = 1
-	}
+	w := max(1, min(workers, n/shardMinSamples))
+	// Grow the walker pool here: shardWalker appends to st.extra, so the
+	// shards must only read it.
+	st.shardWalker(w - 1)
 	shards := make([]*shardDraw, w)
-	if w == 1 {
-		shards[0] = st.drawShard(lo, target, st.walker)
-	} else {
-		var wg sync.WaitGroup
-		per, extra := n/w, n%w
-		start := lo
-		for k := 0; k < w; k++ {
-			count := per
-			if k < extra {
-				count++
-			}
-			slo, shi := start, start+count
-			start = shi
-			wk := st.shardWalker(k)
-			wg.Add(1)
-			go func(k, slo, shi int, wk *ris.Walker) {
-				defer wg.Done()
-				shards[k] = st.drawShard(slo, shi, wk)
-			}(k, slo, shi, wk)
-		}
-		wg.Wait()
-	}
+	par.Ranges(n, w, func(k, slo, shi int) {
+		shards[k] = st.drawShard(lo+slo, lo+shi, st.shardWalker(k))
+	})
 	var members, slots int
 	for _, sd := range shards {
 		members += len(sd.arena)
@@ -509,18 +460,7 @@ func (st *store) index(workers int) {
 			st.slot[c].count(nodes, samples, func(i int) []int32 { return st.members(i, c) })
 		}
 	}
-	workers = max(1, min(workers, len(jobs)))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := w; j < len(jobs); j += workers {
-				jobs[j]()
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(len(jobs), workers, func() func(int) { return func(j int) { jobs[j]() } })
 }
 
 // count rebuilds p as the CSR index over nodes of samples [0, samples),
