@@ -508,6 +508,58 @@ func BenchmarkChurnResolve(b *testing.B) {
 	}
 }
 
+// BenchmarkChurnApply isolates the write path of a churn stream: one op
+// replays HoldOutEdges(0.2, 77) of the Epinions profile at scale 10 into an
+// IC worldcache campaign as 1,000 ApplyEdges batches — overlay appends,
+// compactions and per-world patching of the pooled snapshot, no Resolve
+// between batches. Campaign construction, the pre-churn solve and one
+// Resolve run outside the timer. That Resolve is part of the cell's
+// definition: it rebases the pooled snapshot on the returned deployment,
+// the state a stream that re-solves after every batch leaves behind.
+// Without it the snapshot keeps the solver's last search trial, and each
+// batch then costs several times more, most of it the snapshot's
+// inverted-index rebuild; numbers taken without it are not comparable. The
+// cell reports ns/batch; on an IC campaign a batch costs O(batch + churned
+// rows + affected worlds), so any whole-graph pass per ApplyEdges shows up
+// here first.
+func BenchmarkChurnApply(b *testing.B) {
+	const batches = 1000
+	ctx := context.Background()
+	p, err := GenerateDataset("Epinions", 10, 77)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reduced, stream, err := p.HoldOutEdges(0.2, 77)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := reduced.NewCampaign(WithEngine("worldcache"), WithSamples(1000), WithWorkers(1), WithSeed(77))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := c.Solve(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The solve leaves its pooled snapshot on whatever it rebased last;
+		// a Resolve rebases it on the answer, the state ApplyEdges meets
+		// in a stream that re-solves after every batch.
+		if _, err := c.Resolve(ctx, res); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for j := 0; j < batches; j++ {
+			if _, err := c.ApplyEdges(ctx, stream[j*len(stream)/batches:(j+1)*len(stream)/batches]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches), "ns/batch")
+}
+
 // --- SSR warm-reuse benchmark (the pooled sketch-state acceptance run) ---
 
 // BenchmarkSSRWarmReuse measures what the pooled SSR sample state buys

@@ -103,7 +103,10 @@ func (c *Campaign) ApplyEdges(ctx context.Context, edges []EdgeAdd) (ChurnStats,
 	}
 
 	churnTargets := diffusion.ChurnTargets(batch)
-	if excess := diffusion.InWeightExcess(g2, churnTargets); len(excess) > 0 {
+	// The in-weight check sweeps every edge, so it runs only when an LT
+	// engine can read it. A later LT call still validates the whole graph
+	// when it builds its engine.
+	if c.ltConsumerLocked() && len(diffusion.InWeightExcess(g2, churnTargets)) > 0 {
 		if c.cfg.model == diffusion.ModelLT {
 			// The campaign's own model needs the bound: re-normalize the
 			// whole graph. Probabilities change, so no warm state survives.
@@ -206,6 +209,21 @@ func extendInstance(inst *diffusion.Instance, g2 *graph.Graph) *diffusion.Instan
 		out.SCCost = grow(inst.SCCost)
 	}
 	return out
+}
+
+// ltConsumerLocked reports whether anything relies on the LT in-weight
+// bound: the campaign's own model is lt, or a call-level LT pool exists.
+// c.mu must be held.
+func (c *Campaign) ltConsumerLocked() bool {
+	if c.cfg.model == diffusion.ModelLT {
+		return true
+	}
+	for k := range c.engines {
+		if k.model == diffusion.ModelLT {
+			return true
+		}
+	}
+	return false
 }
 
 // noteChurnLocked accumulates the batch's distinct endpoints into the

@@ -312,6 +312,80 @@ func TestApplyEdgesLTRescale(t *testing.T) {
 	}
 }
 
+// TestApplyEdgesICSkipsLTCheck: ApplyEdges runs the whole-graph LT
+// in-weight check only while something relies on the bound — an lt campaign
+// model or a call-level LT pool. An IC campaign that never ran an LT call
+// has no such consumer, so the check is skipped; an overweight append still
+// leaves the stats exactly as if it had run (no rescale, no pool dropped),
+// and the first LT call fails in validation when it builds its engine.
+func TestApplyEdgesICSkipsLTCheck(t *testing.T) {
+	ctx := context.Background()
+	p, err := NewProblem(4).
+		AddEdge(0, 2, 0.55).AddEdge(1, 2, 0.4).AddEdge(2, 3, 0.3).
+		Budget(10).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumer := func(c *Campaign) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.ltConsumerLocked()
+	}
+
+	c, err := p.NewCampaign(WithEngine("worldcache"), WithSamples(64), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Solve(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if consumer(c) {
+		t.Fatal("IC campaign with only IC pools counts as an LT consumer: the check would run")
+	}
+	st, err := c.ApplyEdges(ctx, []EdgeAdd{{From: 3, To: 2, P: 0.5}}) // node 2: Σ = 1.45
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LTRescaled || st.PoolsDropped != 0 {
+		t.Fatalf("IC campaign without LT pools: %+v (want no rescale, no pool dropped)", st)
+	}
+	if _, err := c.Solve(ctx, WithModel("lt")); err == nil || !strings.Contains(err.Error(), "linear-threshold") {
+		t.Fatalf("first LT call after overweight append: err = %v, want precondition error", err)
+	}
+	if consumer(c) {
+		t.Fatal("a failed LT call left an LT consumer behind")
+	}
+	if _, err := c.Solve(ctx); err != nil {
+		t.Fatalf("IC solve after overweight append: %v", err)
+	}
+
+	// An LT call on a valid graph makes its pool a consumer until an
+	// overweight append drops it; an lt campaign is one from the start.
+	ic, err := p.NewCampaign(WithEngine("worldcache"), WithSamples(64), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ic.Solve(ctx, WithModel("lt")); err != nil {
+		t.Fatal(err)
+	}
+	if !consumer(ic) {
+		t.Fatal("IC campaign with an LT pool is not an LT consumer: the check would be skipped")
+	}
+	if _, err := ic.ApplyEdges(ctx, []EdgeAdd{{From: 3, To: 2, P: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if consumer(ic) {
+		t.Fatal("the LT pool outlived an overweight append")
+	}
+	lt, err := p.NewCampaign(WithEngine("mc"), WithModel("lt"), WithSamples(64), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !consumer(lt) {
+		t.Fatal("lt campaign is not an LT consumer before its first call")
+	}
+}
+
 // TestApplyEdgesValidation: invalid batches are rejected before any state
 // changes; the campaign keeps serving.
 func TestApplyEdgesValidation(t *testing.T) {

@@ -16,18 +16,23 @@ func (s *solver) maneuver(d *diffusion.Deployment, forest *gpForest) *diffusion.
 	in := s.inst
 	best := d
 	bestRate := s.rate(best)
+	// best's costs change only when a path commits: price it once per
+	// commit, not once per scored path. SeedCostOf + SCCostOf is exactly
+	// TotalCost's sum.
+	bestSC := in.SCCostOf(best)
+	bestCost := in.SeedCostOf(best) + bestSC
 
 	scored := forest.sortByAmelioration(s, best)
 	for i, sp := range scored {
 		if s.aborted() {
 			break
 		}
-		s.emit(i+1, in.TotalCost(best), bestRate)
+		s.emit(i+1, bestCost, bestRate)
 		gp := sp.gp
 		// Eligibility (Alg. 1 line 28): guaranteed cost within the SC
 		// budget already invested, and the end not already reachable (its
 		// parent holds no coupons).
-		if gp.cost > in.SCCostOf(best) {
+		if gp.cost > bestSC {
 			continue
 		}
 		if gp.parent >= 0 && best.K(gp.parent) > 0 {
@@ -38,6 +43,8 @@ func (s *solver) maneuver(d *diffusion.Deployment, forest *gpForest) *diffusion.
 			if r > bestRate {
 				best = cand
 				bestRate = r
+				bestSC = in.SCCostOf(best)
+				bestCost = in.SeedCostOf(best) + bestSC
 				s.stats.GPsCreated++
 			}
 		}

@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -9,13 +10,20 @@ import (
 // K. The internal node set I of the paper is implicit — it is exactly the
 // users with K > 0 (plus the seeds).
 //
+// Both halves are kept dense for O(1) lookups by the simulation kernels and
+// as sorted lists for O(|S|) and O(|I|) iteration: seeds next to seed, and
+// holders — the users with K > 0 — next to k. Cost accounting, Equal and
+// the world cache's coupon diff walk the lists, so they cost the size of
+// the deployment rather than the size of the network.
+//
 // Deployments are mutable scratch objects: the search algorithms apply a
 // change, evaluate, and either keep or revert it. Use Clone to snapshot.
 type Deployment struct {
-	n     int
-	seed  []bool
-	seeds []int32 // sorted list, kept in sync with seed
-	k     []int32
+	n       int
+	seed    []bool
+	seeds   []int32 // sorted list, kept in sync with seed
+	k       []int32
+	holders []int32 // sorted list of users with k > 0, kept in sync with k
 }
 
 // NewDeployment returns an empty deployment over n users.
@@ -79,7 +87,7 @@ func (d *Deployment) SetK(v int32, k int) {
 	if k < 0 {
 		panic(fmt.Sprintf("diffusion: SetK(%d, %d) with negative k", v, k))
 	}
-	d.k[v] = int32(k)
+	d.setK(v, int32(k))
 }
 
 // AddK adds delta coupons to v (delta may be negative); the result is
@@ -89,36 +97,48 @@ func (d *Deployment) AddK(v int32, delta int) {
 	if nk < 0 {
 		nk = 0
 	}
-	d.k[v] = int32(nk)
+	d.setK(v, int32(nk))
+}
+
+// setK stores v's allocation and keeps holders in sync when v gains its
+// first coupon or loses its last.
+func (d *Deployment) setK(v, k int32) {
+	was := d.k[v]
+	d.k[v] = k
+	if (was > 0) == (k > 0) {
+		return
+	}
+	i, _ := slices.BinarySearch(d.holders, v)
+	if k > 0 {
+		d.holders = slices.Insert(d.holders, i, v)
+	} else {
+		d.holders = slices.Delete(d.holders, i, i+1)
+	}
 }
 
 // TotalK returns the total number of allocated coupons.
 func (d *Deployment) TotalK() int {
 	t := 0
-	for _, k := range d.k {
-		t += int(k)
+	for _, v := range d.holders {
+		t += int(d.k[v])
 	}
 	return t
 }
 
-// Allocated returns the users with at least one coupon, ascending.
+// Allocated returns the users with at least one coupon, ascending, as a
+// fresh slice (nil when there are none).
 func (d *Deployment) Allocated() []int32 {
-	var out []int32
-	for v, k := range d.k {
-		if k > 0 {
-			out = append(out, int32(v))
-		}
-	}
-	return out
+	return append([]int32(nil), d.holders...)
 }
 
 // Clone returns an independent copy.
 func (d *Deployment) Clone() *Deployment {
 	c := &Deployment{
-		n:     d.n,
-		seed:  append([]bool(nil), d.seed...),
-		seeds: append([]int32(nil), d.seeds...),
-		k:     append([]int32(nil), d.k...),
+		n:       d.n,
+		seed:    append([]bool(nil), d.seed...),
+		seeds:   append([]int32(nil), d.seeds...),
+		k:       append([]int32(nil), d.k...),
+		holders: append([]int32(nil), d.holders...),
 	}
 	return c
 }
@@ -126,15 +146,10 @@ func (d *Deployment) Clone() *Deployment {
 // Equal reports whether two deployments select the same seeds and
 // allocation.
 func (d *Deployment) Equal(o *Deployment) bool {
-	if d.n != o.n || len(d.seeds) != len(o.seeds) {
+	if d.n != o.n || !slices.Equal(d.seeds, o.seeds) || !slices.Equal(d.holders, o.holders) {
 		return false
 	}
-	for i, s := range d.seeds {
-		if o.seeds[i] != s {
-			return false
-		}
-	}
-	for v := range d.k {
+	for _, v := range d.holders {
 		if d.k[v] != o.k[v] {
 			return false
 		}

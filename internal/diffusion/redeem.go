@@ -92,15 +92,18 @@ func dependentFactor(probs []float64, k, j int) float64 {
 // E[ki, csc(vj)] = csc(vj)·P(e(i,j)) for independent positions and
 // csc(vj)·P(e(i,j))·P(k̄i) for dependent ones. Per the paper's worked
 // examples the sum is NOT scaled by the allocator's own activation
-// probability (DESIGN.md fidelity note 1).
+// probability (DESIGN.md fidelity note 1). The outer sum walks the
+// deployment's holder list, so pricing costs O(|I|) row scans rather than a
+// pass over every user; holders ascend, the order a dense scan adds them in.
 func (in *Instance) SCCostOf(d *Deployment) float64 {
 	total := 0.0
 	scratch := make([]float64, 0, 64)
-	for v := int32(0); v < int32(in.G.NumNodes()); v++ {
-		k := d.K(v)
-		if k == 0 {
-			continue
+	n := int32(in.G.NumNodes())
+	for _, v := range d.holders {
+		if v >= n {
+			break // past the instance's users, which a dense scan never reaches
 		}
+		k := d.K(v)
 		targets, probs := in.G.OutEdges(v)
 		if len(targets) == 0 {
 			continue

@@ -135,8 +135,9 @@ func (wc *WorldCache) rebaseFull(d *Deployment) Result {
 
 // couponDiff compares d against the base: when both hold the same seed set
 // and differ in the coupon counts of at most maxAdvanceChanged nodes it
-// returns those nodes. The O(V) scan is trivial next to even one world's
-// re-simulation.
+// returns those nodes, ascending. Only a holder of either deployment can
+// differ, so the diff merges the two holder lists instead of scanning every
+// user.
 func (wc *WorldCache) couponDiff(d *Deployment) ([]int32, bool) {
 	base := wc.base
 	if base.NumSeeds() != d.NumSeeds() {
@@ -148,8 +149,20 @@ func (wc *WorldCache) couponDiff(d *Deployment) ([]int32, bool) {
 		}
 	}
 	var changed []int32
-	n := int32(d.NumUsers())
-	for v := int32(0); v < n; v++ {
+	bh, dh := base.holders, d.holders
+	for len(bh) > 0 || len(dh) > 0 {
+		var v int32
+		switch {
+		case len(dh) == 0 || len(bh) > 0 && bh[0] < dh[0]:
+			v, bh = bh[0], bh[1:]
+		case len(bh) == 0 || dh[0] < bh[0]:
+			v, dh = dh[0], dh[1:]
+		default:
+			v, bh, dh = bh[0], bh[1:], dh[1:]
+		}
+		if int(v) >= d.n {
+			break // only base holders past d's users are left
+		}
 		if base.K(v) != d.K(v) {
 			if len(changed) >= maxAdvanceChanged {
 				return nil, false
