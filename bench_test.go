@@ -514,14 +514,13 @@ func BenchmarkChurnResolve(b *testing.B) {
 // compactions and per-world patching of the pooled snapshot, no Resolve
 // between batches. Campaign construction, the pre-churn solve and one
 // Resolve run outside the timer. That Resolve is part of the cell's
-// definition: it rebases the pooled snapshot on the returned deployment,
-// the state a stream that re-solves after every batch leaves behind.
-// Without it the snapshot keeps the solver's last search trial, and each
-// batch then costs several times more, most of it the snapshot's
-// inverted-index rebuild; numbers taken without it are not comparable. The
-// cell reports ns/batch; on an IC campaign a batch costs O(batch + churned
-// rows + affected worlds), so any whole-graph pass per ApplyEdges shows up
-// here first.
+// definition: it leaves the pooled snapshot on the returned deployment, the
+// state a stream that re-solves after every batch leaves behind. Solve now
+// pools its snapshot rebased on the answer itself, so the Resolve finds it
+// there; it stays so that readings remain comparable with those taken when
+// Solve pooled its last search trial instead. The cell reports ns/batch; on
+// an IC campaign a batch costs O(batch + churned rows + affected worlds),
+// so any whole-graph pass per ApplyEdges shows up here first.
 func BenchmarkChurnApply(b *testing.B) {
 	const batches = 1000
 	ctx := context.Background()
@@ -544,9 +543,8 @@ func BenchmarkChurnApply(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// The solve leaves its pooled snapshot on whatever it rebased last;
-		// a Resolve rebases it on the answer, the state ApplyEdges meets
-		// in a stream that re-solves after every batch.
+		// The snapshot ApplyEdges meets in a stream that re-solves after
+		// every batch: rebased on the answer.
 		if _, err := c.Resolve(ctx, res); err != nil {
 			b.Fatal(err)
 		}

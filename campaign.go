@@ -45,8 +45,9 @@ type Campaign struct {
 	mu         sync.Mutex
 	inst       *diffusion.Instance // current graph view; advances under ApplyEdges
 	engines    map[engineKey]*enginePool
-	defaultKey engineKey // the construction-time pool, exempt from eviction
-	churned    []int32   // distinct churn endpoints since the last Resolve
+	defaultKey engineKey          // the construction-time pool, exempt from eviction
+	churned    []int32            // distinct churn endpoints since the last Resolve
+	churnSeen  map[int32]struct{} // the members of churned
 }
 
 // maxEnginePools bounds the engine-state cache. Calls are keyed by
@@ -59,8 +60,8 @@ type Campaign struct {
 const maxEnginePools = 16
 
 // maxIdleWorldCaches bounds each pool's idle snapshot list; one snapshot
-// can hold dense per-(node, world) state, so keep only what a typical
-// concurrent burst reuses.
+// holds every world's activations (in block order), so keep only what a
+// typical concurrent burst reuses.
 const maxIdleWorldCaches = 8
 
 // maxIdleSketchWarms bounds each pool's idle SSR sample states. A warm
@@ -449,17 +450,29 @@ func (c *Campaign) Solve(ctx context.Context, opts ...Option) (*Result, error) {
 	view := ce.views[0]
 	inst := view.Inst
 	sol, err := core.SolveCtx(ctx, inst, cl.coreOptions(ce))
-	ce.release(err)
 	if err != nil {
+		ce.release(err)
 		return nil, fmt.Errorf("s3crm: %w", err)
 	}
 	ce.sketchPut(sol.SketchWarm)
-	r := resultFrom("S3CA", inst, sol.Deployment, view, cl.cfg.samples, cl.degraded)
-	// resultFrom measures on the ctx-carrying view, which breaks out of
-	// its world sweep when cancelled; never hand partial sums to a caller.
+	var r *Result
+	if wc, ok := ce.evs[0].(*diffusion.WorldCache); ok {
+		// The solver leaves the snapshot on its last trial. Rebase it on the
+		// answer before it is pooled, so later ApplyEdges batches patch the
+		// answer's worlds and a Resolve from it starts warm; the rebase's
+		// measurement is exactly Evaluate's, so it is the result's.
+		r = resultOf("S3CA", inst, sol.Deployment, wc.Rebase(sol.Deployment), cl.cfg.samples, cl.degraded)
+	} else {
+		r = resultFrom("S3CA", inst, sol.Deployment, view, cl.cfg.samples, cl.degraded)
+	}
+	// The final measurement runs on the ctx-carrying view, which breaks out
+	// of its world sweep when cancelled; never hand partial sums to a caller
+	// or pool a half-rebased snapshot.
 	if err := ctx.Err(); err != nil {
+		ce.release(err)
 		return nil, fmt.Errorf("s3crm: final measurement aborted: %w", err)
 	}
+	ce.release(nil)
 	r.ExploredRatio = float64(sol.Stats.ExploredNodes) / float64(inst.G.NumNodes())
 	copySketchStats(r, sol.Stats)
 	return r, nil

@@ -499,3 +499,42 @@ func TestCampaignDegradationClamp(t *testing.T) {
 		}
 	}
 }
+
+// TestSolvePoolsSnapshotOnAnswer checks what a worldcache Solve leaves in
+// its pool: the snapshot is rebased on the deployment Solve returned, not on
+// the solver's last trial (rebasing onto the answer costs no evaluation), and
+// the result equals a plain Evaluate measurement of the answer.
+func TestSolvePoolsSnapshotOnAnswer(t *testing.T) {
+	ctx := context.Background()
+	p, err := GenerateDataset("Epinions", 400, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := p.NewCampaign(WithEngine("worldcache"), WithSamples(300), WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Solve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := c.engines[c.defaultKey]
+	if len(ep.idle) != 1 {
+		t.Fatalf("%d idle snapshots after one Solve, want 1", len(ep.idle))
+	}
+	wc := ep.idle[0]
+	d, err := buildDeploymentFor(c.inst, Deployment{Seeds: res.Seeds, Coupons: res.Coupons})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := wc.Evals()
+	wc.Rebase(d)
+	if n := wc.Evals() - before; n != 0 {
+		t.Fatalf("rebasing the pooled snapshot onto the returned deployment cost %d evaluations: it is not based on the answer", n)
+	}
+	want := *resultFrom("S3CA", c.inst, d, ep.proto.View(ctx, 0), 300, false)
+	want.ExploredRatio = res.ExploredRatio // solver statistics, not a measurement
+	if !reflect.DeepEqual(*res, want) {
+		t.Fatalf("Solve result %+v != Evaluate of its deployment %+v", *res, want)
+	}
+}

@@ -227,22 +227,35 @@ func (c *Campaign) ltConsumerLocked() bool {
 }
 
 // noteChurnLocked accumulates the batch's distinct endpoints into the
-// campaign's churn set — the candidate pool Resolve repairs over. c.mu must
-// be held.
+// campaign's churn set — the candidate pool Resolve repairs over — in
+// O(batch). c.mu must be held.
 func (c *Campaign) noteChurnLocked(batch []graph.Edge) {
-	seen := make(map[int32]bool, len(c.churned)+2*len(batch))
-	for _, v := range c.churned {
-		seen[v] = true
+	if c.churnSeen == nil {
+		c.churnSeen = make(map[int32]struct{}, 2*len(batch))
 	}
 	for _, e := range batch {
-		if !seen[e.From] {
-			seen[e.From] = true
-			c.churned = append(c.churned, e.From)
+		for _, v := range [2]int32{e.From, e.To} {
+			if _, ok := c.churnSeen[v]; !ok {
+				c.churnSeen[v] = struct{}{}
+				c.churned = append(c.churned, v)
+			}
 		}
-		if !seen[e.To] {
-			seen[e.To] = true
-			c.churned = append(c.churned, e.To)
-		}
+	}
+}
+
+// consumeChurnLocked drops the first k endpoints of the churn set — those a
+// Resolve just repaired over — keeping any a concurrent ApplyEdges queued
+// since; the seen-set is rebuilt from what remains. A set already shorter
+// than k was consumed by another Resolve and stays as it is. c.mu must be
+// held.
+func (c *Campaign) consumeChurnLocked(k int) {
+	if len(c.churned) < k {
+		return
+	}
+	c.churned = append([]int32(nil), c.churned[k:]...)
+	clear(c.churnSeen)
+	for _, v := range c.churned {
+		c.churnSeen[v] = struct{}{}
 	}
 }
 
@@ -380,9 +393,7 @@ func (c *Campaign) Resolve(ctx context.Context, prev *Result, opts ...Option) (*
 	// Consume the churn set this call repaired over; endpoints appended by
 	// a concurrent ApplyEdges stay queued for the next Resolve.
 	c.mu.Lock()
-	if len(c.churned) >= len(churned) {
-		c.churned = append([]int32(nil), c.churned[len(churned):]...)
-	}
+	c.consumeChurnLocked(len(churned))
 	c.mu.Unlock()
 
 	return resultOf("resolve", inst, d, res, cl.cfg.samples, cl.degraded), nil
@@ -439,9 +450,7 @@ func (c *Campaign) resolveSSR(ctx context.Context, opts []Option) (*Result, erro
 	// was consumed by the patch); endpoints appended by a concurrent
 	// ApplyEdges stay queued for the next Resolve.
 	c.mu.Lock()
-	if len(c.churned) >= churnedLen {
-		c.churned = append([]int32(nil), c.churned[churnedLen:]...)
-	}
+	c.consumeChurnLocked(churnedLen)
 	c.mu.Unlock()
 	return r, nil
 }

@@ -775,3 +775,87 @@ func concurrentChurn(t *testing.T, engine string) {
 		t.Fatalf("campaign broken after concurrent churn: %v", err)
 	}
 }
+
+// TestNoteChurnMatchesReferenceDedup appends 200 batches with no Resolve in
+// between and checks the pending churn set against a reference dedup of the
+// same endpoints (each edge's source, then its target, first sighting
+// wins), order included. A Resolve then consumes the set, and a second run
+// of appends must be deduplicated afresh: endpoints consumed by the Resolve
+// are queued again. Last, consuming only a prefix of the set (what a
+// Resolve read while an append queued more) keeps the rest deduplicating.
+func TestNoteChurnMatchesReferenceDedup(t *testing.T) {
+	ctx := context.Background()
+	full, err := GenerateDataset("Epinions", 200, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, stream, err := full.HoldOutEdges(0.3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 200
+	if len(stream) < 2*batches {
+		t.Fatalf("held out %d edges, want at least %d", len(stream), 2*batches)
+	}
+	c, err := p.NewCampaign(WithSamples(32), WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// replay appends batches [lo, hi) of the stream split into 2·batches
+	// and checks the pending set against the reference dedup of exactly
+	// those batches.
+	per := len(stream) / (2 * batches)
+	replay := func(lo, hi int) {
+		t.Helper()
+		var want []int32
+		seen := map[int32]bool{}
+		for b := lo; b < hi; b++ {
+			batch := stream[b*per : (b+1)*per]
+			if _, err := c.ApplyEdges(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range batch {
+				for _, v := range []int32{int32(e.From), int32(e.To)} {
+					if !seen[v] {
+						seen[v] = true
+						want = append(want, v)
+					}
+				}
+			}
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if !reflect.DeepEqual(c.churned, want) {
+			t.Fatalf("batches [%d,%d): churn set %v, reference dedup %v", lo, hi, c.churned, want)
+		}
+		if len(c.churnSeen) != len(want) {
+			t.Fatalf("batches [%d,%d): seen-set holds %d endpoints, churn set %d", lo, hi, len(c.churnSeen), len(want))
+		}
+	}
+	replay(0, batches)
+	prev, err := c.Solve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Resolve(ctx, prev); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	if len(c.churned) != 0 || len(c.churnSeen) != 0 {
+		t.Fatalf("after Resolve: %d pending endpoints, %d seen, want none", len(c.churned), len(c.churnSeen))
+	}
+	c.mu.Unlock()
+	replay(batches, 2*batches)
+
+	// A Resolve consumes only the endpoints it read; what a concurrent
+	// append queued behind them stays pending and still deduplicates.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pending := append([]int32(nil), c.churned...)
+	c.consumeChurnLocked(2)
+	rest := pending[2:]
+	c.noteChurnLocked([]graph.Edge{{From: rest[0], To: pending[0]}})
+	if want := append(append([]int32(nil), rest...), pending[0]); !reflect.DeepEqual(c.churned, want) {
+		t.Fatalf("after consuming 2 of %v and appending (%d,%d): churn set %v, want %v", pending, rest[0], pending[0], c.churned, want)
+	}
+}

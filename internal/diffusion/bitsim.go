@@ -90,10 +90,10 @@ func (e *Estimator) putBlockScratch(bs *blockScratch) { e.blockPool.Put(bs) }
 
 // simBlock propagates the worlds of the 64-aligned block at worldBase
 // selected by blockMask for deployment d, in one BFS pass over the CSR,
-// overwriting each world's slots in out; with recs non-nil, recs[world] is
-// reset and receives the world's activation record (the world-cache
-// snapshot). Both are indexed by absolute world. Every set bit is one
-// world, so a one-bit mask runs a world alone.
+// overwriting each world's slots in out (indexed by absolute world); with
+// snap non-nil it appends the block's queue, and its coupon holders' scan
+// state, to snap (the world-cache snapshot, see blockSnap). Every set bit
+// is one world, so a one-bit mask runs a world alone.
 //
 // Per-world outcomes are bit-identical to simulating each world on its own
 // (the scalar reference in bitsim_test.go). The coupon capacity makes
@@ -108,7 +108,7 @@ func (e *Estimator) putBlockScratch(bs *blockScratch) { e.blockPool.Put(bs) }
 // the scalar order. What the block buys is the dense part: membership tests
 // and edge-liveness probes for all 64 worlds collapse into whole-word
 // AND/OR/ANDN against the substrate's bit rows.
-func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blockMask uint64, out *worldSlots, recs []worldRecord) {
+func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blockMask uint64, out *worldSlots, snap *blockSnap) {
 	g := e.Inst.G
 	le := e.Live
 	in := e.Inst
@@ -119,6 +119,10 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 	activated := (*[64]int32)(out.activated[worldBase:])
 	explored := (*[64]int32)(out.explored[worldBase:])
 	bs.reset()
+	run := 0 // where this simulation's first holder run lands in snap
+	if snap != nil {
+		run = len(snap.red)
+	}
 	for m := blockMask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		worldB[w] = 0
@@ -126,9 +130,6 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 		maxHop[w] = 0
 		activated[w] = 0
 		explored[w] = 0
-		if recs != nil {
-			recs[worldBase+w].reset()
-		}
 	}
 	for _, seed := range d.Seeds() {
 		newMask := blockMask &^ bs.active[seed]
@@ -161,14 +162,6 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 		}
 		coupons := d.K(v)
 		if coupons == 0 {
-			if recs != nil {
-				for m := ent.mask; m != 0; m &= m - 1 {
-					rec := &recs[worldBase+bits.TrailingZeros64(m)]
-					rec.nodes = append(rec.nodes, v)
-					rec.scanStop = append(rec.scanStop, 0)
-					rec.scanRed = append(rec.scanRed, 0)
-				}
-			}
 			continue
 		}
 		targets, _, keys, kbase := g.OutRow(v)
@@ -216,36 +209,33 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 				}
 			}
 		}
-		if recs != nil {
-			for m := ent.mask; m != 0; m &= m - 1 {
-				w := bits.TrailingZeros64(m)
-				st := int32(len(targets))
-				if capMask&(1<<uint(w)) == 0 {
-					st = bs.stop[w]
-				}
-				rec := &recs[worldBase+w]
-				rec.nodes = append(rec.nodes, v)
-				rec.scanStop = append(rec.scanStop, st)
-				rec.scanRed = append(rec.scanRed, bs.cnt[w])
+		if snap != nil {
+			// The worlds still scanning ran to the row's end.
+			for m := capMask; m != 0; m &= m - 1 {
+				bs.stop[bits.TrailingZeros64(m)] = int32(len(targets))
 			}
+			snap.addRun(ent.mask, &bs.cnt, &bs.stop)
 		}
+	}
+	if snap != nil {
+		snap.addEvents(bs.queue, d, run)
 	}
 }
 
 // sweepAll simulates worlds [0, Samples) for deployment d in 64-aligned
 // blocks (a partial mask on the ragged tail block), writing world w's
-// aggregates to its slots in out and, with recs non-nil, its activation
-// record to recs[w]. With Workers > 1 the blocks split into contiguous
-// per-worker ranges (par.Ranges); every world lands in its own slot whatever
-// the split, so the slots — and their fold (foldWorlds) — are identical at
-// every worker count.
-func (e *Estimator) sweepAll(d *Deployment, out *worldSlots, recs []worldRecord) {
+// aggregates to its slots in out and, with snaps non-nil, rewriting block
+// b's snapshot snaps[b] from scratch. With Workers > 1 the blocks split into
+// contiguous per-worker ranges (par.Ranges); every world lands in its own
+// slot and every block in its own snapshot whatever the split, so the slots
+// — and their fold (foldWorlds) — are identical at every worker count.
+func (e *Estimator) sweepAll(d *Deployment, out *worldSlots, snaps []blockSnap) {
 	nb := (e.Samples + bitset.WordMask) / bitset.WordBits
-	par.Ranges(nb, e.Workers, func(_, lo, hi int) { e.sweepBlocks(d, out, recs, lo, hi) })
+	par.Ranges(nb, e.Workers, func(_, lo, hi int) { e.sweepBlocks(d, out, snaps, lo, hi) })
 }
 
 // sweepBlocks simulates blocks [lo, hi) of sweepAll's worlds.
-func (e *Estimator) sweepBlocks(d *Deployment, out *worldSlots, recs []worldRecord, lo, hi int) {
+func (e *Estimator) sweepBlocks(d *Deployment, out *worldSlots, snaps []blockSnap, lo, hi int) {
 	bs := e.getBlockScratch()
 	defer e.putBlockScratch(bs)
 	e.blocks.Add(int64(hi - lo))
@@ -259,7 +249,12 @@ func (e *Estimator) sweepBlocks(d *Deployment, out *worldSlots, recs []worldReco
 			return
 		}
 		base := b * bitset.WordBits
-		e.simBlock(bs, d, base, bitset.RangeMask(0, min(e.Samples-base, bitset.WordBits)), out, recs)
+		var snap *blockSnap
+		if snaps != nil {
+			snap = &snaps[b]
+			snap.reset()
+		}
+		e.simBlock(bs, d, base, bitset.RangeMask(0, min(e.Samples-base, bitset.WordBits)), out, snap)
 	}
 }
 
@@ -287,24 +282,38 @@ func foldWorlds(out *worldSlots, n int) (Result, float64) {
 	}, b
 }
 
-// sweepWorlds simulates a scattered ascending set of worlds for deployment
-// d into their slots in out (and records in recs, when non-nil), running
-// each run of worlds that shares a 64-world block as one mask — a lone
-// world as a one-bit mask.
-func (e *Estimator) sweepWorlds(d *Deployment, worlds []int32, out *worldSlots, recs []worldRecord) {
-	if len(worlds) == 0 {
-		return
-	}
-	bs := e.getBlockScratch()
-	defer e.putBlockScratch(bs)
+// sweepMasks re-simulates, for deployment d, the worlds of block b set in
+// masks[b], for every block with a nonzero mask, into their slots in out — a
+// lone world as a one-bit mask. With snaps non-nil each swept block's
+// snapshot drops the re-simulated worlds and appends their new events
+// (blockSnap.drop, then simBlock), so the cost follows the affected worlds
+// rather than the block.
+func (e *Estimator) sweepMasks(d *Deployment, masks []uint64, out *worldSlots, snaps []blockSnap) {
+	// The scratch is taken only once a block needs it: a fresh per-call
+	// estimator (a churn patch's, say) would otherwise allocate one to sweep
+	// nothing.
+	var bs *blockScratch
 	n := int64(0)
-	for i := 0; i < len(worlds); n++ {
-		base := int(worlds[i]) &^ bitset.WordMask
-		var mask uint64
-		for ; i < len(worlds) && int(worlds[i]) < base+bitset.WordBits; i++ {
-			mask |= 1 << (uint(worlds[i]) & bitset.WordMask)
+	for b, mask := range masks {
+		if mask == 0 {
+			continue
 		}
-		e.simBlock(bs, d, base, mask, out, recs)
+		if bs == nil {
+			bs = e.getBlockScratch()
+		}
+		n++
+		var snap *blockSnap
+		if snaps != nil {
+			snap = &snaps[b]
+			snap.drop(mask)
+		}
+		e.simBlock(bs, d, b*bitset.WordBits, mask, out, snap)
+		if snap != nil {
+			snap.compactIfSparse()
+		}
+	}
+	if bs != nil {
+		e.putBlockScratch(bs)
 	}
 	e.blocks.Add(n)
 }

@@ -1,9 +1,11 @@
 package diffusion
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 
+	"s3crm/internal/bitset"
 	"s3crm/internal/graph"
 	"s3crm/internal/rng"
 )
@@ -77,6 +79,55 @@ func (s *simScratch) see(v int32) bool {
 	}
 	s.seen[v] = s.epoch
 	return true
+}
+
+// worldRecord is one world's activation record: the activated nodes in
+// activation order and, for each, where its coupon offer scan stopped.
+// scanStop is the adjacency position of the first neighbour never offered a
+// coupon (the node's out-degree when the scan ran to the end of the list);
+// scanRed is how many coupons the scan redeemed. A node without coupons
+// records 0 for both.
+type worldRecord struct {
+	nodes    []int32
+	scanStop []int32
+	scanRed  []int32
+}
+
+// snapshotRecord expands world w of the cache's block-order snapshot into
+// its per-world record: the entries of w's block whose mask holds w, in list
+// order, with their scan state at w.
+func snapshotRecord(wc *WorldCache, w int) worldRecord {
+	s := &wc.snaps[w/bitset.WordBits]
+	bit := w & bitset.WordMask
+	var rec worldRecord
+	for _, ent := range s.ents {
+		if ent.mask>>uint(bit)&1 == 0 {
+			continue
+		}
+		red, stop := s.scanAt(ent, bit)
+		rec.nodes = append(rec.nodes, ent.node)
+		rec.scanStop = append(rec.scanStop, stop)
+		rec.scanRed = append(rec.scanRed, red)
+	}
+	return rec
+}
+
+// activeWorlds lists the worlds activating v in ascending order, read from
+// the cache's inverted index, with v's position in each world's record.
+func activeWorlds(wc *WorldCache, v int32) (worlds, pos []int32) {
+	wc.buildInverted()
+	masks := make([]uint64, len(wc.snaps))
+	for _, r := range wc.activeEntries(v) {
+		masks[r.blk] |= wc.snaps[r.blk].ents[r.idx].mask
+	}
+	for b, m := range masks {
+		for ; m != 0; m &= m - 1 {
+			w := b*bitset.WordBits + bits.TrailingZeros64(m)
+			worlds = append(worlds, int32(w))
+			pos = append(pos, int32(slices.Index(snapshotRecord(wc, w).nodes, v)))
+		}
+	}
+	return worlds, pos
 }
 
 // simWorld is the scalar reference kernel the block kernel (simBlock) must
@@ -198,10 +249,10 @@ func checkSnapshots(t *testing.T, wc *WorldCache, step int) {
 	e := wc.Est
 	s := newSimScratch(e.Inst.G.NumNodes())
 	o := wc.outs
-	for w := range wc.recs {
+	for w := 0; w < e.Samples; w++ {
 		var rec worldRecord
 		b, c, hop, activated, explored := e.simWorld(s, wc.base, uint64(w), &rec)
-		r := &wc.recs[w]
+		r := snapshotRecord(wc, w)
 		if o.benefit[w] != b || o.cost[w] != c || o.hop[w] != hop ||
 			int(o.activated[w]) != activated || int(o.explored[w]) != explored {
 			t.Fatalf("step %d world %d: snapshot metrics (%v %v %d %d %d) != simWorld (%v %v %d %d %d)",
@@ -209,7 +260,7 @@ func checkSnapshots(t *testing.T, wc *WorldCache, step int) {
 		}
 		if !slices.Equal(r.nodes, rec.nodes) || !slices.Equal(r.scanStop, rec.scanStop) ||
 			!slices.Equal(r.scanRed, rec.scanRed) {
-			t.Fatalf("step %d world %d: snapshot record %+v != simWorld %+v", step, w, *r, rec)
+			t.Fatalf("step %d world %d: snapshot record %+v != simWorld %+v", step, w, r, rec)
 		}
 	}
 }
@@ -220,7 +271,7 @@ func scalarDelta(wc *WorldCache, d *Deployment) float64 {
 	e := wc.Est
 	s := newSimScratch(e.Inst.G.NumNodes())
 	sum := wc.baseSumB
-	for w := range wc.recs {
+	for w := 0; w < e.Samples; w++ {
 		b, _, _, _, _ := e.simWorld(s, d, uint64(w), nil)
 		sum += b - wc.outs.benefit[w]
 	}
@@ -432,9 +483,8 @@ func TestWorldCacheLoneWorldResims(t *testing.T) {
 	// record entry passes keep.
 	loneNode := func(what string, keep func(v int32, w, pos int32) bool) int32 {
 		t.Helper()
-		wc.buildInverted()
 		for v := int32(0); v < n; v++ {
-			if ws, ps := wc.activeWorlds(v); len(ws) == 1 && keep(v, ws[0], ps[0]) {
+			if ws, ps := activeWorlds(wc, v); len(ws) == 1 && keep(v, ws[0], ps[0]) {
 				return v
 			}
 		}
@@ -464,7 +514,7 @@ func TestWorldCacheLoneWorldResims(t *testing.T) {
 
 	// advance: v's one scan ran out of coupons, so one more moves it.
 	v = loneNode("advance", func(v int32, w, pos int32) bool {
-		return roomy(v) && int(wc.recs[w].scanRed[pos]) == wc.base.K(v)
+		return roomy(v) && int(snapshotRecord(wc, int(w)).scanRed[pos]) == wc.base.K(v)
 	})
 	next := wc.base.Clone()
 	next.AddK(v, 1)
@@ -476,7 +526,7 @@ func TestWorldCacheLoneWorldResims(t *testing.T) {
 	// to the row's end is probed there.
 	u := loneNode("PatchEdges", func(u int32, w, pos int32) bool {
 		k := wc.base.K(u)
-		return k > 0 && int(wc.recs[w].scanRed[pos]) < k
+		return k > 0 && int(snapshotRecord(wc, int(w)).scanRed[pos]) < k
 	})
 	targets, _, _, _ := inst.G.OutRow(u)
 	x := int32(1)

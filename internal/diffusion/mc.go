@@ -135,26 +135,6 @@ func (e *Estimator) Evaluate(d *Deployment) Result {
 	return r
 }
 
-// worldRecord captures one world's final state for the world-cache engine:
-// the activated nodes in activation order and, for each, where its coupon
-// offer scan stopped. scanStop is the adjacency position of the first
-// neighbour never offered a coupon (the node's out-degree when the scan ran
-// to the end of the list); scanRed is how many coupons the scan redeemed. A
-// scan with scanRed == K stopped for lack of coupons, so granting one more
-// coupon resumes exactly at scanStop.
-type worldRecord struct {
-	nodes    []int32
-	scanStop []int32
-	scanRed  []int32
-}
-
-// reset empties the record, keeping its capacity for the next simulation.
-func (r *worldRecord) reset() {
-	r.nodes = r.nodes[:0]
-	r.scanStop = r.scanStop[:0]
-	r.scanRed = r.scanRed[:0]
-}
-
 // String implements fmt.Stringer for debugging.
 func (r Result) String() string {
 	return fmt.Sprintf("Result{B=%.4g, Creal=%.4g, act=%.3g, hop=%.3g}",

@@ -2,8 +2,10 @@ package diffusion
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
+	"s3crm/internal/bitset"
 	"s3crm/internal/graph"
 )
 
@@ -121,7 +123,7 @@ func (wc *WorldCache) PatchEdges(e2 *Estimator, batch []graph.Edge) Result {
 	}
 	e2.evals.Add(1)
 	samples := old.Samples
-	affected := make([]bool, samples)
+	affected := make([]uint64, len(wc.snaps))
 	oldM := int32(gOld.NumEdges())
 	wc.buildInverted()
 	for _, u := range churnSources(batch) {
@@ -137,33 +139,34 @@ func (wc *WorldCache) PatchEdges(e2 *Estimator, batch []graph.Edge) Result {
 		for int(prefixLen) < len(keys) && keys[prefixLen] < oldM {
 			prefixLen++
 		}
-		ws, ps := wc.activeWorlds(u)
-		for i, w := range ws {
-			if affected[w] {
-				continue
+		for _, r := range wc.activeEntries(u) {
+			s := &wc.snaps[r.blk]
+			ent := s.ents[r.idx]
+			for m := ent.mask &^ affected[r.blk]; m != 0; m &= m - 1 {
+				w := bits.TrailingZeros64(m)
+				if red, stop := s.scanAt(ent, w); int(red) == k && stop <= prefixLen {
+					continue // capacity-stopped inside the unchanged prefix
+				}
+				affected[r.blk] |= 1 << uint(w)
 			}
-			rec := &wc.recs[w]
-			if int(rec.scanRed[ps[i]]) == k && rec.scanStop[ps[i]] <= prefixLen {
-				continue // capacity-stopped inside the unchanged prefix
-			}
-			affected[w] = true
 		}
 	}
 	if old.Live.lt {
 		oldLive, newLive := old.Live, e2.Live
 		for _, t := range ChurnTargets(batch) {
 			for w := 0; w < samples; w++ {
-				if affected[w] {
+				b, bit := w/bitset.WordBits, uint64(1)<<uint(w&bitset.WordMask)
+				if affected[b]&bit != 0 {
 					continue
 				}
 				if oldLive.chosenEdge(uint64(w), t) != newLive.chosenEdge(uint64(w), t) {
-					affected[w] = true
+					affected[b] |= bit
 				}
 			}
 		}
 	}
 	wc.Est = e2
-	e2.sweepWorlds(wc.base, affectedWorlds(affected), wc.outs, wc.recs)
+	e2.sweepMasks(wc.base, affected, wc.outs, wc.snaps)
 	wc.invBuilt = false
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, samples)
 	return wc.baseResult

@@ -1,8 +1,10 @@
 package diffusion
 
 import (
+	"math/bits"
 	"sync"
 
+	"s3crm/internal/bitset"
 	"s3crm/internal/par"
 )
 
@@ -41,21 +43,20 @@ type WorldCache struct {
 	baseResult Result
 	baseSumB   float64 // raw Σ per-world benefit (baseResult.Benefit × Samples)
 
-	// Per-world snapshot, indexed by world: the aggregate metrics and the
-	// activation record (in activation order, with offer-scan state). Record
-	// slices keep their capacity across rebases and advances.
-	outs *worldSlots
-	recs []worldRecord
+	// The snapshot: per-world aggregate metrics, and per 64-world block the
+	// activation events in the block kernel's order with the coupon
+	// holders' offer-scan state (blockSnap). Both keep their capacity across
+	// rebases and advances.
+	outs  *worldSlots
+	snaps []blockSnap
 
-	// Inverted activation index over the records in CSR form, which finds
-	// the worlds a changed node can affect; rebuilt lazily after every
-	// (re)base move: node v is active in worlds
-	// invWorld[invOff[v]:invOff[v+1]] (ascending), at record position
-	// invPos[...] of that world. The arrays are reused.
+	// Inverted activation index over the live snapshot entries in CSR form,
+	// which finds the worlds a changed node can affect; rebuilt lazily after
+	// every (re)base move: node v's entries are inv[invOff[v]:invOff[v+1]],
+	// in ascending block order. The arrays are reused.
 	invBuilt bool
 	invOff   []int32
-	invWorld []int32
-	invPos   []int32
+	inv      []entryRef
 	invCnt   []int32 // scratch for the counting pass
 
 	poolOnce sync.Once
@@ -124,11 +125,11 @@ func (wc *WorldCache) rebaseFull(d *Deployment) Result {
 	e.evals.Add(1)
 	wc.base = d.Clone()
 	wc.invBuilt = false
-	if len(wc.recs) != e.Samples {
+	if nb := (e.Samples + bitset.WordMask) / bitset.WordBits; len(wc.snaps) != nb {
 		wc.outs = newWorldSlots(e.Samples)
-		wc.recs = make([]worldRecord, e.Samples)
+		wc.snaps = make([]blockSnap, nb)
 	}
-	e.sweepAll(d, wc.outs, wc.recs)
+	e.sweepAll(d, wc.outs, wc.snaps)
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
 	return wc.baseResult
 }
@@ -178,39 +179,32 @@ func (wc *WorldCache) couponDiff(d *Deployment) ([]int32, bool) {
 // identical (an inactive user's coupons never matter), and so is a world
 // whose recorded scan of every changed node it activates never ran short
 // of coupons (scanUnchanged); the rest re-simulate. Every world is decided
-// against the OUTGOING base before any re-simulation mutates a record — a
-// world inert for one changed node may still need re-simulation for
+// against the OUTGOING base before any re-simulation mutates the snapshot
+// — a world inert for one changed node may still need re-simulation for
 // another.
 func (wc *WorldCache) advance(d *Deployment, changed []int32) Result {
 	e := wc.Est
 	e.evals.Add(1)
 	wc.buildInverted()
-	affected := make([]bool, e.Samples)
+	affected := make([]uint64, len(wc.snaps))
 	for _, v := range changed {
 		kOld, kNew := wc.base.K(v), d.K(v)
-		ws, ps := wc.activeWorlds(v)
-		for i, w := range ws {
-			if !scanUnchanged(kOld, kNew, int(wc.recs[w].scanRed[ps[i]])) {
-				affected[w] = true
+		for _, r := range wc.activeEntries(v) {
+			s := &wc.snaps[r.blk]
+			ent := s.ents[r.idx]
+			for m := ent.mask &^ affected[r.blk]; m != 0; m &= m - 1 {
+				w := bits.TrailingZeros64(m)
+				if red, _ := s.scanAt(ent, w); !scanUnchanged(kOld, kNew, int(red)) {
+					affected[r.blk] |= 1 << uint(w)
+				}
 			}
 		}
 	}
-	e.sweepWorlds(d, affectedWorlds(affected), wc.outs, wc.recs)
+	e.sweepMasks(d, affected, wc.outs, wc.snaps)
 	wc.base = d.Clone()
 	wc.invBuilt = false
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
 	return wc.baseResult
-}
-
-// affectedWorlds lists the worlds flagged in affected, in ascending order.
-func affectedWorlds(affected []bool) []int32 {
-	var worlds []int32
-	for w, hit := range affected {
-		if hit {
-			worlds = append(worlds, int32(w))
-		}
-	}
-	return worlds
 }
 
 // scanUnchanged reports whether a world's snapshot is provably identical
@@ -227,8 +221,12 @@ func scanUnchanged(kOld, kNew, red int) bool {
 	return red < kNew
 }
 
-// buildInverted lazily (re)builds the CSR inverted activation index against
-// the current base, reusing its arrays across rebuilds.
+// entryRef names one snapshot entry: entry idx of block blk.
+type entryRef struct{ blk, idx int32 }
+
+// buildInverted lazily (re)builds the CSR inverted activation index over the
+// live snapshot entries of the current base, reusing its arrays across
+// rebuilds.
 func (wc *WorldCache) buildInverted() {
 	if wc.invBuilt {
 		return
@@ -243,90 +241,113 @@ func (wc *WorldCache) buildInverted() {
 	wc.invCnt = wc.invCnt[:n+1]
 	wc.invOff = wc.invOff[:n+1]
 	clear(wc.invCnt)
-	for w := range wc.recs {
-		total += len(wc.recs[w].nodes)
-		for _, v := range wc.recs[w].nodes {
-			wc.invCnt[v+1]++
+	for b := range wc.snaps {
+		for _, ent := range wc.snaps[b].ents {
+			if ent.mask != 0 {
+				wc.invCnt[ent.node+1]++
+				total++
+			}
 		}
 	}
 	for v := 0; v < n; v++ {
 		wc.invCnt[v+1] += wc.invCnt[v]
 	}
 	copy(wc.invOff, wc.invCnt)
-	if cap(wc.invWorld) < total {
-		wc.invWorld = make([]int32, total)
-		wc.invPos = make([]int32, total)
+	if cap(wc.inv) < total {
+		wc.inv = make([]entryRef, total)
 	}
-	wc.invWorld = wc.invWorld[:total]
-	wc.invPos = wc.invPos[:total]
+	wc.inv = wc.inv[:total]
 	cursor := wc.invCnt[:n] // reuse the counting array as the fill cursor
-	for w := range wc.recs {
-		for i, v := range wc.recs[w].nodes {
-			at := cursor[v]
-			wc.invWorld[at] = int32(w)
-			wc.invPos[at] = int32(i)
-			cursor[v]++
+	for b := range wc.snaps {
+		for i, ent := range wc.snaps[b].ents {
+			if ent.mask != 0 {
+				wc.inv[cursor[ent.node]] = entryRef{blk: int32(b), idx: int32(i)}
+				cursor[ent.node]++
+			}
 		}
 	}
 }
 
-// activeWorlds returns the worlds activating v (ascending) with the
-// matching record positions. buildInverted must have run.
-func (wc *WorldCache) activeWorlds(v int32) (worlds, pos []int32) {
-	lo, hi := wc.invOff[v], wc.invOff[v+1]
-	return wc.invWorld[lo:hi], wc.invPos[lo:hi]
+// activeEntries returns the live snapshot entries of v, in ascending block
+// order; their masks are the worlds activating v. buildInverted must have
+// run.
+func (wc *WorldCache) activeEntries(v int32) []entryRef {
+	return wc.inv[wc.invOff[v]:wc.invOff[v+1]]
 }
 
-// deltaScratch is per-worker replay state. The base-world stamp is
-// repopulated once per world and shared by all of the worker's candidates;
-// the delta stamp is bumped per replay so candidate frontiers never leak
-// into each other.
+// deltaScratch is per-worker replay state. The base worlds' membership
+// masks and the coupon holders' scan state are filled once per block and
+// shared by all of the worker's candidates; the delta stamp is bumped per
+// replay so candidate frontiers never leak into each other.
 type deltaScratch struct {
-	epoch  int32
-	stamp  []int32 // stamp[v] == epoch ⇒ v active in the base world
-	stop   []int32 // offer-scan resume position, valid where stamp matches
-	red    []int32 // coupons redeemed by the base scan, valid where stamp matches
+	active []uint64     // active[v]: the current block's worlds in which the base activates v
+	slot   []int32      // slot[v]: 1 + index in scans of holder v's scan state this block; 0 if none
+	scans  []holderScan // per holder active in the current block
 	dEpoch int32
 	dStamp []int32 // dStamp[v] == dEpoch ⇒ v activated by the current replay
 	queue  []int32
 }
 
+// holderScan is one coupon holder's offer-scan state across a block's
+// worlds, valid at the worlds activating it.
+type holderScan struct {
+	red  [64]int32 // coupons the base scan redeemed
+	stop [64]int32 // where the base scan stopped
+}
+
 func newDeltaScratch(n int) *deltaScratch {
 	return &deltaScratch{
-		stamp:  make([]int32, n),
-		stop:   make([]int32, n),
-		red:    make([]int32, n),
+		active: make([]uint64, n),
+		slot:   make([]int32, n),
 		dStamp: make([]int32, n),
 		queue:  make([]int32, 0, 64),
 	}
 }
 
-// ensure grows the per-node arrays to n entries. Appended entries are zero,
-// which can only collide with epoch 0 — a value the epoch counters skip —
-// so grown scratches need no epoch reset. Dynamic graphs add nodes between
-// uses of a pooled scratch; every getDelta re-checks the size.
+// ensure grows the per-node arrays to n entries. Appended entries are zero:
+// an empty mask, no slot, and a stamp that can only collide with epoch 0 —
+// a value the epoch counter skips — so grown scratches need no reset.
+// Dynamic graphs add nodes between uses of a pooled scratch; every getDelta
+// re-checks the size.
 func (sc *deltaScratch) ensure(n int) {
 	if len(sc.dStamp) >= n {
 		return
 	}
-	grow := func(a []int32) []int32 {
-		b := make([]int32, n)
-		copy(b, a)
-		return b
-	}
-	sc.stamp = grow(sc.stamp)
-	sc.stop = grow(sc.stop)
-	sc.red = grow(sc.red)
-	sc.dStamp = grow(sc.dStamp)
+	sc.active = append(sc.active, make([]uint64, n-len(sc.active))...)
+	sc.slot = append(sc.slot, make([]int32, n-len(sc.slot))...)
+	sc.dStamp = append(sc.dStamp, make([]int32, n-len(sc.dStamp))...)
 }
 
-func (sc *deltaScratch) nextWorld() {
-	sc.epoch++
-	if sc.epoch == 0 {
-		for i := range sc.stamp {
-			sc.stamp[i] = -1
+// fill loads block snapshot s: each live entry ORs its worlds into its
+// node's mask, and a holder's entries copy their scan state into the
+// holder's slot.
+func (sc *deltaScratch) fill(s *blockSnap) {
+	sc.scans = sc.scans[:0]
+	for _, ent := range s.ents {
+		if ent.mask == 0 {
+			continue
 		}
-		sc.epoch = 1
+		sc.active[ent.node] |= ent.mask
+		if ent.scan == noScan {
+			continue
+		}
+		if sc.slot[ent.node] == 0 {
+			sc.scans = append(sc.scans, holderScan{})
+			sc.slot[ent.node] = int32(len(sc.scans))
+		}
+		h := &sc.scans[sc.slot[ent.node]-1]
+		for m := ent.mask; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			h.red[w], h.stop[w] = s.scanAt(ent, w)
+		}
+	}
+}
+
+// unfill clears what fill loaded from s.
+func (sc *deltaScratch) unfill(s *blockSnap) {
+	for _, ent := range s.ents {
+		sc.active[ent.node] = 0
+		sc.slot[ent.node] = 0
 	}
 }
 
@@ -361,12 +382,12 @@ func (wc *WorldCache) putDelta(sc *deltaScratch) { wc.pool.Put(sc) }
 // aligned with cands; candidates the base never activates return the base
 // benefit unchanged. Rebase must have been called first.
 //
-// The query sweeps the worlds in ascending order, repopulating each world's
-// stamp map once and amortizing it across the candidate batch. Workers
-// split the batch into contiguous candidate chunks (par.Ranges) and each
-// sweeps every world for its own chunk, so a candidate's per-world deltas
-// fold in the same order at every worker count: the result is bit-identical
-// to the sequential sweep.
+// The query sweeps the snapshot's blocks in ascending order, loading each
+// block's membership masks once and amortizing them across the candidate
+// batch. Workers split the batch into contiguous candidate chunks
+// (par.Ranges) and each sweeps every block for its own chunk, so a
+// candidate's per-world deltas fold in the same order at every worker
+// count: the result is bit-identical to the sequential sweep.
 func (wc *WorldCache) DeltaBenefits(cands []int32) []float64 {
 	if wc.base == nil {
 		panic("diffusion: DeltaBenefits before Rebase")
@@ -387,46 +408,53 @@ func (wc *WorldCache) DeltaBenefits(cands []int32) []float64 {
 }
 
 // deltaWorlds accumulates each candidate's summed per-world benefit delta
-// into out, sweeping every world in ascending order. The O(|A_w|) stamp
-// repopulation is paid once per world and amortized across cands.
+// into out, sweeping the blocks in ascending order and, per candidate, the
+// block's worlds activating it in ascending order — so each candidate's
+// deltas fold in ascending world order. Loading a block (fill) costs one
+// pass over its entries and is amortized across cands.
 func (wc *WorldCache) deltaWorlds(sc *deltaScratch, cands []int32, out []float64) {
-	for w := range wc.recs {
-		sc.nextWorld()
-		rec := &wc.recs[w]
-		for i, v := range rec.nodes {
-			sc.stamp[v] = sc.epoch
-			sc.stop[v] = rec.scanStop[i]
-			sc.red[v] = rec.scanRed[i]
-		}
+	for b := range wc.snaps {
+		s := &wc.snaps[b]
+		sc.fill(s)
+		worldBase := uint64(b * bitset.WordBits)
 		for ci, v := range cands {
-			if sc.stamp[v] != sc.epoch {
-				continue // v inactive in this world: an extra coupon is inert
+			// Worlds where v is inactive are skipped: an extra coupon is inert.
+			for m := sc.active[v]; m != 0; m &= m - 1 {
+				out[ci] += wc.replayAddCoupon(sc, worldBase, bits.TrailingZeros64(m), v)
 			}
-			out[ci] += wc.replayAddCoupon(sc, uint64(w), v)
 		}
+		sc.unfill(s)
 	}
 }
 
-// replayAddCoupon returns the benefit this world gains when active node v
-// is granted one extra coupon: v's offer scan resumes where it stopped with
-// one more redemption allowed, and any newly activated user cascades with
-// its own base allocation. Base-world outcomes are frozen — already-active
-// users are skipped without consuming coupons, exactly as in the kernel.
-func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, world uint64, v int32) float64 {
+// replayAddCoupon returns the benefit world worldBase+w (w a bit of the
+// loaded block) gains when active node v is granted one extra coupon: v's
+// offer scan resumes where it stopped with one more redemption allowed, and
+// any newly activated user cascades with its own base allocation.
+// Base-world outcomes are frozen — already-active users are skipped without
+// consuming coupons, exactly as in the kernel.
+func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, worldBase uint64, w int, v int32) float64 {
 	k := wc.base.K(v)
-	if int(sc.red[v]) < k {
+	var red, stop int32
+	if k > 0 {
+		h := &sc.scans[sc.slot[v]-1]
+		red, stop = h.red[w], h.stop[w]
+	}
+	if int(red) < k {
 		return 0 // the base scan already had a spare coupon; one more is inert
 	}
 	in := wc.Est.Inst
 	g := in.G
 	le := wc.Est.Live
+	world := worldBase + uint64(w)
+	bit := uint64(1) << uint(w)
 	sc.nextReplay()
 	delta := 0.0
 	targets, _, keys, kbase := g.OutRow(v)
 	base := uint64(kbase)
-	for j := int(sc.stop[v]); j < len(targets); j++ {
+	for j := int(stop); j < len(targets); j++ {
 		t := targets[j]
-		if sc.stamp[t] == sc.epoch || sc.dStamp[t] == sc.dEpoch {
+		if sc.active[t]&bit != 0 || sc.dStamp[t] == sc.dEpoch {
 			continue // already active: no coupon consumed
 		}
 		ek := base + uint64(j)
@@ -453,7 +481,7 @@ func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, world uint64, v int32) f
 			if redeemed >= coupons {
 				break
 			}
-			if sc.stamp[t] == sc.epoch || sc.dStamp[t] == sc.dEpoch {
+			if sc.active[t]&bit != 0 || sc.dStamp[t] == sc.dEpoch {
 				continue
 			}
 			ek := ub + uint64(j)
@@ -486,21 +514,22 @@ func (wc *WorldCache) EvaluateDelta(d *Deployment, changed []int32) float64 {
 	e := wc.Est
 	e.evals.Add(1)
 	wc.buildInverted()
-	affected := make([]bool, e.Samples)
+	affected := make([]uint64, len(wc.snaps))
 	for _, v := range changed {
-		ws, _ := wc.activeWorlds(v)
-		for _, w := range ws {
-			affected[w] = true
+		for _, r := range wc.activeEntries(v) {
+			affected[r.blk] |= wc.snaps[r.blk].ents[r.idx].mask
 		}
 	}
-	worlds := affectedWorlds(affected)
 	slots := getSlots(e.Samples)
 	defer slotPool.Put(slots)
-	e.sweepWorlds(d, worlds, slots, nil)
+	e.sweepMasks(d, affected, slots, nil)
 	// The deltas fold into the raw base sum in ascending world order.
 	sum := wc.baseSumB
-	for _, w := range worlds {
-		sum += slots.benefit[w] - wc.outs.benefit[w]
+	for b, m := range affected {
+		for ; m != 0; m &= m - 1 {
+			w := b*bitset.WordBits + bits.TrailingZeros64(m)
+			sum += slots.benefit[w] - wc.outs.benefit[w]
+		}
 	}
 	return sum / float64(e.Samples)
 }

@@ -153,7 +153,7 @@ func TestWorldCacheParallelRebaseMatchesSequential(t *testing.T) {
 	// The per-world snapshots must be identical: workers own disjoint world
 	// ranges, so every delta replay sees the same scan states.
 	for w := 0; w < 300; w++ {
-		sr, pr := &seqWC.recs[w], &parWC.recs[w]
+		sr, pr := snapshotRecord(seqWC, w), snapshotRecord(parWC, w)
 		if len(sr.nodes) != len(pr.nodes) {
 			t.Fatalf("world %d snapshot sizes differ: %d vs %d", w, len(sr.nodes), len(pr.nodes))
 		}
@@ -235,7 +235,7 @@ func testWorldCacheIncrementalRebaseExact(t *testing.T, model string) {
 			t.Fatalf("step %d: incremental rebase %v, from-scratch %v", step, got, want)
 		}
 		for w := 0; w < samples; w++ {
-			ir, fr := &inc.recs[w], &fresh.recs[w]
+			ir, fr := snapshotRecord(inc, w), snapshotRecord(fresh, w)
 			if len(ir.nodes) != len(fr.nodes) {
 				t.Fatalf("step %d world %d: snapshot sizes differ (%d/%d nodes)",
 					step, w, len(ir.nodes), len(fr.nodes))
@@ -286,7 +286,7 @@ func testWorldCacheIncrementalRebaseExact(t *testing.T, model string) {
 			t.Fatalf("seed step %d: incremental path %v, from-scratch %v", step, got, want)
 		}
 		for w := 0; w < samples; w++ {
-			ir, fr := &inc.recs[w], &fresh.recs[w]
+			ir, fr := snapshotRecord(inc, w), snapshotRecord(fresh, w)
 			if len(ir.nodes) != len(fr.nodes) {
 				t.Fatalf("seed step %d world %d: snapshot sizes differ (%d/%d nodes)",
 					step, w, len(ir.nodes), len(fr.nodes))
