@@ -633,10 +633,10 @@ func BenchmarkSSRWarmReuse(b *testing.B) {
 // BenchmarkMillionNodeSolve runs the full S3CA pipeline on a million-node
 // Watts–Strogatz small world (10M directed edges, 1/in-degree weights) —
 // the large-scale profile EXPERIMENTS.md ("Large-graph scaling") documents.
-// The GPI visit cap bounds the guaranteed-path enumeration (the one phase
-// whose faithful form is quadratic in the budget-feasible frontier). The
-// world-cache engine finds affected worlds through its CSR inverted index
-// and sweeps its delta queries world by world. Reported metrics: the
+// The GPI visit cap trims the guaranteed-path enumeration to the strongest
+// 2,000 visits per seed. The world-cache engine finds affected worlds
+// through its CSR inverted index and sweeps its delta queries world by
+// world. Reported metrics: the
 // redemption rate and the end-of-solve heap (the documented memory budget
 // is 2 GiB).
 func BenchmarkMillionNodeSolve(b *testing.B) {

@@ -76,7 +76,7 @@ func main() {
 		delta    = flag.Float64("delta", 0.01, "ssr engine failure probability δ in (0,1)")
 		model    = flag.String("model", "ic", "triggering model: ic (independent cascade), lt (linear threshold)")
 		ltnorm   = flag.Bool("ltnorm", false, "scale -graph in-weights to sum ≤ 1 (the -model lt precondition; wc weights already satisfy it)")
-		gpilimit = flag.Int("gpilimit", 0, "cap guaranteed-path DFS visits per seed (0 = unlimited; set ~2000 for million-node graphs)")
+		gpilimit = flag.Int("gpilimit", 0, "cap guaranteed-path DFS visits per seed, keeping the strongest paths (0 = unlimited; no effect under -engine ssr)")
 		samples  = flag.Int("samples", 1000, "Monte-Carlo samples per evaluation")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		workers  = flag.Int("workers", 0, "parallel Monte-Carlo workers (0 = sequential)")

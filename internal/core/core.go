@@ -81,11 +81,12 @@ type Options struct {
 	// DisableGPI skips phases 2 and 3 (ablation: ID only).
 	DisableGPI bool
 	// GPILimit caps the guaranteed-path DFS at this many visits per seed
-	// (0 = unlimited, the paper-faithful enumeration). The per-visit path
-	// sweeps are linear in the visited set, so an uncapped traversal grows
-	// quadratically with the budget-feasible frontier; million-node solves
-	// set a cap (see EXPERIMENTS.md, "Large-graph scaling") and keep the
-	// strongest — first-enumerated — paths.
+	// (0 = unlimited, the paper-faithful enumeration); a capped traversal
+	// keeps the strongest — first-enumerated — paths. A visit costs one
+	// update of its parent's redeem-probability row plus O(1) path pricing
+	// from level-indexed sums, not a sweep of the visited set, so the cap
+	// trims GPI rather than making large solves tractable (EXPERIMENTS.md,
+	// "Large-graph scaling"). The ssr engine runs no GPI and ignores it.
 	GPILimit int
 	// DisableSCM runs GPI but skips the maneuver phase (ablation).
 	DisableSCM bool

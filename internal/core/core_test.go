@@ -385,7 +385,7 @@ func TestGPIPaths(t *testing.T) {
 		t.Fatalf("g(v1,v6) cost = %v, want 2.84", last.cost)
 	}
 	wantAlloc := map[int32]int32{1: 2, 2: 2, 3: 1}
-	for _, a := range last.alloc {
+	for _, a := range forest.allocOf(last) {
 		if wantAlloc[a.node] != a.k {
 			t.Fatalf("alloc of %d = %d, want %d", a.node, a.k, wantAlloc[a.node])
 		}
@@ -424,17 +424,18 @@ func TestGPChainAndLevels(t *testing.T) {
 	d.AddSeed(0)
 	d.SetK(0, 1)
 	forest := s.identifyGuaranteedPaths(d)
-	gp := forest.byEnd[gpKey(0, 3)] // treasure node t
+	gp := pathTo(forest, 0, 3) // treasure node t
 	if gp == nil {
 		t.Fatal("no GP to the treasure")
 	}
 	want := []int32{0, 1, 2, 3}
-	if len(gp.chain) != len(want) {
-		t.Fatalf("chain = %v, want %v", gp.chain, want)
+	chain := chainOf(gp)
+	if len(chain) != len(want) {
+		t.Fatalf("chain = %v, want %v", chain, want)
 	}
 	for i := range want {
-		if gp.chain[i] != want[i] {
-			t.Fatalf("chain = %v, want %v", gp.chain, want)
+		if chain[i] != want[i] {
+			t.Fatalf("chain = %v, want %v", chain, want)
 		}
 	}
 	if gp.level != 3 {

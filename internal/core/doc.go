@@ -19,8 +19,10 @@
 //     traversal in descending influence-probability order that enumerates
 //     budget-feasible "guaranteed paths": allocations in which every visited
 //     edge is independent, so inactive high-benefit users could be reached
-//     at full probability. Options.GPILimit caps the enumeration per seed
-//     for million-node instances.
+//     at full probability. Each visit updates per-level cost, benefit and
+//     dependent-edge sums, so a path is priced in O(1) plus its parent's
+//     redeem-probability row update rather than by a sweep of the visited
+//     set; Options.GPILimit optionally caps the visits per seed.
 //  3. SC Maneuver (SCM) — rank guaranteed paths by amelioration index,
 //     retrieve coupons from low-deterioration-index donors and move them
 //     onto the paths whenever the maneuver gap test passes and the overall

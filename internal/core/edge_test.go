@@ -42,14 +42,14 @@ func TestGPIHandlesCrossEdges(t *testing.T) {
 	if len(forest.paths) != 4 {
 		t.Fatalf("GP count = %d, want 4", len(forest.paths))
 	}
-	gpC := forest.byEnd[gpKey(0, 3)]
+	gpC := pathTo(forest, 0, 3)
 	if gpC == nil {
 		t.Fatal("no GP to c")
 	}
 	// Realizing c requires covering a's positions 0..1 (b at position 0,
 	// c at position 1): K̂(a) = 2.
 	var kA int32
-	for _, al := range gpC.alloc {
+	for _, al := range forest.allocOf(gpC) {
 		if al.node == 1 {
 			kA = al.k
 		}

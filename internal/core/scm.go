@@ -38,7 +38,7 @@ func (s *solver) maneuver(d *diffusion.Deployment, forest *gpForest) *diffusion.
 		if gp.parent >= 0 && best.K(gp.parent) > 0 {
 			continue
 		}
-		if cand, ok := s.tryCreatePath(best, gp, sp.anchor); ok {
+		if cand, ok := s.tryCreatePath(best, forest.planOf(gp, sp.anchor)); ok {
 			r := s.rate(cand)
 			if r > bestRate {
 				best = cand
@@ -58,35 +58,44 @@ type fillTarget struct {
 	need int
 }
 
-// pathNeeds lists the coupons missing to realize gp on top of d: chain
-// nodes first (from the anchor downward — the order Alg. 3 fills), then the
-// remaining allocation nodes in path order.
-func pathNeeds(d *diffusion.Deployment, gp *guaranteedPath, anchor *guaranteedPath) []fillTarget {
-	want := make(map[int32]int, len(gp.alloc))
-	for _, a := range gp.alloc {
-		want[a.node] = int(a.k)
-	}
-	onChain := make(map[int32]bool, len(gp.chain))
-	var targets []fillTarget
-	// Chain from the anchor down to the end's parent.
-	started := false
-	for _, v := range gp.chain {
-		if v == anchor.end {
-			started = true
-		}
-		if !started {
-			continue
-		}
+// pathPlan is what realizing a guaranteed path asks of a deployment. SCM
+// derives it only for the paths it tries; the forest stores neither the
+// chain nor K̂.
+type pathPlan struct {
+	chain    []int32       // the path from the anchor down to the end
+	offChain []gpAlloc     // the rest of K̂, in visit order
+	want     map[int32]int // K̂ by node
+}
+
+// planOf derives gp's plan on top of its nearest activated ancestor.
+func (f *gpForest) planOf(gp, anchor *guaranteedPath) pathPlan {
+	alloc := f.allocOf(gp)
+	p := pathPlan{chain: chainOf(gp)[anchor.level:], want: make(map[int32]int, len(alloc))}
+	onChain := make(map[int32]bool, len(p.chain))
+	for _, v := range p.chain {
 		onChain[v] = true
-		if need := want[v] - d.K(v); need > 0 {
+	}
+	for _, a := range alloc {
+		p.want[a.node] = int(a.k)
+		if !onChain[a.node] {
+			p.offChain = append(p.offChain, a)
+		}
+	}
+	return p
+}
+
+// needs lists the coupons missing to realize the plan on top of d: chain
+// nodes first (from the anchor downward — the order Alg. 3 fills), then the
+// remaining allocation nodes (cousins whose coupons the GP counts) in visit
+// order.
+func (p pathPlan) needs(d *diffusion.Deployment) []fillTarget {
+	var targets []fillTarget
+	for _, v := range p.chain {
+		if need := p.want[v] - d.K(v); need > 0 {
 			targets = append(targets, fillTarget{node: v, need: need})
 		}
 	}
-	// Off-chain allocation nodes (cousins whose coupons the GP counts).
-	for _, a := range gp.alloc {
-		if onChain[a.node] {
-			continue
-		}
+	for _, a := range p.offChain {
 		if need := int(a.k) - d.K(a.node); need > 0 {
 			targets = append(targets, fillTarget{node: a.node, need: need})
 		}
@@ -101,15 +110,15 @@ type donorOp struct {
 	di    float64 // deterioration index: benefit lost per unit cost saved
 }
 
-// tryCreatePath attempts to realize gp on top of base by maneuvering
-// coupons. It returns the resulting deployment and whether a complete,
-// budget-feasible realization was assembled with every accepted operation
-// passing the DI < maneuver-gap test.
-func (s *solver) tryCreatePath(base *diffusion.Deployment, gp *guaranteedPath, anchor *guaranteedPath) (*diffusion.Deployment, bool) {
+// tryCreatePath attempts to realize a guaranteed path's plan on top of base
+// by maneuvering coupons. It returns the resulting deployment and whether a
+// complete, budget-feasible realization was assembled with every accepted
+// operation passing the DI < maneuver-gap test.
+func (s *solver) tryCreatePath(base *diffusion.Deployment, plan pathPlan) (*diffusion.Deployment, bool) {
 	in := s.inst
 	cur := base.Clone()
 
-	needs := pathNeeds(cur, gp, anchor)
+	needs := plan.needs(cur)
 	deficit := 0
 	for _, t := range needs {
 		deficit += t.need
@@ -119,11 +128,6 @@ func (s *solver) tryCreatePath(base *diffusion.Deployment, gp *guaranteedPath, a
 		// caller's rate check decides.
 		return cur, true
 	}
-	want := make(map[int32]int, len(gp.alloc))
-	for _, a := range gp.alloc {
-		want[a.node] = int(a.k)
-	}
-
 	curBenefit := s.benefitRebased(cur)
 	curCost := in.TotalCost(cur)
 
@@ -131,7 +135,7 @@ func (s *solver) tryCreatePath(base *diffusion.Deployment, gp *guaranteedPath, a
 		if s.aborted() {
 			return nil, false
 		}
-		ops := s.donorOps(cur, want, deficit)
+		ops := s.donorOps(cur, plan.want, deficit)
 		if len(ops) == 0 {
 			return nil, false // no donor has spare coupons
 		}
@@ -174,7 +178,7 @@ func (s *solver) tryCreatePath(base *diffusion.Deployment, gp *guaranteedPath, a
 			curBenefit = nextBenefit
 			curCost = nextCost
 			deficit -= moved
-			needs = pathNeeds(cur, gp, anchor)
+			needs = plan.needs(cur)
 			s.stats.ManeuverCount++
 			accepted = true
 			break

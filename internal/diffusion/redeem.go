@@ -131,7 +131,14 @@ func (in *Instance) NodeSCCost(v int32, k int) float64 {
 	if len(targets) == 0 {
 		return 0
 	}
-	rp := RedeemProbs(probs, k)
+	return in.RowSCCost(v, RedeemProbs(probs, k))
+}
+
+// RowSCCost returns the expected SC cost of v's adjacency under the
+// redeem-probability row rp (one entry per out-neighbour, as RedeemProbs
+// returns it): NodeSCCost for a row the caller already holds.
+func (in *Instance) RowSCCost(v int32, rp []float64) float64 {
+	targets, _ := in.G.OutEdges(v)
 	total := 0.0
 	for j, t := range targets {
 		total += in.SCCost[t] * rp[j]

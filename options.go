@@ -209,8 +209,10 @@ func WithCandidateCap(n int) Option {
 // WithGPILimit caps S3CA's guaranteed-path DFS at n visits per seed
 // (0 = unlimited, the paper-faithful enumeration). The traversal explores
 // strongest-probability-first, so the cap keeps the paths the SC maneuver
-// phase ranks highest and is the knob that makes million-node solves
-// tractable — see EXPERIMENTS.md, "Large-graph scaling".
+// phase ranks highest. A visit costs one update of its parent's
+// redeem-probability row plus O(1) path pricing, so the cap only trims
+// GPI's share of a solve — see EXPERIMENTS.md, "Large-graph scaling". It
+// has no effect on engine "ssr", which runs no GPI.
 func WithGPILimit(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
