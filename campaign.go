@@ -309,19 +309,9 @@ type call struct {
 // newCall applies call-level overrides and assigns the next sequence
 // number.
 func (c *Campaign) newCall(opts []Option) (call, error) {
-	base := c.cfg
-	base.seedPinned = false // pinning is a call-level property
-	cfg, err := base.apply(opts)
+	cfg, err := c.callConfig(opts)
 	if err != nil {
 		return call{}, err
-	}
-	if cfg.engine == diffusion.EngineAuto {
-		// Resolve auto by the campaign's *current* size (ApplyEdges growth
-		// included) so every downstream consumer — pools, core dispatch,
-		// results — sees a concrete engine name.
-		c.mu.Lock()
-		cfg.engine = diffusion.AutoEngine(c.inst.G.NumNodes(), c.inst.G.NumEdges())
-		c.mu.Unlock()
 	}
 	cl := call{cfg: cfg, seq: c.seq.Add(1), seed: cfg.seed}
 	if cfg.degrade != nil {
@@ -340,6 +330,25 @@ func (c *Campaign) newCall(opts []Option) (call, error) {
 		cl.scorerSeed = rng.DeriveStream(cl.seed^0x5c04e, cl.seq)
 	}
 	return cl, nil
+}
+
+// callConfig applies a call's options over the campaign's and resolves auto
+// by the campaign's *current* size (ApplyEdges growth included), so every
+// downstream consumer — pools, core dispatch, results — sees a concrete
+// engine name. It takes no call sequence number.
+func (c *Campaign) callConfig(opts []Option) (config, error) {
+	base := c.cfg
+	base.seedPinned = false // pinning is a call-level property
+	cfg, err := base.apply(opts)
+	if err != nil {
+		return config{}, err
+	}
+	if cfg.engine == diffusion.EngineAuto {
+		c.mu.Lock()
+		cfg.engine = diffusion.AutoEngine(c.inst.G.NumNodes(), c.inst.G.NumEdges())
+		c.mu.Unlock()
+	}
+	return cfg, nil
 }
 
 // progressFor wraps the call's progress sink, stamping each event with the

@@ -288,19 +288,11 @@ func (c *Campaign) Resolve(ctx context.Context, prev *Result, opts ...Option) (*
 	// Peek the call's effective engine without burning a call sequence
 	// number: the ssr-vs-worldcache branch must resolve before newCall, or
 	// the unused call would shift every later unpinned call's scorer stream.
-	base := c.cfg
-	base.seedPinned = false
-	pcfg, err := base.apply(opts)
+	pcfg, err := c.callConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	engine := pcfg.engine
-	if engine == diffusion.EngineAuto {
-		c.mu.Lock()
-		engine = diffusion.AutoEngine(c.inst.G.NumNodes(), c.inst.G.NumEdges())
-		c.mu.Unlock()
-	}
-	if engine == diffusion.EngineSSR {
+	if pcfg.engine == diffusion.EngineSSR {
 		return c.resolveSSR(ctx, opts)
 	}
 	opts = append(opts[:len(opts):len(opts)], WithEngine("worldcache"))

@@ -437,9 +437,13 @@ func TestResolveWarmRestart(t *testing.T) {
 	if _, err := c.ApplyEdges(ctx, stream); err != nil {
 		t.Fatal(err)
 	}
+	seq := c.seq.Load()
 	got, err := c.Resolve(ctx, prev)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if used := c.seq.Load() - seq; used != 1 {
+		t.Fatalf("Resolve took %d call sequence numbers, want 1: its engine peek must take none", used)
 	}
 	if got.Algorithm != "resolve" {
 		t.Fatalf("algorithm = %q", got.Algorithm)

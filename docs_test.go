@@ -95,7 +95,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 	// budget option, the one-shot API and the write-only binary graph codec
 	// are gone; the README must not advertise them.
 	for _, retired := range []string{
-		"WithDiffusion", "WithEvalMode", "WithExhaustiveID", "-evalmode",
+		"WithDiffusion", "WithEvalMode", "WithExhaustiveID", "ExhaustiveID", "-evalmode",
 		"\"eval_mode\"", "| `sketch` |", "s3crm.Options", "s3crm.Solve(",
 		"-binary", "binary codec", "DiffusionHash", "EvalScalar", "EvalMode",
 		"WithLiveEdgeMemBudget",

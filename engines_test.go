@@ -10,8 +10,6 @@ import (
 	"context"
 	"math"
 	"testing"
-
-	"s3crm/internal/core"
 )
 
 func parityProblem(t *testing.T) *Problem {
@@ -82,32 +80,6 @@ func TestEngineParity(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEngineParityLazyID re-runs the S3CA parity matrix with the lazy ID
-// loop pinned off and on: both variants must stay within the same
-// Monte-Carlo tolerance of the exhaustive MC reference under every engine.
-// The exhaustive sweep is a solver-internal reference, so the matrix runs
-// at the core layer.
-func TestEngineParityLazyID(t *testing.T) {
-	p := parityProblem(t)
-	ref, err := core.Solve(p.inst, core.Options{Engine: "mc", Samples: 300, Seed: 7, ExhaustiveID: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, engine := range Engines() {
-		for _, exhaustive := range []bool{false, true} {
-			r, err := core.Solve(p.inst, core.Options{Engine: engine, Samples: 300, Seed: 7, ExhaustiveID: exhaustive})
-			if err != nil {
-				t.Fatalf("S3CA under %s (exhaustive=%v): %v", engine, exhaustive, err)
-			}
-			tol := 0.15 * ref.RedemptionRate
-			if math.Abs(r.RedemptionRate-ref.RedemptionRate) > tol {
-				t.Errorf("engine %s exhaustive=%v: rate %v differs from reference %v (tol %v)",
-					engine, exhaustive, r.RedemptionRate, ref.RedemptionRate, tol)
-			}
-		}
 	}
 }
 

@@ -94,14 +94,6 @@ type Options struct {
 	// pivot sources; new seeds are only added when no SC investment is
 	// feasible (ablation: the investment trade-off machinery off).
 	DisablePivot bool
-	// ExhaustiveID disables the CELF-lazy investment loop and re-evaluates
-	// every influenced candidate each iteration (PR 1's behaviour). The
-	// lazy loop reuses cached marginal gains as upper bounds — exact under
-	// submodular gains, an approximation on instances where an investment
-	// raises another candidate's gain — so this escape hatch both serves as
-	// the reference for TestLazyIDMatchesExhaustive and guards against
-	// pathological non-submodularity. It is not exposed by the public API.
-	ExhaustiveID bool
 	// RecordTrajectory captures every ID investment step in
 	// Solution.Trajectory — the Fig. 3 iteration-by-iteration view.
 	RecordTrajectory bool
@@ -156,9 +148,9 @@ type Stats struct {
 	// runs; a world re-simulated alone counts as one block.
 	WorldBlocks int64
 	// CandidateEvals counts ID-loop candidate marginal-gain evaluations.
-	// The exhaustive sweep pays |candidates| per iteration; the lazy loop
-	// pays only for new candidates, stale re-pops and pivot refreshes, so
-	// CandidateEvals / IDIterations is the measured win of CELF.
+	// An exhaustive sweep would pay |candidates| per iteration; the lazy
+	// loop pays only for new candidates, stale re-pops and pivot refreshes,
+	// so CandidateEvals / IDIterations is the measured win of CELF.
 	CandidateEvals int64
 	// HeapRepops counts lazy-loop pops whose cached gain was stale and had
 	// to be re-evaluated (new, never-evaluated candidates excluded).
@@ -247,12 +239,8 @@ type solver struct {
 	// (seqView), which the engine's own counters cannot see.
 	viewEvals, viewBlocks atomic.Int64
 
-	// Exhaustive-sweep scratch, reused across ID iterations so the inner
-	// loop allocates nothing: influence marks (cleared via the marked list,
-	// not O(V) zeroing), the BFS frontier and the candidate slice.
-	infMark []bool
-	infList []int32
-	candBuf []int32
+	// choose is the ID loop's candidate choice; nil means the CELF heap.
+	choose candidateChoice
 
 	// gpiSt is the GPI traversal's reusable per-node state (see gpiState).
 	gpiSt *dfsState
@@ -388,6 +376,13 @@ func Solve(inst *diffusion.Instance, opts Options) (*Solution, error) {
 // *PartialError wrapping ctx.Err() together with the instrumentation
 // gathered so far.
 func SolveCtx(ctx context.Context, inst *diffusion.Instance, opts Options) (*Solution, error) {
+	return solve(ctx, inst, opts, nil)
+}
+
+// solve is SolveCtx with the ID loop's candidate choice as a parameter
+// (nil means the CELF heap), so the package tests can run the loop over the
+// exhaustive reference sweep.
+func solve(ctx context.Context, inst *diffusion.Instance, opts Options, choose candidateChoice) (*Solution, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
@@ -414,6 +409,7 @@ func SolveCtx(ctx context.Context, inst *diffusion.Instance, opts Options) (*Sol
 		ctx:      ctx,
 		est:      ev,
 		explored: make([]bool, n),
+		choose:   choose,
 	}
 	if wc, ok := ev.(*diffusion.WorldCache); ok {
 		s.wc = wc
@@ -523,46 +519,6 @@ func (s *solver) rate(d *diffusion.Deployment) float64 {
 		return 0
 	}
 	return s.benefit(d) / cost
-}
-
-// influenced marks every user with positive activation probability under d:
-// users reachable from the seeds through coupon-holding users. (Saturated
-// dependent edges — where earlier probability-1 siblings always exhaust the
-// coupons — are conservatively included; their marginal gain evaluates to
-// zero, so they are never selected. DESIGN.md fidelity note 2.) The
-// returned slice is solver-owned scratch, overwritten by the next call; the
-// marked list it was built from is left in s.infList.
-func (s *solver) influenced(d *diffusion.Deployment) []bool {
-	g := s.inst.G
-	if s.infMark == nil {
-		s.infMark = make([]bool, g.NumNodes())
-	}
-	mark := s.infMark
-	for _, v := range s.infList {
-		mark[v] = false
-	}
-	queue := s.infList[:0]
-	for _, seed := range d.Seeds() {
-		if !mark[seed] {
-			mark[seed] = true
-			queue = append(queue, seed)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		if d.K(v) == 0 {
-			continue
-		}
-		ts, _ := g.OutEdges(v)
-		for _, t := range ts {
-			if !mark[t] {
-				mark[t] = true
-				queue = append(queue, t)
-			}
-		}
-	}
-	s.infList = queue
-	return mark
 }
 
 // safeRatio returns num/den, mapping 0/0 to 0 and x/0 (x>0) to +Inf: a

@@ -448,12 +448,11 @@ func TestGPChainAndLevels(t *testing.T) {
 
 func TestInfluencedSet(t *testing.T) {
 	inst := treasure(t)
-	s := &solver{inst: inst, est: diffusion.NewEstimator(inst, 100, 1), explored: make([]bool, 8)}
 	d := diffusion.NewDeployment(8)
 	d.AddSeed(0)
 	d.SetK(0, 2)
 	d.SetK(4, 3)
-	inf := s.influenced(d)
+	inf := influencedSet(inst.G, d)
 	wantTrue := []int32{0, 1, 4, 5, 6, 7}
 	wantFalse := []int32{2, 3}
 	for _, v := range wantTrue {

@@ -12,9 +12,10 @@
 //     user's standalone marginal redemption, then iteratively invest either
 //     one SC in the user with the best marginal redemption (broadening or
 //     deepening the spread) or a new seed (the pivot source), keeping the
-//     intermediate deployment with the best redemption rate. The default
-//     loop is CELF lazy greedy (Options.ExhaustiveID restores the full
-//     per-iteration sweep).
+//     intermediate deployment with the best redemption rate. The coupon
+//     candidate is chosen CELF-lazily from a max-heap of cached marginal
+//     gains; the exhaustive per-iteration sweep is the package tests'
+//     oracle.
 //  2. Guaranteed Path Identification (GPI) — per seed, a depth-first
 //     traversal in descending influence-probability order that enumerates
 //     budget-feasible "guaranteed paths": allocations in which every visited

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"s3crm/internal/diffusion"
+	"s3crm/internal/graph"
 )
 
 // gpAlloc is one (node, coupons) pair of a guaranteed path's allocation K̂.
@@ -356,7 +357,7 @@ func (f *gpForest) record(gp *guaranteedPath) *guaranteedPath {
 // (c(s,vi) − c(s,vj)) with vj the end's nearest ancestor that the current
 // deployment can already activate.
 func (f *gpForest) sortByAmelioration(s *solver, d *diffusion.Deployment) []scoredPath {
-	influenced := s.influenced(d)
+	influenced := influencedSet(s.inst.G, d)
 	scored := make([]scoredPath, 0, len(f.paths))
 	for _, gp := range f.paths {
 		anc := nearestActivatedAncestor(gp, influenced)
@@ -397,4 +398,34 @@ func nearestActivatedAncestor(gp *guaranteedPath, influenced []bool) *guaranteed
 		}
 	}
 	return nil
+}
+
+// influencedSet marks every user with positive activation probability under
+// d: users reachable from the seeds through coupon-holding users.
+// (Saturated dependent edges — where earlier probability-1 siblings always
+// exhaust the coupons — are conservatively included; their marginal gain
+// evaluates to zero. DESIGN.md fidelity note 2.)
+func influencedSet(g *graph.Graph, d *diffusion.Deployment) []bool {
+	mark := make([]bool, g.NumNodes())
+	var queue []int32
+	for _, seed := range d.Seeds() {
+		if !mark[seed] {
+			mark[seed] = true
+			queue = append(queue, seed)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		if d.K(v) == 0 {
+			continue
+		}
+		ts, _ := g.OutEdges(v)
+		for _, t := range ts {
+			if !mark[t] {
+				mark[t] = true
+				queue = append(queue, t)
+			}
+		}
+	}
+	return mark
 }

@@ -151,14 +151,12 @@ func TestGPIMatchesOracleOnTightBudgets(t *testing.T) {
 	}
 }
 
-// epinionsIDAnswer builds the Epinions profile at scale 10 the way
-// eval.BuildInstance does (eval imports core, so it is rebuilt here) and
-// returns the instance with its worldcache ID answer at 1,000 samples,
-// seed 77: the deployment GPI starts from on the solve-mid workload.
-func epinionsIDAnswer(tb testing.TB) (*diffusion.Instance, *diffusion.Deployment) {
+// presetInstance builds preset p at scale with seed the way
+// eval.BuildInstance does (eval imports core, so it is rebuilt here).
+func presetInstance(tb testing.TB, p gen.Preset, scale int, seed uint64) *diffusion.Instance {
 	tb.Helper()
-	p := gen.Epinions.Scaled(10)
-	src := rng.New(77 ^ 0x5eed)
+	p = p.Scaled(scale)
+	src := rng.New(seed ^ 0x5eed)
 	g, err := p.Generate(src)
 	if err != nil {
 		tb.Fatal(err)
@@ -167,10 +165,18 @@ func epinionsIDAnswer(tb testing.TB) (*diffusion.Instance, *diffusion.Deployment
 	if err != nil {
 		tb.Fatal(err)
 	}
-	inst := &diffusion.Instance{
+	return &diffusion.Instance{
 		G: g, Benefit: m.Benefit, SeedCost: m.SeedCost, SCCost: m.SCCost,
 		Budget: p.Binv,
 	}
+}
+
+// epinionsIDAnswer builds the Epinions profile at scale 10, seed 77 and
+// returns the instance with its worldcache ID answer at 1,000 samples: the
+// deployment GPI starts from on the solve-mid workload.
+func epinionsIDAnswer(tb testing.TB) (*diffusion.Instance, *diffusion.Deployment) {
+	tb.Helper()
+	inst := presetInstance(tb, gen.Epinions, 10, 77)
 	sol, err := Solve(inst, Options{
 		Engine: diffusion.EngineWorldCache, Samples: 1000, Seed: 77, DisableGPI: true,
 	})

@@ -13,25 +13,6 @@ import (
 // safety net, generously above any budget-feasible investment count.
 func maxIDIterations(n int) int { return 10*n + 10000 }
 
-// investmentDeployment runs phase 2 of S3CA (Alg. 1 lines 9–24): starting
-// from the best pivot source, iteratively invest one SC in the user with
-// the highest marginal redemption — broadening the spread (an SC to a user
-// already holding coupons), deepening it (a first SC to an influenced
-// user), or starting a new spread (activating the next pivot source as a
-// seed) — until the budget is exhausted. Every intermediate deployment is a
-// candidate; the one with the highest redemption rate wins.
-//
-// The default implementation is CELF lazy greedy (Options.ExhaustiveID
-// restores the exhaustive sweep): cached marginal gains from earlier
-// iterations serve as upper bounds, so each iteration re-evaluates only the
-// stale top of a max-heap instead of every influenced user.
-func (s *solver) investmentDeployment(queue []pivotEntry) *diffusion.Deployment {
-	if s.opts.ExhaustiveID {
-		return s.investmentExhaustive(queue)
-	}
-	return s.investmentLazy(queue)
-}
-
 // nextPivot scans the queue from *next for the first pivot source that is
 // not already a seed and still affordable with spent already committed.
 // Entries skipped here are skipped for good — the budget only shrinks — so
@@ -44,7 +25,7 @@ func (s *solver) nextPivot(queue []pivotEntry, next *int, d *diffusion.Deploymen
 			*next++ // already part of the spread as a seed
 			continue
 		}
-		pCost := in.SeedCost[p.node] + in.NodeSCCost(p.node, maxInt(p.k, d.K(p.node))) - in.NodeSCCost(p.node, d.K(p.node))
+		pCost := in.SeedCost[p.node] + in.NodeSCCost(p.node, max(p.k, d.K(p.node))) - in.NodeSCCost(p.node, d.K(p.node))
 		if spent+pCost > in.Budget {
 			*next++ // unaffordable now; budget only shrinks, so skip for good
 			continue
@@ -58,8 +39,6 @@ func (s *solver) nextPivot(queue []pivotEntry, next *int, d *diffusion.Deploymen
 func (s *solver) marginalSCCost(d *diffusion.Deployment, v int32) float64 {
 	return s.inst.NodeSCCost(v, d.K(v)+1) - s.inst.NodeSCCost(v, d.K(v))
 }
-
-// --- CELF lazy greedy ---
 
 // lazyBatchSize bounds how many stale heap entries are re-evaluated per
 // batch. The world-cache engine pays one per-world stamp repopulation per
@@ -82,8 +61,25 @@ type lazyID struct {
 	stale []int32   // scratch batch of popped stale candidates
 }
 
-// investmentLazy is the CELF variant of the investment loop. Invalidation
-// rules (see DESIGN.md "Evaluation engines"):
+// candidateChoice picks the ID loop's best coupon investment against d: the
+// node (-1 when none is feasible), its marginal redemption, its marginal
+// benefit and its marginal SC cost. The production choice is the CELF heap,
+// (*solver).lazyBest; the package tests swap in the exhaustive sweep
+// through solve to check that the heap reproduces it.
+type candidateChoice func(s *solver, lz *lazyID, d *diffusion.Deployment, curBenefit, spent float64) (node int32, mr, gain, dc float64)
+
+// investmentDeployment runs phase 2 of S3CA (Alg. 1 lines 9–24): starting
+// from the best pivot source, iteratively invest one SC in the user with
+// the highest marginal redemption — broadening the spread (an SC to a user
+// already holding coupons), deepening it (a first SC to an influenced
+// user), or starting a new spread (activating the next pivot source as a
+// seed) — until the budget is exhausted. Every intermediate deployment is a
+// candidate; the one with the highest redemption rate wins.
+//
+// The candidate choice is CELF lazy greedy: cached marginal gains from
+// earlier iterations serve as upper bounds, so each iteration re-evaluates
+// only the stale top of a max-heap instead of every influenced user.
+// Invalidation rules (see DESIGN.md "The CELF-lazy ID loop"):
 //
 //   - a coupon investment bumps the epoch: every cached gain goes stale but
 //     stays in the heap as an upper bound — gains only shrink while the
@@ -98,8 +94,12 @@ type lazyID struct {
 //     iteration and happens only once per seed;
 //   - capped (K = |N(v)|) and budget-infeasible candidates are dropped for
 //     good — coupon counts never decrease and spend never shrinks.
-func (s *solver) investmentLazy(queue []pivotEntry) *diffusion.Deployment {
+func (s *solver) investmentDeployment(queue []pivotEntry) *diffusion.Deployment {
 	in := s.inst
+	choose := s.choose
+	if choose == nil {
+		choose = (*solver).lazyBest
+	}
 	n := in.G.NumNodes()
 
 	d := diffusion.NewDeployment(n)
@@ -140,7 +140,7 @@ func (s *solver) investmentLazy(queue []pivotEntry) *diffusion.Deployment {
 		}
 		s.stats.IDIterations = iter + 1
 
-		bestNode, bestMR, bestGain, bestDC := s.lazyBest(lz, d, curBenefit, curSeedCost+curSC)
+		bestNode, bestMR, bestGain, bestDC := choose(s, lz, d, curBenefit, curSeedCost+curSC)
 
 		pivot, pivotOK := s.nextPivot(queue, &next, d, curSeedCost+curSC)
 
@@ -336,148 +336,6 @@ func (s *solver) refreshAll(lz *lazyID, d *diffusion.Deployment, curBenefit, spe
 	s.refreshBatch(lz, d, curBenefit)
 }
 
-// --- Exhaustive sweep (Options.ExhaustiveID) ---
-
-// investmentExhaustive re-evaluates every influenced candidate each
-// iteration — PR 1's loop, kept as the lazy loop's reference and escape
-// hatch. Scratch buffers are solver-owned and reused, so the inner loop no
-// longer allocates O(V) per iteration.
-func (s *solver) investmentExhaustive(queue []pivotEntry) *diffusion.Deployment {
-	in := s.inst
-	n := in.G.NumNodes()
-
-	d := diffusion.NewDeployment(n)
-	next := 0
-	applyPivot := func(p pivotEntry) {
-		d.AddSeed(p.node)
-		if p.k > 0 && d.K(p.node) < p.k {
-			d.SetK(p.node, p.k)
-		}
-		s.touch(p.node)
-	}
-	applyPivot(queue[next])
-	next++
-
-	curBenefit := s.benefitRebased(d)
-	curSC := in.SCCostOf(d)
-	curSeedCost := in.SeedCostOf(d)
-	s.record("seed", queue[0].node, curBenefit, curSeedCost+curSC)
-
-	// Candidate deployments D of Alg. 1: one snapshot per investment. The
-	// final selection re-scores them with an independent estimator —
-	// choosing argmax over the same noisy estimates that guided the greedy
-	// would systematically favour lucky early snapshots and starve the
-	// budget (selection bias), shrinking the spread the paper's Table III
-	// reports.
-	snapshots := []*diffusion.Deployment{d.Clone()}
-
-	for iter := 0; iter < maxIDIterations(s.inst.G.NumNodes()); iter++ {
-		if s.aborted() {
-			break
-		}
-		s.stats.IDIterations = iter + 1
-
-		// Strategy 2/3 candidates: one more SC for an internal node, or a
-		// first SC for an influenced user.
-		influenced := s.influenced(d)
-		candidates := s.candBuf[:0]
-		for v := int32(0); v < int32(n); v++ {
-			if !influenced[v] {
-				continue
-			}
-			s.touch(v)
-			if d.K(v) >= in.G.OutDegree(v) {
-				continue // SC constraint: ki <= |N(vi)|
-			}
-			if curSeedCost+curSC+s.marginalSCCost(d, v) > in.Budget {
-				continue // infeasible under the investment budget
-			}
-			candidates = append(candidates, v)
-		}
-		s.candBuf = candidates
-
-		// Evaluate the marginal benefit of every candidate. Under the
-		// world-cache engine the current deployment is rebased once (one
-		// full simulation, which also refreshes curBenefit with the exact
-		// base value) and every candidate is answered by replaying only the
-		// affected frontier of the worlds that activate it. Otherwise each
-		// candidate costs one full simulation; candidates are independent,
-		// so that parallelizes across workers (the estimator shares
-		// possible worlds, keeping results identical to sequential
-		// evaluation).
-		var benefits []float64
-		if s.incremental() {
-			curBenefit = s.wc.Rebase(d).Benefit
-			benefits = s.wc.DeltaBenefits(candidates)
-		} else {
-			benefits = s.evalCandidates(d, candidates)
-		}
-		s.stats.CandidateEvals += int64(len(candidates))
-
-		bestNode := int32(-1)
-		bestMR := 0.0
-		var bestNewBenefit, bestNewSC float64
-		for i, v := range candidates {
-			dCost := s.marginalSCCost(d, v)
-			mr := safeRatio(benefits[i]-curBenefit, dCost)
-			if mr > bestMR {
-				bestMR = mr
-				bestNode = v
-				bestNewBenefit = benefits[i]
-				bestNewSC = curSC + dCost
-			}
-		}
-
-		// Pivot comparison (strategy 1): the redemption rate of the next
-		// pivot source.
-		pivot, pivotOK := s.nextPivot(queue, &next, d, curSeedCost+curSC)
-
-		investSC := bestNode >= 0 && bestMR > 0
-		if s.opts.DisablePivot {
-			// Ablation: never compare against the pivot; only fall back to
-			// a new seed when no SC investment is possible.
-			if !investSC && !pivotOK {
-				break
-			}
-		} else {
-			if investSC && pivotOK && pivot.rate >= bestMR {
-				investSC = false // the pivot wins the comparison
-			}
-			if !investSC && !pivotOK {
-				break // nothing feasible remains
-			}
-		}
-
-		if investSC {
-			d.AddK(bestNode, 1)
-			curBenefit = bestNewBenefit
-			curSC = bestNewSC
-			if s.incremental() {
-				// The replay value that won the comparison is only a
-				// ranking signal; rebase now so curBenefit and the
-				// trajectory record the exact benefit. Net-zero cost: the
-				// next iteration's rebase is then served from the cache.
-				curBenefit = s.wc.Rebase(d).Benefit
-			}
-			s.record("coupon", bestNode, curBenefit, curSeedCost+curSC)
-		} else {
-			if !pivotOK {
-				break
-			}
-			applyPivot(pivot)
-			next++
-			curBenefit = s.benefitRebased(d)
-			curSC = in.SCCostOf(d)
-			curSeedCost = in.SeedCostOf(d)
-			s.record("seed", pivot.node, curBenefit, curSeedCost+curSC)
-		}
-
-		s.emit(iter+1, curSeedCost+curSC, safeRatio(curBenefit, curSeedCost+curSC))
-		snapshots = append(snapshots, d.Clone())
-	}
-	return s.selectSnapshot(snapshots)
-}
-
 // selectSnapshot picks D* = argmax redemption rate over the candidate
 // deployments (Alg. 1 line 24), re-scoring every snapshot with a fresh
 // estimator stream so the selection is unbiased by the greedy's own noise.
@@ -562,13 +420,6 @@ func (s *solver) newScorer() diffusion.Evaluator {
 		return est
 	}
 	return scorer
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // evalCandidates returns, for each candidate, the expected benefit of the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"s3crm/internal/diffusion"
@@ -34,14 +36,76 @@ func lazyRandomInstance(t *testing.T, trial uint64) *diffusion.Instance {
 	return inst
 }
 
+// exhaustiveOracle is the ID loop's reference candidate choice, the sweep
+// the CELF heap must reproduce: every iteration it re-derives the influenced
+// set by BFS, drops capped and unaffordable users, evaluates every remaining
+// candidate and returns the argmax marginal redemption, ties to the smaller
+// id. It leaves the lazy state's heap alone. evals counts its own candidate
+// evaluations; markDiffs counts iterations whose BFS disagreed with the
+// loop's incremental influence marks.
+type exhaustiveOracle struct {
+	evals     int64
+	markDiffs int
+}
+
+func (o *exhaustiveOracle) best(s *solver, lz *lazyID, d *diffusion.Deployment, curBenefit, spent float64) (int32, float64, float64, float64) {
+	in := s.inst
+	influenced := influencedSet(in.G, d)
+	var candidates []int32
+	diff := false
+	for i, inf := range influenced {
+		diff = diff || inf != lz.mark[i]
+		v := int32(i)
+		if !inf {
+			continue
+		}
+		s.touch(v)
+		if d.K(v) >= in.G.OutDegree(v) || spent+s.marginalSCCost(d, v) > in.Budget {
+			continue
+		}
+		candidates = append(candidates, v)
+	}
+	if diff {
+		o.markDiffs++
+	}
+	var benefits []float64
+	if s.incremental() {
+		curBenefit = s.wc.Rebase(d).Benefit
+		benefits = s.wc.DeltaBenefits(candidates)
+	} else {
+		benefits = s.evalCandidates(d, candidates)
+	}
+	o.evals += int64(len(candidates))
+	s.stats.CandidateEvals += int64(len(candidates))
+	bestNode, bestMR, bestGain, bestDC := int32(-1), 0.0, 0.0, 0.0
+	for i, v := range candidates {
+		dc := s.marginalSCCost(d, v)
+		gain := benefits[i] - curBenefit
+		if mr := safeRatio(gain, dc); mr > bestMR {
+			bestNode, bestMR, bestGain, bestDC = v, mr, gain, dc
+		}
+	}
+	return bestNode, bestMR, bestGain, bestDC
+}
+
+// solveExhaustive runs Solve with the ID loop choosing candidates through
+// the exhaustive oracle.
+func solveExhaustive(t *testing.T, inst *diffusion.Instance, opts Options) (*Solution, *exhaustiveOracle) {
+	t.Helper()
+	o := &exhaustiveOracle{}
+	sol, err := solve(context.Background(), inst, opts, o.best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol, o
+}
+
 // TestLazyIDMatchesExhaustive pins the CELF loop's contract: on
 // deterministic instances the lazy max-heap walks to the same argmax the
 // exhaustive sweep computes, so the investment sequence — and therefore the
-// final deployment — is identical under every engine. (The ssr engine
-// replaces the ID loop with its sketch solver, so there the row pins that
-// the exhaustive switch leaves its selection untouched.)
+// final deployment — is identical under every engine that runs the ID loop.
 func TestLazyIDMatchesExhaustive(t *testing.T) {
-	engines := []string{diffusion.EngineMC, diffusion.EngineWorldCache, diffusion.EngineSSR}
+	engines := []string{diffusion.EngineMC, diffusion.EngineWorldCache}
 	instances := map[string]*diffusion.Instance{
 		"example1":   example1(t, 4),
 		"er-trial-1": lazyRandomInstance(t, 1),
@@ -50,18 +114,12 @@ func TestLazyIDMatchesExhaustive(t *testing.T) {
 	for name, inst := range instances {
 		for _, engine := range engines {
 			t.Run(name+"/"+engine, func(t *testing.T) {
-				base := Options{Engine: engine, Samples: 200, Seed: 9, DisableGPI: true}
-				lazyOpts := base
-				exOpts := base
-				exOpts.ExhaustiveID = true
-				lazy, err := Solve(inst, lazyOpts)
+				opts := Options{Engine: engine, Samples: 200, Seed: 9, DisableGPI: true}
+				lazy, err := Solve(inst, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ex, err := Solve(inst, exOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ex, _ := solveExhaustive(t, inst, opts)
 				if !lazy.Deployment.Equal(ex.Deployment) {
 					t.Fatalf("deployments diverged:\nlazy       %v\nexhaustive %v",
 						lazy.Deployment, ex.Deployment)
@@ -80,18 +138,16 @@ func TestLazyIDMatchesExhaustive(t *testing.T) {
 }
 
 // TestLazyIDFullPipelineMatches runs the complete S3CA pipeline (GPI + SCM
-// included) under both ID variants: downstream phases see the same input
-// deployment, so the whole solution must match.
+// included) under both candidate choices: downstream phases see the same
+// input deployment, so the whole solution must match.
 func TestLazyIDFullPipelineMatches(t *testing.T) {
 	inst := lazyRandomInstance(t, 3)
-	lazy, err := Solve(inst, Options{Engine: diffusion.EngineWorldCache, Samples: 200, Seed: 4})
+	opts := Options{Engine: diffusion.EngineWorldCache, Samples: 200, Seed: 4}
+	lazy, err := Solve(inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Solve(inst, Options{Engine: diffusion.EngineWorldCache, Samples: 200, Seed: 4, ExhaustiveID: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex, _ := solveExhaustive(t, inst, opts)
 	if !lazy.Deployment.Equal(ex.Deployment) {
 		t.Fatalf("deployments diverged:\nlazy       %v\nexhaustive %v", lazy.Deployment, ex.Deployment)
 	}
@@ -107,43 +163,71 @@ func TestLazyIDFullPipelineMatches(t *testing.T) {
 func TestLazyIDEvaluatesFewerCandidates(t *testing.T) {
 	inst := lazyRandomInstance(t, 5)
 	inst.Budget = 40 // long trajectory: many iterations over many candidates
-	lazy, err := Solve(inst, Options{Engine: diffusion.EngineWorldCache, Samples: 150, Seed: 2, DisableGPI: true})
+	opts := Options{Engine: diffusion.EngineWorldCache, Samples: 150, Seed: 2, DisableGPI: true}
+	lazy, err := Solve(inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Solve(inst, Options{Engine: diffusion.EngineWorldCache, Samples: 150, Seed: 2, DisableGPI: true, ExhaustiveID: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazy.Stats.CandidateEvals == 0 || ex.Stats.CandidateEvals == 0 {
+	ex, o := solveExhaustive(t, inst, opts)
+	if lazy.Stats.CandidateEvals == 0 || o.evals == 0 {
 		t.Fatalf("candidate-eval counters not populated: lazy %d, exhaustive %d",
-			lazy.Stats.CandidateEvals, ex.Stats.CandidateEvals)
+			lazy.Stats.CandidateEvals, o.evals)
 	}
 	if ex.Stats.HeapRepops != 0 {
 		t.Fatalf("exhaustive sweep recorded %d heap re-pops", ex.Stats.HeapRepops)
 	}
-	if lazy.Stats.CandidateEvals >= ex.Stats.CandidateEvals {
+	if lazy.Stats.CandidateEvals >= o.evals {
 		t.Fatalf("lazy loop evaluated %d candidates, exhaustive %d — no win",
-			lazy.Stats.CandidateEvals, ex.Stats.CandidateEvals)
+			lazy.Stats.CandidateEvals, o.evals)
 	}
 	t.Logf("candidate evals: lazy %d (repops %d) vs exhaustive %d over %d iterations",
-		lazy.Stats.CandidateEvals, lazy.Stats.HeapRepops, ex.Stats.CandidateEvals, ex.Stats.IDIterations)
+		lazy.Stats.CandidateEvals, lazy.Stats.HeapRepops, o.evals, ex.Stats.IDIterations)
 }
 
 // TestLazyIDExploresSameNodes pins that incremental influence marking
 // reaches exactly the users the per-iteration BFS reached.
 func TestLazyIDExploresSameNodes(t *testing.T) {
 	inst := lazyRandomInstance(t, 7)
-	lazy, err := Solve(inst, Options{Samples: 150, Seed: 6, DisableGPI: true})
+	opts := Options{Samples: 150, Seed: 6, DisableGPI: true}
+	lazy, err := Solve(inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Solve(inst, Options{Samples: 150, Seed: 6, DisableGPI: true, ExhaustiveID: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex, o := solveExhaustive(t, inst, opts)
 	if lazy.Stats.ExploredNodes != ex.Stats.ExploredNodes {
 		t.Fatalf("explored-node counts diverged: lazy %d, exhaustive %d",
 			lazy.Stats.ExploredNodes, ex.Stats.ExploredNodes)
+	}
+	if o.markDiffs != 0 {
+		t.Fatalf("incremental influence marks differed from the BFS on %d of %d iterations",
+			o.markDiffs, ex.Stats.IDIterations)
+	}
+}
+
+// TestEngineParityLazyID runs S3CA under every engine with the CELF and the
+// exhaustive candidate choice: both must stay within the same Monte-Carlo
+// tolerance of the exhaustive mc reference. The instance is the Facebook
+// profile at scale 100, seed 3 (40 users), built as eval.BuildInstance
+// builds it.
+func TestEngineParityLazyID(t *testing.T) {
+	inst := presetInstance(t, gen.Facebook, 100, 3)
+	ref, _ := solveExhaustive(t, inst, Options{Engine: diffusion.EngineMC, Samples: 300, Seed: 7})
+	tol := 0.15 * ref.RedemptionRate
+	for _, engine := range diffusion.Engines() {
+		opts := Options{Engine: engine, Samples: 300, Seed: 7}
+		lazy, err := Solve(inst, opts)
+		if err != nil {
+			t.Fatalf("S3CA under %s: %v", engine, err)
+		}
+		ex, _ := solveExhaustive(t, inst, opts)
+		for _, r := range []struct {
+			name string
+			sol  *Solution
+		}{{"lazy", lazy}, {"exhaustive", ex}} {
+			if math.Abs(r.sol.RedemptionRate-ref.RedemptionRate) > tol {
+				t.Errorf("engine %s %s: rate %v differs from reference %v (tol %v)",
+					engine, r.name, r.sol.RedemptionRate, ref.RedemptionRate, tol)
+			}
+		}
 	}
 }

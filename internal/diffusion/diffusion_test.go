@@ -639,3 +639,67 @@ func TestNodeSCCostMarginal(t *testing.T) {
 		t.Fatalf("leaf NodeSCCost = %v, want 0", got)
 	}
 }
+
+// starInstance builds a hub (node 0) with fanout out-neighbours of mixed
+// influence probabilities, benefits and SC costs.
+func starInstance(t testing.TB, fanout int) *Instance {
+	t.Helper()
+	n := fanout + 1
+	edges := make([]graph.Edge, fanout)
+	inst := &Instance{
+		Benefit:  make([]float64, n),
+		SeedCost: make([]float64, n),
+		SCCost:   make([]float64, n),
+		Budget:   10,
+	}
+	for j := range edges {
+		edges[j] = graph.Edge{From: 0, To: int32(j + 1), P: 0.95 / (1 + 0.13*float64(j%17))}
+		inst.Benefit[j+1] = 1 + float64(j%7)/3
+		inst.SCCost[j+1] = 0.5 + float64(j%5)*0.3
+	}
+	inst.Benefit[0] = 2
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.G = g
+	return inst
+}
+
+// TestNodePricingAllocatesNothing pins that NodeSCCost and
+// StandaloneBenefit compute rows of at most 64 entries on the stack.
+func TestNodePricingAllocatesNothing(t *testing.T) {
+	for _, inst := range []*Instance{example1(t), starInstance(t, 64)} {
+		allocs := testing.AllocsPerRun(100, func() {
+			inst.NodeSCCost(1, 2)
+			inst.NodeSCCost(0, 3)
+			inst.StandaloneBenefit(0, 3)
+		})
+		if allocs != 0 {
+			t.Fatalf("%d-user instance: %v allocations per call, want 0", inst.G.NumNodes(), allocs)
+		}
+	}
+}
+
+// TestNodePricingMatchesRedeemProbs pins NodeSCCost and StandaloneBenefit
+// bit for bit to pricing a freshly allocated RedeemProbs row, on both sides
+// of the 64-entry stack row.
+func TestNodePricingMatchesRedeemProbs(t *testing.T) {
+	for _, fanout := range []int{1, 64, 65, 200} {
+		inst := starInstance(t, fanout)
+		targets, probs := inst.G.OutEdges(0)
+		for _, k := range []int{1, 2, 5, fanout} {
+			rp := RedeemProbs(probs, k)
+			if got, want := inst.NodeSCCost(0, k), inst.RowSCCost(0, rp); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("fanout %d, k %d: NodeSCCost %v, want %v", fanout, k, got, want)
+			}
+			want := inst.Benefit[0]
+			for j, u := range targets {
+				want += inst.Benefit[u] * rp[j]
+			}
+			if got := inst.StandaloneBenefit(0, k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("fanout %d, k %d: StandaloneBenefit %v, want %v", fanout, k, got, want)
+			}
+		}
+	}
+}

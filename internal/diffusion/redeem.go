@@ -131,7 +131,22 @@ func (in *Instance) NodeSCCost(v int32, k int) float64 {
 	if len(targets) == 0 {
 		return 0
 	}
-	return in.RowSCCost(v, RedeemProbs(probs, k))
+	var small [64]float64
+	return in.RowSCCost(v, redeemRow(&small, probs, k))
+}
+
+// redeemRow is RedeemProbs(probs, k) computed into small when the row fits,
+// so per-call pricing allocates only for users with more than len(small)
+// out-neighbours.
+func redeemRow(small *[64]float64, probs []float64, k int) []float64 {
+	var rp []float64
+	if len(probs) <= len(small) {
+		rp = small[:len(probs)]
+	} else {
+		rp = make([]float64, len(probs))
+	}
+	RedeemProbsInto(rp, probs, k)
+	return rp
 }
 
 // RowSCCost returns the expected SC cost of v's adjacency under the
@@ -165,9 +180,9 @@ func (in *Instance) StandaloneBenefit(v int32, k int) float64 {
 	if len(targets) == 0 {
 		return b
 	}
-	rp := RedeemProbs(probs, k)
-	for j, t := range targets {
-		b += in.Benefit[t] * rp[j]
+	var small [64]float64
+	for j, rp := range redeemRow(&small, probs, k) {
+		b += in.Benefit[targets[j]] * rp
 	}
 	return b
 }

@@ -25,7 +25,7 @@ func Ablations(s Setup, p RunParams) (string, error) {
 		{"ID only (no GPI/SCM)", core.Options{Samples: p.Samples, Seed: p.Seed, Workers: p.Workers, DisableGPI: true}},
 		{"no SCM", core.Options{Samples: p.Samples, Seed: p.Seed, Workers: p.Workers, DisableSCM: true}},
 		{"no pivot comparison", core.Options{Samples: p.Samples, Seed: p.Seed, Workers: p.Workers, DisablePivot: true}},
-		{"samples/4", core.Options{Samples: maxIntAb(p.Samples/4, 10), Seed: p.Seed, Workers: p.Workers}},
+		{"samples/4", core.Options{Samples: max(p.Samples/4, 10), Seed: p.Seed, Workers: p.Workers}},
 		{"samples×4", core.Options{Samples: p.Samples * 4, Seed: p.Seed, Workers: p.Workers}},
 	}
 	headers := []string{"variant", "redemption", "benefit", "cost", "seconds"}
@@ -46,11 +46,4 @@ func Ablations(s Setup, p RunParams) (string, error) {
 	}
 	title := fmt.Sprintf("Ablations — S3CA design choices (%s, scale 1/%d)", s.Preset.Name, s.Scale)
 	return RenderTable(title, headers, rows), nil
-}
-
-func maxIntAb(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -74,20 +74,13 @@ func (p Preset) Scaled(factor int) Preset {
 		return p
 	}
 	q := p
-	q.Nodes = maxInt(p.Nodes/factor, 64)
-	q.Edges = maxInt(p.Edges/factor, 4*q.Nodes)
+	q.Nodes = max(p.Nodes/factor, 64)
+	q.Edges = max(p.Edges/factor, 4*q.Nodes)
 	q.Binv = p.Binv / float64(factor)
 	if min := 50 * p.Mu; q.Binv < min {
 		q.Binv = min
 	}
 	return q
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Generate builds the synthetic graph for the preset with the paper's
