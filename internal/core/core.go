@@ -147,6 +147,11 @@ type Stats struct {
 	// kernel, the sweep every evaluation and world-cache re-simulation
 	// runs; a world re-simulated alone counts as one block.
 	WorldBlocks int64
+	// FullRebases counts world-cache rebases that simulated every world —
+	// each cache's first and any move its coupon-advance and seed-add paths
+	// do not cover — on the solver's engine and its snapshot-selection
+	// scorer together. Zero under other engines.
+	FullRebases int64
 	// CandidateEvals counts ID-loop candidate marginal-gain evaluations.
 	// An exhaustive sweep would pay |candidates| per iteration; the lazy
 	// loop pays only for new candidates, stale re-pops and pivot refreshes,
@@ -238,6 +243,10 @@ type solver struct {
 	// 64-world blocks, made on per-goroutine sequential views of the engine
 	// (seqView), which the engine's own counters cannot see.
 	viewEvals, viewBlocks atomic.Int64
+	// fullRebases counts the full rebases of world caches other than wc
+	// (the scorer's); wcFull is wc's full-rebase count when the solve began,
+	// as a pooled cache arrives with its own.
+	fullRebases, wcFull int64
 
 	// choose is the ID loop's candidate choice; nil means the CELF heap.
 	choose candidateChoice
@@ -413,6 +422,7 @@ func solve(ctx context.Context, inst *diffusion.Instance, opts Options, choose c
 	}
 	if wc, ok := ev.(*diffusion.WorldCache); ok {
 		s.wc = wc
+		s.wcFull = wc.Rebases().Full
 	}
 
 	s.enterPhase("pivot")
@@ -478,13 +488,22 @@ func worldBlocks(ev diffusion.Evaluator) int64 {
 	return 0
 }
 
+// countWork copies the engines' work counters into the stats.
+func (s *solver) countWork() {
+	s.stats.Evaluations = s.evaluations()
+	s.stats.WorldBlocks = worldBlocks(s.est) + s.viewBlocks.Load()
+	s.stats.FullRebases = s.fullRebases
+	if s.wc != nil {
+		s.stats.FullRebases += s.wc.Rebases().Full - s.wcFull
+	}
+}
+
 // partial converts a recorded cancellation into the error Solve returns.
 func (s *solver) partial() error {
 	if !s.aborted() {
 		return nil
 	}
-	s.stats.Evaluations = s.evaluations()
-	s.stats.WorldBlocks = worldBlocks(s.est) + s.viewBlocks.Load()
+	s.countWork()
 	return &PartialError{Phase: s.phase, Stats: s.stats, Err: s.err}
 }
 
@@ -498,8 +517,7 @@ func (s *solver) finish(d *diffusion.Deployment) *Solution {
 	if total > 0 {
 		rate = benefit / total
 	}
-	s.stats.Evaluations = s.evaluations()
-	s.stats.WorldBlocks = worldBlocks(s.est) + s.viewBlocks.Load()
+	s.countWork()
 	return &Solution{
 		Deployment:     d,
 		Benefit:        benefit,

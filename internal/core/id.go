@@ -357,11 +357,16 @@ func (s *solver) selectSnapshot(snapshots []*diffusion.Deployment) *diffusion.De
 	scorer := s.newScorer()
 	// Under the world-cache engine the scorer is a world cache too, and the
 	// snapshots form a chain differing by one investment each: rebasing
-	// along the chain re-simulates only the affected worlds per coupon step
-	// (seed steps pay a full pass). The cache folds its per-world values
-	// exactly as a full evaluation does, so the scores are bit-identical
-	// and the selection is unchanged.
+	// along the chain re-simulates only the worlds a step can change — those
+	// activating a node whose coupons moved, or, on a seed step, those the
+	// new seed can reach. The cache folds its per-world values exactly as a
+	// full evaluation does, so the scores are bit-identical and the
+	// selection is unchanged.
 	wcScorer, _ := scorer.(*diffusion.WorldCache)
+	if wcScorer != nil {
+		full := wcScorer.Rebases().Full
+		defer func() { s.fullRebases += wcScorer.Rebases().Full - full }()
+	}
 	score := func(d *diffusion.Deployment) float64 {
 		cost := s.inst.TotalCost(d)
 		if cost <= 0 {

@@ -231,3 +231,32 @@ func TestEngineParityLazyID(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedStepsRebaseIncrementally solves the Epinions profile at scale 10
+// (seed 77) on the world-cache engine and checks the rebase paths: each
+// seed step of the ID loop adds one seed, so it takes the world cache's
+// seed-add path, and so do the scorer's along the snapshot chain; the only
+// full rebases are each cache's first, the engine's and the scorer's.
+func TestSeedStepsRebaseIncrementally(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Epinions-profile solve skipped in -short mode")
+	}
+	inst := presetInstance(t, gen.Epinions, 10, 77)
+	wc := diffusion.NewWorldCache(inst, 1000, 77, 1)
+	sol, err := Solve(inst, Options{
+		Engine: diffusion.EngineWorldCache, Samples: 1000, Seed: 77, Evaluator: wc, RecordTrajectory: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := -1 // the first seed is the engine's first, full, rebase
+	for _, p := range sol.Trajectory {
+		if p.Action == "seed" {
+			steps++
+		}
+	}
+	if c := wc.Rebases(); steps < 100 || c.SeedAdd != int64(steps) || c.Full != 1 || sol.Stats.FullRebases != 2 {
+		t.Fatalf("%d ID seed steps; engine rebases %+v, %d full in all: want a seed add per step, one full rebase "+
+			"for each of the engine and the scorer", steps, c, sol.Stats.FullRebases)
+	}
+}

@@ -9,16 +9,20 @@ import (
 )
 
 // blockEntry is one activation event in the block kernel's shared frontier
-// queue: node joined the cascade at hop, in exactly the worlds of mask.
+// queue: node joined the cascade at hop, in exactly the worlds of mask, from
+// the offer at row position pos of queue entry parent (a seed: parent -1,
+// pos its own id).
 // Masks for the same node are disjoint across entries — a world activates a
 // node at most once — so the queue restricted to any single world is that
 // world's one-world activation order, which is what makes every per-world
 // outcome (including float accumulation order) bit-identical to a scalar
 // BFS of that world alone.
 type blockEntry struct {
-	node int32
-	hop  int32
-	mask uint64
+	node   int32
+	hop    int32
+	parent int32
+	pos    int32
+	mask   uint64
 }
 
 // worldSlots holds per-world aggregates, one slot per world in
@@ -56,9 +60,15 @@ type blockScratch struct {
 	touched []int32  // nodes with a nonzero seen word, for the O(touched) reset
 	queue   []blockEntry
 
-	// Per-entry offer-scan state, cleared only at the scanned worlds' slots.
-	cnt  [64]int32 // coupons redeemed by the current scan, per world
-	stop [64]int32 // scan resume position for capacity-stopped worlds
+	// Per-entry offer-scan state, per world; stop is read only by snapshot
+	// sweeps.
+	cnt  [64]int32 // coupons redeemed by the current scan
+	stop [64]int32 // scan resume position
+
+	// A partial re-simulation's events, and their merge into the block's
+	// snapshot (sweepMasks).
+	group blockSnap
+	merge mergeScratch
 }
 
 // reset clears the previous block's node state.
@@ -90,10 +100,13 @@ func (e *Estimator) putBlockScratch(bs *blockScratch) { e.blockPool.Put(bs) }
 
 // simBlock propagates the worlds of the 64-aligned block at worldBase
 // selected by blockMask for deployment d, in one BFS pass over the CSR,
-// overwriting each world's slots in out (indexed by absolute world); with
-// snap non-nil it appends the block's queue, and its coupon holders' scan
-// state, to snap (the world-cache snapshot, see blockSnap). Every set bit
-// is one world, so a one-bit mask runs a world alone.
+// overwriting each world's slots in out (indexed by absolute world). With
+// events non-nil it writes the block's queue, and its coupon holders' scan
+// state, to the empty snapshot events (see blockSnap); with seeds non-nil
+// too, the seeds' entries are not written there: seeds is the block's
+// snapshot, which holds them, and their scan state is written into it at
+// the worlds of blockMask. Every set bit is one world, so a one-bit mask
+// runs a world alone.
 //
 // Per-world outcomes are bit-identical to simulating each world on its own
 // (the scalar reference in bitsim_test.go). The coupon capacity makes
@@ -108,7 +121,7 @@ func (e *Estimator) putBlockScratch(bs *blockScratch) { e.blockPool.Put(bs) }
 // the scalar order. What the block buys is the dense part: membership tests
 // and edge-liveness probes for all 64 worlds collapse into whole-word
 // AND/OR/ANDN against the substrate's bit rows.
-func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blockMask uint64, out *worldSlots, snap *blockSnap) {
+func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blockMask uint64, out *worldSlots, events, seeds *blockSnap) {
 	g := e.Inst.G
 	le := e.Live
 	in := e.Inst
@@ -119,45 +132,51 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 	activated := (*[64]int32)(out.activated[worldBase:])
 	explored := (*[64]int32)(out.explored[worldBase:])
 	bs.reset()
-	run := 0 // where this simulation's first holder run lands in snap
-	if snap != nil {
-		run = len(snap.red)
+	// Every seed activates in every world of the block at hop 0, in
+	// ascending seed order, before any other event: each world's benefit
+	// starts with the same sum, folded once here in that order, and its
+	// activated and explored counts with the seed count.
+	prefix := 0.0
+	for _, seed := range d.Seeds() {
+		prefix += in.Benefit[seed]
 	}
-	for m := blockMask; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		worldB[w] = 0
-		worldC[w] = 0
-		maxHop[w] = 0
-		activated[w] = 0
-		explored[w] = 0
+	nSeeds := int32(d.NumSeeds())
+	if blockMask == ^uint64(0) {
+		for w := range worldB {
+			worldB[w] = prefix
+			worldC[w] = 0
+			maxHop[w] = 0
+			activated[w] = nSeeds
+			explored[w] = nSeeds
+		}
+	} else {
+		for m := blockMask; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			worldB[w] = prefix
+			worldC[w] = 0
+			maxHop[w] = 0
+			activated[w] = nSeeds
+			explored[w] = nSeeds
+		}
 	}
 	for _, seed := range d.Seeds() {
-		newMask := blockMask &^ bs.active[seed]
-		if newMask == 0 {
-			continue
-		}
-		if seenNew := newMask &^ bs.seen[seed]; seenNew != 0 {
-			if bs.seen[seed] == 0 {
-				bs.touched = append(bs.touched, seed)
-			}
-			bs.seen[seed] |= seenNew
-			for m := seenNew; m != 0; m &= m - 1 {
-				explored[bits.TrailingZeros64(m)]++
-			}
-		}
-		bs.active[seed] |= newMask
-		bs.queue = append(bs.queue, blockEntry{node: seed, hop: 0, mask: newMask})
+		bs.active[seed] = blockMask
+		bs.seen[seed] = blockMask
+		bs.touched = append(bs.touched, seed)
+		bs.queue = append(bs.queue, blockEntry{node: seed, parent: -1, pos: seed, mask: blockMask})
 	}
 	for head := 0; head < len(bs.queue); head++ {
 		ent := bs.queue[head]
 		v := ent.node
-		benefit := in.Benefit[v]
-		for m := ent.mask; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			worldB[w] += benefit
-			activated[w]++
-			if ent.hop > maxHop[w] {
-				maxHop[w] = ent.hop
+		if head >= int(nSeeds) { // the seed entries are in the prefix
+			benefit := in.Benefit[v]
+			for m := ent.mask; m != 0; m &= m - 1 {
+				w := bits.TrailingZeros64(m)
+				worldB[w] += benefit
+				activated[w]++
+				if ent.hop > maxHop[w] {
+					maxHop[w] = ent.hop
+				}
 			}
 		}
 		coupons := d.K(v)
@@ -166,9 +185,7 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 		}
 		targets, _, keys, kbase := g.OutRow(v)
 		eBase := uint64(kbase)
-		for m := ent.mask; m != 0; m &= m - 1 {
-			bs.cnt[bits.TrailingZeros64(m)] = 0
-		}
+		bs.cnt = [64]int32{}
 		// capMask holds the worlds still scanning: a world drops out when
 		// its redemption count reaches the coupon allowance — the scalar
 		// kernel's break at the next loop head, hence the j+1 resume stop.
@@ -197,7 +214,7 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 				continue
 			}
 			bs.active[t] |= liveMask
-			bs.queue = append(bs.queue, blockEntry{node: t, hop: ent.hop + 1, mask: liveMask})
+			bs.queue = append(bs.queue, blockEntry{node: t, hop: ent.hop + 1, parent: int32(head), pos: int32(j), mask: liveMask})
 			cost := in.SCCost[t]
 			for m := liveMask; m != 0; m &= m - 1 {
 				w := bits.TrailingZeros64(m)
@@ -209,16 +226,31 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 				}
 			}
 		}
-		if snap != nil {
-			// The worlds still scanning ran to the row's end.
+		if events == nil {
+			continue
+		}
+		// The worlds still scanning ran to the row's end.
+		if capMask == ^uint64(0) {
+			for w := range bs.stop {
+				bs.stop[w] = int32(len(targets))
+			}
+		} else {
 			for m := capMask; m != 0; m &= m - 1 {
 				bs.stop[bits.TrailingZeros64(m)] = int32(len(targets))
 			}
-			snap.addRun(ent.mask, &bs.cnt, &bs.stop)
+		}
+		switch {
+		case seeds != nil && head < int(nSeeds):
+			seeds.setRun(head, v, ent.mask, &bs.cnt, &bs.stop)
+		default:
+			events.addRun(ent.mask, &bs.cnt, &bs.stop)
 		}
 	}
-	if snap != nil {
-		snap.addEvents(bs.queue, d, run)
+	switch {
+	case seeds != nil:
+		events.addEvents(bs.queue[nSeeds:], d)
+	case events != nil:
+		events.addEvents(bs.queue, d)
 	}
 }
 
@@ -254,8 +286,14 @@ func (e *Estimator) sweepBlocks(d *Deployment, out *worldSlots, snaps []blockSna
 			snap = &snaps[b]
 			snap.reset()
 		}
-		e.simBlock(bs, d, base, bitset.RangeMask(0, min(e.Samples-base, bitset.WordBits)), out, snap)
+		e.simBlock(bs, d, base, e.blockWorlds(b), out, snap, nil)
 	}
+}
+
+// blockWorlds returns the mask of block b's worlds: all 64 but on the
+// ragged tail block.
+func (e *Estimator) blockWorlds(b int) uint64 {
+	return bitset.RangeMask(0, min(e.Samples-b*bitset.WordBits, bitset.WordBits))
 }
 
 // foldWorlds returns the means of the first n worlds' slots, folded in
@@ -285,9 +323,12 @@ func foldWorlds(out *worldSlots, n int) (Result, float64) {
 // sweepMasks re-simulates, for deployment d, the worlds of block b set in
 // masks[b], for every block with a nonzero mask, into their slots in out — a
 // lone world as a one-bit mask. With snaps non-nil each swept block's
-// snapshot drops the re-simulated worlds and appends their new events
-// (blockSnap.drop, then simBlock), so the cost follows the affected worlds
-// rather than the block.
+// snapshot, which must open with d's seeds in every world (the snapshot of
+// a base with d's seeds does), takes the re-simulated worlds' seed scan
+// state in place and their other events merged in place of their old ones
+// (blockSnap.merge), so the cost follows the affected worlds rather than the
+// block, plus one pass over the block's entries; a block re-simulated whole
+// is rewritten instead.
 func (e *Estimator) sweepMasks(d *Deployment, masks []uint64, out *worldSlots, snaps []blockSnap) {
 	// The scratch is taken only once a block needs it: a fresh per-call
 	// estimator (a churn patch's, say) would otherwise allocate one to sweep
@@ -302,14 +343,16 @@ func (e *Estimator) sweepMasks(d *Deployment, masks []uint64, out *worldSlots, s
 			bs = e.getBlockScratch()
 		}
 		n++
-		var snap *blockSnap
-		if snaps != nil {
-			snap = &snaps[b]
-			snap.drop(mask)
-		}
-		e.simBlock(bs, d, b*bitset.WordBits, mask, out, snap)
-		if snap != nil {
-			snap.compactIfSparse()
+		switch {
+		case snaps == nil:
+			e.simBlock(bs, d, b*bitset.WordBits, mask, out, nil, nil)
+		case mask == e.blockWorlds(b): // every world: the block is rewritten
+			snaps[b].reset()
+			e.simBlock(bs, d, b*bitset.WordBits, mask, out, &snaps[b], nil)
+		default:
+			bs.group.reset()
+			e.simBlock(bs, d, b*bitset.WordBits, mask, out, &bs.group, &snaps[b])
+			snaps[b].merge(mask, &bs.group, d.NumSeeds(), &bs.merge)
 		}
 	}
 	if bs != nil {

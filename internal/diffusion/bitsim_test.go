@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"math/bits"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -97,8 +98,11 @@ type worldRecord struct {
 // its per-world record: the entries of w's block whose mask holds w, in list
 // order, with their scan state at w.
 func snapshotRecord(wc *WorldCache, w int) worldRecord {
-	s := &wc.snaps[w/bitset.WordBits]
-	bit := w & bitset.WordMask
+	return blockRecord(&wc.snaps[w/bitset.WordBits], w&bitset.WordMask)
+}
+
+// blockRecord expands world bit of block snapshot s into its record.
+func blockRecord(s *blockSnap, bit int) worldRecord {
 	var rec worldRecord
 	for _, ent := range s.ents {
 		if ent.mask>>uint(bit)&1 == 0 {
@@ -301,6 +305,56 @@ func TestBitParallelScalarParity(t *testing.T) {
 							}
 						}
 					})
+				}
+			}
+		}
+	}
+}
+
+// TestSimBlockSeedPrefix runs the block kernel directly against the scalar
+// reference with no seed, one seed and many, each under a full block mask,
+// a sparse one and the ragged tail block's: every world's slots and
+// snapshot record must equal simWorld's. The seed prefix — every world's
+// benefit starting from the seeds' benefits summed in ascending seed order,
+// and its activated and explored counts from the seed count — is written
+// once per block, so this is where a wrong order or count shows.
+func TestSimBlockSeedPrefix(t *testing.T) {
+	inst := randomInstance(t, 40, 140, 71)
+	const samples = 2*64 + 37
+	est := NewEstimator(inst, samples, 73)
+	src := rng.New(75)
+	for _, seeds := range []int{0, 1, 12} {
+		d := NewDeployment(40)
+		for d.NumSeeds() < seeds {
+			d.AddSeed(int32(src.Intn(40)))
+		}
+		for i := 0; i < 14; i++ {
+			if v := int32(src.Intn(40)); d.K(v) < inst.G.OutDegree(v) {
+				d.AddK(v, 1)
+			}
+		}
+		for _, c := range []struct {
+			block int
+			mask  uint64
+		}{{0, ^uint64(0)}, {1, 0x8000_0040_0100_0003}, {2, bitset.RangeMask(0, 37)}} {
+			out := newWorldSlots(samples)
+			var snap blockSnap
+			bs := est.getBlockScratch()
+			est.simBlock(bs, d, c.block*64, c.mask, out, &snap, nil)
+			est.putBlockScratch(bs)
+			sc := newSimScratch(40)
+			for m := c.mask; m != 0; m &= m - 1 {
+				bit := bits.TrailingZeros64(m)
+				w := c.block*64 + bit
+				var rec worldRecord
+				b, cost, hop, activated, explored := est.simWorld(sc, d, uint64(w), &rec)
+				if out.benefit[w] != b || out.cost[w] != cost || out.hop[w] != hop ||
+					int(out.activated[w]) != activated || int(out.explored[w]) != explored {
+					t.Fatalf("%d seeds, world %d: kernel (%v %v %d %d %d) != simWorld (%v %v %d %d %d)", seeds, w,
+						out.benefit[w], out.cost[w], out.hop[w], out.activated[w], out.explored[w], b, cost, hop, activated, explored)
+				}
+				if got := blockRecord(&snap, bit); !reflect.DeepEqual(got, rec) {
+					t.Fatalf("%d seeds, world %d: snapshot record %+v != simWorld %+v", seeds, w, got, rec)
 				}
 			}
 		}

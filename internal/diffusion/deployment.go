@@ -143,6 +143,34 @@ func (d *Deployment) Clone() *Deployment {
 	return c
 }
 
+// CopyFrom makes d an independent copy of o, reusing d's arrays: clearing
+// d's own seeds and holders and setting o's costs O(|S| + |I|) of both, not
+// the network size.
+func (d *Deployment) CopyFrom(o *Deployment) {
+	if d == o {
+		return
+	}
+	for _, v := range d.seeds {
+		d.seed[v] = false
+	}
+	for _, v := range d.holders {
+		d.k[v] = 0
+	}
+	if len(d.seed) < o.n {
+		d.seed = append(d.seed, make([]bool, o.n-len(d.seed))...)
+		d.k = append(d.k, make([]int32, o.n-len(d.k))...)
+	}
+	d.n, d.seed, d.k = o.n, d.seed[:o.n], d.k[:o.n]
+	for _, v := range o.seeds {
+		d.seed[v] = true
+	}
+	for _, v := range o.holders {
+		d.k[v] = o.k[v]
+	}
+	d.seeds = append(d.seeds[:0], o.seeds...)
+	d.holders = append(d.holders[:0], o.holders...)
+}
+
 // Equal reports whether two deployments select the same seeds and
 // allocation.
 func (d *Deployment) Equal(o *Deployment) bool {

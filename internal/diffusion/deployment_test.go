@@ -104,8 +104,9 @@ func (r *denseRef) build(rnd *rand.Rand) *Deployment {
 // the holder list is exactly the users with K > 0, ascending; TotalK,
 // Allocated and Equal agree with the reference; SCCostOf is bit-equal to
 // the dense scan on instances both shorter than and as long as the
-// deployment; and the world cache's coupon diff against the previous step
-// equals the dense scan's, maxAdvanceChanged cut-off included.
+// deployment; the world cache's coupon diff and seed-add test against the
+// previous step equal the dense scans', maxAdvanceChanged cut-off
+// included; and a copy reused through every step (CopyFrom) equals d.
 func TestDeploymentHolderListMatchesDense(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	const n0, nMax = 60, 90
@@ -133,7 +134,8 @@ func TestDeploymentHolderListMatchesDense(t *testing.T) {
 
 	d := NewDeployment(n0)
 	ref := &denseRef{seed: make([]bool, n0), k: make([]int, n0)}
-	cutoffs, diffs := 0, 0
+	copied := &Deployment{}
+	cutoffs, diffs, seedAdds := 0, 0, 0
 	for step := 0; step < 3000; step++ {
 		prev := d.Clone()
 		n := len(ref.k)
@@ -217,6 +219,19 @@ func TestDeploymentHolderListMatchesDense(t *testing.T) {
 		if gotOK != denseOK || !slices.Equal(got, dense) {
 			t.Fatalf("step %d: couponDiff (%v, %v), dense (%v, %v)", step, got, gotOK, dense, denseOK)
 		}
+		s, sOK := wc.seedAdded(d)
+		denseS, denseSOK := denseSeedAdded(prev, d)
+		if sOK != denseSOK || sOK && s != denseS {
+			t.Fatalf("step %d: seedAdded (%d, %v), dense (%d, %v)", step, s, sOK, denseS, denseSOK)
+		}
+		if sOK {
+			seedAdds++
+		}
+		// One reused copy follows d through every size and edit.
+		copied.CopyFrom(d)
+		if !copied.Equal(d) || !d.Equal(copied) || copied.NumUsers() != d.NumUsers() {
+			t.Fatalf("step %d: CopyFrom gave %v, want %v", step, copied, d)
+		}
 		if slices.Equal(prev.Seeds(), d.Seeds()) {
 			if denseOK {
 				diffs++
@@ -225,7 +240,34 @@ func TestDeploymentHolderListMatchesDense(t *testing.T) {
 			}
 		}
 	}
-	if cutoffs == 0 || diffs == 0 {
-		t.Fatalf("degenerate sequence: %d cut-offs, %d diffs under the cap", cutoffs, diffs)
+	if cutoffs == 0 || diffs == 0 || seedAdds == 0 {
+		t.Fatalf("degenerate sequence: %d cut-offs, %d diffs under the cap, %d seed adds", cutoffs, diffs, seedAdds)
 	}
+}
+
+// denseSeedAdded is the reference for WorldCache.seedAdded: d holds base's
+// seeds plus exactly one more, s, and every coupon count but s's equals
+// base's.
+func denseSeedAdded(base, d *Deployment) (int32, bool) {
+	s := int32(-1)
+	for v := int32(0); int(v) < d.n; v++ {
+		switch {
+		case base.seed[v] && !d.seed[v]:
+			return 0, false
+		case d.seed[v] && !base.seed[v]:
+			if s >= 0 {
+				return 0, false
+			}
+			s = v
+		}
+	}
+	if s < 0 {
+		return 0, false
+	}
+	for v := int32(0); int(v) < d.n; v++ {
+		if v != s && base.k[v] != d.k[v] {
+			return 0, false
+		}
+	}
+	return s, true
 }

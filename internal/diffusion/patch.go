@@ -123,7 +123,7 @@ func (wc *WorldCache) PatchEdges(e2 *Estimator, batch []graph.Edge) Result {
 	}
 	e2.evals.Add(1)
 	samples := old.Samples
-	affected := make([]uint64, len(wc.snaps))
+	affected := wc.affectedScratch()
 	oldM := int32(gOld.NumEdges())
 	wc.buildInverted()
 	for _, u := range churnSources(batch) {

@@ -2,6 +2,7 @@ package diffusion_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,17 +14,23 @@ import (
 // BenchmarkWorldCacheRebase times one full world-cache rebase — every world
 // simulated and its snapshot written — against Estimator.Evaluate of the
 // same deployment, which simulates every world and writes no snapshot. The
-// gap between the two op= cells is the price of the snapshot. Epinions/10
-// (≈7,600 users), 1,000 worlds, one worker; the deployment seeds the
-// highest-out-degree users with up to two coupons each.
+// gap between the two op= cells is the price of the snapshot. The
+// op=seedchain cell times the seed steps instead: one op rebases from the
+// empty deployment along 160 single-seed additions, the path the ID loop
+// and snapshot selection take on each seed step. Epinions/10 (≈7,600
+// users), 1,000 worlds, one worker; the deployments seed the
+// highest-out-degree users with min(2, out-degree) coupons each.
 func BenchmarkWorldCacheRebase(b *testing.B) {
 	inst, err := eval.BuildInstance(eval.Setup{Preset: gen.Epinions, Scale: 10, Seed: 77})
 	if err != nil {
 		b.Fatal(err)
 	}
 	const samples = 1000
+	order := degreeOrder(inst)
 	for _, seeds := range []int{1, 20, 80, 160} {
-		d, alt := rebaseBenchDeployments(inst, seeds)
+		d := seededDeployment(inst, order[:seeds])
+		// alt swaps d's last seed for the next user in degree order.
+		alt := seededDeployment(inst, append(slices.Clone(order[:seeds-1]), order[seeds]))
 		b.Run(fmt.Sprintf("seeds=%d/op=rebase", seeds), func(b *testing.B) {
 			wc := diffusion.NewWorldCache(inst, samples, 77, 0)
 			wc.Rebase(d) // fills the lazily materialized live-edge rows
@@ -49,28 +56,42 @@ func BenchmarkWorldCacheRebase(b *testing.B) {
 			}
 		})
 	}
+	b.Run("seeds=160/op=seedchain", func(b *testing.B) {
+		chain := make([]*diffusion.Deployment, 161)
+		for i := range chain {
+			chain[i] = seededDeployment(inst, order[:i])
+		}
+		wc := diffusion.NewWorldCache(inst, samples, 77, 0)
+		for _, d := range chain {
+			wc.Rebase(d) // fills the lazily materialized live-edge rows
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, d := range chain {
+				wc.Rebase(d)
+			}
+		}
+	})
 }
 
-// rebaseBenchDeployments returns two deployments of `seeds` seeds each: the
-// highest-out-degree users (ties by id), and the same set with its last
-// seed swapped for the next user in that order. Every seed holds
-// min(2, out-degree) coupons.
-func rebaseBenchDeployments(inst *diffusion.Instance, seeds int) (d, alt *diffusion.Deployment) {
+// degreeOrder returns the users by descending out-degree, ties by id.
+func degreeOrder(inst *diffusion.Instance) []int32 {
 	g := inst.G
-	n := g.NumNodes()
-	order := make([]int32, n)
+	order := make([]int32, g.NumNodes())
 	for i := range order {
 		order[i] = int32(i)
 	}
 	sort.SliceStable(order, func(i, j int) bool { return g.OutDegree(order[i]) > g.OutDegree(order[j]) })
-	build := func(users []int32) *diffusion.Deployment {
-		d := diffusion.NewDeployment(n)
-		for _, v := range users {
-			d.AddSeed(v)
-			d.SetK(v, min(2, g.OutDegree(v)))
-		}
-		return d
+	return order
+}
+
+// seededDeployment seeds users, each with min(2, out-degree) coupons.
+func seededDeployment(inst *diffusion.Instance, users []int32) *diffusion.Deployment {
+	d := diffusion.NewDeployment(inst.G.NumNodes())
+	for _, v := range users {
+		d.AddSeed(v)
+		d.SetK(v, min(2, inst.G.OutDegree(v)))
 	}
-	altUsers := append(append([]int32(nil), order[:seeds-1]...), order[seeds])
-	return build(order[:seeds]), build(altUsers)
+	return d
 }

@@ -43,42 +43,58 @@ func snapshotProblem(t *testing.T, r *rand.Rand, n, baseEdges, streamEdges int, 
 	return inst, all[baseEdges:]
 }
 
-// checkSnapshotLayout asserts the block snapshot's own bookkeeping: no entry
-// names a world past the sample count, live counts the set mask bits, the
-// cleared bits never outnumber the live ones (compactIfSparse's bound), every
-// holder run has one slot per world of its creation mask, and the inverted
-// index lists exactly the live entries of each node in ascending block order.
+// checkSnapshotLayout asserts the block snapshot's own bookkeeping: the
+// entries open with the base's seeds, each in every world; every entry
+// names a world of the block and at least one; its parent precedes it
+// (a seed's key is (-1, its id)) and the keys ascend strictly, so no two
+// entries hold one event; every holder run has one slot per world of its
+// mask, inside the arrays and apart from every other run; the free slots are
+// counted and never outnumber the owned ones (compact's bound); and the
+// inverted index lists exactly the entries of each node in ascending block
+// order.
 func checkSnapshotLayout(t *testing.T, wc *WorldCache, step string) {
 	t.Helper()
 	samples := wc.Est.Samples
 	var refs []entryRef
 	for b := range wc.snaps {
 		s := &wc.snaps[b]
-		valid := ^uint64(0)
-		if rest := samples - b*64; rest < 64 {
-			valid = 1<<uint(rest) - 1
+		valid := wc.Est.blockWorlds(b)
+		owner := make([]int, len(s.red))
+		owned := 0
+		for i, v := range wc.base.Seeds() {
+			if i >= len(s.ents) || s.ents[i].node != v || s.ents[i].mask != valid {
+				t.Fatalf("%s block %d: entry %d is not seed %d in every world", step, b, i, v)
+			}
 		}
-		live, slots := 0, 0
 		for i, e := range s.ents {
-			if e.mask&^valid != 0 || e.mask&^e.orig != 0 {
-				t.Fatalf("%s block %d entry %d: mask %#x outside the block's worlds or its creation mask %#x", step, b, i, e.mask, e.orig)
+			if e.mask == 0 || e.mask&^valid != 0 {
+				t.Fatalf("%s block %d entry %d: mask %#x empty or outside the block's %d worlds", step, b, i, e.mask, samples)
 			}
-			live += bits.OnesCount64(e.mask)
-			if e.scan != noScan {
-				if int(e.scan) != slots {
-					t.Fatalf("%s block %d entry %d: run at %d, want %d", step, b, i, e.scan, slots)
+			if e.parent >= int32(i) || e.parent < 0 && (e.parent != -1 || e.pos != e.node) {
+				t.Fatalf("%s block %d entry %d: key (%d, %d) of node %d", step, b, i, e.parent, e.pos, e.node)
+			}
+			if i > 0 {
+				if p := s.ents[i-1]; cmp.Or(cmp.Compare(p.parent, e.parent), cmp.Compare(p.pos, e.pos)) >= 0 {
+					t.Fatalf("%s block %d entry %d: key (%d, %d) not above its predecessor's (%d, %d)", step, b, i, e.parent, e.pos, p.parent, p.pos)
 				}
-				slots += bits.OnesCount64(e.orig)
 			}
-			if e.mask != 0 {
-				refs = append(refs, entryRef{blk: int32(b), idx: int32(i)})
+			if e.scan != noScan {
+				k := bits.OnesCount64(e.mask)
+				if e.scan < 0 || int(e.scan)+k > len(s.red) || len(s.stop) != len(s.red) {
+					t.Fatalf("%s block %d entry %d: run [%d, +%d) outside %d/%d slots", step, b, i, e.scan, k, len(s.red), len(s.stop))
+				}
+				for at := int(e.scan); at < int(e.scan)+k; at++ {
+					if owner[at] != 0 {
+						t.Fatalf("%s block %d entry %d: run slot %d also held by entry %d", step, b, i, at, owner[at]-1)
+					}
+					owner[at] = i + 1
+				}
+				owned += k
 			}
+			refs = append(refs, entryRef{blk: int32(b), idx: int32(i)})
 		}
-		if live != s.live || len(s.red) != slots || len(s.stop) != slots {
-			t.Fatalf("%s block %d: live %d (counted %d), runs %d/%d slots (want %d)", step, b, s.live, live, len(s.red), len(s.stop), slots)
-		}
-		if s.dead > s.live {
-			t.Fatalf("%s block %d: %d cleared bits outnumber %d live ones: not compacted", step, b, s.dead, s.live)
+		if s.free != len(s.red)-owned || s.free > owned {
+			t.Fatalf("%s block %d: %d free slots counted, %d of %d unowned (must not outnumber the owned)", step, b, s.free, len(s.red)-owned, len(s.red))
 		}
 	}
 	wc.buildInverted()
@@ -95,7 +111,7 @@ func checkSnapshotLayout(t *testing.T, wc *WorldCache, step string) {
 	key := func(r entryRef) int64 { return int64(r.blk)<<32 | int64(r.idx) }
 	slices.SortFunc(got, func(a, b entryRef) int { return cmp.Compare(key(a), key(b)) })
 	if !slices.Equal(got, refs) {
-		t.Fatalf("%s: inverted index holds %d entries, the snapshot %d live ones", step, len(got), len(refs))
+		t.Fatalf("%s: inverted index holds %d entries, the snapshot %d", step, len(got), len(refs))
 	}
 }
 
@@ -103,50 +119,72 @@ func checkSnapshotLayout(t *testing.T, wc *WorldCache, step string) {
 func cloneSnaps(snaps []blockSnap) []blockSnap {
 	out := make([]blockSnap, len(snaps))
 	for b, s := range snaps {
-		out[b] = blockSnap{ents: slices.Clone(s.ents), red: slices.Clone(s.red), stop: slices.Clone(s.stop), live: s.live, dead: s.dead}
+		out[b] = blockSnap{ents: slices.Clone(s.ents), red: slices.Clone(s.red), stop: slices.Clone(s.stop), free: s.free}
 	}
 	return out
 }
 
-// sameSnaps reports whether two block-snapshot lists hold the same entries,
-// runs and counts.
+// sameSnaps reports whether two block-snapshot lists hold the same events,
+// key for key, and the same scan state for each: the runs' places in the
+// arrays may differ.
 func sameSnaps(a, b []blockSnap) bool {
 	return slices.EqualFunc(a, b, func(x, y blockSnap) bool {
-		return slices.Equal(x.ents, y.ents) && slices.Equal(x.red, y.red) && slices.Equal(x.stop, y.stop) &&
-			x.live == y.live && x.dead == y.dead
+		return slices.EqualFunc(x.ents, y.ents, func(e, f snapEntry) bool {
+			if e.node != f.node || e.parent != f.parent || e.pos != f.pos || e.mask != f.mask || (e.scan == noScan) != (f.scan == noScan) {
+				return false
+			}
+			if e.scan == noScan {
+				return true
+			}
+			k := bits.OnesCount64(e.mask)
+			return slices.Equal(x.red[e.scan:int(e.scan)+k], y.red[f.scan:int(f.scan)+k]) &&
+				slices.Equal(x.stop[e.scan:int(e.scan)+k], y.stop[f.scan:int(f.scan)+k])
+		})
 	})
 }
 
 // TestWorldCacheBlockSnapshotProperty drives world caches through long
-// random chains of partial re-simulation — coupon advances, churn patches,
-// sparse delta evaluations and delta sweeps — under IC and LT, at sample
-// counts with a ragged tail block, and checks after every step that:
+// random chains of partial re-simulation — coupon advances, seed additions,
+// churn patches, sparse delta evaluations and delta sweeps — under IC and
+// LT, on materialized and hashed liveness, at sample counts with a ragged
+// tail block, and checks after every step that:
 //   - each world's expanded view of the block-order snapshot, and its
 //     metrics, equal simWorld's record for the current base (checkSnapshots);
 //   - the snapshot's bookkeeping and inverted index hold (checkSnapshotLayout);
+//   - the snapshot equals a cold cache's rebased on the same deployment, entry
+//     for entry and slot for slot: partial moves merge, never fragment;
 //   - Rebase equals the scalar fold, EvaluateDelta the scalar delta fold
 //     while leaving the snapshot untouched, and DeltaBenefits a cold cache
 //     rebased on the same deployment bit for bit.
 //
-// The chains clear enough bits to fragment blocks and to push them past the
-// compaction bound, which checkSnapshotLayout enforces; the test fails if no
-// block ever accumulated cleared bits or had them cleared by a rebuild.
+// The seed additions cycle through a new seed that already held coupons,
+// one left without coupons, and one in a base holder's row; the test fails
+// unless the chain took the coupon-advance and seed-add paths, had a seed
+// addition whose block mixed inert and re-simulated worlds, and one whose
+// inert worlds had seen a member of the seed's row by a holder's probe
+// (seedAddCase), and freed run slots and compacted them.
 func TestWorldCacheBlockSnapshotProperty(t *testing.T) {
 	for _, model := range Models() {
-		for _, samples := range []int{70, 170} {
-			t.Run(fmt.Sprintf("%s/samples=%d", model, samples), func(t *testing.T) {
-				snapshotChain(t, model, samples, int64(len(model)*1000+samples))
-			})
+		for _, sub := range substrateBudgets {
+			for _, samples := range []int{70, 170} {
+				name := model
+				if sub.budget != 0 {
+					name += "-" + sub.name
+				}
+				t.Run(fmt.Sprintf("%s/samples=%d", name, samples), func(t *testing.T) {
+					snapshotChain(t, model, sub.budget, samples, int64(len(model)*1000+samples))
+				})
+			}
 		}
 	}
 }
 
-func snapshotChain(t *testing.T, model string, samples int, seed int64) {
+func snapshotChain(t *testing.T, model string, budget int64, samples int, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	const n = 36
 	inst, stream := snapshotProblem(t, r, n, 130, 60, model)
 	newEst := func(inst *Instance) *Estimator {
-		ev, err := NewEngineOpts(inst, EngineOptions{Engine: EngineMC, Model: model, Samples: samples, Seed: 9})
+		ev, err := NewEngineOpts(inst, EngineOptions{Engine: EngineMC, Model: model, Samples: samples, Seed: 9, LiveEdgeMemBudget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,11 +226,60 @@ func snapshotChain(t *testing.T, model string, samples int, seed int64) {
 		}
 		return changed
 	}
-	fragmented, rebuilt := false, false
-	for step := 1; step <= 120; step++ {
+	// seedMove adds one seed to d, of the kind the count of seed moves so
+	// far selects, and sets its coupons; past ten seeds it removes one
+	// instead, a move only a full rebase takes.
+	seedMoves := 0
+	seedMove := func() string {
+		g := wc.Est.Inst.G
+		if d.NumSeeds() >= 10 {
+			d.RemoveSeed(d.Seeds()[r.Intn(d.NumSeeds())])
+			return "seed removal"
+		}
+		var pool []int32
+		kind := seedMoves % 3
+		seedMoves++
+		for v := int32(0); v < n; v++ {
+			if d.IsSeed(v) {
+				continue
+			}
+			switch kind {
+			case 0: // a holder: the new seed already held coupons
+				if d.K(v) > 0 {
+					pool = append(pool, v)
+				}
+			case 1: // any user, left without coupons
+				pool = append(pool, v)
+			default: // a target in a holder's row
+				for _, u := range d.holders {
+					if ts, _ := g.OutEdges(u); slices.Contains(ts, v) {
+						pool = append(pool, v)
+						break
+					}
+				}
+			}
+		}
+		if len(pool) == 0 {
+			pool = append(pool, int32(slices.IndexFunc(d.seed, func(s bool) bool { return !s })))
+		}
+		s := pool[r.Intn(len(pool))]
+		d.AddSeed(s)
+		switch deg := g.OutDegree(s); {
+		case kind == 1 || deg == 0:
+			d.SetK(s, 0)
+		case d.K(s) > 0 && r.Intn(2) == 0:
+			// keep the coupons it held
+		default:
+			d.SetK(s, 1+r.Intn(deg))
+		}
+		return "seed add"
+	}
+	var mixed, probed, freed, compacted bool
+	taken := map[string]int64{} // moves made, by kind
+	for step := 1; step <= 150; step++ {
 		before := cloneSnaps(wc.snaps)
 		var what string
-		switch op := r.Intn(10); {
+		switch op := r.Intn(12); {
 		case op < 5:
 			what = "advance"
 			couponMove(d)
@@ -204,7 +291,7 @@ func snapshotChain(t *testing.T, model string, samples int, seed int64) {
 			if got, want := wc.EvaluateDelta(trial, changed), scalarDelta(wc, trial); got != want {
 				t.Fatalf("step %d: EvaluateDelta %v != scalar delta fold %v", step, got, want)
 			}
-			if !sameSnaps(wc.snaps, before) {
+			if !reflect.DeepEqual(wc.snaps, before) {
 				t.Fatalf("step %d: EvaluateDelta changed the snapshot", step)
 			}
 		case op < 9 && len(stream) > 0:
@@ -219,7 +306,7 @@ func snapshotChain(t *testing.T, model string, samples int, seed int64) {
 			inst2 := &Instance{G: g2, Benefit: inst.Benefit, SeedCost: inst.SeedCost, SCCost: inst.SCCost, Budget: inst.Budget}
 			e2 := wc.Est.WithGraph(inst2, ChurnTargets(batch))
 			checkCacheStep(t, wc, wc.PatchEdges(e2, batch), nil, step)
-		default:
+		case op < 10:
 			what = "DeltaBenefits"
 			cands := couponCandidates(wc.Est.Inst, d)
 			cold := &WorldCache{Est: newEst(wc.Est.Inst)}
@@ -228,46 +315,99 @@ func snapshotChain(t *testing.T, model string, samples int, seed int64) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("step %d: DeltaBenefits over the patched snapshot %v != cold %v", step, got, want)
 			}
+		default:
+			base := d.Clone()
+			what = seedMove()
+			if what == "seed add" {
+				m, p := seedAddCase(wc, base, d)
+				mixed, probed = mixed || m, probed || p
+			}
+			checkCacheStep(t, wc, wc.Rebase(d), nil, step)
 		}
-		checkSnapshotLayout(t, wc, fmt.Sprintf("step %d (%s)", step, what))
 		for b := range wc.snaps {
 			s, was := &wc.snaps[b], &before[b]
-			fragmented = fragmented || s.dead > 0
-			// Only a compaction, or a re-simulation of every live world of
-			// the block, clears a nonzero dead count of a live block.
-			rebuilt = rebuilt || was.dead > 0 && s.dead == 0 && s.live > 0
+			freed = freed || s.free > 0
+			// Only compact, or a full rebase, clears a block's free slots.
+			compacted = compacted || what != "seed removal" && was.free > 0 && s.free == 0
+		}
+		taken[what]++
+		step := fmt.Sprintf("step %d (%s)", step, what)
+		checkSnapshotLayout(t, wc, step)
+		cold := &WorldCache{Est: newEst(wc.Est.Inst)}
+		cold.Rebase(d)
+		if !sameSnaps(wc.snaps, cold.snaps) {
+			t.Fatalf("%s: snapshot differs from a cold rebase's", step)
 		}
 	}
-	if !fragmented || !rebuilt {
-		t.Fatalf("chain never fragmented (%v) or never rebuilt (%v) a block: lengthen it", fragmented, rebuilt)
+	// Every coupon move and seed addition takes its incremental path; a
+	// seed removal, and only the first rebase besides, simulates every
+	// world.
+	c := wc.Rebases()
+	if c.Advance != taken["advance"] || c.SeedAdd != taken["seed add"] || c.Full != 1+taken["seed removal"] {
+		t.Fatalf("rebases %+v for moves %v", c, taken)
+	}
+	if c.Advance == 0 || c.SeedAdd == 0 || !mixed || !probed || !freed || !compacted {
+		t.Fatalf("chain took %+v, mixed inert and re-simulated worlds in a block: %v, probed a seed's row: %v, "+
+			"freed run slots: %v, compacted: %v: lengthen it", c, mixed, probed, freed, compacted)
 	}
 }
 
-// TestBlockSnapCompaction checks compactIfSparse on a hand-built block:
-// below the bound it leaves the snapshot alone; past it, dead entries go,
-// every holder run keeps exactly its live worlds' slots, and each world's
-// view — nodes, order and scan state — is unchanged.
-func TestBlockSnapCompaction(t *testing.T) {
-	var cnt, stop [64]int32
-	for w := range cnt {
-		cnt[w], stop[w] = int32(w%3), int32(100+w)
-	}
-	// Holders 0 (a seed, every world), 2 (scattered worlds) and 4; users 1
-	// and 3 hold no coupons.
-	d := NewDeployment(5)
-	for _, v := range []int32{0, 2, 4} {
-		d.SetK(v, 1)
-	}
-	queue := []blockEntry{{node: 0, mask: ^uint64(0)}, {node: 1, mask: 0xf0f0},
-		{node: 2, mask: 0x8000_0000_0000_0101}, {node: 3, mask: 0x0f}, {node: 4, mask: 0xff00}}
-	var s blockSnap
-	for _, q := range queue {
-		if d.K(q.node) > 0 {
-			s.addRun(q.mask, &cnt, &stop)
+// seedAddCase classifies the move from base to d, which adds one seed s, by
+// the scalar reference: a world is inert when base leaves s inactive and,
+// if s holds coupons under d, no out-edge of s is live. It reports whether
+// some block holds both inert and other worlds, and whether in some inert
+// world the base saw s or a target of s's row without activating it — by a
+// holder's probe, which the seed add must count as already explored.
+func seedAddCase(wc *WorldCache, base, d *Deployment) (mixed, probed bool) {
+	e := wc.Est
+	g := e.Inst.G
+	var s int32
+	for _, v := range d.Seeds() {
+		if !base.IsSeed(v) {
+			s = v
 		}
 	}
-	s.addEvents(queue, d, 0)
-	view := func() [][][3]int32 {
+	xs := []int32{s}
+	if d.K(s) > 0 {
+		ts, _ := g.OutEdges(s)
+		xs = append(xs, ts...)
+	}
+	sc := newSimScratch(g.NumNodes())
+	inert := make([]uint64, len(wc.snaps))
+	for w := 0; w < e.Samples; w++ {
+		e.simWorld(sc, base, uint64(w), nil)
+		ok := !sc.active(s)
+		if targets, _, keys, kbase := g.OutRow(s); ok && d.K(s) > 0 {
+			for j := range targets {
+				ek := uint64(kbase) + uint64(j)
+				if keys != nil {
+					ek = uint64(uint32(keys[j]))
+				}
+				ok = ok && !e.Live.Live(uint64(w), ek)
+			}
+		}
+		if !ok {
+			continue
+		}
+		inert[w/64] |= 1 << uint(w%64)
+		for _, x := range xs {
+			probed = probed || sc.seen[x] == sc.epoch && !sc.active(x)
+		}
+	}
+	for b, m := range inert {
+		mixed = mixed || m != 0 && m != e.blockWorlds(b)
+	}
+	return mixed, probed
+}
+
+// TestBlockSnapMerge checks merge and insertSeed on hand-built blocks:
+// re-simulating some worlds rewrites the seed's scan state at those worlds
+// in place, fuses their other events with the kept worlds' events of equal
+// key and node, adds the rest by key and removes entries left without
+// worlds, keeping every world's view — nodes, order and scan state; a new
+// seed joins every world at its key, the offers' parents moving up by one.
+func TestBlockSnapMerge(t *testing.T) {
+	view := func(s *blockSnap) [][][3]int32 {
 		out := make([][][3]int32, 64)
 		for w := 0; w < 64; w++ {
 			for _, e := range s.ents {
@@ -279,28 +419,78 @@ func TestBlockSnapCompaction(t *testing.T) {
 		}
 		return out
 	}
-	s.drop(0x0f) // kills node 3's entry: 9 bits cleared, 78 live
-	s.compactIfSparse()
-	if len(s.ents) != 5 || s.dead != 9 || s.live != 78 {
-		t.Fatalf("compacted below the bound: %d entries, %d dead, %d live", len(s.ents), s.dead, s.live)
+	// Users 0, 2 and 4 hold coupons; cnt and stop give each world's scan
+	// state, shifted by off.
+	d := NewDeployment(6)
+	for _, v := range []int32{0, 2, 4} {
+		d.SetK(v, 1)
 	}
-	s.drop(^uint64(0) &^ 0x8000_0000_0000_0100) // leaves worlds 8 and 63: 82 dead, 5 live
-	want := view()
-	s.compactIfSparse()
-	if s.dead != 0 || s.live != 5 {
-		t.Fatalf("after compaction: %d dead, %d live, want 0 and 5", s.dead, s.live)
+	d.AddSeed(0)
+	scan := func(off int32) (cnt, stop [64]int32) {
+		for w := range cnt {
+			cnt[w], stop[w] = int32(w%3)+off, int32(100+w)+off
+		}
+		return cnt, stop
 	}
-	if got := view(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("compaction changed the per-world views:\n got %v\nwant %v", got, want)
+	// build writes one simulation's queue as a snapshot.
+	build := func(queue []blockEntry, off int32) *blockSnap {
+		cnt, stop := scan(off)
+		var s blockSnap
+		for _, q := range queue {
+			if d.K(q.node) > 0 {
+				s.addRun(q.mask, &cnt, &stop)
+			}
+		}
+		s.addEvents(queue, d)
+		return &s
 	}
-	var nodes []int32
+	// Seed 0 in every world offers to 1 (position 0), 2 (position 1) and 3
+	// (position 2); 2 offers to 4.
+	all := ^uint64(0)
+	s := build([]blockEntry{{node: 0, parent: -1, pos: 0, mask: all},
+		{node: 1, parent: 0, pos: 0, mask: 0xf0f0}, {node: 2, parent: 0, pos: 1, mask: 0x8000_0000_0000_0101},
+		{node: 3, parent: 0, pos: 2, mask: 0x0f}, {node: 4, parent: 2, pos: 0, mask: 0x0100}}, 0)
+	// Worlds 0–3 and 8 re-simulate: seed 0 offers to 2 only there, and 2 to
+	// 4 in world 0 and to 5 (position 1) in world 8.
+	a := uint64(0x010f)
+	queue := []blockEntry{{node: 0, parent: -1, pos: 0, mask: a},
+		{node: 2, parent: 0, pos: 1, mask: a}, {node: 4, parent: 1, pos: 0, mask: 0x01},
+		{node: 5, parent: 1, pos: 1, mask: 0x0100}}
+	want, gv := view(s), view(build(queue, 1))
+	for m := a; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		want[w] = gv[w]
+	}
+	g := build(queue[1:], 1)
+	cnt, stop := scan(1)
+	s.setRun(0, 0, a, &cnt, &stop)
+	var sc mergeScratch
+	s.merge(a, g, 1, &sc)
+	if got := view(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge changed the per-world views:\n got %v\nwant %v", got, want)
+	}
+	var keys [][3]int32
 	for _, e := range s.ents {
-		nodes = append(nodes, e.node)
+		keys = append(keys, [3]int32{e.node, e.parent, e.pos})
 	}
-	if !slices.Equal(nodes, []int32{0, 2, 4}) {
-		t.Fatalf("compacted entries %+v, want nodes 0, 2 and 4", s.ents)
+	// Node 3 was only in dropped worlds; 2 and 4 fuse; 5 is new.
+	if wantKeys := [][3]int32{{0, -1, 0}, {1, 0, 0}, {2, 0, 1}, {4, 2, 0}, {5, 2, 1}}; !slices.Equal(keys, wantKeys) {
+		t.Fatalf("merged entries %v, want %v", keys, wantKeys)
 	}
-	if len(s.red) != 5 || len(s.stop) != 5 {
-		t.Fatalf("compacted runs hold %d/%d slots, want one per live holder world (5)", len(s.red), len(s.stop))
+	if m := s.ents[2].mask; m != 0x8000_0000_0000_010f {
+		t.Fatalf("fused entry of node 2 holds worlds %#x", m)
+	}
+	// A new seed 3 in every world lands at its key (-1, 3): after seed 0,
+	// before every offer, whose parents move up by one.
+	before := view(s)
+	s.insertSeed(3, all, true, 7)
+	if s.ents[1].node != 3 || s.ents[1].mask != all || s.ents[2].parent != 0 || s.ents[4].parent != 3 {
+		t.Fatalf("seed inserted as %+v", s.ents)
+	}
+	for w := range before {
+		before[w] = slices.Insert(before[w], 1, [3]int32{3, 0, 7})
+	}
+	if got := view(s); !reflect.DeepEqual(got, before) {
+		t.Fatalf("seed insertion changed the per-world views:\n got %v\nwant %v", got, before)
 	}
 }

@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"s3crm/internal/bitset"
@@ -19,7 +20,11 @@ import (
 //     only in coupon counts re-simulates only the worlds that activate a
 //     changed node (a user's coupons are inert until the user is active),
 //     so the ID loop's one-coupon-per-investment cadence pays a fraction of
-//     a full simulation per step. Seed-set changes rebase from scratch.
+//     a full simulation per step. Adding one seed re-simulates only the
+//     worlds the seed can reach — where it is already active, or where it
+//     scans and one of its out-edges is live; in the others it joins at
+//     hop 0 and changes nothing else. Other seed-set changes rebase from
+//     scratch.
 //   - DeltaBenefits — "base plus one coupon at v" for a batch of candidates
 //     v, the greedy ID loop's dominant query. Worlds in which v is inactive
 //     are untouched, and in the remaining worlds only v's resumed offer
@@ -46,7 +51,7 @@ type WorldCache struct {
 	// The snapshot: per-world aggregate metrics, and per 64-world block the
 	// activation events in the block kernel's order with the coupon
 	// holders' offer-scan state (blockSnap). Both keep their capacity across
-	// rebases and advances.
+	// moves.
 	outs  *worldSlots
 	snaps []blockSnap
 
@@ -58,6 +63,14 @@ type WorldCache struct {
 	invOff   []int32
 	inv      []entryRef
 	invCnt   []int32 // scratch for the counting pass
+
+	counts RebaseCounts
+
+	// Scratch reused across moves: the per-block affected-world masks, the
+	// coupon diff, and the seed add's state (seedScratch).
+	affected []uint64
+	changed  []int32
+	add      seedScratch
 
 	poolOnce sync.Once
 	pool     sync.Pool // of *deltaScratch
@@ -96,12 +109,19 @@ func (wc *WorldCache) Evals() int64 { return wc.Est.Evals() }
 // swept across this cache's rebases and delta evaluations.
 func (wc *WorldCache) BlockEvals() int64 { return wc.Est.BlockEvals() }
 
-// Rebase makes d the cached base deployment. Rebasing onto an unchanged
-// deployment is free; a deployment differing from the base only in the
-// coupon counts of a few nodes re-simulates only the worlds that activate a
-// changed node; anything else simulates every world. The returned Result
-// equals Estimator.Evaluate of d exactly, whichever path ran, at every
-// worker count.
+// Rebase makes d the cached base deployment, re-simulating only what the
+// move can change:
+//   - onto an unchanged deployment it is free;
+//   - a deployment differing from the base only in the coupon counts of a
+//     few nodes re-simulates only the worlds that activate a changed node
+//     (advance);
+//   - the base plus one seed, with coupon counts changed at most at that
+//     seed, re-simulates only the worlds the seed can reach: the others gain
+//     the seed's own activation and nothing else (addSeed);
+//   - anything else simulates every world.
+//
+// The returned Result equals Estimator.Evaluate of d exactly, whichever path
+// ran, at every worker count.
 func (wc *WorldCache) Rebase(d *Deployment) Result {
 	e := wc.Est
 	if e.Samples <= 0 {
@@ -109,22 +129,39 @@ func (wc *WorldCache) Rebase(d *Deployment) Result {
 	}
 	if wc.base != nil {
 		if wc.base.Equal(d) {
+			wc.counts.Unchanged++
 			return wc.baseResult
 		}
 		if changed, ok := wc.couponDiff(d); ok {
+			wc.counts.Advance++
 			return wc.advance(d, changed)
+		}
+		if s, ok := wc.seedAdded(d); ok {
+			wc.counts.SeedAdd++
+			return wc.addSeed(d, s)
 		}
 	}
 	return wc.rebaseFull(d)
 }
 
-// rebaseFull simulates every world from scratch — the first Rebase, every
-// seed-set move and any move the incremental path cannot prove partial.
+// RebaseCounts counts a world cache's Rebase calls by the path each took.
+type RebaseCounts struct {
+	Unchanged int64 // the base already equalled the deployment
+	Advance   int64 // coupon counts moved: worlds activating a changed node re-simulated
+	SeedAdd   int64 // one seed added: worlds the seed can reach re-simulated
+	Full      int64 // every world simulated (the first Rebase included)
+}
+
+// Rebases returns the cache's Rebase calls so far, by path.
+func (wc *WorldCache) Rebases() RebaseCounts { return wc.counts }
+
+// rebaseFull simulates every world from scratch — the first Rebase and any
+// move the incremental paths cannot prove partial.
 func (wc *WorldCache) rebaseFull(d *Deployment) Result {
 	e := wc.Est
 	e.evals.Add(1)
-	wc.base = d.Clone()
-	wc.invBuilt = false
+	wc.counts.Full++
+	wc.setBase(d)
 	if nb := (e.Samples + bitset.WordMask) / bitset.WordBits; len(wc.snaps) != nb {
 		wc.outs = newWorldSlots(e.Samples)
 		wc.snaps = make([]blockSnap, nb)
@@ -134,22 +171,68 @@ func (wc *WorldCache) rebaseFull(d *Deployment) Result {
 	return wc.baseResult
 }
 
+// setBase copies d into the base deployment, reusing its arrays, and marks
+// the inverted index stale.
+func (wc *WorldCache) setBase(d *Deployment) {
+	if wc.base == nil {
+		wc.base = &Deployment{}
+	}
+	wc.base.CopyFrom(d)
+	wc.invBuilt = false
+}
+
+// affectedScratch returns the per-block world-mask scratch, zeroed.
+func (wc *WorldCache) affectedScratch() []uint64 {
+	if cap(wc.affected) < len(wc.snaps) {
+		wc.affected = make([]uint64, len(wc.snaps))
+	}
+	wc.affected = wc.affected[:len(wc.snaps)]
+	clear(wc.affected)
+	return wc.affected
+}
+
 // couponDiff compares d against the base: when both hold the same seed set
 // and differ in the coupon counts of at most maxAdvanceChanged nodes it
-// returns those nodes, ascending. Only a holder of either deployment can
-// differ, so the diff merges the two holder lists instead of scanning every
-// user.
+// returns those nodes, ascending.
 func (wc *WorldCache) couponDiff(d *Deployment) ([]int32, bool) {
-	base := wc.base
-	if base.NumSeeds() != d.NumSeeds() {
+	if !slices.Equal(wc.base.seeds, d.seeds) {
 		return nil, false
 	}
-	for _, s := range d.Seeds() {
-		if !base.IsSeed(s) {
-			return nil, false
+	return wc.holderDiff(d)
+}
+
+// seedAdded reports whether d is the base plus one seed s whose coupon
+// count alone may differ from the base's, and returns s.
+func (wc *WorldCache) seedAdded(d *Deployment) (int32, bool) {
+	base := wc.base
+	if d.n != base.n || len(d.seeds) != len(base.seeds)+1 {
+		return 0, false
+	}
+	s, bs := int32(-1), base.seeds
+	for _, v := range d.seeds {
+		if len(bs) > 0 && bs[0] == v {
+			bs = bs[1:]
+		} else if s >= 0 {
+			return 0, false // a second seed missing from the base
+		} else {
+			s = v
 		}
 	}
-	var changed []int32
+	changed, ok := wc.holderDiff(d)
+	if !ok || len(changed) > 1 || len(changed) == 1 && changed[0] != s {
+		return 0, false
+	}
+	return s, true
+}
+
+// holderDiff returns the users whose coupon counts differ between the base
+// and d, ascending, when there are at most maxAdvanceChanged of them. Only a
+// holder of either deployment can differ, so the diff merges the two holder
+// lists instead of scanning every user. The slice is scratch, valid until
+// the next call.
+func (wc *WorldCache) holderDiff(d *Deployment) ([]int32, bool) {
+	base := wc.base
+	changed := wc.changed[:0]
 	bh, dh := base.holders, d.holders
 	for len(bh) > 0 || len(dh) > 0 {
 		var v int32
@@ -171,6 +254,7 @@ func (wc *WorldCache) couponDiff(d *Deployment) ([]int32, bool) {
 			changed = append(changed, v)
 		}
 	}
+	wc.changed = changed
 	return changed, true
 }
 
@@ -186,7 +270,7 @@ func (wc *WorldCache) advance(d *Deployment, changed []int32) Result {
 	e := wc.Est
 	e.evals.Add(1)
 	wc.buildInverted()
-	affected := make([]uint64, len(wc.snaps))
+	affected := wc.affectedScratch()
 	for _, v := range changed {
 		kOld, kNew := wc.base.K(v), d.K(v)
 		for _, r := range wc.activeEntries(v) {
@@ -201,10 +285,182 @@ func (wc *WorldCache) advance(d *Deployment, changed []int32) Result {
 		}
 	}
 	e.sweepMasks(d, affected, wc.outs, wc.snaps)
-	wc.base = d.Clone()
-	wc.invBuilt = false
+	wc.setBase(d)
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
 	return wc.baseResult
+}
+
+// seedScratch is addSeed's reusable state.
+type seedScratch struct {
+	tag    []int32  // tag[v]: 1 + v's index in xs; 0 when v is not in xs
+	hold   []int32  // hold[u]: 1 + u's index in the base holders when its row holds a member of xs; else 0
+	xs     []int32  // the users the new seed puts in every inert world's seen set
+	seen   []uint64 // seen[i]: the current block's inert worlds whose base saw xs[i]
+	probes []probe  // base holders' row positions holding a member of xs
+	off    []int32  // probes of base.holders[h]: probes[off[h]:off[h+1]]
+}
+
+// probe is position j of a base holder's row, whose target is xs[x].
+type probe struct{ j, x int32 }
+
+// addSeed moves the base to d, which is the base plus seed s, with coupon
+// counts changed at most at s. A world is inert when the base leaves s
+// inactive there and, if s holds coupons under d, no out-edge of s is live
+// there. In an inert world s's offer scan (if any) redeems nothing, and
+// every base scan that probed s found its edge dead and now skips s as
+// already active, neither consuming a coupon: every event of the base world
+// stays, and s joins at hop 0 in its seed position. So the world keeps its
+// cost and hop and gains
+//   - one activation;
+//   - a benefit re-folded in the new event order: the seed prefix, then the
+//     world's other entries in snapshot order;
+//   - one explored user for each of s and, if s scans, its row's targets
+//     that the base never saw (seenByBase);
+//   - an entry for s at its seed position, whose run (if any) redeemed 0
+//     and stopped at the row's end (blockSnap.insertSeed).
+//
+// Every other world re-simulates through sweepMasks. Inertness is decided
+// against the outgoing base before anything is rewritten.
+func (wc *WorldCache) addSeed(d *Deployment, s int32) Result {
+	e := wc.Est
+	e.evals.Add(1)
+	g, in, le := e.Inst.G, e.Inst, e.Live
+	sc := &wc.add
+	targets, _, keys, kbase := g.OutRow(s)
+	scans := d.K(s) > 0
+	rowLen := int32(0)
+	if scans {
+		rowLen = int32(len(targets))
+	}
+	wc.markSeen(s, targets[:rowLen])
+	prefix := 0.0
+	for _, v := range d.Seeds() {
+		prefix += in.Benefit[v]
+	}
+	// Every block opens with the base's seeds; the events behind them are
+	// the ones to re-fold.
+	nSeeds := wc.base.NumSeeds()
+	affected := wc.affectedScratch()
+	for b := range wc.snaps {
+		sn := &wc.snaps[b]
+		worldBase := b * bitset.WordBits
+		valid := e.blockWorlds(b)
+		inert := valid
+		for _, ent := range sn.ents[nSeeds:] {
+			if ent.node == s {
+				inert &^= ent.mask
+			}
+		}
+		for j := int32(0); j < rowLen && inert != 0; j++ {
+			ek := uint64(kbase) + uint64(j)
+			if keys != nil {
+				ek = uint64(uint32(keys[j]))
+			}
+			inert &^= le.BlockMask(uint64(worldBase), ek, inert)
+		}
+		affected[b] = valid &^ inert
+		if inert == 0 {
+			continue
+		}
+		wc.seenByBase(sn, inert)
+		worldB := (*[64]float64)(wc.outs.benefit[worldBase:])
+		activated := (*[64]int32)(wc.outs.activated[worldBase:])
+		explored := (*[64]int32)(wc.outs.explored[worldBase:])
+		for m := inert; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			worldB[w] = prefix
+			activated[w]++
+			explored[w] += int32(len(sc.xs))
+		}
+		for _, seen := range sc.seen {
+			for m := seen; m != 0; m &= m - 1 {
+				explored[bits.TrailingZeros64(m)]--
+			}
+		}
+		for _, ent := range sn.ents[nSeeds:] {
+			if m := ent.mask & inert; m != 0 {
+				benefit := in.Benefit[ent.node]
+				for ; m != 0; m &= m - 1 {
+					worldB[bits.TrailingZeros64(m)] += benefit
+				}
+			}
+		}
+		sn.insertSeed(s, valid, scans, rowLen)
+	}
+	for _, x := range sc.xs {
+		sc.tag[x] = 0
+	}
+	for _, u := range wc.base.holders {
+		sc.hold[u] = 0
+	}
+	e.sweepMasks(d, affected, wc.outs, wc.snaps)
+	wc.setBase(d)
+	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
+	return wc.baseResult
+}
+
+// markSeen loads the users a seed add puts in every inert world's seen set
+// — s and, when s scans, its row's targets — into xs and tag, and lists
+// every base holder's row positions that hold one of them in probes.
+func (wc *WorldCache) markSeen(s int32, row []int32) {
+	sc := &wc.add
+	g := wc.Est.Inst.G
+	if n := g.NumNodes(); len(sc.tag) < n {
+		sc.tag = append(sc.tag, make([]int32, n-len(sc.tag))...)
+		sc.hold = append(sc.hold, make([]int32, n-len(sc.hold))...)
+	}
+	sc.xs = append(sc.xs[:0], s)
+	sc.tag[s] = 1
+	for _, x := range row {
+		if sc.tag[x] == 0 {
+			sc.xs = append(sc.xs, x)
+			sc.tag[x] = int32(len(sc.xs))
+		}
+	}
+	sc.probes, sc.off = sc.probes[:0], append(sc.off[:0], 0)
+	for h, u := range wc.base.holders {
+		ts, _ := g.OutEdges(u)
+		for j, t := range ts {
+			if x := sc.tag[t]; x != 0 {
+				sc.probes = append(sc.probes, probe{j: int32(j), x: x - 1})
+			}
+		}
+		sc.off = append(sc.off, int32(len(sc.probes)))
+		if sc.off[h+1] > sc.off[h] {
+			sc.hold[u] = int32(h) + 1
+		}
+	}
+	sc.seen = slices.Grow(sc.seen[:0], len(sc.xs))[:len(sc.xs)]
+}
+
+// seenByBase fills seen with, for each member x of xs, the inert worlds of
+// block sn in which the base saw x: it activated x there, or a holder
+// active there scanned past a row position holding x (a scan stopped at
+// stop visited positions [0, stop), each either already active or probed).
+func (wc *WorldCache) seenByBase(sn *blockSnap, inert uint64) {
+	sc := &wc.add
+	clear(sc.seen)
+	for _, ent := range sn.ents {
+		m := ent.mask & inert
+		if m == 0 {
+			continue
+		}
+		if x := sc.tag[ent.node]; x != 0 {
+			sc.seen[x-1] |= m
+		}
+		h := sc.hold[ent.node] - 1
+		if h < 0 {
+			continue
+		}
+		for _, p := range sc.probes[sc.off[h]:sc.off[h+1]] {
+			for mw := m &^ sc.seen[p.x]; mw != 0; mw &= mw - 1 {
+				w := bits.TrailingZeros64(mw)
+				if _, stop := sn.scanAt(ent, w); stop > p.j {
+					sc.seen[p.x] |= 1 << uint(w)
+				}
+			}
+		}
+	}
 }
 
 // scanUnchanged reports whether a world's snapshot is provably identical
@@ -336,9 +592,15 @@ func (sc *deltaScratch) fill(s *blockSnap) {
 			sc.slot[ent.node] = int32(len(sc.scans))
 		}
 		h := &sc.scans[sc.slot[ent.node]-1]
-		for m := ent.mask; m != 0; m &= m - 1 {
+		i := int(ent.scan)
+		if ent.mask == ^uint64(0) {
+			copy(h.red[:], s.red[i:i+64])
+			copy(h.stop[:], s.stop[i:i+64])
+			continue
+		}
+		for m := ent.mask; m != 0; m, i = m&(m-1), i+1 {
 			w := bits.TrailingZeros64(m)
-			h.red[w], h.stop[w] = s.scanAt(ent, w)
+			h.red[w], h.stop[w] = s.red[i], s.stop[i]
 		}
 	}
 }
@@ -514,7 +776,7 @@ func (wc *WorldCache) EvaluateDelta(d *Deployment, changed []int32) float64 {
 	e := wc.Est
 	e.evals.Add(1)
 	wc.buildInverted()
-	affected := make([]uint64, len(wc.snaps))
+	affected := wc.affectedScratch()
 	for _, v := range changed {
 		for _, r := range wc.activeEntries(v) {
 			affected[r.blk] |= wc.snaps[r.blk].ents[r.idx].mask

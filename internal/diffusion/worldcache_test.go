@@ -260,7 +260,7 @@ func testWorldCacheIncrementalRebaseExact(t *testing.T, model string) {
 		}
 	}
 
-	// Seed additions take the full rebase and must leave the following
+	// Seed additions take the seed-add path and must leave the following
 	// coupon advances exact too — including the Explored accounting and the
 	// per-world records — through a mix of seed and coupon moves.
 	for step := 0; step < 6; step++ {
