@@ -510,17 +510,23 @@ func BenchmarkChurnResolve(b *testing.B) {
 
 // BenchmarkChurnApply isolates the write path of a churn stream: one op
 // replays HoldOutEdges(0.2, 77) of the Epinions profile at scale 10 into an
-// IC worldcache campaign as 1,000 ApplyEdges batches — overlay appends,
-// compactions and per-world patching of the pooled snapshot, no Resolve
-// between batches. Campaign construction, the pre-churn solve and one
-// Resolve run outside the timer. That Resolve is part of the cell's
-// definition: it leaves the pooled snapshot on the returned deployment, the
-// state a stream that re-solves after every batch leaves behind. Solve now
-// pools its snapshot rebased on the answer itself, so the Resolve finds it
-// there; it stays so that readings remain comparable with those taken when
-// Solve pooled its last search trial instead. The cell reports ns/batch; on
-// an IC campaign a batch costs O(batch + churned rows + affected worlds),
-// so any whole-graph pass per ApplyEdges shows up here first.
+// IC worldcache campaign as 1,000 ApplyEdges batches. Campaign
+// construction, the pre-churn solve and one Resolve run outside the timer.
+// That Resolve is part of the cell's definition: it leaves the pooled
+// snapshot on the returned deployment, the state a stream that re-solves
+// after every batch leaves behind. Solve now pools its snapshot rebased on
+// the answer itself, so the Resolve finds it there; it stays so that
+// readings remain comparable with those taken when Solve pooled its last
+// search trial instead. Two cells:
+//   - op=apply times the appends alone — overlay appends, compactions and
+//     per-world patching of the pooled snapshot, no Resolve between
+//     batches;
+//   - op=apply+resolve times one ApplyEdges plus one Resolve from the
+//     previous result per batch, the churn-stream workload's op.
+//
+// Both report ns/batch and B/batch, the bytes allocated per batch. On an IC
+// campaign a batch costs O(batch + churned rows + affected worlds), so any
+// whole-graph pass or n-sized copy per ApplyEdges shows up here first.
 func BenchmarkChurnApply(b *testing.B) {
 	const batches = 1000
 	ctx := context.Background()
@@ -532,33 +538,46 @@ func BenchmarkChurnApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c, err := reduced.NewCampaign(WithEngine("worldcache"), WithSamples(1000), WithWorkers(1), WithSeed(77))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := c.Solve(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The snapshot ApplyEdges meets in a stream that re-solves after
-		// every batch: rebased on the answer.
-		if _, err := c.Resolve(ctx, res); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for j := 0; j < batches; j++ {
-			if _, err := c.ApplyEdges(ctx, stream[j*len(stream)/batches:(j+1)*len(stream)/batches]); err != nil {
-				b.Fatal(err)
+	for _, op := range []string{"apply", "apply+resolve"} {
+		b.Run("op="+op, func(b *testing.B) {
+			var ms runtime.MemStats
+			var bytes uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c, err := reduced.NewCampaign(WithEngine("worldcache"), WithSamples(1000), WithWorkers(1), WithSeed(77))
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := c.Solve(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res, err = c.Resolve(ctx, res); err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				b.StartTimer()
+				for j := 0; j < batches; j++ {
+					if _, err := c.ApplyEdges(ctx, stream[j*len(stream)/batches:(j+1)*len(stream)/batches]); err != nil {
+						b.Fatal(err)
+					}
+					if op == "apply+resolve" {
+						if res, err = c.Resolve(ctx, res); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				bytes += ms.TotalAlloc - before
+				b.StartTimer()
 			}
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches), "ns/batch")
+			b.ReportMetric(float64(bytes)/float64(b.N*batches), "B/batch")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches), "ns/batch")
 }
-
-// --- SSR warm-reuse benchmark (the pooled sketch-state acceptance run) ---
 
 // BenchmarkSSRWarmReuse measures what the pooled SSR sample state buys
 // after 1% edge churn on the Epinions profile: "cold" pays a fresh campaign

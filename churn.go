@@ -311,9 +311,10 @@ func (c *Campaign) Resolve(ctx context.Context, prev *Result, opts ...Option) (*
 	wc := ce.evs[0].(*diffusion.WorldCache)
 	inst := ce.views[0].Inst
 
-	dep := Deployment{Seeds: prev.Seeds, Coupons: prev.Coupons}
-	d, err := buildDeploymentFor(inst, dep)
-	if err != nil {
+	// The deployment lives in the pooled cache's scratch, so a Resolve
+	// allocates nothing of the network's size for it.
+	d := wc.ScratchDeployment()
+	if err := fillDeployment(d, inst, Deployment{Seeds: prev.Seeds, Coupons: prev.Coupons}); err != nil {
 		ce.release(err)
 		return nil, err
 	}
@@ -380,6 +381,9 @@ func (c *Campaign) Resolve(ctx context.Context, prev *Result, opts ...Option) (*
 		ce.release(err)
 		return nil, fmt.Errorf("s3crm: resolve aborted: %w", err)
 	}
+	// d is the cache's scratch: read it before the cache goes back to the
+	// pool, where the next call may reset it.
+	r := resultOf("resolve", inst, d, res, cl.cfg.samples, cl.degraded)
 	ce.release(nil)
 
 	// Consume the churn set this call repaired over; endpoints appended by
@@ -387,8 +391,7 @@ func (c *Campaign) Resolve(ctx context.Context, prev *Result, opts ...Option) (*
 	c.mu.Lock()
 	c.consumeChurnLocked(len(churned))
 	c.mu.Unlock()
-
-	return resultOf("resolve", inst, d, res, cl.cfg.samples, cl.degraded), nil
+	return r, nil
 }
 
 // resolveSSR is Resolve's path for SSR-engine campaigns: a full sketch

@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"s3crm/internal/diffusion"
 	"s3crm/internal/graph"
+	"s3crm/internal/rng"
 )
 
 // randomChurnProblem builds a random problem plus an append stream whose
@@ -861,5 +863,65 @@ func TestNoteChurnMatchesReferenceDedup(t *testing.T) {
 	c.noteChurnLocked([]graph.Edge{{From: rest[0], To: pending[0]}})
 	if want := append(append([]int32(nil), rest...), pending[0]); !reflect.DeepEqual(c.churned, want) {
 		t.Fatalf("after consuming 2 of %v and appending (%d,%d): churn set %v, want %v", pending, rest[0], pending[0], c.churned, want)
+	}
+}
+
+// TestChurnAppendBytesIndependentOfN pins the O(batch) append path: the
+// bytes one graph.WithEdges plus LiveEdges.Extend of a fixed 11-edge batch
+// allocate on an overlay graph of the Epinions profile at scale 10 may grow
+// by less than half a byte per added node when the same graph is padded to
+// ten times its users (graph.PadNodes). The overlay's page tables cost an
+// eighth of a byte per node each; any n-sized array the append copies — an
+// int32 in-degree or row index, a bool mask — costs at least one.
+func TestChurnAppendBytesIndependentOfN(t *testing.T) {
+	p, err := GenerateDataset("Epinions", 10, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduced, stream, err := p.HoldOutEdges(0.2, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := func(adds []EdgeAdd) []graph.Edge {
+		out := make([]graph.Edge, len(adds))
+		for i, e := range adds {
+			out[i] = graph.Edge{From: int32(e.From), To: int32(e.To), P: e.P}
+		}
+		return out
+	}
+	warm, batch := edges(stream[:11]), edges(stream[11:22])
+	perAppend := func(g *graph.Graph) float64 {
+		// The measured append extends an overlay graph and its substrate,
+		// the steady state of a churn stream.
+		g1, err := g.WithEdges(warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		le := diffusion.NewLiveEdges(g, 1000, rng.NewCoin(77), 0).Extend(g1, nil)
+		const reps = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			g2, err := g1.WithEdges(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			le.Extend(g2, nil)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / reps
+	}
+	g := reduced.inst.G
+	padded, err := g.PadNodes(10 * g.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, large := perAppend(g), perAppend(padded)
+	added := float64(padded.NumNodes() - g.NumNodes())
+	t.Logf("append bytes: %.0f at %d users, %.0f at %d users", small, g.NumNodes(), large, padded.NumNodes())
+	if large-small >= added/2 {
+		t.Fatalf("an append allocates %.0f bytes at %d users and %.0f at %d: %.2f bytes per added user, want < 0.5",
+			small, g.NumNodes(), large, padded.NumNodes(), (large-small)/added)
 	}
 }

@@ -119,7 +119,7 @@ func blockRecord(s *blockSnap, bit int) worldRecord {
 // activeWorlds lists the worlds activating v in ascending order, read from
 // the cache's inverted index, with v's position in each world's record.
 func activeWorlds(wc *WorldCache, v int32) (worlds, pos []int32) {
-	wc.buildInverted()
+	wc.refreshIndex()
 	masks := make([]uint64, len(wc.snaps))
 	for _, r := range wc.activeEntries(v) {
 		masks[r.blk] |= wc.snaps[r.blk].ents[r.idx].mask

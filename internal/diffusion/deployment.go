@@ -143,6 +143,24 @@ func (d *Deployment) Clone() *Deployment {
 	return c
 }
 
+// reset makes d the empty deployment over n users, reusing its arrays:
+// clearing d's seeds and holders costs O(|S| + |I|), not the network size,
+// and only growth past the arrays' length allocates.
+func (d *Deployment) reset(n int) {
+	for _, v := range d.seeds {
+		d.seed[v] = false
+	}
+	for _, v := range d.holders {
+		d.k[v] = 0
+	}
+	if len(d.seed) < n {
+		d.seed = append(d.seed, make([]bool, n-len(d.seed))...)
+		d.k = append(d.k, make([]int32, n-len(d.k))...)
+	}
+	d.n, d.seed, d.k = n, d.seed[:n], d.k[:n]
+	d.seeds, d.holders = d.seeds[:0], d.holders[:0]
+}
+
 // CopyFrom makes d an independent copy of o, reusing d's arrays: clearing
 // d's own seeds and holders and setting o's costs O(|S| + |I|) of both, not
 // the network size.
@@ -150,25 +168,15 @@ func (d *Deployment) CopyFrom(o *Deployment) {
 	if d == o {
 		return
 	}
-	for _, v := range d.seeds {
-		d.seed[v] = false
-	}
-	for _, v := range d.holders {
-		d.k[v] = 0
-	}
-	if len(d.seed) < o.n {
-		d.seed = append(d.seed, make([]bool, o.n-len(d.seed))...)
-		d.k = append(d.k, make([]int32, o.n-len(d.k))...)
-	}
-	d.n, d.seed, d.k = o.n, d.seed[:o.n], d.k[:o.n]
+	d.reset(o.n)
 	for _, v := range o.seeds {
 		d.seed[v] = true
 	}
 	for _, v := range o.holders {
 		d.k[v] = o.k[v]
 	}
-	d.seeds = append(d.seeds[:0], o.seeds...)
-	d.holders = append(d.holders[:0], o.holders...)
+	d.seeds = append(d.seeds, o.seeds...)
+	d.holders = append(d.holders, o.holders...)
 }
 
 // Equal reports whether two deployments select the same seeds and

@@ -49,34 +49,40 @@ type LiveEdges struct {
 	spent   atomic.Int64 // bytes committed to filled rows
 	budget  int64
 
-	// Edge probabilities indexed by stable coin key, in the split form of
-	// graph.KeyViewParts: keys < len(probs) read probs, later keys read the
-	// overlay tail. On substrates over a plain CSR the tail is nil and
-	// probs covers every key; the split is what lets Extend carry a churn
-	// batch in O(batch) instead of copying the O(edges) flat view.
-	probs     []float64
-	tailProbs []float64
+	// Edge probabilities and targets indexed by stable coin key, in the
+	// split form of graph.KeyViewParts: keys < len(probs) read probs (and
+	// targets), later keys read the overlay tail. On substrates over a plain
+	// CSR the tail is empty and probs covers every key; the split is what
+	// lets Extend carry a churn batch in O(batch) instead of copying the
+	// O(edges) flat view.
+	probs   []float64
+	targets []int32 // LT only: coin key → target node
+	tail    graph.KeyTail
 
-	// IC state: per-edge bit rows, with the same prefix/tail split. The
-	// prefix is SHARED across an Extend lineage — coin keys are stable and
-	// a row's contents are a pure function of (coin, key, probability), so
-	// a row filled through any lineage member is bit-identical to the one
-	// every other member would fill; extRows holds fresh slots for the
-	// overlay keys only.
+	// IC state: per-edge bit rows, with a prefix/extension split of their
+	// own. The prefix is SHARED across an Extend lineage — coin keys are
+	// stable and a row's contents are a pure function of (coin, key,
+	// probability), so a row filled through any lineage member is
+	// bit-identical to the one every other member would fill. ext holds the
+	// slots of keys len(rows)… in pages of extPage, shared the same way:
+	// Extend copies the page table and the last, partial page, whose keys a
+	// sibling appended from the same parent may assign differently.
 	words    int      // row words: (samples+63)/64
 	worldMix []uint64 // per-world hash term, hoisted out of row fills
 	rows     []atomic.Pointer[[]uint64]
-	extRows  []atomic.Pointer[[]uint64]
+	ext      []*[extPage]atomic.Pointer[[]uint64]
+	extN     int // keys the ext pages cover
 
 	// LT state: per-node chosen-in-edge rows over the shared reverse CSR;
 	// chosen is nil when the budget cannot hold one row, and every LT probe
 	// then walks the in-row by hash.
-	lt          bool
-	g           *graph.Graph // reverse CSR access for the categorical walk
-	targets     []int32      // coin key → target node, split like probs
-	tailTargets []int32
-	chosen      []atomic.Pointer[[]int32]
+	lt     bool
+	g      *graph.Graph // reverse CSR access for the categorical walk
+	chosen []atomic.Pointer[[]int32]
 }
+
+// extPage is the page size of the IC row slots past the shared prefix.
+const extPage = 64
 
 // prob returns the probability of the edge with the given coin key through
 // the prefix/tail split. The tail branch is never taken on substrates over
@@ -85,7 +91,7 @@ func (le *LiveEdges) prob(edge uint64) float64 {
 	if edge < uint64(len(le.probs)) {
 		return le.probs[edge]
 	}
-	return le.tailProbs[edge-uint64(len(le.probs))]
+	return le.tail.Prob(int(edge - uint64(len(le.probs))))
 }
 
 // target returns the target node of the edge with the given coin key.
@@ -93,7 +99,7 @@ func (le *LiveEdges) target(edge uint64) int32 {
 	if edge < uint64(len(le.targets)) {
 		return le.targets[edge]
 	}
-	return le.tailTargets[edge-uint64(len(le.targets))]
+	return le.tail.Target(int(edge - uint64(len(le.targets))))
 }
 
 // rowPtr returns the IC bit-row slot owning the given coin key.
@@ -101,7 +107,8 @@ func (le *LiveEdges) rowPtr(edge uint64) *atomic.Pointer[[]uint64] {
 	if edge < uint64(len(le.rows)) {
 		return &le.rows[edge]
 	}
-	return &le.extRows[edge-uint64(len(le.rows))]
+	i := edge - uint64(len(le.rows))
+	return &le.ext[i/extPage][i%extPage]
 }
 
 // NewLiveEdges returns the independent-cascade substrate for samples worlds
@@ -111,16 +118,16 @@ func NewLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64) *
 		memBudget = DefaultLiveEdgeMemBudget
 	}
 	words := (samples + 63) / 64
-	baseP, _, tailP, _ := g.KeyViewParts()
+	baseP, _, tail := g.KeyViewParts()
 	return &LiveEdges{
-		coin:      coin,
-		probs:     baseP,
-		tailProbs: tailP,
-		samples:   samples,
-		words:     words,
-		worldMix:  rng.WorldMix(samples),
-		rows:      make([]atomic.Pointer[[]uint64], g.NumEdges()),
-		budget:    memBudget,
+		coin:     coin,
+		probs:    baseP,
+		tail:     tail,
+		samples:  samples,
+		words:    words,
+		worldMix: rng.WorldMix(samples),
+		rows:     make([]atomic.Pointer[[]uint64], g.NumEdges()),
+		budget:   memBudget,
 	}
 }
 
@@ -134,17 +141,16 @@ func NewLTLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64)
 	if memBudget <= 0 {
 		memBudget = DefaultLiveEdgeMemBudget
 	}
-	baseP, baseT, tailP, tailT := g.KeyViewParts()
+	baseP, baseT, tail := g.KeyViewParts()
 	le := &LiveEdges{
-		coin:        coin,
-		probs:       baseP,
-		tailProbs:   tailP,
-		samples:     samples,
-		budget:      memBudget,
-		lt:          true,
-		g:           g,
-		targets:     baseT,
-		tailTargets: tailT,
+		coin:    coin,
+		probs:   baseP,
+		targets: baseT,
+		tail:    tail,
+		samples: samples,
+		budget:  memBudget,
+		lt:      true,
+		g:       g,
 	}
 	if int64(samples)*4 <= memBudget {
 		le.chosen = make([]atomic.Pointer[[]int32], g.NumNodes())
@@ -351,36 +357,39 @@ func (le *LiveEdges) SpentBytes() int64 { return le.spent.Load() }
 //     function of (coin, key, probability) and existing probabilities never
 //     change under append, so a row filled through either substrate is the
 //     row the other would fill, and lazy fills after the extension benefit
-//     both. Appended edges get fresh slots in an O(overlay) side array and
-//     fill lazily on first probe — one salted coin per (world, new edge),
-//     exactly the coins a cold substrate over g would flip. The spent
-//     counter carries over as-is: the shared prefix is one allocation, and
-//     post-extension fills bill whichever substrate triggers them, keeping
-//     the budget a cap on real memory.
+//     both. The receiver's full extension pages are shared the same way;
+//     its partial last page is copied, since a sibling extended from the
+//     same receiver may give the free keys of that page other edges.
+//     Appended edges get fresh slots there and in new pages and fill lazily
+//     on first probe — one salted coin per (world, new edge), exactly the
+//     coins a cold substrate over g would flip. The spent counter carries
+//     over as-is: shared rows are one allocation, and post-extension fills
+//     bill whichever substrate triggers them, keeping the budget a cap on
+//     real memory.
 //   - LT: chosen-in-edge rows transfer except for the nodes in churnTargets
 //     (the targets of appended edges), whose in-distribution changed: their
 //     rows are dropped and re-drawn lazily against the new reverse in-row,
 //     reproducing the cold draw bit-for-bit (the selection uniform depends
 //     only on (world, node)).
 //
-// churnTargets is ignored under IC. Either way the work is O(overlay + n),
-// never O(edges) — the cost that would put a full-array copy back on the
-// churn path.
+// churnTargets is ignored under IC. The IC work is O(batch + extension
+// pages), never O(n) or O(edges) — the costs that would put a full-array
+// copy back on the churn path; LT copies its O(n) row table.
 func (le *LiveEdges) Extend(g *graph.Graph, churnTargets []int32) *LiveEdges {
-	baseP, baseT, tailP, tailT := g.KeyViewParts()
+	baseP, baseT, tail := g.KeyViewParts()
 	ne := &LiveEdges{
-		coin:      le.coin,
-		probs:     baseP,
-		tailProbs: tailP,
-		samples:   le.samples,
-		budget:    le.budget,
-		words:     le.words,
-		worldMix:  le.worldMix,
-		lt:        le.lt,
+		coin:     le.coin,
+		probs:    baseP,
+		tail:     tail,
+		samples:  le.samples,
+		budget:   le.budget,
+		words:    le.words,
+		worldMix: le.worldMix,
+		lt:       le.lt,
 	}
 	if le.lt {
 		ne.g = g
-		ne.targets, ne.tailTargets = baseT, tailT
+		ne.targets = baseT
 		if le.chosen != nil {
 			ne.chosen = make([]atomic.Pointer[[]int32], g.NumNodes())
 			carried := int64(0)
@@ -404,11 +413,19 @@ func (le *LiveEdges) Extend(g *graph.Graph, churnTargets []int32) *LiveEdges {
 		return ne
 	}
 	ne.rows = le.rows
-	ne.extRows = make([]atomic.Pointer[[]uint64], g.NumEdges()-len(le.rows))
-	for k := range le.extRows {
-		if rp := le.extRows[k].Load(); rp != nil {
-			ne.extRows[k].Store(rp)
+	ne.extN = g.NumEdges() - len(le.rows)
+	ne.ext = make([]*[extPage]atomic.Pointer[[]uint64], (ne.extN+extPage-1)/extPage)
+	copy(ne.ext, le.ext)
+	if le.extN%extPage != 0 {
+		last := le.extN / extPage
+		old, p := le.ext[last], new([extPage]atomic.Pointer[[]uint64])
+		for k := 0; k < le.extN%extPage; k++ {
+			p[k].Store(old[k].Load())
 		}
+		ne.ext[last] = p
+	}
+	for i := (le.extN + extPage - 1) / extPage; i < len(ne.ext); i++ {
+		ne.ext[i] = new([extPage]atomic.Pointer[[]uint64])
 	}
 	ne.spent.Store(le.spent.Load())
 	return ne

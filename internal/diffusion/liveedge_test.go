@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"s3crm/internal/gen"
@@ -337,6 +338,83 @@ func TestLiveSubstrateAlwaysPresent(t *testing.T) {
 						check(t, est.WithGraph(unitInstance(g2), ChurnTargets(batch)), model == ModelLT, budget)
 					})
 				}
+			}
+		}
+	}
+}
+
+// TestLiveEdgesExtendSiblings extends one IC substrate into two siblings
+// whose batches give the same free keys different edges, starting inside
+// the parent's partial extension page. Each member's rows — read through
+// the first child after it filled them, then through the second, then
+// through the parent — must equal a cold substrate's over the member's own
+// FromEdgesStable graph: a sibling that shared the parent's partial page, or
+// a parent that saw a child's slots, reads rows flipped for another edge.
+func TestLiveEdgesExtendSiblings(t *testing.T) {
+	const samples = 130
+	coin := rng.NewCoin(5)
+	g, err := gen.ErdosRenyi(80, 500, rng.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineage := g.Edges() // FromEdges keys are CSR positions
+	taken := map[[2]int32]bool{}
+	for _, e := range lineage {
+		taken[[2]int32{e.From, e.To}] = true
+	}
+	src := rng.New(7)
+	fresh := func(k int, p float64) []graph.Edge {
+		var out []graph.Edge
+		for len(out) < k {
+			e := graph.Edge{From: int32(src.Intn(80)), To: int32(src.Intn(80)), P: p}
+			if e.From != e.To && !taken[[2]int32{e.From, e.To}] {
+				taken[[2]int32{e.From, e.To}] = true
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	type member struct {
+		name    string
+		g       *graph.Graph
+		le      *LiveEdges
+		lineage []graph.Edge
+	}
+	extend := func(m member, name string, batch []graph.Edge) member {
+		g2, err := m.g.WithEdges(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return member{name, g2, m.le.Extend(g2, nil), slices.Concat(m.lineage, batch)}
+	}
+	parent := member{"base", g, NewLiveEdges(g, samples, coin, 0), lineage}
+	// Past one full extension page, so the parent's last page is partial.
+	parent = extend(parent, "parent", fresh(extPage/2, 0.5))
+	parent = extend(parent, "parent", fresh(extPage/2+5, 0.5))
+	if parent.le.extN%extPage == 0 {
+		t.Fatalf("parent's extension covers %d keys: no partial page", parent.le.extN)
+	}
+	a := extend(parent, "first child", fresh(9, 0.9))
+	b := extend(parent, "second child", fresh(9, 0.05))
+	rows := func(le *LiveEdges, m int) [][]uint64 {
+		out := make([][]uint64, m)
+		for k := range out {
+			for base := 0; base < samples; base += 64 {
+				probe := ^uint64(0) >> uint(max(0, base+64-samples))
+				out[k] = append(out[k], le.BlockMask(uint64(base), uint64(k), probe))
+			}
+		}
+		return out
+	}
+	for _, m := range []member{a, b, parent} {
+		cold, err := graph.FromEdgesStable(m.g.NumNodes(), m.lineage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := rows(m.le, m.g.NumEdges()), rows(NewLiveEdges(cold, samples, coin, 0), cold.NumEdges())
+		for k := range want {
+			if !slices.Equal(got[k], want[k]) {
+				t.Fatalf("%s: key %d reads %x, a cold substrate %x", m.name, k, got[k], want[k])
 			}
 		}
 	}

@@ -125,7 +125,7 @@ func (wc *WorldCache) PatchEdges(e2 *Estimator, batch []graph.Edge) Result {
 	samples := old.Samples
 	affected := wc.affectedScratch()
 	oldM := int32(gOld.NumEdges())
-	wc.buildInverted()
+	wc.refreshIndex()
 	for _, u := range churnSources(batch) {
 		k := wc.base.K(u)
 		if k == 0 {
@@ -167,7 +167,7 @@ func (wc *WorldCache) PatchEdges(e2 *Estimator, batch []graph.Edge) Result {
 	}
 	wc.Est = e2
 	e2.sweepMasks(wc.base, affected, wc.outs, wc.snaps)
-	wc.invBuilt = false
+	wc.inv.markStale(affected)
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, samples)
 	return wc.baseResult
 }

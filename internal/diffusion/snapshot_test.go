@@ -50,8 +50,9 @@ func snapshotProblem(t *testing.T, r *rand.Rand, n, baseEdges, streamEdges int, 
 // entries hold one event; every holder run has one slot per world of its
 // mask, inside the arrays and apart from every other run; the free slots are
 // counted and never outnumber the owned ones (compact's bound); and the
-// inverted index lists exactly the entries of each node in ascending block
-// order.
+// maintained inverted index, refreshed over the blocks the moves marked
+// stale, lists exactly the entries of each node — the lists of an index
+// built from scratch — with consistent links and block ownership.
 func checkSnapshotLayout(t *testing.T, wc *WorldCache, step string) {
 	t.Helper()
 	samples := wc.Est.Samples
@@ -97,21 +98,58 @@ func checkSnapshotLayout(t *testing.T, wc *WorldCache, step string) {
 			t.Fatalf("%s block %d: %d free slots counted, %d of %d unowned (must not outnumber the owned)", step, b, s.free, len(s.red)-owned, len(s.red))
 		}
 	}
-	wc.buildInverted()
+	n := wc.Est.Inst.G.NumNodes()
+	wc.refreshIndex()
+	fresh := &WorldCache{Est: wc.Est, snaps: wc.snaps}
+	fresh.refreshIndex()
+	key := func(r entryRef) int64 { return int64(r.blk)<<32 | int64(r.idx) }
+	sorted := func(es []entryRef) []entryRef {
+		es = slices.Clone(es)
+		slices.SortFunc(es, func(a, b entryRef) int { return cmp.Compare(key(a), key(b)) })
+		return es
+	}
 	var got []entryRef
-	for v := int32(0); v < int32(wc.Est.Inst.G.NumNodes()); v++ {
-		es := wc.activeEntries(v)
-		for i, r := range es {
-			if wc.snaps[r.blk].ents[r.idx].node != v || i > 0 && es[i-1].blk > r.blk {
+	for v := int32(0); v < int32(n); v++ {
+		es := sorted(wc.activeEntries(v))
+		for _, r := range es {
+			if wc.snaps[r.blk].ents[r.idx].node != v {
 				t.Fatalf("%s: inverted index of node %d lists %v", step, v, es)
 			}
 		}
+		if want := sorted(fresh.activeEntries(v)); !slices.Equal(es, want) {
+			t.Fatalf("%s: maintained index of node %d lists %v, one built from scratch %v", step, v, es, want)
+		}
 		got = append(got, es...)
 	}
-	key := func(r entryRef) int64 { return int64(r.blk)<<32 | int64(r.idx) }
 	slices.SortFunc(got, func(a, b entryRef) int { return cmp.Compare(key(a), key(b)) })
 	if !slices.Equal(got, refs) {
 		t.Fatalf("%s: inverted index holds %d entries, the snapshot %d", step, len(got), len(refs))
+	}
+	// Links: every listed ref's neighbours point back at it, and the refs
+	// each block owns are exactly the ones listing its entries.
+	ix := &wc.inv
+	owner := map[int32]int{}
+	for b, own := range ix.owned {
+		for _, r := range own {
+			owner[r] = b
+		}
+	}
+	listed := 0
+	for v := int32(0); v < int32(n); v++ {
+		prev := int32(-1)
+		for r := ix.head[v]; r >= 0; prev, r = r, ix.refs[r].next {
+			x := ix.refs[r]
+			if x.prev != prev || x.node != v {
+				t.Fatalf("%s: ref %d of node %d links back to %d, names node %d", step, r, v, x.prev, x.node)
+			}
+			if b, ok := owner[r]; !ok || b != int(x.blk) {
+				t.Fatalf("%s: ref %d of block %d is not owned by it", step, r, x.blk)
+			}
+			listed++
+		}
+	}
+	if listed != len(owner) {
+		t.Fatalf("%s: %d refs listed, %d owned", step, listed, len(owner))
 	}
 }
 

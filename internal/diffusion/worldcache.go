@@ -55,22 +55,22 @@ type WorldCache struct {
 	outs  *worldSlots
 	snaps []blockSnap
 
-	// Inverted activation index over the live snapshot entries in CSR form,
-	// which finds the worlds a changed node can affect; rebuilt lazily after
-	// every (re)base move: node v's entries are inv[invOff[v]:invOff[v+1]],
-	// in ascending block order. The arrays are reused.
-	invBuilt bool
-	invOff   []int32
-	inv      []entryRef
-	invCnt   []int32 // scratch for the counting pass
+	// Inverted activation index over the live snapshot entries, which finds
+	// the worlds a changed node can affect. A move marks the blocks it
+	// rewrote stale and the next query re-indexes those alone
+	// (refreshIndex); entBuf is activeEntries' result buffer.
+	inv    invIndex
+	entBuf []entryRef
 
 	counts RebaseCounts
 
 	// Scratch reused across moves: the per-block affected-world masks, the
-	// coupon diff, and the seed add's state (seedScratch).
+	// coupon diff, and the seed add's state (seedScratch); and
+	// ScratchDeployment's deployment.
 	affected []uint64
 	changed  []int32
 	add      seedScratch
+	scratch  Deployment
 
 	poolOnce sync.Once
 	pool     sync.Pool // of *deltaScratch
@@ -167,18 +167,26 @@ func (wc *WorldCache) rebaseFull(d *Deployment) Result {
 		wc.snaps = make([]blockSnap, nb)
 	}
 	e.sweepAll(d, wc.outs, wc.snaps)
+	wc.inv.markAll()
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
 	return wc.baseResult
 }
 
-// setBase copies d into the base deployment, reusing its arrays, and marks
-// the inverted index stale.
+// setBase copies d into the base deployment, reusing its arrays.
 func (wc *WorldCache) setBase(d *Deployment) {
 	if wc.base == nil {
 		wc.base = &Deployment{}
 	}
 	wc.base.CopyFrom(d)
-	wc.invBuilt = false
+}
+
+// ScratchDeployment returns an empty deployment over the cache's users that
+// the cache holds: a caller building one deployment per call on a pooled
+// cache reuses its arrays, reset in O(|S| + |I|) of their last use, instead
+// of allocating n-sized ones. It stays valid until the next call.
+func (wc *WorldCache) ScratchDeployment() *Deployment {
+	wc.scratch.reset(wc.Est.Inst.G.NumNodes())
+	return &wc.scratch
 }
 
 // affectedScratch returns the per-block world-mask scratch, zeroed.
@@ -269,7 +277,7 @@ func (wc *WorldCache) holderDiff(d *Deployment) ([]int32, bool) {
 func (wc *WorldCache) advance(d *Deployment, changed []int32) Result {
 	e := wc.Est
 	e.evals.Add(1)
-	wc.buildInverted()
+	wc.refreshIndex()
 	affected := wc.affectedScratch()
 	for _, v := range changed {
 		kOld, kNew := wc.base.K(v), d.K(v)
@@ -285,6 +293,7 @@ func (wc *WorldCache) advance(d *Deployment, changed []int32) Result {
 		}
 	}
 	e.sweepMasks(d, affected, wc.outs, wc.snaps)
+	wc.inv.markStale(affected)
 	wc.setBase(d)
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
 	return wc.baseResult
@@ -386,6 +395,7 @@ func (wc *WorldCache) addSeed(d *Deployment, s int32) Result {
 			}
 		}
 		sn.insertSeed(s, valid, scans, rowLen)
+		wc.inv.markBlock(b)
 	}
 	for _, x := range sc.xs {
 		sc.tag[x] = 0
@@ -394,6 +404,7 @@ func (wc *WorldCache) addSeed(d *Deployment, s int32) Result {
 		sc.hold[u] = 0
 	}
 	e.sweepMasks(d, affected, wc.outs, wc.snaps)
+	wc.inv.markStale(affected)
 	wc.setBase(d)
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
 	return wc.baseResult
@@ -480,55 +491,139 @@ func scanUnchanged(kOld, kNew, red int) bool {
 // entryRef names one snapshot entry: entry idx of block blk.
 type entryRef struct{ blk, idx int32 }
 
-// buildInverted lazily (re)builds the CSR inverted activation index over the
-// live snapshot entries of the current base, reusing its arrays across
-// rebuilds.
-func (wc *WorldCache) buildInverted() {
-	if wc.invBuilt {
+// invIndex is the world cache's inverted activation index: for each node,
+// the live snapshot entries that activate it, as a doubly linked list of
+// refs threaded through one pool. Each block owns the refs of its entries,
+// so re-indexing a block unlinks its old refs and links its new entries —
+// O(the block's entries), with no pass over the nodes or the other blocks.
+// Moves mark the blocks they rewrite stale (markStale, markBlock, markAll),
+// and refresh re-indexes those before the next query.
+type invIndex struct {
+	head  []int32   // head[v]: v's first ref, -1 when the snapshot never activates v
+	refs  []invRef  // the ref pool; free refs chain through next from free
+	free  int32     // first free ref, -1 when none
+	owned [][]int32 // owned[b]: the refs of block b's entries
+	stale []bool    // stale[b]: block b changed since its refs were made
+}
+
+// invRef is one index entry: node's snapshot entry ref, linked to node's
+// other refs.
+type invRef struct {
+	entryRef
+	node       int32
+	prev, next int32 // neighbours in node's list, -1 at either end
+}
+
+// markStale marks the blocks with a nonzero mask stale. An index not yet
+// built over masks' blocks is left alone: refresh rebuilds it whole.
+func (ix *invIndex) markStale(masks []uint64) {
+	if len(ix.stale) != len(masks) {
 		return
 	}
-	wc.invBuilt = true
-	n := wc.Est.Inst.G.NumNodes()
-	total := 0
-	if cap(wc.invCnt) < n+1 {
-		wc.invCnt = make([]int32, n+1)
-		wc.invOff = make([]int32, n+1)
-	}
-	wc.invCnt = wc.invCnt[:n+1]
-	wc.invOff = wc.invOff[:n+1]
-	clear(wc.invCnt)
-	for b := range wc.snaps {
-		for _, ent := range wc.snaps[b].ents {
-			if ent.mask != 0 {
-				wc.invCnt[ent.node+1]++
-				total++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		wc.invCnt[v+1] += wc.invCnt[v]
-	}
-	copy(wc.invOff, wc.invCnt)
-	if cap(wc.inv) < total {
-		wc.inv = make([]entryRef, total)
-	}
-	wc.inv = wc.inv[:total]
-	cursor := wc.invCnt[:n] // reuse the counting array as the fill cursor
-	for b := range wc.snaps {
-		for i, ent := range wc.snaps[b].ents {
-			if ent.mask != 0 {
-				wc.inv[cursor[ent.node]] = entryRef{blk: int32(b), idx: int32(i)}
-				cursor[ent.node]++
-			}
+	for b, m := range masks {
+		if m != 0 {
+			ix.stale[b] = true
 		}
 	}
 }
 
-// activeEntries returns the live snapshot entries of v, in ascending block
-// order; their masks are the worlds activating v. buildInverted must have
-// run.
+// markBlock marks block b stale.
+func (ix *invIndex) markBlock(b int) {
+	if b < len(ix.stale) {
+		ix.stale[b] = true
+	}
+}
+
+// markAll marks every block stale.
+func (ix *invIndex) markAll() {
+	for b := range ix.stale {
+		ix.stale[b] = true
+	}
+}
+
+// refresh re-indexes the stale blocks of snaps over n nodes. An index over
+// another block count starts over, every block stale; node growth extends
+// head by the new nodes alone.
+func (ix *invIndex) refresh(snaps []blockSnap, n int) {
+	if len(ix.owned) != len(snaps) {
+		ix.head = ix.head[:0]
+		ix.refs = ix.refs[:0]
+		ix.free = -1
+		ix.owned = make([][]int32, len(snaps))
+		ix.stale = make([]bool, len(snaps))
+		ix.markAll()
+	}
+	for len(ix.head) < n {
+		ix.head = append(ix.head, -1)
+	}
+	for b := range snaps {
+		if !ix.stale[b] {
+			continue
+		}
+		ix.stale[b] = false
+		own := ix.owned[b]
+		for _, r := range own {
+			ix.unlink(r)
+		}
+		own = own[:0]
+		for i, ent := range snaps[b].ents {
+			if ent.mask != 0 {
+				own = append(own, ix.link(ent.node, entryRef{blk: int32(b), idx: int32(i)}))
+			}
+		}
+		ix.owned[b] = own
+	}
+}
+
+// link adds ref to the front of v's list and returns its pool index.
+func (ix *invIndex) link(v int32, ref entryRef) int32 {
+	r := ix.free
+	if r >= 0 {
+		ix.free = ix.refs[r].next
+	} else {
+		r = int32(len(ix.refs))
+		ix.refs = append(ix.refs, invRef{})
+	}
+	next := ix.head[v]
+	ix.refs[r] = invRef{entryRef: ref, node: v, prev: -1, next: next}
+	if next >= 0 {
+		ix.refs[next].prev = r
+	}
+	ix.head[v] = r
+	return r
+}
+
+// unlink removes ref r from its node's list and frees it.
+func (ix *invIndex) unlink(r int32) {
+	x := ix.refs[r]
+	if x.prev >= 0 {
+		ix.refs[x.prev].next = x.next
+	} else {
+		ix.head[x.node] = x.next
+	}
+	if x.next >= 0 {
+		ix.refs[x.next].prev = x.prev
+	}
+	ix.refs[r].next = ix.free
+	ix.free = r
+}
+
+// refreshIndex brings the inverted activation index up to date with the
+// snapshot, re-indexing only the blocks moves rewrote since the last call.
+func (wc *WorldCache) refreshIndex() {
+	wc.inv.refresh(wc.snaps, wc.Est.Inst.G.NumNodes())
+}
+
+// activeEntries returns the live snapshot entries of v, in no particular
+// order; their masks are the worlds activating v. refreshIndex must have
+// run since the last move. The slice is scratch, valid until the next call.
 func (wc *WorldCache) activeEntries(v int32) []entryRef {
-	return wc.inv[wc.invOff[v]:wc.invOff[v+1]]
+	buf := wc.entBuf[:0]
+	for r := wc.inv.head[v]; r >= 0; r = wc.inv.refs[r].next {
+		buf = append(buf, wc.inv.refs[r].entryRef)
+	}
+	wc.entBuf = buf
+	return buf
 }
 
 // deltaScratch is per-worker replay state. The base worlds' membership
@@ -775,7 +870,7 @@ func (wc *WorldCache) EvaluateDelta(d *Deployment, changed []int32) float64 {
 	}
 	e := wc.Est
 	e.evals.Add(1)
-	wc.buildInverted()
+	wc.refreshIndex()
 	affected := wc.affectedScratch()
 	for _, v := range changed {
 		for _, r := range wc.activeEntries(v) {

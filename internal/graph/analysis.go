@@ -27,7 +27,8 @@ func (g *Graph) Stats() DegreeStats {
 			s.MaxOut = float64(d)
 		}
 	}
-	for _, d := range g.inDeg {
+	for v := int32(0); v < int32(g.n); v++ {
+		d := g.InDegree(v)
 		s.MeanIn += float64(d)
 		if float64(d) > s.MaxIn {
 			s.MaxIn = float64(d)

@@ -26,7 +26,7 @@ type Graph struct {
 	offsets []int32   // len n+1; out-edge range of node v is [offsets[v], offsets[v+1])
 	targets []int32   // out-neighbours, sorted by descending P within each node
 	probs   []float64 // parallel to targets
-	inDeg   []int32   // in-degree per node
+	inDeg   []int32   // in-degree per node; the base's on overlay graphs (InDegree)
 	// byTarget[offsets[v]:offsets[v+1]] holds the local adjacency positions
 	// of v re-ordered so targets ascend — the binary-search index behind
 	// EdgeProb and NeighborRank. The adjacency itself stays probability-
@@ -179,10 +179,7 @@ type adjSorter struct {
 
 func (a adjSorter) Len() int { return len(a.targets) }
 func (a adjSorter) Less(i, j int) bool {
-	if a.probs[i] != a.probs[j] {
-		return a.probs[i] > a.probs[j]
-	}
-	return a.targets[i] < a.targets[j]
+	return adjCompare(a.probs[i], a.targets[i], a.probs[j], a.targets[j]) < 0
 }
 func (a adjSorter) Swap(i, j int) {
 	a.targets[i], a.targets[j] = a.targets[j], a.targets[i]
@@ -218,7 +215,17 @@ func (g *Graph) OutDegree(v int32) int {
 }
 
 // InDegree returns the number of in-edges of v.
-func (g *Graph) InDegree(v int32) int { return int(g.inDeg[v]) }
+func (g *Graph) InDegree(v int32) int {
+	if g.ov != nil {
+		if p := g.ov.inDeg[v>>pageBits]; p != nil {
+			return int(p[v&pageMask])
+		}
+		if int(v) >= len(g.inDeg) {
+			return 0
+		}
+	}
+	return int(g.inDeg[v])
+}
 
 // OutEdges returns the out-neighbours and probabilities of v, sorted by
 // descending probability. On delta-overlay graphs, churned sources return
@@ -349,7 +356,7 @@ func (g *Graph) buildReverse() {
 	n, m := g.n, g.NumEdges()
 	g.revOffsets = make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		g.revOffsets[v+1] = g.revOffsets[v] + g.inDeg[v]
+		g.revOffsets[v+1] = g.revOffsets[v] + int32(g.InDegree(int32(v)))
 	}
 	g.revSources = make([]int32, m)
 	g.revEdge = make([]int32, m)
@@ -425,18 +432,7 @@ const lookupThreshold = 8
 // Overlay rows carry their own by-target index, so churned sources pay the
 // same lookup cost as frozen ones.
 func (g *Graph) findRank(from, to int32) int {
-	var ts, bt []int32
-	if g.ov != nil {
-		if r := g.ov.row(from); r != nil {
-			ts, bt = r.targets, r.byTarget
-		} else if int(from) >= g.ov.baseN {
-			return -1
-		}
-	}
-	if ts == nil {
-		lo, hi := g.offsets[from], g.offsets[from+1]
-		ts, bt = g.targets[lo:hi], g.byTarget[lo:hi]
-	}
+	ts, bt := g.targetIndex(from)
 	if len(ts) <= lookupThreshold {
 		for i, t := range ts {
 			if t == to {
@@ -450,6 +446,21 @@ func (g *Graph) findRank(from, to int32) int {
 		return int(bt[i])
 	}
 	return -1
+}
+
+// targetIndex returns v's out-row targets and its by-target lookup index:
+// the row positions in ascending target order.
+func (g *Graph) targetIndex(v int32) (targets, byTarget []int32) {
+	if g.ov != nil {
+		if r := g.ov.row(v); r != nil {
+			return r.targets, r.byTarget
+		}
+		if int(v) >= g.ov.baseN {
+			return nil, nil
+		}
+	}
+	lo, hi := g.offsets[v], g.offsets[v+1]
+	return g.targets[lo:hi], g.byTarget[lo:hi]
 }
 
 // EdgeProb returns the probability of edge (from → to) and whether the edge
@@ -580,7 +591,7 @@ func (g *Graph) CapInWeights() *Graph {
 // standard influence probabilities P(e(i,j)) = 1 / indegree(j).
 func (g *Graph) WeightByInDegree() *Graph {
 	ng, err := g.Reweight(func(_, to int32, _ float64) float64 {
-		if d := g.inDeg[to]; d > 0 {
+		if d := g.InDegree(to); d > 0 {
 			return 1 / float64(d)
 		}
 		return 0

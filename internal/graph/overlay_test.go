@@ -23,8 +23,12 @@ func rowKeys(g *Graph, v int32) []int32 {
 // flatKeyViews concatenates g's split key-indexed views into flat
 // key → probability and key → target arrays.
 func flatKeyViews(g *Graph) ([]float64, []int32) {
-	bp, bt, tp, tt := g.KeyViewParts()
-	return slices.Concat(bp, tp), slices.Concat(bt, tt)
+	bp, bt, tail := g.KeyViewParts()
+	kp, kt := slices.Clone(bp), slices.Clone(bt)
+	for i := 0; i < tail.Len(); i++ {
+		kp, kt = append(kp, tail.Prob(i)), append(kt, tail.Target(i))
+	}
+	return kp, kt
 }
 
 func baseTestGraph(t *testing.T) *Graph {
@@ -213,13 +217,13 @@ func TestKeyViewPartsMatchFlatViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, t1, _, _ := o1.KeyViewParts()
-	p2, t2, tp2, tt2 := o2.KeyViewParts()
+	p1, t1, _ := o1.KeyViewParts()
+	p2, t2, tail2 := o2.KeyViewParts()
 	if &p1[0] != &p2[0] || &t1[0] != &t2[0] {
 		t.Fatal("lineage members do not share the base key-view prefix")
 	}
-	if len(tp2) != o2.OverlayEdges() || len(tt2) != o2.OverlayEdges() {
-		t.Fatalf("tail covers %d/%d keys, want %d", len(tp2), len(tt2), o2.OverlayEdges())
+	if tail2.Len() != o2.OverlayEdges() {
+		t.Fatalf("tail covers %d keys, want %d", tail2.Len(), o2.OverlayEdges())
 	}
 	cg, err := o2.Compact()
 	if err != nil {
@@ -235,7 +239,7 @@ func TestKeyViewPartsMatchFlatViews(t *testing.T) {
 		if k < len(p2) {
 			wantP, wantT = p2[k], t2[k]
 		} else {
-			wantP, wantT = tp2[k-len(p2)], tt2[k-len(p2)]
+			wantP, wantT = tail2.Prob(k-len(p2)), tail2.Target(k-len(p2))
 		}
 		if kp[k] != wantP || kt[k] != wantT {
 			t.Fatalf("key %d: flat (%v,%d), parts (%v,%d)", k, kp[k], kt[k], wantP, wantT)

@@ -402,27 +402,37 @@ type Deployment struct {
 // a campaign call validates against the view its engines resolved, which may
 // be ahead of the problem's original instance after ApplyEdges.
 func buildDeploymentFor(inst *diffusion.Instance, dep Deployment) (*diffusion.Deployment, error) {
+	d := diffusion.NewDeployment(inst.G.NumNodes())
+	if err := fillDeployment(d, inst, dep); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// fillDeployment validates a public deployment against one graph view and
+// writes it into d, an empty deployment over the view's users; Resolve
+// fills a pooled cache's scratch through it.
+func fillDeployment(d *diffusion.Deployment, inst *diffusion.Instance, dep Deployment) error {
 	n := inst.G.NumNodes()
-	d := diffusion.NewDeployment(n)
 	for _, s := range dep.Seeds {
 		if err := checkUser(s, n); err != nil {
-			return nil, fmt.Errorf("s3crm: seed: %w", err)
+			return fmt.Errorf("s3crm: seed: %w", err)
 		}
 		d.AddSeed(int32(s))
 	}
 	for v, k := range dep.Coupons {
 		if err := checkUser(v, n); err != nil {
-			return nil, fmt.Errorf("s3crm: coupon: %w", err)
+			return fmt.Errorf("s3crm: coupon: %w", err)
 		}
 		if k < 0 {
-			return nil, fmt.Errorf("s3crm: negative coupon count for user %d", v)
+			return fmt.Errorf("s3crm: negative coupon count for user %d", v)
 		}
 		if deg := inst.G.OutDegree(int32(v)); k > deg {
-			return nil, fmt.Errorf("s3crm: user %d allocated %d coupons but has %d friends", v, k, deg)
+			return fmt.Errorf("s3crm: user %d allocated %d coupons but has %d friends", v, k, deg)
 		}
 		d.SetK(int32(v), k)
 	}
-	return d, nil
+	return nil
 }
 
 // AdoptionCaseStudy re-weights the problem's network with the coupon
