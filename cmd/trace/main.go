@@ -40,7 +40,7 @@ func main() {
 		inst.G.NumNodes(), inst.G.NumEdges(), inst.Budget)
 
 	sol, err := core.Solve(inst, core.Options{
-		Samples: *samples, Seed: *seed, Workers: *workers, RecordTrajectory: true,
+		Samples: *samples, Seed: *seed, Workers: *workers,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trace:", err)
@@ -52,8 +52,15 @@ func main() {
 		if *every > 1 && i%*every != 0 && i != len(sol.Trajectory)-1 {
 			continue
 		}
+		action, rate := "coupon", 0.0
+		if p.Seed {
+			action = "seed"
+		}
+		if p.Cost > 0 {
+			rate = p.Benefit / p.Cost
+		}
 		fmt.Printf("%4d  %-6s  %4d  %9.3f  %9.3f  %9.4f\n",
-			i, p.Action, p.Node, p.Benefit, p.Cost, p.Rate)
+			i, action, p.Node, p.Benefit, p.Cost, rate)
 	}
 	fmt.Printf("\nstrict argmax selection: rate %.4f at cost %.4g (%d coupons, %d seeds)\n",
 		sol.RedemptionRate, sol.TotalCost, sol.Deployment.TotalK(), sol.Deployment.NumSeeds())

@@ -94,9 +94,6 @@ type Options struct {
 	// pivot sources; new seeds are only added when no SC investment is
 	// feasible (ablation: the investment trade-off machinery off).
 	DisablePivot bool
-	// RecordTrajectory captures every ID investment step in
-	// Solution.Trajectory — the Fig. 3 iteration-by-iteration view.
-	RecordTrajectory bool
 	// SpendBudget makes ID return the full-budget deployment (the last
 	// trajectory snapshot) instead of the strict argmax-rate snapshot.
 	// Alg. 1 line 24 specifies the argmax, but the paper's evaluation has
@@ -181,16 +178,6 @@ type Stats struct {
 	SketchRedrawn int
 }
 
-// TrajectoryPoint is one ID investment: what was bought, and the
-// deployment's accounting right after.
-type TrajectoryPoint struct {
-	Action  string // "seed" or "coupon"
-	Node    int32
-	Benefit float64
-	Cost    float64
-	Rate    float64
-}
-
 // Solution is the output of Solve.
 type Solution struct {
 	Deployment     *diffusion.Deployment
@@ -200,9 +187,12 @@ type Solution struct {
 	TotalCost      float64
 	RedemptionRate float64
 	Stats          Stats
-	// Trajectory holds the ID phase's investment sequence when
-	// Options.RecordTrajectory is set.
-	Trajectory []TrajectoryPoint
+	// Trajectory is the investment move log, the Fig. 3
+	// iteration-by-iteration view: every ID move with the greedy's benefit
+	// estimate and total cost right after it, or under the ssr engine the
+	// selected prefix of the sketch's moves. Each prefix replays
+	// (diffusion.Replay) to one candidate deployment of Alg. 1 line 24.
+	Trajectory []diffusion.TrajectoryPoint
 	// SketchWarm is the SSR engine's poolable sample state (nil under every
 	// other engine); a caller may hand it to a later compatible solve via
 	// Options.SketchWarm.
@@ -237,8 +227,8 @@ type solver struct {
 	wc         *diffusion.WorldCache // non-nil iff Engine == EngineWorldCache
 	explored   []bool
 	stats      Stats
-	trajectory []TrajectoryPoint
-	sketchWarm *sketch.Warm // SSR engine's poolable sample state
+	trajectory []diffusion.TrajectoryPoint // the move log (see Solution.Trajectory)
+	sketchWarm *sketch.Warm                // SSR engine's poolable sample state
 	// viewEvals and viewBlocks count the forward evaluations, and their
 	// 64-world blocks, made on per-goroutine sequential views of the engine
 	// (seqView), which the engine's own counters cannot see.
@@ -255,17 +245,10 @@ type solver struct {
 	gpiSt *dfsState
 }
 
-func (s *solver) record(action string, node int32, benefit, cost float64) {
-	if !s.opts.RecordTrajectory {
-		return
-	}
-	rate := 0.0
-	if cost > 0 {
-		rate = benefit / cost
-	}
-	s.trajectory = append(s.trajectory, TrajectoryPoint{
-		Action: action, Node: node, Benefit: benefit, Cost: cost, Rate: rate,
-	})
+// record logs one ID move with the deployment's benefit and total cost
+// right after it.
+func (s *solver) record(mv diffusion.Move, benefit, cost float64) {
+	s.trajectory = append(s.trajectory, diffusion.TrajectoryPoint{Move: mv, Benefit: benefit, Cost: cost})
 }
 
 func (s *solver) touch(v int32) {

@@ -74,7 +74,9 @@ type candidateChoice func(s *solver, lz *lazyID, d *diffusion.Deployment, curBen
 // already holding coupons), deepening it (a first SC to an influenced
 // user), or starting a new spread (activating the next pivot source as a
 // seed) — until the budget is exhausted. Every intermediate deployment is a
-// candidate; the one with the highest redemption rate wins.
+// candidate; the one with the highest redemption rate wins. The loop logs
+// each move in s.trajectory, and selectSnapshot replays that log to score
+// the candidates.
 //
 // The candidate choice is CELF lazy greedy: cached marginal gains from
 // earlier iterations serve as upper bounds, so each iteration re-evaluates
@@ -114,25 +116,20 @@ func (s *solver) investmentDeployment(queue []pivotEntry) *diffusion.Deployment 
 	}
 
 	next := 0
-	applyPivot := func(p pivotEntry) {
-		d.AddSeed(p.node)
-		if p.k > 0 && d.K(p.node) < p.k {
-			d.SetK(p.node, p.k)
-		}
+	applyPivot := func(p pivotEntry) diffusion.Move {
+		mv := diffusion.Move{Node: p.node, Seed: true, K: p.k}
+		d.Apply(mv)
 		s.touch(p.node)
+		return mv
 	}
-	applyPivot(queue[next])
+	mv := applyPivot(queue[next])
 	next++
 
 	curBenefit := s.benefitRebased(d)
 	curSC := in.SCCostOf(d)
 	curSeedCost := in.SeedCostOf(d)
-	s.record("seed", queue[0].node, curBenefit, curSeedCost+curSC)
+	s.record(mv, curBenefit, curSeedCost+curSC)
 	s.absorb(lz, d, queue[0].node)
-
-	// Candidate deployments D of Alg. 1: one snapshot per investment (see
-	// the selection-bias note in selectSnapshot).
-	snapshots := []*diffusion.Deployment{d.Clone()}
 
 	for iter := 0; iter < maxIDIterations(s.inst.G.NumNodes()); iter++ {
 		if s.aborted() {
@@ -161,7 +158,8 @@ func (s *solver) investmentDeployment(queue []pivotEntry) *diffusion.Deployment 
 		}
 
 		if investSC {
-			d.AddK(bestNode, 1)
+			mv = diffusion.Move{Node: bestNode, K: d.K(bestNode) + 1}
+			d.Apply(mv)
 			curBenefit += bestGain
 			curSC += bestDC
 			if s.incremental() {
@@ -171,7 +169,7 @@ func (s *solver) investmentDeployment(queue []pivotEntry) *diffusion.Deployment 
 				// next evaluation's rebase is then served from the cache.
 				curBenefit = s.wc.Rebase(d).Benefit
 			}
-			s.record("coupon", bestNode, curBenefit, curSeedCost+curSC)
+			s.record(mv, curBenefit, curSeedCost+curSC)
 			lz.epoch++
 			s.absorb(lz, d, bestNode)
 			// Re-queue the winner under its new marginal cost; the cached
@@ -182,12 +180,12 @@ func (s *solver) investmentDeployment(queue []pivotEntry) *diffusion.Deployment 
 				break
 			}
 			s.requeue(lz, d, bestNode) // the losing candidate stays queued
-			applyPivot(pivot)
+			mv = applyPivot(pivot)
 			next++
 			curBenefit = s.benefitRebased(d)
 			curSC = in.SCCostOf(d)
 			curSeedCost = in.SeedCostOf(d)
-			s.record("seed", pivot.node, curBenefit, curSeedCost+curSC)
+			s.record(mv, curBenefit, curSeedCost+curSC)
 			lz.epoch++
 			s.absorb(lz, d, pivot.node)
 			// A new seed can raise gains, so cached values are no longer
@@ -196,9 +194,8 @@ func (s *solver) investmentDeployment(queue []pivotEntry) *diffusion.Deployment 
 		}
 
 		s.emit(iter+1, curSeedCost+curSC, safeRatio(curBenefit, curSeedCost+curSC))
-		snapshots = append(snapshots, d.Clone())
 	}
-	return s.selectSnapshot(snapshots)
+	return s.selectSnapshot(d)
 }
 
 // absorb grows the influence marks after v changed (became a seed or gained
@@ -337,27 +334,23 @@ func (s *solver) refreshAll(lz *lazyID, d *diffusion.Deployment, curBenefit, spe
 }
 
 // selectSnapshot picks D* = argmax redemption rate over the candidate
-// deployments (Alg. 1 line 24), re-scoring every snapshot with a fresh
-// estimator stream so the selection is unbiased by the greedy's own noise.
-// Rates within sketch.RateTolerance of the maximum are ties, and ties
-// prefer the later — larger — deployment (the paper reports every
-// algorithm's total cost ≈ Binv, which requires spending through rate
-// plateaus).
-func (s *solver) selectSnapshot(snapshots []*diffusion.Deployment) *diffusion.Deployment {
-	if len(snapshots) == 1 {
-		return snapshots[0]
-	}
-	if s.opts.SpendBudget {
-		return snapshots[len(snapshots)-1]
-	}
-	if s.aborted() {
-		return snapshots[len(snapshots)-1]
+// deployments (Alg. 1 line 24) — the prefixes of the move log
+// s.trajectory, whose whole replay is the live deployment d — re-scoring
+// every prefix with a fresh estimator stream so the selection is unbiased
+// by the greedy's own noise. Rates within sketch.RateTolerance of the
+// maximum are ties, and ties prefer the later — larger — deployment (the
+// paper reports every algorithm's total cost ≈ Binv, which requires
+// spending through rate plateaus). The winner is rebuilt from its prefix.
+func (s *solver) selectSnapshot(d *diffusion.Deployment) *diffusion.Deployment {
+	log := s.trajectory
+	if len(log) == 1 || s.opts.SpendBudget || s.aborted() {
+		return d
 	}
 	s.enterPhase("select")
 	scorer := s.newScorer()
 	// Under the world-cache engine the scorer is a world cache too, and the
-	// snapshots form a chain differing by one investment each: rebasing
-	// along the chain re-simulates only the worlds a step can change — those
+	// prefixes form a chain differing by one move each: rebasing along the
+	// chain re-simulates only the worlds a step can change — those
 	// activating a node whose coupons moved, or, on a seed step, those the
 	// new seed can reach. The cache folds its per-world values exactly as a
 	// full evaluation does, so the scores are bit-identical and the
@@ -367,32 +360,28 @@ func (s *solver) selectSnapshot(snapshots []*diffusion.Deployment) *diffusion.De
 		full := wcScorer.Rebases().Full
 		defer func() { s.fullRebases += wcScorer.Rebases().Full - full }()
 	}
-	score := func(d *diffusion.Deployment) float64 {
-		cost := s.inst.TotalCost(d)
-		if cost <= 0 {
-			return 0
-		}
-		if wcScorer != nil {
-			return wcScorer.Rebase(d).Benefit / cost
-		}
-		return scorer.Benefit(d) / cost
-	}
-	best := snapshots[0]
-	maxRate := score(best)
-	for i, d := range snapshots[1:] {
-		if s.aborted() {
+	work := diffusion.NewDeployment(d.NumUsers())
+	rates := make([]float64, 0, len(log))
+	for i, p := range log {
+		if i > 0 && s.aborted() {
 			break
 		}
-		r := score(d)
-		if r > maxRate {
-			maxRate = r
+		work.Apply(p.Move)
+		cost := s.inst.TotalCost(work)
+		r := 0.0
+		if cost > 0 {
+			if wcScorer != nil {
+				r = wcScorer.Rebase(work).Benefit / cost
+			} else {
+				r = scorer.Benefit(work) / cost
+			}
 		}
-		if r >= maxRate*(1-sketch.RateTolerance) {
-			best = d
+		rates = append(rates, r)
+		if i > 0 {
+			s.emit(i, cost, r)
 		}
-		s.emit(i+1, s.inst.TotalCost(d), r)
 	}
-	return best
+	return diffusion.Replay(d.NumUsers(), log[:sketch.BestRate(rates)+1])
 }
 
 // newScorer builds the independent estimator stream snapshot selection

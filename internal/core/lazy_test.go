@@ -244,14 +244,14 @@ func TestSeedStepsRebaseIncrementally(t *testing.T) {
 	inst := presetInstance(t, gen.Epinions, 10, 77)
 	wc := diffusion.NewWorldCache(inst, 1000, 77, 1)
 	sol, err := Solve(inst, Options{
-		Engine: diffusion.EngineWorldCache, Samples: 1000, Seed: 77, Evaluator: wc, RecordTrajectory: true,
+		Engine: diffusion.EngineWorldCache, Samples: 1000, Seed: 77, Evaluator: wc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	steps := -1 // the first seed is the engine's first, full, rebase
 	for _, p := range sol.Trajectory {
-		if p.Action == "seed" {
+		if p.Seed {
 			steps++
 		}
 	}

@@ -85,14 +85,6 @@ func (s *solver) sketchSolve(queue []pivotEntry) (*diffusion.Deployment, error) 
 	if s.opts.SketchPool {
 		s.sketchWarm = res.Warm
 	}
-	if s.opts.RecordTrajectory {
-		for _, st := range res.Steps {
-			action := "coupon"
-			if st.Seed {
-				action = "seed"
-			}
-			s.record(action, st.Node, st.Benefit, st.Cost)
-		}
-	}
+	s.trajectory = res.Steps
 	return res.Deployment, nil
 }

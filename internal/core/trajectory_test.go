@@ -2,6 +2,9 @@ package core
 
 import (
 	"testing"
+
+	"s3crm/internal/diffusion"
+	"s3crm/internal/gen"
 )
 
 // TestFig3InvestmentSequence verifies the ID phase walks the paper's
@@ -19,21 +22,20 @@ import (
 func TestFig3InvestmentSequence(t *testing.T) {
 	inst := example1(t, 2.85)
 	opts := exactTreeOptions(t, inst)
-	opts.RecordTrajectory = true
 	sol, err := Solve(inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	type step struct {
-		action string
-		node   int32
+		seed bool
+		node int32
 	}
 	want := []step{
-		{"seed", 1},   // initial deployment: v1 with one coupon
-		{"coupon", 1}, // Fig. 3(a): K1 = 2
-		{"coupon", 2}, // Fig. 3(b): K2 = 1
-		{"coupon", 2}, // Fig. 3(c): K2 = 2
-		{"coupon", 3}, // Fig. 3(d): K3 = 1
+		{true, 1},  // initial deployment: v1 with one coupon
+		{false, 1}, // Fig. 3(a): K1 = 2
+		{false, 2}, // Fig. 3(b): K2 = 1
+		{false, 2}, // Fig. 3(c): K2 = 2
+		{false, 3}, // Fig. 3(d): K3 = 1
 	}
 	if len(sol.Trajectory) != len(want) {
 		t.Fatalf("trajectory has %d steps, want %d: %+v",
@@ -41,9 +43,9 @@ func TestFig3InvestmentSequence(t *testing.T) {
 	}
 	for i, w := range want {
 		got := sol.Trajectory[i]
-		if got.Action != w.action || got.Node != w.node {
-			t.Fatalf("step %d = %s %d, want %s %d",
-				i, got.Action, got.Node, w.action, w.node)
+		if got.Seed != w.seed || got.Node != w.node {
+			t.Fatalf("step %d = seed %v node %d, want seed %v node %d",
+				i, got.Seed, got.Node, w.seed, w.node)
 		}
 	}
 	// The final trajectory point carries the paper's Fig. 3(d) accounting:
@@ -61,13 +63,48 @@ func TestFig3InvestmentSequence(t *testing.T) {
 	}
 }
 
-func TestTrajectoryOffByDefault(t *testing.T) {
-	inst := example1(t, 2.85)
-	sol, err := Solve(inst, Options{Samples: 100, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestTrajectoryReplaysDeployment checks that Solution.Trajectory is the
+// ID phase's move log: with GPI off, replaying it from the empty deployment
+// reaches the returned deployment at some prefix (the argmax-rate snapshot),
+// and under SpendBudget at the full log. Each logged cost is the total cost
+// of its prefix.
+func TestTrajectoryReplaysDeployment(t *testing.T) {
+	insts := []struct {
+		name string
+		inst *diffusion.Instance
+	}{
+		{"example1", example1(t, 2.85)},
+		{"epinions", presetInstance(t, gen.Epinions, 200, 5)},
 	}
-	if sol.Trajectory != nil {
-		t.Fatal("trajectory recorded without RecordTrajectory")
+	for _, tc := range insts {
+		for _, engine := range []string{diffusion.EngineMC, diffusion.EngineWorldCache} {
+			for _, spend := range []bool{false, true} {
+				sol, err := Solve(tc.inst, Options{
+					Engine: engine, Samples: 200, Seed: 3, DisableGPI: true, SpendBudget: spend,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				log := sol.Trajectory
+				if len(log) == 0 {
+					t.Fatalf("%s/%s: empty trajectory", tc.name, engine)
+				}
+				d := diffusion.NewDeployment(tc.inst.G.NumNodes())
+				at := -1
+				for i, p := range log {
+					d.Apply(p.Move)
+					if c := tc.inst.TotalCost(d); !almost(p.Cost, c, 1e-9*(1+c)) {
+						t.Fatalf("%s/%s: step %d logs cost %v, its prefix costs %v", tc.name, engine, i, p.Cost, c)
+					}
+					if d.Equal(sol.Deployment) {
+						at = i
+					}
+				}
+				if spend && at != len(log)-1 || at < 0 {
+					t.Fatalf("%s/%s spend=%v: deployment %v is the replay of prefix %d of %d moves",
+						tc.name, engine, spend, sol.Deployment, at, len(log))
+				}
+			}
+		}
 	}
 }

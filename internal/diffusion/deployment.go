@@ -17,7 +17,8 @@ import (
 // the deployment rather than the size of the network.
 //
 // Deployments are mutable scratch objects: the search algorithms apply a
-// change, evaluate, and either keep or revert it. Use Clone to snapshot.
+// change, evaluate, and either keep or revert it. Use Clone to snapshot, or
+// log Moves and Replay a prefix.
 type Deployment struct {
 	n       int
 	seed    []bool
@@ -129,6 +130,45 @@ func (d *Deployment) TotalK() int {
 // fresh slice (nil when there are none).
 func (d *Deployment) Allocated() []int32 {
 	return append([]int32(nil), d.holders...)
+}
+
+// Move is one step of an investment trajectory: Node becomes a seed when
+// Seed is set, and its coupon count rises to K when it holds fewer. A seed
+// move's K is the pivot's coupon count; a coupon move's K is Node's count
+// after the move, one more than before.
+type Move struct {
+	Node int32
+	Seed bool
+	K    int
+}
+
+// Apply performs m on d. A move never lowers a coupon count, so re-applying
+// a seed move is a no-op.
+func (d *Deployment) Apply(m Move) {
+	if m.Seed {
+		d.AddSeed(m.Node)
+	}
+	if m.K > d.K(m.Node) {
+		d.SetK(m.Node, m.K)
+	}
+}
+
+// TrajectoryPoint is one logged move with the search's benefit estimate
+// and total cost of the deployment right after it.
+type TrajectoryPoint struct {
+	Move
+	Benefit float64
+	Cost    float64
+}
+
+// Replay returns the deployment over n users that the moves of log build
+// from the empty one.
+func Replay(n int, log []TrajectoryPoint) *Deployment {
+	d := NewDeployment(n)
+	for _, p := range log {
+		d.Apply(p.Move)
+	}
+	return d
 }
 
 // Clone returns an independent copy.

@@ -271,3 +271,50 @@ func denseSeedAdded(base, d *Deployment) (int32, bool) {
 	}
 	return s, true
 }
+
+// TestDeploymentApply pins Move's semantics row by row: a seed move makes
+// its node a seed and raises its coupon count to K but never lowers it, a
+// coupon move raises the count to K (one more than before), and a repeated
+// seed move changes nothing.
+func TestDeploymentApply(t *testing.T) {
+	type state struct {
+		seed bool
+		k    int
+	}
+	rows := []struct {
+		name  string
+		pre   []Move
+		mv    Move
+		want  state
+		seeds int
+		noop  bool // the move must leave d unchanged
+	}{
+		{"seed raises K", nil, Move{Node: 3, Seed: true, K: 2}, state{true, 2}, 1, false},
+		{"seed below K keeps K", []Move{{Node: 3, K: 1}, {Node: 3, K: 2}, {Node: 3, K: 3}},
+			Move{Node: 3, Seed: true, K: 1}, state{true, 3}, 1, false},
+		{"coupon", []Move{{Node: 3, Seed: true, K: 1}}, Move{Node: 3, K: 2}, state{true, 2}, 1, false},
+		{"coupon on non-seed", []Move{{Node: 1, Seed: true, K: 1}}, Move{Node: 3, K: 1}, state{false, 1}, 1, false},
+		{"repeated seed", []Move{{Node: 3, Seed: true, K: 2}}, Move{Node: 3, Seed: true, K: 2}, state{true, 2}, 1, true},
+	}
+	for _, r := range rows {
+		d := NewDeployment(5)
+		for _, mv := range r.pre {
+			d.Apply(mv)
+		}
+		before := d.Clone()
+		d.Apply(r.mv)
+		if got := (state{d.IsSeed(r.mv.Node), d.K(r.mv.Node)}); got != r.want || d.NumSeeds() != r.seeds {
+			t.Fatalf("%s: node %d is %+v with %d seeds, want %+v with %d", r.name, r.mv.Node, got, d.NumSeeds(), r.want, r.seeds)
+		}
+		if r.noop && !d.Equal(before) {
+			t.Fatalf("%s: %v, want unchanged %v", r.name, d, before)
+		}
+		log := make([]TrajectoryPoint, 0, len(r.pre)+1)
+		for _, mv := range append(r.pre, r.mv) {
+			log = append(log, TrajectoryPoint{Move: mv})
+		}
+		if got := Replay(5, log); !got.Equal(d) {
+			t.Fatalf("%s: Replay gives %v, want %v", r.name, got, d)
+		}
+	}
+}

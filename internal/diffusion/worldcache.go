@@ -3,7 +3,6 @@ package diffusion
 import (
 	"math/bits"
 	"slices"
-	"sync"
 
 	"s3crm/internal/bitset"
 	"s3crm/internal/par"
@@ -65,15 +64,14 @@ type WorldCache struct {
 	counts RebaseCounts
 
 	// Scratch reused across moves: the per-block affected-world masks, the
-	// coupon diff, and the seed add's state (seedScratch); and
-	// ScratchDeployment's deployment.
+	// coupon diff, and the seed add's state (seedScratch);
+	// ScratchDeployment's deployment; and DeltaBenefits' replay state, one
+	// per worker.
 	affected []uint64
 	changed  []int32
 	add      seedScratch
 	scratch  Deployment
-
-	poolOnce sync.Once
-	pool     sync.Pool // of *deltaScratch
+	deltas   []deltaScratch
 }
 
 // maxAdvanceChanged bounds how many coupon-count differences the
@@ -646,19 +644,10 @@ type holderScan struct {
 	stop [64]int32 // where the base scan stopped
 }
 
-func newDeltaScratch(n int) *deltaScratch {
-	return &deltaScratch{
-		active: make([]uint64, n),
-		slot:   make([]int32, n),
-		dStamp: make([]int32, n),
-		queue:  make([]int32, 0, 64),
-	}
-}
-
 // ensure grows the per-node arrays to n entries. Appended entries are zero:
 // an empty mask, no slot, and a stamp that can only collide with epoch 0 —
 // a value the epoch counter skips — so grown scratches need no reset.
-// Dynamic graphs add nodes between uses of a pooled scratch; every getDelta
+// Dynamic graphs add nodes between uses of a scratch; every DeltaBenefits
 // re-checks the size.
 func (sc *deltaScratch) ensure(n int) {
 	if len(sc.dStamp) >= n {
@@ -719,20 +708,6 @@ func (sc *deltaScratch) nextReplay() {
 	sc.queue = sc.queue[:0]
 }
 
-func (wc *WorldCache) getDelta() *deltaScratch {
-	wc.poolOnce.Do(func() {
-		n := wc.Est.Inst.G.NumNodes()
-		wc.pool.New = func() any { return newDeltaScratch(n) }
-	})
-	sc := wc.pool.Get().(*deltaScratch)
-	// PatchEdges may have grown the node set since this scratch (or the
-	// pool's New closure) was sized.
-	sc.ensure(wc.Est.Inst.G.NumNodes())
-	return sc
-}
-
-func (wc *WorldCache) putDelta(sc *deltaScratch) { wc.pool.Put(sc) }
-
 // DeltaBenefits estimates, for every candidate v, the expected benefit of
 // the base deployment with one extra coupon at v, replaying only the
 // affected frontier of the worlds that activate v. The result slice is
@@ -751,10 +726,14 @@ func (wc *WorldCache) DeltaBenefits(cands []int32) []float64 {
 	}
 	out := make([]float64, len(cands))
 	e := wc.Est
-	par.Ranges(len(cands), e.Workers, func(_, lo, hi int) {
-		sc := wc.getDelta()
+	if ws := max(1, min(e.Workers, len(cands))); len(wc.deltas) < ws {
+		wc.deltas = append(wc.deltas, make([]deltaScratch, ws-len(wc.deltas))...)
+	}
+	n := e.Inst.G.NumNodes()
+	par.Ranges(len(cands), e.Workers, func(w, lo, hi int) {
+		sc := &wc.deltas[w]
+		sc.ensure(n) // PatchEdges may have grown the node set since the last call
 		wc.deltaWorlds(sc, cands[lo:hi], out[lo:hi])
-		wc.putDelta(sc)
 	})
 	base := wc.baseResult.Benefit
 	inv := 1 / float64(e.Samples)

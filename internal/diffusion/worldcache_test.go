@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"s3crm/internal/graph"
@@ -401,5 +402,31 @@ func TestExploredCountsProbedNeighbors(t *testing.T) {
 	r = NewEstimator(inst, 10, 1).Evaluate(d)
 	if r.Explored != 1 || r.Activated != 1 {
 		t.Fatalf("k=0: Explored = %v, Activated = %v, want 1, 1", r.Explored, r.Activated)
+	}
+}
+
+// TestDeltaBenefitsKeepsScratchAcrossGC: the per-worker replay scratch (16
+// bytes per user) belongs to the cache, so a collection between two
+// DeltaBenefits calls must not make the second allocate it again. Two
+// collections run, since a sync.Pool keeps its objects through one.
+func TestDeltaBenefitsKeepsScratchAcrossGC(t *testing.T) {
+	const n = 5000
+	inst := randomInstance(t, n, 4*n, 31)
+	d := randomDeployment(inst, 3, 20, 32)
+	wc := NewWorldCache(inst, 128, 33, 2)
+	wc.Rebase(d)
+	cands := d.Seeds()
+	if len(cands) < 2 {
+		t.Fatalf("want at least two candidates, got %d", len(cands))
+	}
+	wc.DeltaBenefits(cands)
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	wc.DeltaBenefits(cands)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16*n {
+		t.Fatalf("second DeltaBenefits allocated %d bytes, want < %d", got, 16*n)
 	}
 }

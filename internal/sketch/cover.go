@@ -48,14 +48,13 @@ type coverEntry struct {
 
 // move records one greedy selection, with enough to replay its coverage
 // against an independent sample collection: a seed move covers the samples
-// rooted at the node plus slots [slotLo, slotHi) (the coupons applied with
-// the pivot), a coupon move covers slot slotLo alone (slotHi = slotLo+1).
-// cost is the cumulative closed-form cost after the move.
+// rooted at the node plus slots [slotLo, K) (the coupons applied with the
+// pivot), a coupon move covers slot slotLo alone (K = slotLo+1). cost is
+// the cumulative closed-form cost after the move.
 type move struct {
-	seed           bool
-	node           int32
-	slotLo, slotHi int32
-	cost           float64
+	diffusion.Move
+	slotLo int32
+	cost   float64
 }
 
 // newMaximizer builds a cover pass over the first limit samples of st. A
@@ -222,8 +221,8 @@ func (m *maximizer) applyPivot(p Pivot) bool {
 	}
 	m.absorb(v)
 	m.moves = append(m.moves, move{
-		seed: true, node: v, slotLo: int32(wasK), slotHi: int32(k),
-		cost: m.cost,
+		Move:   diffusion.Move{Node: v, Seed: true, K: k},
+		slotLo: int32(wasK), cost: m.cost,
 	})
 	return true
 }
@@ -240,8 +239,8 @@ func (m *maximizer) applyCoupon(e coverEntry, dc float64) {
 		m.push(v)
 	}
 	m.moves = append(m.moves, move{
-		seed: false, node: v, slotLo: e.slot, slotHi: e.slot + 1,
-		cost: m.cost,
+		Move:   diffusion.Move{Node: v, K: int(e.slot) + 1},
+		slotLo: e.slot, cost: m.cost,
 	})
 }
 

@@ -59,6 +59,23 @@ const (
 // investing the remaining budget.
 const RateTolerance = 0.002
 
+// BestRate returns the snapshot a trajectory's rates select: the last index
+// whose rate lies within RateTolerance of the running maximum over the
+// rates up to it. It returns −1 for no rates.
+func BestRate(rates []float64) int {
+	best, maxRate := -1, 0.0
+	for i, r := range rates {
+		first := best < 0
+		if first || r > maxRate {
+			maxRate = r
+		}
+		if first || r >= maxRate*(1-RateTolerance) {
+			best = i
+		}
+	}
+	return best
+}
+
 // RNG stream tags: the two sample collections draw from per-call streams
 // derived off the solve seed, disjoint from each other and from every
 // engine stream (which derive with different tags or use the seed raw).
@@ -136,15 +153,6 @@ type Config struct {
 	Ctx context.Context
 }
 
-// Step is one selected greedy move with its running validation-collection
-// benefit estimate and closed-form cumulative cost.
-type Step struct {
-	Seed    bool
-	Node    int32
-	Benefit float64
-	Cost    float64
-}
-
 // Result is a solved sketch selection.
 type Result struct {
 	Deployment *diffusion.Deployment
@@ -152,12 +160,15 @@ type Result struct {
 	Samples    int     // total samples visible to the final round, both collections
 	LB, UB     float64 // final benefit bounds on the sketch objective
 	Certified  bool    // the (1−1/e−ε, δ) target was met before maxSamples
-	Steps      []Step  // the selected prefix of greedy moves
-	Workers    int     // effective worker cap the build ran under
-	BuildNs    int64   // nanoseconds spent drawing/patching samples
-	Reused     int     // samples reused from a churned Warm (patch path)
-	Redrawn    int     // samples re-drawn from a churned Warm (patch path)
-	Warm       *Warm   // poolable sample state for a later compatible call
+	// Steps is the selected prefix of greedy moves, each with its
+	// validation-collection benefit estimate and closed-form cumulative
+	// cost; Deployment is its replay.
+	Steps   []diffusion.TrajectoryPoint
+	Workers int   // effective worker cap the build ran under
+	BuildNs int64 // nanoseconds spent drawing/patching samples
+	Reused  int   // samples reused from a churned Warm (patch path)
+	Redrawn int   // samples re-drawn from a churned Warm (patch path)
+	Warm    *Warm // poolable sample state for a later compatible call
 }
 
 // Solve grows the two SSR sample collections through doubling rounds until
@@ -312,36 +323,22 @@ func Solve(cfg Config) (*Result, error) {
 	// later (larger) deployment.
 	bestIdx := len(moves) - 1
 	if !cfg.SpendBudget {
+		rates := make([]float64, len(moves))
+		for i, mv := range moves {
+			rates[i] = ratio(scale*float64(cov2[i]), mv.cost)
+		}
 		if cfg.ScoreBatch != nil {
-			bestIdx = selectForward(cfg.ScoreBatch, moves, cov2, scale, n)
+			bestIdx = selectForward(cfg.ScoreBatch, moves, rates, n)
 		} else {
-			maxRate := 0.0
-			for i := range moves {
-				r := ratio(scale*float64(cov2[i]), moves[i].cost)
-				if r > maxRate {
-					maxRate = r
-				}
-				if r >= maxRate*(1-RateTolerance) {
-					bestIdx = i
-				}
-			}
+			bestIdx = BestRate(rates)
 		}
 	}
-	for i := 0; i <= bestIdx; i++ {
-		mv := moves[i]
-		if mv.seed {
-			res.Deployment.AddSeed(mv.node)
-			if int(mv.slotHi) > res.Deployment.K(mv.node) {
-				res.Deployment.SetK(mv.node, int(mv.slotHi))
-			}
-		} else {
-			res.Deployment.AddK(mv.node, 1)
-		}
-		res.Steps = append(res.Steps, Step{
-			Seed: mv.seed, Node: mv.node,
-			Benefit: scale * float64(cov2[i]), Cost: mv.cost,
+	for i, mv := range moves[:bestIdx+1] {
+		res.Steps = append(res.Steps, diffusion.TrajectoryPoint{
+			Move: mv.Move, Benefit: scale * float64(cov2[i]), Cost: mv.cost,
 		})
 	}
+	res.Deployment = diffusion.Replay(n, res.Steps)
 	res.Warm = &Warm{
 		inst: cfg.Inst, seed: cfg.Seed, lt: lt,
 		sig: sig,
@@ -359,25 +356,25 @@ const maxScored = 32
 
 // selectForward picks the snapshot index by forward-measured rate over a
 // bounded candidate set of greedy prefixes, each handed to score as an
-// independent clone of the prefix.
-func selectForward(score func([]*diffusion.Deployment) []float64, moves []move, cov2 []int, scale float64, n int) int {
+// independent clone of the prefix; est holds the prefixes' sketch-estimated
+// rates.
+func selectForward(score func([]*diffusion.Deployment) []float64, moves []move, est []float64, n int) int {
+	if len(moves) == 0 {
+		return -1
+	}
 	cand := make([]bool, len(moves))
 	if len(moves) <= maxScored {
 		for i := range cand {
 			cand[i] = true
 		}
 	} else {
-		type est struct {
-			i int
-			r float64
+		byRate := make([]int, len(moves))
+		for i := range byRate {
+			byRate[i] = i
 		}
-		byRate := make([]est, len(moves))
-		for i := range moves {
-			byRate[i] = est{i, ratio(scale*float64(cov2[i]), moves[i].cost)}
-		}
-		sort.Slice(byRate, func(a, b int) bool { return byRate[a].r > byRate[b].r })
-		for _, e := range byRate[:maxScored/2] {
-			cand[e.i] = true
+		sort.Slice(byRate, func(a, b int) bool { return est[byRate[a]] > est[byRate[b]] })
+		for _, i := range byRate[:maxScored/2] {
+			cand[i] = true
 		}
 		step := float64(len(moves)-1) / float64(maxScored/2-1)
 		for j := 0; j < maxScored/2; j++ {
@@ -389,38 +386,13 @@ func selectForward(score func([]*diffusion.Deployment) []float64, moves []move, 
 	var deps []*diffusion.Deployment
 	var idxs []int
 	for i, mv := range moves {
-		applyMove(d, mv)
+		d.Apply(mv.Move)
 		if cand[i] {
 			deps = append(deps, d.Clone())
 			idxs = append(idxs, i)
 		}
 	}
-	scores := score(deps)
-	bestIdx, maxRate := len(moves)-1, 0.0
-	first := true
-	for j, i := range idxs {
-		r := scores[j]
-		if first || r > maxRate {
-			maxRate = r
-		}
-		if first || r >= maxRate*(1-RateTolerance) {
-			bestIdx = i
-		}
-		first = false
-	}
-	return bestIdx
-}
-
-// applyMove replays one greedy move onto a deployment.
-func applyMove(d *diffusion.Deployment, mv move) {
-	if mv.seed {
-		d.AddSeed(mv.node)
-		if int(mv.slotHi) > d.K(mv.node) {
-			d.SetK(mv.node, int(mv.slotHi))
-		}
-	} else {
-		d.AddK(mv.node, 1)
-	}
+	return idxs[BestRate(score(deps))]
 }
 
 // replay marks each move's cover lists against the first limit samples of
@@ -444,11 +416,11 @@ func replay(moves []move, st *store, limit int) []int {
 	}
 	out := make([]int, len(moves))
 	for i, mv := range moves {
-		if mv.seed {
-			mark(st.rootList(mv.node))
+		if mv.Seed {
+			mark(st.rootList(mv.Node))
 		}
-		for c := mv.slotLo; c < mv.slotHi; c++ {
-			mark(st.slotList(int(c), mv.node))
+		for c := int(mv.slotLo); c < mv.K; c++ {
+			mark(st.slotList(c, mv.Node))
 		}
 		out[i] = cnt
 	}

@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -241,6 +243,72 @@ func TestSolveDeterministic(t *testing.T) {
 			if r1.Steps[i] != r2.Steps[i] {
 				t.Fatalf("model %s: step %d differs: %+v vs %+v", model, i, r1.Steps[i], r2.Steps[i])
 			}
+		}
+	}
+}
+
+// TestStepsReplayDeployment: Result.Steps is the selected prefix of the
+// move log — replaying it from the empty deployment rebuilds
+// Result.Deployment, each step's cost is the closed-form cost of its
+// prefix — whether the snapshot is picked on validation estimates, on
+// forward measurements, or is the full-budget prefix.
+func TestStepsReplayDeployment(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	inst := randomSketchInstance(t, r, 60, 600)
+	est := diffusion.NewEstimator(inst, 100, 1)
+	forward := func(ds []*diffusion.Deployment) []float64 {
+		out := make([]float64, len(ds))
+		for i, d := range ds {
+			out[i] = est.RedemptionRate(d)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		score func([]*diffusion.Deployment) []float64
+		spend bool
+	}{{"validation", nil, false}, {"forward", forward, false}, {"spend", nil, true}} {
+		res, err := Solve(Config{
+			Inst: inst, Pivots: standalonePivots(inst), Seed: 42,
+			Epsilon: 0.1, Delta: 0.01, ScoreBatch: tc.score, SpendBudget: tc.spend,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Steps) == 0 {
+			t.Fatalf("%s: no steps", tc.name)
+		}
+		d := diffusion.NewDeployment(inst.G.NumNodes())
+		for i, p := range res.Steps {
+			d.Apply(p.Move)
+			if c := inst.TotalCost(d); math.Abs(p.Cost-c) > 1e-9*(1+c) {
+				t.Fatalf("%s: step %d logs cost %v, its prefix costs %v", tc.name, i, p.Cost, c)
+			}
+		}
+		if !d.Equal(res.Deployment) {
+			t.Fatalf("%s: replaying %d steps gives %v, want %v", tc.name, len(res.Steps), d, res.Deployment)
+		}
+	}
+}
+
+// TestBestRate pins the snapshot tie-break: the last rate within
+// RateTolerance of the running maximum wins, a later rate that falls
+// further behind does not, and no rates select nothing.
+func TestBestRate(t *testing.T) {
+	for _, tc := range []struct {
+		rates []float64
+		want  int
+	}{
+		{nil, -1},
+		{[]float64{0}, 0},
+		{[]float64{1, 2, 1.999, 1.5}, 2},
+		{[]float64{2, 1, 0.5}, 0},
+		{[]float64{1, 1, 1}, 2},
+		{[]float64{0, 0, 3, 2.99}, 2},
+		{[]float64{0, 0, 3, 2.995}, 3},
+	} {
+		if got := BestRate(tc.rates); got != tc.want {
+			t.Errorf("BestRate(%v) = %d, want %d", tc.rates, got, tc.want)
 		}
 	}
 }
