@@ -96,9 +96,7 @@ func (c *Campaign) ApplyEdges(ctx context.Context, edges []EdgeAdd) (ChurnStats,
 	st.NodesAdded = g2.NumNodes() - oldN
 
 	if g2.OverlayEdges()*compactAfterFraction >= g2.NumEdges() {
-		if g2, err = g2.Compact(); err != nil {
-			return st, fmt.Errorf("s3crm: %w", err)
-		}
+		g2 = g2.Compact()
 		st.Compacted = true
 	}
 

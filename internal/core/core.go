@@ -243,6 +243,11 @@ type solver struct {
 
 	// gpiSt is the GPI traversal's reusable per-node state (see gpiState).
 	gpiSt *dfsState
+
+	// price[v] caches v's marginal coupon cost at coupon count priceK[v]-1
+	// (0: never priced); see marginalSCCost.
+	price  []float64
+	priceK []int32
 }
 
 // record logs one ID move with the deployment's benefit and total cost

@@ -16,7 +16,9 @@ func maxIDIterations(n int) int { return 10*n + 10000 }
 // nextPivot scans the queue from *next for the first pivot source that is
 // not already a seed and still affordable with spent already committed.
 // Entries skipped here are skipped for good — the budget only shrinks — so
-// *next only advances.
+// *next only advances. An entry whose source holds no coupons yet is priced
+// by the coupon cost it carries (NodeSCCost(v, 0) is exactly 0); only a
+// source the ID loop already gave coupons is re-priced.
 func (s *solver) nextPivot(queue []pivotEntry, next *int, d *diffusion.Deployment, spent float64) (pivotEntry, bool) {
 	in := s.inst
 	for *next < len(queue) {
@@ -25,7 +27,10 @@ func (s *solver) nextPivot(queue []pivotEntry, next *int, d *diffusion.Deploymen
 			*next++ // already part of the spread as a seed
 			continue
 		}
-		pCost := in.SeedCost[p.node] + in.NodeSCCost(p.node, max(p.k, d.K(p.node))) - in.NodeSCCost(p.node, d.K(p.node))
+		pCost := in.SeedCost[p.node] + p.couponCost
+		if k := d.K(p.node); k > 0 {
+			pCost = in.SeedCost[p.node] + in.NodeSCCost(p.node, max(p.k, k)) - in.NodeSCCost(p.node, k)
+		}
 		if spent+pCost > in.Budget {
 			*next++ // unaffordable now; budget only shrinks, so skip for good
 			continue
@@ -35,9 +40,23 @@ func (s *solver) nextPivot(queue []pivotEntry, next *int, d *diffusion.Deploymen
 	return pivotEntry{}, false
 }
 
-// marginalSCCost is the cost of one more coupon at v on top of d.
+// marginalSCCost is the cost of one more coupon at v on top of d,
+// NodeSCCost(v, K+1) − NodeSCCost(v, K) with K = d.K(v). The price is a
+// pure function of (v, K), so the solver caches it per user keyed by the K
+// it was priced at: a user whose coupon count moved is re-priced, and the
+// cache is right for any deployment.
 func (s *solver) marginalSCCost(d *diffusion.Deployment, v int32) float64 {
-	return s.inst.NodeSCCost(v, d.K(v)+1) - s.inst.NodeSCCost(v, d.K(v))
+	k := d.K(v)
+	if s.priceK == nil {
+		n := s.inst.G.NumNodes()
+		s.price, s.priceK = make([]float64, n), make([]int32, n)
+	}
+	if s.priceK[v] == int32(k)+1 {
+		return s.price[v]
+	}
+	p := s.inst.NodeSCCost(v, k+1) - s.inst.NodeSCCost(v, k)
+	s.price[v], s.priceK[v] = p, int32(k)+1
+	return p
 }
 
 // lazyBatchSize bounds how many stale heap entries are re-evaluated per

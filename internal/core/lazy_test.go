@@ -260,3 +260,40 @@ func TestSeedStepsRebaseIncrementally(t *testing.T) {
 			"for each of the engine and the scorer", steps, c, sol.Stats.FullRebases)
 	}
 }
+
+// TestMarginalSCCostCache pins the solver's cached coupon prices: after
+// every move of a random chain of Apply moves — coupon moves, and seed moves
+// that can raise a count by more than one — marginalSCCost equals
+// NodeSCCost(v, K+1) − NodeSCCost(v, K) bit for bit for every user, both on
+// the moving deployment and on the empty one, so a price cached at another
+// coupon count is never served.
+func TestMarginalSCCostCache(t *testing.T) {
+	inst := lazyRandomInstance(t, 3)
+	n := inst.G.NumNodes()
+	s := &solver{inst: inst, explored: make([]bool, n)}
+	d, empty := diffusion.NewDeployment(n), diffusion.NewDeployment(n)
+	src := rng.New(5)
+	check := func(step int, d *diffusion.Deployment) {
+		for v := int32(0); v < int32(n); v++ {
+			k := d.K(v)
+			want := inst.NodeSCCost(v, k+1) - inst.NodeSCCost(v, k)
+			if got := s.marginalSCCost(d, v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d: marginalSCCost(%d) at K=%d = %v, want %v", step, v, k, got, want)
+			}
+		}
+	}
+	for step := 0; step < 120; step++ {
+		v := int32(src.Intn(n))
+		mv := diffusion.Move{Node: v, K: d.K(v) + 1}
+		if src.Intn(4) == 0 {
+			mv = diffusion.Move{Node: v, Seed: true, K: d.K(v) + src.Intn(3)}
+		}
+		if mv.K <= inst.G.OutDegree(v) {
+			d.Apply(mv)
+		}
+		check(step, d)
+		if step%10 == 0 {
+			check(step, empty)
+		}
+	}
+}

@@ -9,12 +9,14 @@ import (
 )
 
 // pivotEntry is one pivot source: a user evaluated standalone, with the
-// coupon count phase 1 assigned (0 or 1) and the resulting standalone
-// redemption rate (the queue priority).
+// coupon count phase 1 assigned (0 or 1), that count's coupon cost
+// NodeSCCost(node, k), and the resulting standalone redemption rate (the
+// queue priority).
 type pivotEntry struct {
-	node int32
-	k    int
-	rate float64
+	node       int32
+	k          int
+	couponCost float64
+	rate       float64
 }
 
 // buildPivotQueue runs phase 1 of S3CA (Alg. 1 lines 1–8).
@@ -69,9 +71,10 @@ func (s *solver) buildPivotQueue() []pivotEntry {
 				k, cost, benefit = 1, couponCost, benefit1
 			}
 			entries = append(entries, pivotEntry{
-				node: v,
-				k:    k,
-				rate: safeRatio(benefit, seedCost+cost),
+				node:       v,
+				k:          k,
+				couponCost: cost,
+				rate:       safeRatio(benefit, seedCost+cost),
 			})
 		}
 		return entries

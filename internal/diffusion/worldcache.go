@@ -624,67 +624,56 @@ func (wc *WorldCache) activeEntries(v int32) []entryRef {
 	return buf
 }
 
-// deltaScratch is per-worker replay state. The base worlds' membership
-// masks and the coupon holders' scan state are filled once per block and
-// shared by all of the worker's candidates; the delta stamp is bumped per
-// replay so candidate frontiers never leak into each other.
+// deltaScratch is one worker's DeltaBenefits state. A block's membership
+// masks and its coupon holders' entries are loaded once per block (fill)
+// and shared by all of the worker's candidates; the replay state — the
+// replay's activations, its queue and the per-world sums — is reset per
+// candidate.
 type deltaScratch struct {
-	active []uint64     // active[v]: the current block's worlds in which the base activates v
-	slot   []int32      // slot[v]: 1 + index in scans of holder v's scan state this block; 0 if none
-	scans  []holderScan // per holder active in the current block
-	dEpoch int32
-	dStamp []int32 // dStamp[v] == dEpoch ⇒ v activated by the current replay
-	queue  []int32
+	active []uint64 // active[v]: the current block's worlds in which the base activates v
+	first  []int32  // first[v]: 1 + index of holder v's last entry in the current block; 0 if none
+	next   []int32  // next[i]: 1 + index of the entry of entry i's node before it; 0 if none
+	rep    []uint64 // rep[v]: the worlds in which the current replay activated v
+	queue  []replayEntry
+	joins  []uint64    // the current candidate's worlds joining its scan, as stop<<6 | world, sorted
+	delta  [64]float64 // per-world benefit the current replay adds
+	cnt    [64]int32   // coupons redeemed by the current cascade entry's scan
 }
 
-// holderScan is one coupon holder's offer-scan state across a block's
-// worlds, valid at the worlds activating it.
-type holderScan struct {
-	red  [64]int32 // coupons the base scan redeemed
-	stop [64]int32 // where the base scan stopped
+// replayEntry is one activation event of a delta replay: node joined the
+// replayed cascade in exactly the worlds of mask.
+type replayEntry struct {
+	node int32
+	mask uint64
 }
 
-// ensure grows the per-node arrays to n entries. Appended entries are zero:
-// an empty mask, no slot, and a stamp that can only collide with epoch 0 —
-// a value the epoch counter skips — so grown scratches need no reset.
-// Dynamic graphs add nodes between uses of a scratch; every DeltaBenefits
-// re-checks the size.
+// ensure grows the per-node arrays to n entries. Appended entries are zero
+// — an empty mask, no entry — which is also the state a finished replay
+// and unfill leave behind, so grown scratches need no reset. Dynamic graphs
+// add nodes between uses of a scratch; every DeltaBenefits re-checks the
+// size.
 func (sc *deltaScratch) ensure(n int) {
-	if len(sc.dStamp) >= n {
+	if len(sc.active) >= n {
 		return
 	}
 	sc.active = append(sc.active, make([]uint64, n-len(sc.active))...)
-	sc.slot = append(sc.slot, make([]int32, n-len(sc.slot))...)
-	sc.dStamp = append(sc.dStamp, make([]int32, n-len(sc.dStamp))...)
+	sc.first = append(sc.first, make([]int32, n-len(sc.first))...)
+	sc.rep = append(sc.rep, make([]uint64, n-len(sc.rep))...)
 }
 
 // fill loads block snapshot s: each live entry ORs its worlds into its
-// node's mask, and a holder's entries copy their scan state into the
-// holder's slot.
+// node's mask, and a coupon holder's entries are chained per node (first,
+// next), so a candidate reads its own scan runs and no others.
 func (sc *deltaScratch) fill(s *blockSnap) {
-	sc.scans = sc.scans[:0]
-	for _, ent := range s.ents {
+	sc.next = grow(sc.next, len(s.ents))
+	for i, ent := range s.ents {
 		if ent.mask == 0 {
 			continue
 		}
 		sc.active[ent.node] |= ent.mask
-		if ent.scan == noScan {
-			continue
-		}
-		if sc.slot[ent.node] == 0 {
-			sc.scans = append(sc.scans, holderScan{})
-			sc.slot[ent.node] = int32(len(sc.scans))
-		}
-		h := &sc.scans[sc.slot[ent.node]-1]
-		i := int(ent.scan)
-		if ent.mask == ^uint64(0) {
-			copy(h.red[:], s.red[i:i+64])
-			copy(h.stop[:], s.stop[i:i+64])
-			continue
-		}
-		for m := ent.mask; m != 0; m, i = m&(m-1), i+1 {
-			w := bits.TrailingZeros64(m)
-			h.red[w], h.stop[w] = s.red[i], s.stop[i]
+		if ent.scan != noScan {
+			sc.next[i] = sc.first[ent.node]
+			sc.first[ent.node] = int32(i) + 1
 		}
 	}
 }
@@ -693,19 +682,8 @@ func (sc *deltaScratch) fill(s *blockSnap) {
 func (sc *deltaScratch) unfill(s *blockSnap) {
 	for _, ent := range s.ents {
 		sc.active[ent.node] = 0
-		sc.slot[ent.node] = 0
+		sc.first[ent.node] = 0
 	}
-}
-
-func (sc *deltaScratch) nextReplay() {
-	sc.dEpoch++
-	if sc.dEpoch == 0 {
-		for i := range sc.dStamp {
-			sc.dStamp[i] = -1
-		}
-		sc.dEpoch = 1
-	}
-	sc.queue = sc.queue[:0]
 }
 
 // DeltaBenefits estimates, for every candidate v, the expected benefit of
@@ -716,7 +694,8 @@ func (sc *deltaScratch) nextReplay() {
 //
 // The query sweeps the snapshot's blocks in ascending order, loading each
 // block's membership masks once and amortizing them across the candidate
-// batch. Workers split the batch into contiguous candidate chunks
+// batch; each candidate replays all of its worlds in a block at once
+// (replayBlock). Workers split the batch into contiguous candidate chunks
 // (par.Ranges) and each sweeps every block for its own chunk, so a
 // candidate's per-world deltas fold in the same order at every worker
 // count: the result is bit-identical to the sequential sweep.
@@ -744,94 +723,152 @@ func (wc *WorldCache) DeltaBenefits(cands []int32) []float64 {
 }
 
 // deltaWorlds accumulates each candidate's summed per-world benefit delta
-// into out, sweeping the blocks in ascending order and, per candidate, the
-// block's worlds activating it in ascending order — so each candidate's
-// deltas fold in ascending world order. Loading a block (fill) costs one
-// pass over its entries and is amortized across cands.
+// into out, sweeping the blocks in ascending order. Loading a block (fill)
+// costs one pass over its entries and is amortized across cands.
 func (wc *WorldCache) deltaWorlds(sc *deltaScratch, cands []int32, out []float64) {
 	for b := range wc.snaps {
 		s := &wc.snaps[b]
 		sc.fill(s)
 		worldBase := uint64(b * bitset.WordBits)
 		for ci, v := range cands {
-			// Worlds where v is inactive are skipped: an extra coupon is inert.
-			for m := sc.active[v]; m != 0; m &= m - 1 {
-				out[ci] += wc.replayAddCoupon(sc, worldBase, bits.TrailingZeros64(m), v)
+			if sc.active[v] != 0 { // where v is inactive an extra coupon is inert
+				out[ci] = wc.replayBlock(sc, s, worldBase, v, out[ci])
 			}
 		}
 		sc.unfill(s)
 	}
 }
 
-// replayAddCoupon returns the benefit world worldBase+w (w a bit of the
-// loaded block) gains when active node v is granted one extra coupon: v's
-// offer scan resumes where it stopped with one more redemption allowed, and
-// any newly activated user cascades with its own base allocation.
-// Base-world outcomes are frozen — already-active users are skipped without
-// consuming coupons, exactly as in the kernel.
-func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, worldBase uint64, w int, v int32) float64 {
-	k := wc.base.K(v)
-	var red, stop int32
-	if k > 0 {
-		h := &sc.scans[sc.slot[v]-1]
-		red, stop = h.red[w], h.stop[w]
-	}
-	if int(red) < k {
-		return 0 // the base scan already had a spare coupon; one more is inert
-	}
-	in := wc.Est.Inst
-	g := in.G
-	le := wc.Est.Live
-	world := worldBase + uint64(w)
-	bit := uint64(1) << uint(w)
-	sc.nextReplay()
-	delta := 0.0
-	targets, _, keys, kbase := g.OutRow(v)
-	base := uint64(kbase)
-	for j := int(stop); j < len(targets); j++ {
-		t := targets[j]
-		if sc.active[t]&bit != 0 || sc.dStamp[t] == sc.dEpoch {
-			continue // already active: no coupon consumed
+// replayBlock returns sum plus the benefit each world of the loaded block s
+// (at worldBase) gains when active node v is granted one extra coupon,
+// added in ascending world order. Base-world outcomes are frozen: already
+// active users are skipped without consuming coupons, exactly as in the
+// kernel.
+//
+// The extra coupon changes a world only when v's recorded scan used up
+// every coupon it held (or it held none): there v's scan resumes where it
+// stopped with one more redemption allowed, and the user it activates
+// cascades with its own base allocation. All such worlds replay together,
+// in the block kernel's way: each joins v's resumed scan at its own
+// recorded stop, every row position probes the worlds still looking with
+// one BlockMask, and the cascade is a FIFO of {node, mask} entries in which
+// each world's scan stops at its own coupon count. Restricted to one world,
+// the queue is that world's scalar replay order (the induction behind
+// simBlock), so each world's delta sums in the scalar order; the deltas
+// then fold in ascending world order. The result is bit-identical to
+// replaying each world on its own.
+func (wc *WorldCache) replayBlock(sc *deltaScratch, s *blockSnap, worldBase uint64, v int32, sum float64) float64 {
+	base := wc.base
+	k := base.K(v)
+	// pending holds the worlds scanning for the extra coupon's redemption;
+	// each world of joins joins them at its own recorded stop.
+	pending, joins := uint64(0), sc.joins[:0]
+	if k == 0 {
+		pending = sc.active[v] // no base scan: every world starts at the row's head
+	} else {
+		for i := sc.first[v]; i != 0; i = sc.next[i-1] {
+			e := s.ents[i-1]
+			for m, at := e.mask, int(e.scan); m != 0; m, at = m&(m-1), at+1 {
+				if int(s.red[at]) >= k { // a slack scan had a spare coupon: one more is inert
+					joins = append(joins, uint64(s.stop[at])<<6|uint64(bits.TrailingZeros64(m)))
+				}
+			}
 		}
-		ek := base + uint64(j)
+		if len(joins) == 0 {
+			return sum
+		}
+		slices.Sort(joins)
+		sc.joins = joins
+	}
+	g, in, le := wc.Est.Inst.G, wc.Est.Inst, wc.Est.Live
+	targets, _, keys, kbase := g.OutRow(v)
+	var hit uint64 // worlds whose extra coupon redeemed
+	sc.queue = sc.queue[:0]
+	j, next := 0, 0
+	if len(joins) > 0 {
+		j = int(joins[0] >> 6)
+	}
+	for ; j < len(targets); j++ {
+		for ; next < len(joins) && int(joins[next]>>6) <= j; next++ {
+			pending |= 1 << (joins[next] & 63)
+		}
+		if pending == 0 {
+			if next == len(joins) {
+				break
+			}
+			j = int(joins[next]>>6) - 1 // skip to the next join
+			continue
+		}
+		// A world still looking has activated nothing yet: only the base's
+		// activations are skipped.
+		probe := pending &^ sc.active[targets[j]]
+		if probe == 0 {
+			continue
+		}
+		ek := uint64(kbase) + uint64(j)
 		if keys != nil {
 			ek = uint64(uint32(keys[j]))
 		}
-		if le.Live(world, ek) {
-			sc.dStamp[t] = sc.dEpoch
-			sc.queue = append(sc.queue, t)
-			break // the single extra coupon is spent
+		if live := le.BlockMask(worldBase, ek, probe); live != 0 {
+			pending &^= live // the single extra coupon is spent
+			hit |= live
+			sc.push(targets[j], live)
 		}
 	}
+	for m := hit; m != 0; m &= m - 1 {
+		sc.delta[bits.TrailingZeros64(m)] = 0
+	}
 	for head := 0; head < len(sc.queue); head++ {
-		u := sc.queue[head]
-		delta += in.Benefit[u]
-		coupons := wc.base.K(u)
+		ent := sc.queue[head]
+		u := ent.node
+		benefit := in.Benefit[u]
+		for m := ent.mask; m != 0; m &= m - 1 {
+			sc.delta[bits.TrailingZeros64(m)] += benefit
+		}
+		coupons := base.K(u)
 		if coupons == 0 {
 			continue
 		}
 		ts, _, uk, ukb := g.OutRow(u)
-		ub := uint64(ukb)
-		redeemed := 0
-		for j, t := range ts {
-			if redeemed >= coupons {
-				break
-			}
-			if sc.active[t]&bit != 0 || sc.dStamp[t] == sc.dEpoch {
+		sc.cnt = [64]int32{}
+		capMask := ent.mask // the worlds whose scan has coupons left
+		for j := 0; j < len(ts) && capMask != 0; j++ {
+			t := ts[j]
+			probe := capMask &^ (sc.active[t] | sc.rep[t])
+			if probe == 0 {
 				continue
 			}
-			ek := ub + uint64(j)
+			ek := uint64(ukb) + uint64(j)
 			if uk != nil {
 				ek = uint64(uint32(uk[j]))
 			}
-			if le.Live(world, ek) {
-				sc.dStamp[t] = sc.dEpoch
-				sc.queue = append(sc.queue, t)
-				redeemed++
+			live := le.BlockMask(worldBase, ek, probe)
+			if live == 0 {
+				continue
+			}
+			sc.push(t, live)
+			for m := live; m != 0; m &= m - 1 {
+				w := bits.TrailingZeros64(m)
+				sc.cnt[w]++
+				if int(sc.cnt[w]) >= coupons {
+					capMask &^= 1 << uint(w)
+				}
 			}
 		}
 	}
-	return delta
+	for _, ent := range sc.queue {
+		sc.rep[ent.node] = 0
+	}
+	for m := hit; m != 0; m &= m - 1 {
+		sum += sc.delta[bits.TrailingZeros64(m)]
+	}
+	return sum
+}
+
+// push appends a replay activation of t in the worlds of mask.
+func (sc *deltaScratch) push(t int32, mask uint64) {
+	sc.rep[t] |= mask
+	sc.queue = append(sc.queue, replayEntry{node: t, mask: mask})
 }
 
 // EvaluateDelta returns the exact expected benefit of d, which must differ

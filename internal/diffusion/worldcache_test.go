@@ -1,7 +1,9 @@
 package diffusion
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -405,7 +407,7 @@ func TestExploredCountsProbedNeighbors(t *testing.T) {
 	}
 }
 
-// TestDeltaBenefitsKeepsScratchAcrossGC: the per-worker replay scratch (16
+// TestDeltaBenefitsKeepsScratchAcrossGC: the per-worker replay scratch (20
 // bytes per user) belongs to the cache, so a collection between two
 // DeltaBenefits calls must not make the second allocate it again. Two
 // collections run, since a sync.Pool keeps its objects through one.
@@ -428,5 +430,221 @@ func TestDeltaBenefitsKeepsScratchAcrossGC(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 16*n {
 		t.Fatalf("second DeltaBenefits allocated %d bytes, want < %d", got, 16*n)
+	}
+}
+
+// replayCoverage counts the replay cases the block-replay oracle met, so
+// the property test can insist that its instances reach every one.
+type replayCoverage struct {
+	fresh     int // worlds of a candidate without coupons: the scan starts at the row's head
+	slack     int // worlds whose recorded scan had a spare coupon: the replay adds nothing
+	saturated int // worlds whose recorded scan used up every coupon
+	rowEnd    int // saturated worlds whose scan stopped at the row's end
+	cascade   int // replay activations of a coupon holder, whose own scan then runs
+}
+
+// scalarDeltaBenefits is the reference for DeltaBenefits: for each
+// candidate, the base benefit plus the mean of replayAddCoupon over the
+// worlds the base activates it in, summed in ascending world order.
+func scalarDeltaBenefits(wc *WorldCache, cands []int32, cov *replayCoverage) []float64 {
+	e := wc.Est
+	n := e.Inst.G.NumNodes()
+	sums := make([]float64, len(cands))
+	act := make([]bool, n)
+	for w := 0; w < e.Samples; w++ {
+		s := &wc.snaps[w/64]
+		bit := uint64(1) << uint(w%64)
+		clear(act)
+		for _, ent := range s.ents {
+			if ent.mask&bit != 0 {
+				act[ent.node] = true
+			}
+		}
+		for ci, v := range cands {
+			if act[v] {
+				sums[ci] += replayAddCoupon(wc, s, w, act, v, cov)
+			}
+		}
+	}
+	out := make([]float64, len(cands))
+	for i, sum := range sums {
+		out[i] = wc.baseResult.Benefit + sum*(1/float64(e.Samples))
+	}
+	return out
+}
+
+// replayAddCoupon returns the benefit world w, whose block snapshot is s
+// and whose base activations act marks, gains when active node v is granted
+// one extra coupon, one world and one edge at a time: v's offer scan
+// resumes where its recorded scan stopped with one more redemption allowed,
+// and any newly activated user cascades with its own base allocation.
+// Base-world outcomes are frozen — already active users are skipped without
+// consuming coupons, exactly as in the kernel.
+func replayAddCoupon(wc *WorldCache, s *blockSnap, w int, act []bool, v int32, cov *replayCoverage) float64 {
+	k := wc.base.K(v)
+	bit := w % 64
+	var red, stop int32
+	if k > 0 {
+		for _, ent := range s.ents {
+			if ent.node == v && ent.mask&(1<<uint(bit)) != 0 {
+				red, stop = s.scanAt(ent, bit)
+			}
+		}
+	}
+	g, in, le := wc.Est.Inst.G, wc.Est.Inst, wc.Est.Live
+	targets, _, keys, kbase := g.OutRow(v)
+	switch {
+	case k == 0:
+		cov.fresh++
+	case int(red) < k:
+		cov.slack++
+		return 0 // the base scan already had a spare coupon; one more is inert
+	case int(stop) == len(targets):
+		cov.saturated++
+		cov.rowEnd++
+	default:
+		cov.saturated++
+	}
+	world := uint64(w)
+	replayed := map[int32]bool{}
+	var queue []int32
+	for j := int(stop); j < len(targets); j++ {
+		t := targets[j]
+		if act[t] {
+			continue // already active: no coupon consumed
+		}
+		ek := uint64(kbase) + uint64(j)
+		if keys != nil {
+			ek = uint64(uint32(keys[j]))
+		}
+		if le.Live(world, ek) {
+			replayed[t] = true
+			queue = append(queue, t)
+			break // the single extra coupon is spent
+		}
+	}
+	delta := 0.0
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		delta += in.Benefit[u]
+		coupons := wc.base.K(u)
+		if coupons == 0 {
+			continue
+		}
+		cov.cascade++
+		ts, _, uk, ukb := g.OutRow(u)
+		redeemed := 0
+		for j, t := range ts {
+			if redeemed >= coupons {
+				break
+			}
+			if act[t] || replayed[t] {
+				continue
+			}
+			ek := uint64(ukb) + uint64(j)
+			if uk != nil {
+				ek = uint64(uint32(uk[j]))
+			}
+			if le.Live(world, ek) {
+				replayed[t] = true
+				queue = append(queue, t)
+				redeemed++
+			}
+		}
+	}
+	return delta
+}
+
+// moveStops rewrites the recorded stop of every world whose scan used up
+// its coupons to a random row position. On a true snapshot every row
+// position before a stop holds a user the base activated or a dead edge,
+// so a replay that resumed anywhere at or before the stop would give the
+// same answer; with the stops moved, only a replay that resumes each world
+// exactly at its own recorded stop agrees with the oracle.
+func moveStops(wc *WorldCache, src *rng.Source) {
+	g := wc.Est.Inst.G
+	for b := range wc.snaps {
+		s := &wc.snaps[b]
+		for _, ent := range s.ents {
+			if ent.scan == noScan {
+				continue
+			}
+			k, deg := wc.base.K(ent.node), g.OutDegree(ent.node)
+			for i := int(ent.scan); i < int(ent.scan)+bits.OnesCount64(ent.mask); i++ {
+				if int(s.red[i]) >= k {
+					s.stop[i] = int32(src.Intn(deg + 1))
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaBenefitsBlockReplayOracle is the block replay's contract:
+// DeltaBenefits equals the scalar oracle (scalarDeltaBenefits) bit for bit,
+// under IC and LT, on materialized and hashed liveness, at sample counts
+// with ragged tail blocks and at 1, 2 and 3 workers. Each cache walks a
+// chain of coupon advances and seed adds, so the snapshots carry merged
+// entries and scattered runs, and is checked after every move and once more
+// with its stops moved (moveStops). The instances must reach every replay
+// case: candidates without coupons, slack and saturated scans, scans
+// stopped at the row's end and coupon holders reached by a cascade.
+func TestDeltaBenefitsBlockReplayOracle(t *testing.T) {
+	for _, model := range Models() {
+		for _, sub := range substrateBudgets {
+			for _, samples := range []int{37, 170} {
+				for _, workers := range []int{1, 2, 3} {
+					name := fmt.Sprintf("%s/%s/samples=%d/workers=%d", model, sub.name, samples, workers)
+					t.Run(name, func(t *testing.T) {
+						testDeltaBenefitsBlockReplay(t, model, sub.budget, samples, workers)
+					})
+				}
+			}
+		}
+	}
+}
+
+func testDeltaBenefitsBlockReplay(t *testing.T, model string, budget int64, samples, workers int) {
+	inst := randomInstance(t, 36, 150, 71)
+	if model == ModelLT {
+		inst.G = inst.G.CapInWeights()
+	}
+	ev, _ := newTestEngine(t, inst, EngineOptions{
+		Engine: EngineWorldCache, Model: model, Samples: samples, Seed: 73,
+		LiveEdgeMemBudget: budget, Workers: workers,
+	})
+	wc := ev.(*WorldCache)
+	d := randomDeployment(inst, 2, 14, 74)
+	src := rng.New(75)
+	var cov replayCoverage
+	check := func(step string) {
+		cands := make([]int32, inst.G.NumNodes())
+		for i := range cands {
+			cands[i] = int32(i)
+		}
+		got, want := wc.DeltaBenefits(cands), scalarDeltaBenefits(wc, cands, &cov)
+		for i, v := range cands {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: candidate %d (K=%d): DeltaBenefits %v, oracle %v", step, v, d.K(v), got[i], want[i])
+			}
+		}
+	}
+	wc.Rebase(d)
+	check("rebase")
+	n := inst.G.NumNodes()
+	for step := 0; step < 10; step++ {
+		v := int32(src.Intn(n))
+		switch {
+		case step%4 == 3 && !d.IsSeed(v):
+			d.AddSeed(v)
+		case d.K(v) < inst.G.OutDegree(v):
+			d.AddK(v, 1)
+		}
+		wc.Rebase(d)
+		check(fmt.Sprintf("step %d", step))
+	}
+	moveStops(wc, src)
+	check("moved stops")
+	if cov.fresh == 0 || cov.slack == 0 || cov.saturated == 0 || cov.rowEnd == 0 || cov.cascade == 0 {
+		t.Fatalf("replay cases not all reached: %+v", cov)
 	}
 }

@@ -513,11 +513,7 @@ func (g *Graph) OutDegrees() []int {
 // so each edge keeps the identity of its coin.
 func (g *Graph) Reweight(f func(from, to int32, p float64) float64) (*Graph, error) {
 	if g.ov != nil {
-		cg, err := g.Compact()
-		if err != nil {
-			return nil, err
-		}
-		g = cg
+		g = g.Compact()
 	}
 	ng := &Graph{
 		n:          g.n,
@@ -563,12 +559,7 @@ func (g *Graph) Reweight(f func(from, to int32, p float64) float64) (*Graph, err
 // receiver's.
 func (g *Graph) CapInWeights() *Graph {
 	if g.ov != nil {
-		cg, err := g.Compact()
-		if err != nil {
-			// Cannot happen: the overlay rejected duplicates at append time.
-			panic("graph: CapInWeights compact failed: " + err.Error())
-		}
-		g = cg
+		g = g.Compact()
 	}
 	sums := make([]float64, g.n)
 	for e, t := range g.targets {
@@ -616,11 +607,7 @@ func (g *Graph) PadNodes(n int) (*Graph, error) {
 		return g, nil
 	}
 	if g.ov != nil {
-		cg, err := g.Compact()
-		if err != nil {
-			return nil, err
-		}
-		g = cg
+		g = g.Compact()
 	}
 	ng := &Graph{
 		n:          n,

@@ -399,10 +399,7 @@ func TestReverseLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := og2.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
+	compact := og2.Compact()
 	reweighted, err := stable.Reweight(func(from, to int32, p float64) float64 {
 		return float64((from+to)%3) / 4
 	})

@@ -77,6 +77,38 @@ func checkCold(t *testing.T, m member) {
 	}
 }
 
+// checkCompact compacts m.g and compares the result against a cold
+// FromEdgesStable build of m's edge list field for field: the CSR rows,
+// their by-target index, the in-degrees, the coin-key map (nil exactly when
+// it is the identity) and the key-indexed views. A graph without an overlay
+// compacts to itself, which must equal its cold build too.
+func checkCompact(t *testing.T, m member) {
+	t.Helper()
+	cg := m.g.Compact()
+	cold, err := FromEdgesStable(m.g.NumNodes(), m.edges)
+	if err != nil {
+		t.Fatalf("%s: cold build: %v", m.name, err)
+	}
+	switch {
+	case cg.ov != nil:
+		t.Fatalf("%s: compaction kept an overlay", m.name)
+	case cg.n != cold.n:
+		t.Fatalf("%s: compaction has %d nodes, cold %d", m.name, cg.n, cold.n)
+	case !slices.Equal(cg.offsets, cold.offsets):
+		t.Fatalf("%s: compacted offsets differ from the cold build's", m.name)
+	case !slices.Equal(cg.targets, cold.targets) || !slices.Equal(cg.probs, cold.probs):
+		t.Fatalf("%s: compacted rows differ from the cold build's", m.name)
+	case !slices.Equal(cg.byTarget, cold.byTarget):
+		t.Fatalf("%s: compacted by-target index differs from the cold build's", m.name)
+	case !slices.Equal(cg.inDeg, cold.inDeg):
+		t.Fatalf("%s: compacted in-degrees differ from the cold build's", m.name)
+	case (cg.eid == nil) != (cold.eid == nil) || !slices.Equal(cg.eid, cold.eid):
+		t.Fatalf("%s: compacted coin keys %v, cold %v", m.name, cg.eid, cold.eid)
+	case !slices.Equal(cg.keyProbs, cold.keyProbs) || !slices.Equal(cg.keyTargets, cold.keyTargets):
+		t.Fatalf("%s: compacted key-indexed views differ from the cold build's", m.name)
+	}
+}
+
 // lineageBatch draws a batch of fresh arcs for m: sources lean on the hub
 // (node 0) and on a few rows that keep gaining edges; targets are uniform,
 // or the in-hub (node 1); one batch in eight grows the node set. Tied
@@ -121,7 +153,9 @@ func lineageBatch(r *rand.Rand, m member) []Edge {
 // (checkCold). The chains cover hub rows and rows that gain edges over many
 // batches, node growth past page boundaries, a Compact in the middle, and
 // batches carrying a duplicate — within the batch or against an existing
-// edge — which must be rejected, leaving the receiver as it was. Every few
+// edge — which must be rejected, leaving the receiver as it was. Every
+// member's compaction must equal its cold build field for field
+// (checkCompact). Every few
 // steps a second child is appended from the same parent, a sibling: once
 // the chain is done every member is checked again, so an append that wrote
 // into a page it shares with its parent or a sibling fails here.
@@ -190,11 +224,7 @@ func TestWithEdgesLineageProperty(t *testing.T) {
 				}
 				cur = child
 				if step == 20 {
-					cg, err := cur.g.Compact()
-					if err != nil {
-						t.Fatal(err)
-					}
-					cur = member{name: "compacted", g: cg, edges: cur.edges}
+					cur = member{name: "compacted", g: cur.g.Compact(), edges: cur.edges}
 					checkCold(t, cur)
 					all = append(all, cur)
 					compacted++
@@ -202,6 +232,7 @@ func TestWithEdgesLineageProperty(t *testing.T) {
 			}
 			for _, m := range all {
 				checkCold(t, m)
+				checkCompact(t, m)
 			}
 			if rejected == 0 || siblings == 0 || compacted == 0 || cur.g.NumNodes() == n0 {
 				t.Fatalf("chain rejected %d batches, made %d siblings and %d compactions, grew to %d nodes: lengthen it",

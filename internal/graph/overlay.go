@@ -395,30 +395,47 @@ func (g *Graph) KeyViewParts() (baseP []float64, baseT []int32, tail KeyTail) {
 	return g.KeyProbs(), g.KeyTargets(), KeyTail{}
 }
 
-// Compact folds the delta overlay into a fresh immutable CSR via the
-// StreamBuilder, carrying every edge's stable coin key (Graph.eid) so the
-// compaction is invisible to coin flips, live-edge rows and world caches:
-// the compacted graph is bit-for-bit the same probability space as the
-// overlay graph it replaces. Graphs without an overlay are returned as-is.
-func (g *Graph) Compact() (*Graph, error) {
+// Compact folds the delta overlay into a fresh immutable CSR, carrying every
+// edge's stable coin key (Graph.eid) so the compaction is invisible to coin
+// flips, live-edge rows and world caches: the compacted graph is bit-for-bit
+// the same probability space as the overlay graph it replaces, and equals a
+// FromEdgesStable build of its lineage field for field. Every row — base or
+// merged — is already in the adjacency invariant order with its by-target
+// index and free of duplicates, so the rows are copied as they stand, with
+// no re-sort and no duplicate check, and compaction cannot fail. Graphs
+// without an overlay are returned as-is.
+func (g *Graph) Compact() *Graph {
 	if g.ov == nil {
-		return g, nil
+		return g
 	}
-	sb := NewStreamBuilder(g.n)
-	for v := int32(0); v < int32(g.n); v++ {
+	n, m := g.n, g.NumEdges()
+	ng := &Graph{
+		n:        n,
+		offsets:  make([]int32, n+1),
+		targets:  make([]int32, 0, m),
+		probs:    make([]float64, 0, m),
+		byTarget: make([]int32, 0, m),
+		eid:      make([]int32, 0, m),
+		inDeg:    make([]int32, n),
+	}
+	for v := int32(0); v < int32(n); v++ {
 		ts, ps, ks, kb := g.OutRow(v)
-		for j := range ts {
-			k := int32(kb) + int32(j)
-			if ks != nil {
-				k = ks[j]
-			}
-			if err := sb.AddKeyedProb(v, ts[j], ps[j], k); err != nil {
-				return nil, err
+		_, bt := g.targetIndex(v)
+		ng.targets = append(ng.targets, ts...)
+		ng.probs = append(ng.probs, ps...)
+		ng.byTarget = append(ng.byTarget, bt...)
+		if ks != nil {
+			ng.eid = append(ng.eid, ks...)
+		} else {
+			for j := range ts {
+				ng.eid = append(ng.eid, int32(kb)+int32(j))
 			}
 		}
+		ng.offsets[v+1] = int32(len(ng.targets))
+		ng.inDeg[v] = int32(g.InDegree(v))
 	}
-	ng, _, err := sb.Build(DupError, nil)
-	return ng, err
+	ng.finalizeKeys()
+	return ng
 }
 
 // FromEdgesStable constructs a Graph whose coin keys follow the INPUT

@@ -165,10 +165,7 @@ func TestCompactCarriesKeysAndMatchesStableRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, err := og.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cg := og.Compact()
 	if cg.HasOverlay() {
 		t.Fatal("compacted graph still has an overlay")
 	}
@@ -225,10 +222,7 @@ func TestKeyViewPartsMatchFlatViews(t *testing.T) {
 	if tail2.Len() != o2.OverlayEdges() {
 		t.Fatalf("tail covers %d keys, want %d", tail2.Len(), o2.OverlayEdges())
 	}
-	cg, err := o2.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cg := o2.Compact()
 	kp, kt := cg.KeyProbs(), cg.KeyTargets()
 	if len(kp) != o2.NumEdges() || len(kt) != o2.NumEdges() {
 		t.Fatalf("flat views cover %d/%d keys, want %d", len(kp), len(kt), o2.NumEdges())
@@ -273,8 +267,8 @@ func TestWithEdgesNodeGrowth(t *testing.T) {
 	if len(ts) != 1 || ts[0] != 0 || ps[0] != 0.25 {
 		t.Fatalf("new-node row = (%v,%v)", ts, ps)
 	}
-	if _, err := og2.Compact(); err != nil {
-		t.Fatal(err)
+	if cg := og2.Compact(); cg.HasOverlay() || cg.NumNodes() != og2.NumNodes() {
+		t.Fatalf("compaction: overlay %v, %d nodes, want none and %d", cg.HasOverlay(), cg.NumNodes(), og2.NumNodes())
 	}
 }
 

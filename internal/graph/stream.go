@@ -245,30 +245,38 @@ func (b *StreamBuilder) Build(policy DupPolicy, probFn ProbAssign) (*Graph, Buil
 	if err := g.finalizeRows(); err != nil {
 		return nil, stats, err
 	}
-	if g.eid != nil {
-		// If row sorting left every key at its own CSR position the key map
-		// is the identity: drop it, making the graph indistinguishable from
-		// a FromEdges build (and keeping the static fast paths).
-		identity := true
-		for i, k := range g.eid {
-			if int(k) != i {
-				identity = false
-				break
-			}
-		}
-		if identity {
-			g.eid = nil
-		} else {
-			kp := make([]float64, m)
-			kt := make([]int32, m)
-			for i, k := range g.eid {
-				kp[k] = g.probs[i]
-				kt[k] = g.targets[i]
-			}
-			g.keyProbs, g.keyTargets = kp, kt
+	g.finalizeKeys()
+	return g, stats, nil
+}
+
+// finalizeKeys settles a keyed graph's coin-key map once its rows are
+// final. If every key sits at its own CSR position the map is the identity:
+// it is dropped, making the graph indistinguishable from a FromEdges build
+// (and keeping the static fast paths). Otherwise the key-indexed views are
+// materialized.
+func (g *Graph) finalizeKeys() {
+	if g.eid == nil {
+		return
+	}
+	identity := true
+	for i, k := range g.eid {
+		if int(k) != i {
+			identity = false
+			break
 		}
 	}
-	return g, stats, nil
+	if identity {
+		g.eid = nil
+		return
+	}
+	m := len(g.eid)
+	kp := make([]float64, m)
+	kt := make([]int32, m)
+	for i, k := range g.eid {
+		kp[k] = g.probs[i]
+		kt[k] = g.targets[i]
+	}
+	g.keyProbs, g.keyTargets = kp, kt
 }
 
 // dedupRows sorts each row by target (stably, so equal targets keep stream
