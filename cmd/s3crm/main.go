@@ -324,6 +324,15 @@ func saveScenario(path string, p *s3crm.Problem) error {
 func buildProblem(dataset string, scale int, graphFile, scenarioFile, probModel string,
 	uniformP, mu, sigma, lambda, kappa, budget float64, seed uint64, ltnorm bool) (*s3crm.Problem, error) {
 
+	given := 0
+	for _, src := range []string{dataset, graphFile, scenarioFile} {
+		if src != "" {
+			given++
+		}
+	}
+	if given > 1 {
+		return nil, fmt.Errorf("give only one of -dataset, -graph or -scenario")
+	}
 	if scenarioFile != "" {
 		f, err := os.Open(scenarioFile)
 		if err != nil {

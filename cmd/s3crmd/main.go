@@ -99,7 +99,7 @@ func main() {
 		graphF   = flag.String("graph", "", "SNAP-style edge list file, plain or gzip (alternative to -dataset)")
 		probmod  = flag.String("probmodel", "", "influence probabilities for -graph: file, uniform, wc, trivalency (default: file column if present, else wc)")
 		budget   = flag.Float64("budget", 0, "investment budget for -graph instances")
-		scenario = flag.String("scenario", "", "saved scenario JSON (alternative to -dataset)")
+		scenario = flag.String("scenario", "", "saved scenario JSON (alternative to -dataset/-graph)")
 		engine   = flag.String("engine", "mc", "default evaluation engine: "+s3crm.EngineUsage())
 		epsilon  = flag.Float64("epsilon", 0.1, "default ssr engine approximation slack ε in (0,1)")
 		delta    = flag.Float64("delta", 0.01, "default ssr engine failure probability δ in (0,1)")
@@ -228,6 +228,15 @@ func main() {
 }
 
 func loadProblem(dataset string, scale int, graphFile, probModel string, budget float64, scenario string, seed uint64, ltnorm bool) (*s3crm.Problem, error) {
+	given := 0
+	for _, src := range []string{dataset, graphFile, scenario} {
+		if src != "" {
+			given++
+		}
+	}
+	if given > 1 {
+		return nil, fmt.Errorf("give only one of -dataset, -graph or -scenario")
+	}
 	switch {
 	case scenario != "":
 		f, err := os.Open(scenario)

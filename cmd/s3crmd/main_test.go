@@ -516,3 +516,24 @@ func TestStatusz(t *testing.T) {
 		t.Fatalf("statusz body: %+v (%s)", got, w.Body.String())
 	}
 }
+
+// TestLoadProblemRejectsSeveralSources checks that naming more than one
+// instance source is an error rather than a silent preference, with the
+// text cmd/s3crm prints for the same mistake; no file is opened.
+func TestLoadProblemRejectsSeveralSources(t *testing.T) {
+	const want = "give only one of -dataset, -graph or -scenario"
+	for _, c := range []struct{ dataset, graph, scenario string }{
+		{"Facebook", "edges.txt", ""},
+		{"Facebook", "", "scenario.json"},
+		{"", "edges.txt", "scenario.json"},
+		{"Facebook", "edges.txt", "scenario.json"},
+	} {
+		p, err := loadProblem(c.dataset, 100, c.graph, "", 10, c.scenario, 3, false)
+		if err == nil || err.Error() != want {
+			t.Errorf("dataset %q, graph %q, scenario %q: problem %v, error %v; want %q", c.dataset, c.graph, c.scenario, p != nil, err, want)
+		}
+	}
+	if _, err := loadProblem("Facebook", 100, "", "", 0, "", 3, false); err != nil {
+		t.Fatalf("one source: %v", err)
+	}
+}

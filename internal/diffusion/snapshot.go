@@ -319,10 +319,13 @@ func (s *blockSnap) insertSeed(v int32, mask uint64, scans bool, stop int32) {
 	}
 	e := snapEntry{node: v, scan: noScan, parent: -1, pos: v, mask: mask}
 	if scans {
-		e.scan = int32(len(s.red))
-		for k := bits.OnesCount64(mask); k > 0; k-- {
-			s.red = append(s.red, 0)
-			s.stop = append(s.stop, stop)
+		n, k := len(s.red), bits.OnesCount64(mask)
+		e.scan = int32(n)
+		s.red = slices.Grow(s.red, k)[:n+k]
+		s.stop = slices.Grow(s.stop, k)[:n+k]
+		clear(s.red[n:])
+		for i := n; i < n+k; i++ {
+			s.stop[i] = stop
 		}
 	}
 	s.ents = slices.Insert(s.ents, at, e)

@@ -35,9 +35,8 @@
 // compares them against 53-bit uniform draws: narrowing them would perturb
 // coin flips and break bit-identical engine parity.
 //
-// A by-target permutation index (one int32 per edge) backs O(log deg) edge
-// lookups (EdgeProb, NeighborRank) without disturbing the probability-sorted
-// adjacency.
+// Edge lookups (EdgeProb, NeighborRank) scan the source's row; no per-edge
+// index is kept beside the adjacency.
 //
 // # Construction
 //
@@ -50,7 +49,9 @@
 // in-stream from a model (uniform, weighted-cascade 1/indegree, trivalency)
 // once in-degrees are known — see ProbAssign.
 //
-// Row finalization (per-node probability sort plus the by-target index) is
-// sharded across workers by contiguous node ranges; rows are independent, so
-// the result is identical to the sequential build.
+// Duplicates are resolved in one pass over the rows, stamping each target
+// with the row that last held it, before row finalization (the per-node
+// probability sort), which is sharded across workers by contiguous node
+// ranges; rows are independent, so the result is identical to the
+// sequential build.
 package graph

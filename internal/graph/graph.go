@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -27,11 +28,6 @@ type Graph struct {
 	targets []int32   // out-neighbours, sorted by descending P within each node
 	probs   []float64 // parallel to targets
 	inDeg   []int32   // in-degree per node; the base's on overlay graphs (InDegree)
-	// byTarget[offsets[v]:offsets[v+1]] holds the local adjacency positions
-	// of v re-ordered so targets ascend — the binary-search index behind
-	// EdgeProb and NeighborRank. The adjacency itself stays probability-
-	// sorted (the model's load-bearing invariant); only lookups use this.
-	byTarget []int32
 
 	// eid, when non-nil, maps each CSR position to that edge's stable coin
 	// key — the identity under which its Monte-Carlo coin and live-edge bit
@@ -109,66 +105,38 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		g.probs[i] = e.P
 		cursor[e.From]++
 	}
-	if err := g.finalizeRows(); err != nil {
+	if _, err := g.dedupRows(DupError, g.probs, nil); err != nil {
 		return nil, err
 	}
+	g.finalizeRows()
 	return g, nil
 }
 
-// finalizeRows establishes the adjacency invariants on rows already grouped
-// by source: each row is sorted by descending probability (ties by ascending
-// id) and indexed by ascending target. Duplicate (from,to) pairs — adjacent
-// in target order — are rejected. Rows are independent, so the work shards
-// across workers by contiguous node ranges with results identical to the
+// finalizeRows sorts each row, already grouped by source and free of
+// duplicates, into the adjacency invariant order: descending probability,
+// ties by ascending id. Rows are independent, so the work shards across
+// workers by contiguous node ranges with results identical to the
 // sequential pass.
-func (g *Graph) finalizeRows() error {
-	g.byTarget = make([]int32, len(g.targets))
-	return shardNodes(g.n, len(g.targets), func(lo, hi int) error {
-		return g.finalizeRange(lo, hi)
+func (g *Graph) finalizeRows() {
+	shardNodes(g.n, len(g.targets), func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			rlo, rhi := g.offsets[v], g.offsets[v+1]
+			adj := adjSorter{targets: g.targets[rlo:rhi], probs: g.probs[rlo:rhi]}
+			if g.eid != nil {
+				adj.keys = g.eid[rlo:rhi]
+			}
+			sort.Sort(adj)
+		}
 	})
 }
 
-// finalizeRange finalizes the rows of nodes [lo, hi).
-func (g *Graph) finalizeRange(lo, hi int) error {
-	for v := lo; v < hi; v++ {
-		rlo, rhi := g.offsets[v], g.offsets[v+1]
-		adj := adjSorter{targets: g.targets[rlo:rhi], probs: g.probs[rlo:rhi]}
-		if g.eid != nil {
-			adj.keys = g.eid[rlo:rhi]
-		}
-		sort.Sort(adj)
-		// Build the by-target lookup index: the local adjacency positions
-		// sorted by ascending target id. Duplicate detection rides on the
-		// same pass — duplicates are adjacent in target order.
-		bt := g.byTarget[rlo:rhi]
-		for i := range bt {
-			bt[i] = int32(i)
-		}
-		ts := g.targets[rlo:rhi]
-		sort.Slice(bt, func(i, j int) bool { return ts[bt[i]] < ts[bt[j]] })
-		for i := 1; i < len(bt); i++ {
-			if ts[bt[i]] == ts[bt[i-1]] {
-				return fmt.Errorf("graph: duplicate edge (%d,%d)", v, ts[bt[i]])
-			}
-		}
-	}
-	return nil
-}
-
 // shardNodes runs fn over contiguous node ranges covering [0, n), in
-// parallel when the graph is large enough to pay for the fan-out. The first
-// error in range order wins; fn must touch only state owned by its range.
-func shardNodes(n, edges int, fn func(lo, hi int) error) error {
+// parallel when the graph is large enough to pay for the fan-out; fn must
+// touch only state owned by its range.
+func shardNodes(n, edges int, fn func(lo, hi int)) {
 	const minEdgesPerShard = 1 << 16
 	workers := min(runtime.GOMAXPROCS(0), edges/minEdgesPerShard+1)
-	errs := make([]error, workers)
-	par.Ranges(n, workers, func(w, lo, hi int) { errs[w] = fn(lo, hi) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	par.Ranges(n, workers, func(_, lo, hi int) { fn(lo, hi) })
 }
 
 type adjSorter struct {
@@ -377,12 +345,11 @@ func (g *Graph) buildReverse() {
 			cursor[t]++
 		}
 	}
-	_ = shardNodes(n, m, func(lo, hi int) error {
+	shardNodes(n, m, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			rlo, rhi := g.revOffsets[v], g.revOffsets[v+1]
 			sort.Sort(revSorter{sources: g.revSources[rlo:rhi], keys: g.revEdge[rlo:rhi], probs: g.revProbs[rlo:rhi]})
 		}
-		return nil
 	})
 }
 
@@ -421,54 +388,12 @@ func (g *Graph) InEdges(v int32) (sources, keys []int32, probs []float64) {
 	return g.revSources[lo:hi], g.revEdge[lo:hi], g.revProbs[lo:hi]
 }
 
-// lookupThreshold is the degree below which a linear adjacency scan beats
-// the binary search's branchy indirection.
-const lookupThreshold = 8
-
-// findRank returns the local adjacency position of `to` in `from`'s
-// probability-sorted adjacency, or -1. Small degrees scan linearly;
-// high-degree hubs — where the GPI/pivot paths concentrate their lookups —
-// binary-search the by-target index instead of walking O(degree) entries.
-// Overlay rows carry their own by-target index, so churned sources pay the
-// same lookup cost as frozen ones.
-func (g *Graph) findRank(from, to int32) int {
-	ts, bt := g.targetIndex(from)
-	if len(ts) <= lookupThreshold {
-		for i, t := range ts {
-			if t == to {
-				return i
-			}
-		}
-		return -1
-	}
-	i := sort.Search(len(bt), func(i int) bool { return ts[bt[i]] >= to })
-	if i < len(bt) && ts[bt[i]] == to {
-		return int(bt[i])
-	}
-	return -1
-}
-
-// targetIndex returns v's out-row targets and its by-target lookup index:
-// the row positions in ascending target order.
-func (g *Graph) targetIndex(v int32) (targets, byTarget []int32) {
-	if g.ov != nil {
-		if r := g.ov.row(v); r != nil {
-			return r.targets, r.byTarget
-		}
-		if int(v) >= g.ov.baseN {
-			return nil, nil
-		}
-	}
-	lo, hi := g.offsets[v], g.offsets[v+1]
-	return g.targets[lo:hi], g.byTarget[lo:hi]
-}
-
 // EdgeProb returns the probability of edge (from → to) and whether the edge
 // exists.
 func (g *Graph) EdgeProb(from, to int32) (float64, bool) {
-	if i := g.findRank(from, to); i >= 0 {
-		_, probs := g.OutEdges(from)
-		return probs[i], true
+	ts, ps := g.OutEdges(from)
+	if i := slices.Index(ts, to); i >= 0 {
+		return ps[i], true
 	}
 	return 0, false
 }
@@ -476,8 +401,11 @@ func (g *Graph) EdgeProb(from, to int32) (float64, bool) {
 // NeighborRank returns the 0-based position of `to` in `from`'s
 // descending-probability adjacency, or -1 when the edge does not exist.
 // Position < k means an allocation of k coupons reaches it independently.
+// Both lookups scan the row: the one hot caller, the SSR gate DP, walks the
+// positions before the answer anyway.
 func (g *Graph) NeighborRank(from, to int32) int {
-	return g.findRank(from, to)
+	ts, _ := g.OutEdges(from)
+	return slices.Index(ts, to)
 }
 
 // Edges returns a copy of the full edge list in CSR order.
@@ -533,10 +461,7 @@ func (g *Graph) Reweight(f func(from, to int32, p float64) float64) (*Graph, err
 			ng.probs[e] = p
 		}
 	}
-	if err := ng.finalizeRows(); err != nil {
-		// Cannot happen: the topology held no duplicates before re-weighting.
-		panic("graph: Reweight finalize failed: " + err.Error())
-	}
+	ng.finalizeRows()
 	if ng.eid != nil {
 		kp := make([]float64, len(ng.probs))
 		for i, k := range ng.eid {
@@ -614,7 +539,6 @@ func (g *Graph) PadNodes(n int) (*Graph, error) {
 		offsets:    make([]int32, n+1),
 		targets:    g.targets,
 		probs:      g.probs,
-		byTarget:   g.byTarget,
 		eid:        g.eid,
 		keyProbs:   g.keyProbs,
 		keyTargets: g.keyTargets,

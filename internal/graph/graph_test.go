@@ -57,10 +57,27 @@ func TestAdjacencyTieBreakById(t *testing.T) {
 	}
 }
 
+// TestFromEdgesRejectsDuplicates checks that FromEdges and a DupError
+// stream build name the smallest duplicated target of the first row
+// holding one, whatever the stream order.
 func TestFromEdgesRejectsDuplicates(t *testing.T) {
 	_, err := FromEdges(3, []Edge{{0, 1, 0.2}, {0, 2, 0.3}, {0, 1, 0.4}})
 	if err == nil {
 		t.Fatal("duplicate edge accepted")
+	}
+	edges := []Edge{{4, 2, 0.1}, {4, 2, 0.1}, {3, 7, 0.5}, {3, 9, 0.5}, {3, 5, 0.2}, {2, 1, 0.3}, {3, 7, 0.1}, {3, 5, 0.9}, {3, 1, 0.3}}
+	const want = "graph: duplicate edge (3,5)"
+	if _, err := FromEdges(10, edges); err == nil || err.Error() != want {
+		t.Fatalf("FromEdges error %v, want %q", err, want)
+	}
+	sb := NewStreamBuilder(10)
+	for _, e := range edges {
+		if err := sb.AddProb(e.From, e.To, e.P); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := sb.Build(DupError, nil); err == nil || err.Error() != want {
+		t.Fatalf("DupError build error %v, want %q", err, want)
 	}
 }
 
@@ -429,8 +446,8 @@ func TestReverseLayout(t *testing.T) {
 
 // TestShardNodesParallelMatchesSequential builds one edge list large enough
 // for shardNodes to fan out (at least two shards' worth of edges) under
-// GOMAXPROCS 4 and 1: the row sorts, the target index and the reverse CSR
-// must come out identical. Probabilities are quantized to quarters so rows
+// GOMAXPROCS 4 and 1: the row sorts and the reverse CSR must come out
+// identical. Probabilities are quantized to quarters so rows
 // are full of ties for the id tie-breaks to order.
 func TestShardNodesParallelMatchesSequential(t *testing.T) {
 	edges := dedupKeepFirst(genEdges(20000, 150000, true))
@@ -459,7 +476,6 @@ func TestShardNodesParallelMatchesSequential(t *testing.T) {
 		{"offsets", slices.Equal(seq.offsets, sharded.offsets)},
 		{"targets", slices.Equal(seq.targets, sharded.targets)},
 		{"probs", slices.Equal(seq.probs, sharded.probs)},
-		{"byTarget", slices.Equal(seq.byTarget, sharded.byTarget)},
 		{"revOffsets", slices.Equal(seq.revOffsets, sharded.revOffsets)},
 		{"revSources", slices.Equal(seq.revSources, sharded.revSources)},
 		{"revEdge", slices.Equal(seq.revEdge, sharded.revEdge)},

@@ -21,7 +21,8 @@ type member struct {
 // checkCold compares every read path of m.g against a cold FromEdgesStable
 // build of its edge list: the out-rows with their coin keys, edge lookups
 // (present and absent), the key-indexed views, the in-rows and in-degrees,
-// and the sizes and degree statistics.
+// and the sizes and degree statistics. The hub row (node 0) is looked up
+// at every id.
 func checkCold(t *testing.T, m member) {
 	t.Helper()
 	g := m.g
@@ -68,6 +69,16 @@ func checkCold(t *testing.T, m member) {
 			t.Fatalf("%s: InDegree(%d) = %d, cold %d", m.name, v, g.InDegree(v), cold.InDegree(v))
 		}
 	}
+	// The hub row (node 0, degree > 8 on every lineage the tests build):
+	// every id is looked up, present or absent.
+	ct, cp := cold.OutEdges(0)
+	for to := int32(0); to < n; to++ {
+		j := slices.Index(ct, to)
+		p, ok := g.EdgeProb(0, to)
+		if r := g.NeighborRank(0, to); r != j || ok != (j >= 0) || (ok && p != cp[j]) {
+			t.Fatalf("%s: hub lookup of %d: rank %d, prob %v,%v; cold rank %d", m.name, to, r, p, ok, j)
+		}
+	}
 	kp, kt := flatKeyViews(g)
 	if !slices.Equal(kp, cold.KeyProbs()) || !slices.Equal(kt, cold.KeyTargets()) {
 		t.Fatalf("%s: key-indexed views differ from the cold build's", m.name)
@@ -79,7 +90,7 @@ func checkCold(t *testing.T, m member) {
 
 // checkCompact compacts m.g and compares the result against a cold
 // FromEdgesStable build of m's edge list field for field: the CSR rows,
-// their by-target index, the in-degrees, the coin-key map (nil exactly when
+// the in-degrees, the coin-key map (nil exactly when
 // it is the identity) and the key-indexed views. A graph without an overlay
 // compacts to itself, which must equal its cold build too.
 func checkCompact(t *testing.T, m member) {
@@ -98,8 +109,6 @@ func checkCompact(t *testing.T, m member) {
 		t.Fatalf("%s: compacted offsets differ from the cold build's", m.name)
 	case !slices.Equal(cg.targets, cold.targets) || !slices.Equal(cg.probs, cold.probs):
 		t.Fatalf("%s: compacted rows differ from the cold build's", m.name)
-	case !slices.Equal(cg.byTarget, cold.byTarget):
-		t.Fatalf("%s: compacted by-target index differs from the cold build's", m.name)
 	case !slices.Equal(cg.inDeg, cold.inDeg):
 		t.Fatalf("%s: compacted in-degrees differ from the cold build's", m.name)
 	case (cg.eid == nil) != (cold.eid == nil) || !slices.Equal(cg.eid, cold.eid):
@@ -233,11 +242,81 @@ func TestWithEdgesLineageProperty(t *testing.T) {
 			for _, m := range all {
 				checkCold(t, m)
 				checkCompact(t, m)
+				if m.g.OutDegree(0) <= 8 {
+					t.Fatalf("%s: hub degree %d: the hub lookups miss long rows", m.name, m.g.OutDegree(0))
+				}
 			}
 			if rejected == 0 || siblings == 0 || compacted == 0 || cur.g.NumNodes() == n0 {
 				t.Fatalf("chain rejected %d batches, made %d siblings and %d compactions, grew to %d nodes: lengthen it",
 					rejected, siblings, compacted, cur.g.NumNodes())
 			}
 		})
+	}
+}
+
+// TestWithEdgesDuplicateCases appends batches holding duplicates to a base
+// graph and to an overlay graph over it, both with a hub row of degree
+// above 8, long enough that the duplicate check must search many old
+// targets: a duplicate of a hub edge, two copies of one edge in a batch,
+// a duplicate of a base edge and of an earlier overlay edge, and rows
+// holding several duplicates, where the smallest duplicated target of the
+// first bad row is named. Each append must fail with the error of a cold
+// FromEdgesStable build of the same lineage and leave its receiver as it
+// was.
+func TestWithEdgesDuplicateCases(t *testing.T) {
+	const n = 40
+	var base []Edge
+	for to := int32(1); to <= 20; to++ {
+		base = append(base, Edge{From: 0, To: to, P: float64(to%5+1) / 8}) // the hub
+	}
+	for v := int32(1); v < n-1; v++ {
+		base = append(base, Edge{From: v, To: v + 1, P: 0.5})
+	}
+	g, err := FromEdges(n, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := member{name: "base", g: g, edges: g.Edges()}
+	first := []Edge{{From: 0, To: 30, P: 0.3}, {From: 0, To: 25, P: 0.9}, {From: 7, To: 33, P: 0.2}, {From: 5, To: 21, P: 0.4}}
+	og, err := g.WithEdges(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := member{name: "overlay", g: og, edges: slices.Concat(root.edges, first)}
+	if g.OutDegree(0) <= 8 || og.OutDegree(0) <= 8 {
+		t.Fatalf("hub degrees %d and %d: not hubs", g.OutDegree(0), og.OutDegree(0))
+	}
+	for _, c := range []struct {
+		name  string
+		on    member
+		batch []Edge
+		want  string
+	}{
+		{"hub edge", root, []Edge{{0, 35, 0.1}, {0, 13, 0.7}}, "graph: duplicate edge (0,13)"},
+		{"hub edge on overlay", over, []Edge{{0, 17, 0.2}, {0, 36, 0.1}}, "graph: duplicate edge (0,17)"},
+		{"copies in one batch", root, []Edge{{9, 30, 0.4}, {3, 12, 0.1}, {9, 30, 0.6}}, "graph: duplicate edge (9,30)"},
+		{"copies in one batch on a hub", over, []Edge{{0, 38, 0.4}, {0, 38, 0.4}}, "graph: duplicate edge (0,38)"},
+		{"base edge", over, []Edge{{12, 13, 0.9}}, "graph: duplicate edge (12,13)"},
+		{"earlier overlay edge", over, []Edge{{7, 33, 0.8}, {8, 2, 0.1}}, "graph: duplicate edge (7,33)"},
+		{"earlier overlay edge on a hub", over, []Edge{{0, 30, 0.3}}, "graph: duplicate edge (0,30)"},
+		{"several in one row", over, []Edge{{0, 39, 0.5}, {0, 25, 0.1}, {0, 39, 0.2}, {0, 11, 0.5}, {0, 4, 0.9}, {0, 30, 0.6}},
+			"graph: duplicate edge (0,4)"},
+		{"several rows", over, []Edge{{6, 7, 0.1}, {5, 21, 0.7}, {5, 6, 0.3}, {2, 37, 0.3}, {5, 1, 0.4}, {5, 1, 0.2}},
+			"graph: duplicate edge (5,1)"},
+		{"growing the node set", over, []Edge{{45, 2, 0.5}, {0, 44, 0.5}, {45, 2, 0.5}, {0, 9, 0.5}},
+			"graph: duplicate edge (0,9)"},
+	} {
+		ng := c.on.g.NumNodes()
+		for _, e := range c.batch {
+			ng = max(ng, int(e.From)+1, int(e.To)+1)
+		}
+		_, coldErr := FromEdgesStable(ng, slices.Concat(c.on.edges, c.batch))
+		if coldErr == nil || coldErr.Error() != c.want {
+			t.Fatalf("%s: cold build error %v, want %q", c.name, coldErr, c.want)
+		}
+		if got, err := c.on.g.WithEdges(c.batch); err == nil || err.Error() != c.want {
+			t.Fatalf("%s: WithEdges = %v, %v; want error %q", c.name, got != nil, err, c.want)
+		}
+		checkCold(t, c.on)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // readers of the new value see the merged graph.
 //
 // Layout: the overlay stores one fully merged row (targets, probs, stable
-// coin keys, by-target index) per source that gained edges, reached through
+// coin keys) per source that gained edges, reached through
 // copy-on-write pages of row pointers: node v's row is entry v%pageSize of
 // page v/pageSize, and a nil page or entry means v kept its base row. Row
 // lookups are two loads and a branch — no hashing on the hot path — and
@@ -30,10 +30,10 @@ import (
 // Merged rows are rebuilt at append time by merging the batch's few edges
 // of the source, sorted on their own, into the old row, which is already in
 // the invariant order (descending probability, ties ascending target): one
-// O(row degree) pass builds the row, a second merges the by-target index
-// and catches duplicates, which are adjacent in target order. OutEdges and
-// OutRow on a churned source return the merged row exactly as a cold
-// rebuild would store it.
+// O(row degree) pass builds the row. Duplicates are caught before it by
+// looking each old target up among the source's sorted batch targets.
+// OutEdges and OutRow on a churned source return the merged row exactly as
+// a cold rebuild would store it.
 //
 // Coin keys: appended edges take the next free keys m, m+1, … in batch
 // order, where m = NumEdges() before the append. Keys of existing edges
@@ -66,12 +66,11 @@ type overlay struct {
 
 // mergedRow is one churned source's full out-row: base edges and appended
 // edges merged in the adjacency invariant order, with per-edge stable coin
-// keys and the by-target lookup index findRank expects.
+// keys.
 type mergedRow struct {
-	targets  []int32
-	probs    []float64
-	keys     []int32
-	byTarget []int32
+	targets []int32
+	probs   []float64
+	keys    []int32
 }
 
 // The overlay's copy-on-write arrays — merged-row pointers, in-degrees and
@@ -194,8 +193,9 @@ func (g *Graph) OverlayEdges() int {
 // batch or against existing edges — are rejected, as are probabilities
 // outside [0,1].
 //
-// The cost is O(batch log batch) plus, per churned source, its row degree,
-// plus the page tables and the pages the batch writes: nothing of size n.
+// The cost is O(batch log batch) plus, per churned source, its row degree
+// (times the log of its batch edges, for the duplicate check), plus the
+// page tables and the pages the batch writes: nothing of size n.
 func (g *Graph) WithEdges(batch []Edge) (*Graph, error) {
 	if len(batch) == 0 {
 		return g, nil
@@ -223,13 +223,12 @@ func (g *Graph) WithEdges(batch []Edge) (*Graph, error) {
 	// The base CSR, its in-degrees and the key-view prefix are shared
 	// with the whole lineage.
 	ng := &Graph{
-		n:        n2,
-		offsets:  g.offsets,
-		targets:  g.targets,
-		probs:    g.probs,
-		byTarget: g.byTarget,
-		eid:      g.eid,
-		inDeg:    g.inDeg,
+		n:       n2,
+		offsets: g.offsets,
+		targets: g.targets,
+		probs:   g.probs,
+		eid:     g.eid,
+		inDeg:   g.inDeg,
 	}
 	ov := &overlay{extra: len(batch)}
 	var parent overlay
@@ -261,8 +260,8 @@ func (g *Graph) WithEdges(batch []Edge) (*Graph, error) {
 	// Batch positions by source, each source's run in adjacency order, so
 	// every run merges straight into its source's old row; key assignment
 	// (m + batch position) follows batch order whatever the sort does.
-	order := make([]int32, 3*len(batch))
-	at, byT := order[len(batch):2*len(batch)], order[2*len(batch):]
+	order := make([]int32, 2*len(batch))
+	tgts := order[len(batch):]
 	order = order[:len(batch)]
 	for i := range order {
 		order[i] = int32(i)
@@ -280,7 +279,7 @@ func (g *Graph) WithEdges(batch []Edge) (*Graph, error) {
 		for hi < len(order) && batch[order[hi]].From == s {
 			hi++
 		}
-		row, err := g.mergeRow(s, batch, order[lo:hi], int32(m), at[lo:hi], byT[lo:hi])
+		row, err := g.mergeRow(s, batch, order[lo:hi], int32(m), tgts[lo:hi])
 		if err != nil {
 			return nil, err
 		}
@@ -305,36 +304,51 @@ func adjCompare(p1 float64, t1 int32, p2 float64, t2 int32) int {
 
 // mergeRow returns source s's out-row with the batch edges at positions add
 // — in adjacency order, keys m+position — merged into its current row, and
-// rejects a target the row would hold twice. at and byT are scratch of
-// len(add). The old row is in the invariant order already, so one merge
-// places every edge; the old by-target index, shifted past the batch edges
-// placed before each old position, merges with the batch edges in target
-// order into the new index, where duplicates are adjacent. Both passes are
-// linear in the row degree (the shift is a binary search over the source's
-// batch edges) — against the O(deg log deg) re-sort of a cold row.
-func (g *Graph) mergeRow(s int32, batch []Edge, add []int32, m int32, at, byT []int32) (*mergedRow, error) {
-	var oldT, oldK, oldBT []int32
+// rejects a target the row would hold twice, naming the smallest. tgts is
+// scratch of len(add). The old row is in the invariant order already, so
+// one merge, linear in the row degree, places every edge — against the
+// O(deg log deg) re-sort of a cold row. The old row holds no duplicate of
+// its own, so a duplicate is two equal batch targets, adjacent once sorted,
+// or an old target found among them by binary search.
+func (g *Graph) mergeRow(s int32, batch []Edge, add []int32, m int32, tgts []int32) (*mergedRow, error) {
+	var oldT, oldK []int32
 	var oldP []float64
 	var kb int64
 	if int(s) < g.n {
 		oldT, oldP, oldK, kb = g.OutRow(s)
-		_, oldBT = g.targetIndex(s)
+	}
+	for i, a := range add {
+		tgts[i] = batch[a].To
+	}
+	slices.Sort(tgts)
+	dup := int32(-1)
+	for i := 1; i < len(tgts) && dup < 0; i++ {
+		if tgts[i] == tgts[i-1] {
+			dup = tgts[i]
+		}
+	}
+	for _, t := range oldT {
+		if dup < 0 || t < dup {
+			if _, ok := slices.BinarySearch(tgts, t); ok {
+				dup = t
+			}
+		}
+	}
+	if dup >= 0 {
+		return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", s, dup)
 	}
 	d, k := len(oldT), len(add)
 	deg := d + k
-	ints := make([]int32, 3*deg)
+	ints := make([]int32, 2*deg)
 	row := &mergedRow{
-		targets:  ints[:deg:deg],
-		keys:     ints[deg : 2*deg : 2*deg],
-		byTarget: ints[2*deg:],
-		probs:    make([]float64, deg),
+		targets: ints[:deg:deg],
+		keys:    ints[deg:],
+		probs:   make([]float64, deg),
 	}
-	// at[i]: the merged position of batch edge add[i].
 	for p, i, j := 0, 0, 0; p < deg; p++ {
 		if i < k && (j == d || adjCompare(batch[add[i]].P, batch[add[i]].To, oldP[j], oldT[j]) < 0) {
 			e := batch[add[i]]
 			row.targets[p], row.probs[p], row.keys[p] = e.To, e.P, m+add[i]
-			at[i] = int32(p)
 			i++
 			continue
 		}
@@ -345,38 +359,6 @@ func (g *Graph) mergeRow(s int32, batch []Edge, add []int32, m int32, at, byT []
 			row.keys[p] = int32(kb) + int32(j)
 		}
 		j++
-	}
-	// byT: the batch edges' indexes into add in ascending target order.
-	for i := range byT {
-		byT[i] = int32(i)
-	}
-	slices.SortFunc(byT, func(a, b int32) int { return cmp.Compare(batch[add[a]].To, batch[add[b]].To) })
-	// Old position j moves up by the batch edges placed before it: those
-	// with at[i]-i <= j, a prefix of add since at[i]-i never decreases.
-	shift := func(j int32) int32 {
-		lo, hi := 0, k
-		for lo < hi {
-			if mid := (lo + hi) / 2; at[mid]-int32(mid) <= j {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return j + int32(lo)
-	}
-	for p, x, y := 0, 0, 0; p < deg; p++ {
-		var pos, t int32
-		if y < k && (x == d || batch[add[byT[y]]].To < oldT[oldBT[x]]) {
-			pos, t = at[byT[y]], batch[add[byT[y]]].To
-			y++
-		} else {
-			pos, t = shift(oldBT[x]), oldT[oldBT[x]]
-			x++
-		}
-		if p > 0 && t == row.targets[row.byTarget[p-1]] {
-			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", s, t)
-		}
-		row.byTarget[p] = pos
 	}
 	return row, nil
 }
@@ -400,9 +382,9 @@ func (g *Graph) KeyViewParts() (baseP []float64, baseT []int32, tail KeyTail) {
 // flips, live-edge rows and world caches: the compacted graph is bit-for-bit
 // the same probability space as the overlay graph it replaces, and equals a
 // FromEdgesStable build of its lineage field for field. Every row — base or
-// merged — is already in the adjacency invariant order with its by-target
-// index and free of duplicates, so the rows are copied as they stand, with
-// no re-sort and no duplicate check, and compaction cannot fail. Graphs
+// merged — is already in the adjacency invariant order and free of
+// duplicates, so the rows are copied as they stand, with no re-sort and no
+// duplicate check, and compaction cannot fail. Graphs
 // without an overlay are returned as-is.
 func (g *Graph) Compact() *Graph {
 	if g.ov == nil {
@@ -410,20 +392,17 @@ func (g *Graph) Compact() *Graph {
 	}
 	n, m := g.n, g.NumEdges()
 	ng := &Graph{
-		n:        n,
-		offsets:  make([]int32, n+1),
-		targets:  make([]int32, 0, m),
-		probs:    make([]float64, 0, m),
-		byTarget: make([]int32, 0, m),
-		eid:      make([]int32, 0, m),
-		inDeg:    make([]int32, n),
+		n:       n,
+		offsets: make([]int32, n+1),
+		targets: make([]int32, 0, m),
+		probs:   make([]float64, 0, m),
+		eid:     make([]int32, 0, m),
+		inDeg:   make([]int32, n),
 	}
 	for v := int32(0); v < int32(n); v++ {
 		ts, ps, ks, kb := g.OutRow(v)
-		_, bt := g.targetIndex(v)
 		ng.targets = append(ng.targets, ts...)
 		ng.probs = append(ng.probs, ps...)
-		ng.byTarget = append(ng.byTarget, bt...)
 		if ks != nil {
 			ng.eid = append(ng.eid, ks...)
 		} else {

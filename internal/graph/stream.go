@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DupPolicy decides what StreamBuilder.Build does with duplicate (from,to)
 // arcs. The propagation model assigns one coupon slot per neighbour, so
@@ -242,9 +239,7 @@ func (b *StreamBuilder) Build(policy DupPolicy, probFn ProbAssign) (*Graph, Buil
 			return nil, stats, fmt.Errorf("graph: assigned probability %v outside [0,1] on edge index %d", p, i)
 		}
 	}
-	if err := g.finalizeRows(); err != nil {
-		return nil, stats, err
-	}
+	g.finalizeRows()
 	g.finalizeKeys()
 	return g, stats, nil
 }
@@ -279,62 +274,44 @@ func (g *Graph) finalizeKeys() {
 	g.keyProbs, g.keyTargets = kp, kt
 }
 
-// dedupRows sorts each row by target (stably, so equal targets keep stream
-// order), resolves duplicates per policy and compacts the CSR arrays in
-// place, rewriting offsets. Returns the number of dropped arcs.
-func (g *Graph) dedupRows(policy DupPolicy, fileProbs []float64, fileKeys []int32) (int, error) {
-	n := g.n
+// dedupRows resolves duplicate arcs per policy in one pass over the rows,
+// grouped by source in stream order: a per-target stamp marks the targets
+// the current row already holds, so each arc's first occurrence survives
+// and the survivors keep their order. DupKeepFirst drops the later copies,
+// compacting the CSR arrays (and probs and keys, when non-nil) in place and
+// rewriting offsets; DupError rejects the first row holding a duplicate,
+// naming its smallest duplicated target. Returns the number of dropped arcs.
+func (g *Graph) dedupRows(policy DupPolicy, probs []float64, keys []int32) (int, error) {
+	seen := make([]uint32, g.n) // seen[t] == v+1: row v already holds t
 	write := int32(0)
-	var order []int32 // per-row positions sorted by (target, stream order)
-	var rowT []int32  // row snapshot: compaction writes into the row's own range
-	var rowP []float64
-	var rowK []int32
-	for v := 0; v < n; v++ {
+	for v := 0; v < g.n; v++ {
 		lo, hi := g.offsets[v], g.offsets[v+1]
 		g.offsets[v] = write
-		deg := int(hi - lo)
-		if deg == 0 {
-			continue
-		}
-		rowT = append(rowT[:0], g.targets[lo:hi]...)
-		if fileProbs != nil {
-			rowP = append(rowP[:0], fileProbs[lo:hi]...)
-		}
-		if fileKeys != nil {
-			rowK = append(rowK[:0], fileKeys[lo:hi]...)
-		}
-		order = order[:0]
-		for i := 0; i < deg; i++ {
-			order = append(order, int32(i))
-		}
-		sort.Slice(order, func(i, j int) bool {
-			if rowT[order[i]] != rowT[order[j]] {
-				return rowT[order[i]] < rowT[order[j]]
-			}
-			return order[i] < order[j]
-		})
-		prev := int32(-1)
-		for _, li := range order {
-			t := rowT[li]
-			if t == prev {
-				if policy == DupError {
-					return 0, fmt.Errorf("graph: duplicate edge (%d,%d)", v, t)
+		stamp, dup := uint32(v)+1, int32(-1)
+		for i := lo; i < hi; i++ {
+			t := g.targets[i]
+			if seen[t] == stamp {
+				if dup < 0 || t < dup {
+					dup = t
 				}
 				continue
 			}
-			prev = t
+			seen[t] = stamp
 			g.targets[write] = t
-			if fileProbs != nil {
-				fileProbs[write] = rowP[li]
+			if probs != nil {
+				probs[write] = probs[i]
 			}
-			if fileKeys != nil {
-				fileKeys[write] = rowK[li]
+			if keys != nil {
+				keys[write] = keys[i]
 			}
 			write++
 		}
+		if dup >= 0 && policy == DupError {
+			return 0, fmt.Errorf("graph: duplicate edge (%d,%d)", v, dup)
+		}
 	}
 	dropped := len(g.targets) - int(write)
-	g.offsets[n] = write
+	g.offsets[g.n] = write
 	g.targets = g.targets[:write]
 	return dropped, nil
 }
