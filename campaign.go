@@ -514,14 +514,18 @@ func (cl *call) coreOptions(ce *callEngines) core.Options {
 	}
 }
 
-// copySketchStats surfaces the SSR engine's build instrumentation on a
-// public result; other engines leave the fields zero (and absent from the
-// JSON encoding).
+// copySketchStats surfaces the SSR engine's build instrumentation and
+// certificate on a public result; other engines leave the fields zero (and
+// absent from the JSON encoding).
 func copySketchStats(r *Result, st core.Stats) {
 	r.SketchWorkers = st.SketchWorkers
 	r.SketchBuildNs = st.SketchBuildNs
 	r.SketchReused = st.SketchReused
 	r.SketchRedrawn = st.SketchRedrawn
+	r.SketchRounds = st.SketchRounds
+	r.SketchSamples = st.SketchSamples
+	r.SketchLB, r.SketchUB = st.SketchLB, st.SketchUB
+	r.SketchCertified = st.SketchCertified
 }
 
 // RunBaseline runs one of the paper's comparison algorithms (see Baselines)

@@ -538,3 +538,25 @@ func TestSolvePoolsSnapshotOnAnswer(t *testing.T) {
 		t.Fatalf("Solve result %+v != Evaluate of its deployment %+v", *res, want)
 	}
 }
+
+// TestSolveReportsSketchCertificate: an ssr solve surfaces its stopping
+// rule's certificate — at least one round, samples drawn, LB ≤ UB — on the
+// Result, and a worldcache solve leaves every certificate field zero.
+func TestSolveReportsSketchCertificate(t *testing.T) {
+	p := campaignProblem(t)
+	c := oneShot(t, p, WithSamples(100), WithSeed(3))
+	r, err := c.Solve(context.Background(), WithEngine("ssr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.SketchRounds < 1 || r.SketchSamples <= 0 || !(r.SketchLB <= r.SketchUB) {
+		t.Errorf("ssr certificate: rounds %d, samples %d, LB %v, UB %v", r.SketchRounds, r.SketchSamples, r.SketchLB, r.SketchUB)
+	}
+	r, err = c.Solve(context.Background(), WithEngine("worldcache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.SketchRounds != 0 || r.SketchSamples != 0 || r.SketchLB != 0 || r.SketchUB != 0 || r.SketchCertified {
+		t.Errorf("worldcache solve reports a sketch certificate: %+v", r)
+	}
+}

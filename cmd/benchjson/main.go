@@ -14,6 +14,13 @@
 // The -benchmem columns (B/op, allocs/op) land in metrics like any custom
 // metric.
 //
+// Repeated cells of one name (`-count N`, or a second `go test` run appended
+// to the same input) fold into one entry, in the order names first appear:
+// ns_per_op and each metric become the median over the runs reporting them,
+// iterations the total, and the entry records runs plus min_ns_per_op and
+// max_ns_per_op, so one noisy run neither hides nor stands for the cell.
+// A cell that ran once reads runs 1 with min = max = ns_per_op.
+//
 // Non-benchmark lines (headers, PASS/ok, -v logs) pass through untouched to
 // stderr, so piping `go test | benchjson` loses nothing.
 package main
@@ -23,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -32,6 +40,9 @@ type benchResult struct {
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Runs       int                `json:"runs,omitempty"`
+	MinNsPerOp float64            `json:"min_ns_per_op,omitempty"`
+	MaxNsPerOp float64            `json:"max_ns_per_op,omitempty"`
 }
 
 func main() {
@@ -53,7 +64,7 @@ func main() {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(fold(results)); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -88,4 +99,54 @@ func parseBenchLine(line string) (benchResult, bool) {
 		r.Metrics = metrics
 	}
 	return r, true
+}
+
+// fold merges the runs of each benchmark name into one entry, in the order
+// the names first appear: the median ns/op and per-metric medians (over the
+// runs that report the metric), the total iterations, the run count and the
+// ns/op range.
+func fold(runs []benchResult) []benchResult {
+	var names []string
+	byName := map[string][]benchResult{}
+	for _, r := range runs {
+		if _, ok := byName[r.Name]; !ok {
+			names = append(names, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]benchResult, 0, len(names))
+	for _, name := range names {
+		rs := byName[name]
+		f := benchResult{Name: name, Runs: len(rs)}
+		ns := make([]float64, len(rs))
+		metrics := map[string][]float64{}
+		for i, r := range rs {
+			f.Iterations += r.Iterations
+			ns[i] = r.NsPerOp
+			for k, v := range r.Metrics {
+				metrics[k] = append(metrics[k], v)
+			}
+		}
+		f.NsPerOp = median(ns)
+		f.MinNsPerOp, f.MaxNsPerOp = slices.Min(ns), slices.Max(ns)
+		if len(metrics) > 0 {
+			f.Metrics = make(map[string]float64, len(metrics))
+			for k, vs := range metrics {
+				f.Metrics[k] = median(vs)
+			}
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// median returns the middle of vs (non-empty), the mean of the two middle
+// values for an even count. It sorts vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }

@@ -64,3 +64,36 @@ func TestParseBenchLineRejectsNonBenchmarkLines(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldRepeatedCells: runs of one name fold into one entry at the
+// name's first place — median ns/op and metrics, total iterations, the run
+// count and the ns/op range — and a cell that ran once keeps its values.
+func TestFoldRepeatedCells(t *testing.T) {
+	var runs []benchResult
+	for _, line := range []string{
+		"BenchmarkGPI-2  1  300 ns/op  10 paths  64 B/op",
+		"BenchmarkSolve/engine=mc-2  1  21874512 ns/op  0.4862 redemption",
+		"BenchmarkGPI-2  1  100 ns/op  10 paths  32 B/op",
+		"BenchmarkGPI-2  2  200 ns/op  10 paths",
+		"BenchmarkGPI-2  1  900 ns/op  12 paths  16 B/op",
+	} {
+		r, ok := parseBenchLine(line)
+		if !ok {
+			t.Fatalf("rejected %q", line)
+		}
+		runs = append(runs, r)
+	}
+	want := []benchResult{
+		{
+			Name: "BenchmarkGPI-2", Iterations: 5, NsPerOp: 250, Runs: 4, MinNsPerOp: 100, MaxNsPerOp: 900,
+			Metrics: map[string]float64{"paths": 10, "B/op": 32},
+		},
+		{
+			Name: "BenchmarkSolve/engine=mc-2", Iterations: 1, NsPerOp: 21874512, Runs: 1,
+			MinNsPerOp: 21874512, MaxNsPerOp: 21874512, Metrics: map[string]float64{"redemption": 0.4862},
+		},
+	}
+	if got := fold(runs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fold\n got %+v\nwant %+v", got, want)
+	}
+}

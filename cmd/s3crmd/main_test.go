@@ -91,6 +91,36 @@ func TestSolveEndpoint(t *testing.T) {
 	}
 }
 
+// TestSolveReportsSketchCertificate: an ssr /solve answer carries the SSR
+// certificate's sketch_* fields, and a worldcache answer omits them.
+func TestSolveReportsSketchCertificate(t *testing.T) {
+	s := testServer(t)
+	w := do(t, s.solve, http.MethodPost, `{"algorithm":"S3CA","engine":"ssr","seed":7}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("ssr solve: %d %s", w.Code, w.Body.String())
+	}
+	var got struct {
+		Result map[string]any
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	rounds, _ := got.Result["sketch_rounds"].(float64)
+	samples, _ := got.Result["sketch_samples"].(float64)
+	lb, _ := got.Result["sketch_lb"].(float64)
+	ub, _ := got.Result["sketch_ub"].(float64)
+	if rounds < 1 || samples <= 0 || !(lb <= ub) {
+		t.Errorf("ssr /solve certificate: %s", w.Body.String())
+	}
+	w = do(t, s.solve, http.MethodPost, `{"algorithm":"S3CA","engine":"worldcache","seed":7}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("worldcache solve: %d %s", w.Code, w.Body.String())
+	}
+	if strings.Contains(w.Body.String(), `"sketch_`) {
+		t.Errorf("worldcache /solve answer carries sketch fields: %s", w.Body.String())
+	}
+}
+
 // TestSolveRejectsUnknownNames: unknown engine and triggering-model values
 // in POST /solve answer 400 with exactly the functional options' "want one
 // of" message, so clients see the valid set. The retired oracle fields

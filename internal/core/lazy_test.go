@@ -261,6 +261,38 @@ func TestSeedStepsRebaseIncrementally(t *testing.T) {
 	}
 }
 
+// TestSeedStepsKeepRecordedScans solves the Epinions profile at scale 10
+// (seed 77) on the world-cache engine, with the scorer the solver would
+// build itself, and checks that the incremental rebases resume from the
+// seeds' recorded offer scans: in the worlds a move re-simulates, at least
+// 99% of the seed scans (one per seed and world) are kept, on the ID loop's
+// cache and on the scorer's.
+func TestSeedStepsKeepRecordedScans(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Epinions-profile solve skipped in -short mode")
+	}
+	inst := presetInstance(t, gen.Epinions, 10, 77)
+	wc := diffusion.NewWorldCache(inst, 1000, 77, 1)
+	scorer := diffusion.NewWorldCache(inst, 1000, 77^0x5c04e, 1)
+	if _, err := Solve(inst, Options{
+		Engine: diffusion.EngineWorldCache, Samples: 1000, Seed: 77, Evaluator: wc, Scorer: scorer,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		wc   *diffusion.WorldCache
+	}{{"ID loop", wc}, {"scorer", scorer}} {
+		n := c.wc.Rebases()
+		kept := float64(n.SeedScansKept) / float64(n.SeedScansKept+n.SeedScansRerun)
+		t.Logf("%s: %d seed scans kept, %d re-run (%.4f kept)", c.name, n.SeedScansKept, n.SeedScansRerun, kept)
+		if n.SeedAdd < 100 || !(kept >= 0.99) {
+			t.Errorf("%s cache: %d seed adds, %d seed scans kept and %d re-run: want ≥ 99%% kept over ≥ 100 seed adds",
+				c.name, n.SeedAdd, n.SeedScansKept, n.SeedScansRerun)
+		}
+	}
+}
+
 // TestMarginalSCCostCache pins the solver's cached coupon prices: after
 // every move of a random chain of Apply moves — coupon moves, and seed moves
 // that can raise a count by more than one — marginalSCCost equals

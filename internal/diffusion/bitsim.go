@@ -27,7 +27,7 @@ type blockEntry struct {
 
 // worldSlots holds per-world aggregates, one slot per world in
 // struct-of-arrays form: the benefit and realized SC cost, the farthest
-// hop, and the activated and examined node counts. The arrays are padded to
+// hop, and the activated node count. The arrays are padded to
 // whole 64-world blocks, so every block's window is 64 slots long. Benefit
 // and realized cost accumulate per world in that world's activation order —
 // the block kernel's bit-identity anchor — while the integer aggregates are
@@ -37,7 +37,6 @@ type worldSlots struct {
 	cost      []float64
 	hop       []int32
 	activated []int32
-	explored  []int32
 }
 
 // newWorldSlots returns slots for n worlds, padded to whole blocks.
@@ -48,17 +47,14 @@ func newWorldSlots(n int) *worldSlots {
 		cost:      make([]float64, n),
 		hop:       make([]int32, n),
 		activated: make([]int32, n),
-		explored:  make([]int32, n),
 	}
 }
 
 // blockScratch holds one 64-world block's propagation state, pooled on the
-// estimator and reset in O(touched) between blocks.
+// estimator and reset in O(queued) between blocks.
 type blockScratch struct {
-	active  []uint64 // active[v]: worlds (bits) in which v is activated
-	seen    []uint64 // seen[v]: worlds in which v was examined; active ⊆ seen
-	touched []int32  // nodes with a nonzero seen word, for the O(touched) reset
-	queue   []blockEntry
+	active []uint64 // active[v]: worlds (bits) in which v is activated
+	queue  []blockEntry
 
 	// Per-entry offer-scan state, per world; stop is read only by snapshot
 	// sweeps.
@@ -71,13 +67,12 @@ type blockScratch struct {
 	merge mergeScratch
 }
 
-// reset clears the previous block's node state.
+// reset clears the previous block's node state: every active word belongs
+// to a queued node.
 func (bs *blockScratch) reset() {
-	for _, v := range bs.touched {
-		bs.active[v] = 0
-		bs.seen[v] = 0
+	for _, q := range bs.queue {
+		bs.active[q.node] = 0
 	}
-	bs.touched = bs.touched[:0]
 	bs.queue = bs.queue[:0]
 }
 
@@ -86,10 +81,8 @@ func (e *Estimator) getBlockScratch() *blockScratch {
 		n := e.Inst.G.NumNodes()
 		e.blockPool.New = func() any {
 			return &blockScratch{
-				active:  make([]uint64, n),
-				seen:    make([]uint64, n),
-				touched: make([]int32, 0, 256),
-				queue:   make([]blockEntry, 0, 256),
+				active: make([]uint64, n),
+				queue:  make([]blockEntry, 0, 256),
 			}
 		}
 	})
@@ -105,8 +98,9 @@ func (e *Estimator) putBlockScratch(bs *blockScratch) { e.blockPool.Put(bs) }
 // state, to the empty snapshot events (see blockSnap); with seeds non-nil
 // too, the seeds' entries are not written there: seeds is the block's
 // snapshot, which holds them, and their scan state is written into it at
-// the worlds of blockMask. Every set bit is one world, so a one-bit mask
-// runs a world alone.
+// the worlds of blockMask. With rs non-nil too, the seeds' scans resume from
+// their recorded ones in seeds (resumeSeeds) instead of walking every row.
+// Every set bit is one world, so a one-bit mask runs a world alone.
 //
 // Per-world outcomes are bit-identical to simulating each world on its own
 // (the scalar reference in bitsim_test.go). The coupon capacity makes
@@ -116,12 +110,12 @@ func (e *Estimator) putBlockScratch(bs *blockScratch) { e.blockPool.Put(bs) }
 // to the shared FIFO queue at the activation event that created them, with
 // the mask of exactly the worlds activated at that moment. Restricted to
 // any world w, the queue is then world w's scalar activation order
-// (induction over queue positions), every active/seen bit is read and
+// (induction over queue positions), every active bit is read and
 // written at its scalar timing, and the per-world float sums accumulate in
 // the scalar order. What the block buys is the dense part: membership tests
 // and edge-liveness probes for all 64 worlds collapse into whole-word
 // AND/OR/ANDN against the substrate's bit rows.
-func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blockMask uint64, out *worldSlots, events, seeds *blockSnap) {
+func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blockMask uint64, out *worldSlots, events, seeds *blockSnap, rs *seedResume) {
 	g := e.Inst.G
 	le := e.Live
 	in := e.Inst
@@ -130,12 +124,11 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 	worldC := (*[64]float64)(out.cost[worldBase:])
 	maxHop := (*[64]int32)(out.hop[worldBase:])
 	activated := (*[64]int32)(out.activated[worldBase:])
-	explored := (*[64]int32)(out.explored[worldBase:])
 	bs.reset()
 	// Every seed activates in every world of the block at hop 0, in
 	// ascending seed order, before any other event: each world's benefit
 	// starts with the same sum, folded once here in that order, and its
-	// activated and explored counts with the seed count.
+	// activated count with the seed count.
 	prefix := 0.0
 	for _, seed := range d.Seeds() {
 		prefix += in.Benefit[seed]
@@ -147,7 +140,6 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 			worldC[w] = 0
 			maxHop[w] = 0
 			activated[w] = nSeeds
-			explored[w] = nSeeds
 		}
 	} else {
 		for m := blockMask; m != 0; m &= m - 1 {
@@ -156,16 +148,18 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 			worldC[w] = 0
 			maxHop[w] = 0
 			activated[w] = nSeeds
-			explored[w] = nSeeds
 		}
 	}
 	for _, seed := range d.Seeds() {
 		bs.active[seed] = blockMask
-		bs.seen[seed] = blockMask
-		bs.touched = append(bs.touched, seed)
 		bs.queue = append(bs.queue, blockEntry{node: seed, parent: -1, pos: seed, mask: blockMask})
 	}
-	for head := 0; head < len(bs.queue); head++ {
+	head := 0
+	if rs != nil {
+		e.resumeSeeds(bs, d, worldBase, blockMask, worldC, seeds, rs)
+		head = int(nSeeds)
+	}
+	for ; head < len(bs.queue); head++ {
 		ent := bs.queue[head]
 		v := ent.node
 		if head >= int(nSeeds) { // the seed entries are in the prefix
@@ -195,15 +189,6 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 			probe := capMask &^ bs.active[t]
 			if probe == 0 {
 				continue // already active everywhere: no coupon consumed
-			}
-			if seenNew := probe &^ bs.seen[t]; seenNew != 0 {
-				if bs.seen[t] == 0 {
-					bs.touched = append(bs.touched, t)
-				}
-				bs.seen[t] |= seenNew
-				for m := seenNew; m != 0; m &= m - 1 {
-					explored[bits.TrailingZeros64(m)]++
-				}
 			}
 			ek := eBase + uint64(j)
 			if keys != nil {
@@ -254,6 +239,131 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase int, blo
 	}
 }
 
+// resumeSeeds runs the seed entries of simBlock's queue — d's seeds in
+// ascending order, in the block's worlds of mask — from the recorded scans
+// of the block's snapshot sn, which opens with d's seeds; rs says in which
+// worlds a recorded scan holds (seedResume). A kept scan gives its recorded
+// child events at those worlds, with no row walk, no probe and no run
+// write; a seed scanned again walks its row in its other worlds alone and
+// writes their run (setRun). The two sets of children go into the queue
+// together in row-position order, each event with the worlds of both, set
+// active there and add their costs in that order. Restricted to one world
+// the queue, the active bits and the cost sums are then a full simulation's,
+// so the same event order — and every sum — holds.
+//
+// A seed scanned again whose child events differ from its record marks the
+// worlds where they do dirty, and every later seed scans again there.
+func (e *Estimator) resumeSeeds(bs *blockScratch, d *Deployment, worldBase int, mask uint64, worldC *[64]float64, sn *blockSnap, rs *seedResume) {
+	g, in, le := e.Inst.G, e.Inst, e.Live
+	seeds := d.Seeds()
+	if rs.added >= 0 {
+		clear(rs.fresh)
+		rs.fresh[0] = mask // the added seed is active ahead of every scan
+	}
+	var dirty uint64
+	next := len(seeds) // the seeds' recorded children follow the seeds, by parent
+	forced := rs.forced
+	for i, u := range seeds {
+		from := next
+		for next < len(sn.ents) && sn.ents[next].parent == int32(i) {
+			next++
+		}
+		rec := sn.ents[from:next]
+		k := d.K(u)
+		redo := dirty & mask
+		switch {
+		case len(forced) > 0 && int(forced[0]) == i:
+			forced = forced[1:]
+			redo = mask
+			if ent := sn.ents[i]; (ent.scan == noScan) != (k == 0) {
+				if ent.mask != mask {
+					panic("diffusion: a seed took or lost coupons in some worlds of a block only")
+				}
+				sn.holdScan(i, k > 0)
+			}
+		case k > 0:
+			redo |= rs.triggered(sn, i, mask&^redo)
+		}
+		if k == 0 { // no scan: children recorded in a re-run world are gone
+			for _, r := range rec {
+				dirty |= r.mask & redo
+			}
+			continue
+		}
+		keep := mask &^ redo
+		if i != rs.added {
+			rs.kept += int64(bits.OnesCount64(keep))
+			rs.rerun += int64(bits.OnesCount64(redo))
+		}
+		if redo == 0 {
+			for _, r := range rec {
+				if m := r.mask & keep; m != 0 {
+					bs.activate(r.node, int32(i), r.pos, m, worldC, in.SCCost[r.node])
+				}
+			}
+			continue
+		}
+		targets, _, keys, kbase := g.OutRow(u)
+		eBase := uint64(kbase)
+		bs.cnt = [64]int32{}
+		capMask := redo
+		r := 0
+		for j := 0; j < len(targets); j++ {
+			if capMask == 0 { // only recorded children are left
+				if r == len(rec) {
+					break
+				}
+				j = int(rec[r].pos)
+			}
+			var kept, was uint64
+			if r < len(rec) && int(rec[r].pos) == j {
+				kept, was = rec[r].mask&keep, rec[r].mask&redo
+				r++
+			}
+			t := targets[j]
+			var live uint64
+			if probe := capMask &^ bs.active[t]; probe != 0 {
+				ek := eBase + uint64(j)
+				if keys != nil {
+					ek = uint64(uint32(keys[j]))
+				}
+				live = le.BlockMask(uint64(worldBase), ek, probe)
+			}
+			if i != rs.added {
+				dirty |= was ^ live
+			} else if x := rs.tag[t]; live != 0 {
+				rs.fresh[x-1] |= live
+			}
+			if m := kept | live; m != 0 {
+				bs.activate(t, int32(i), int32(j), m, worldC, in.SCCost[t])
+			}
+			for m := live; m != 0; m &= m - 1 {
+				w := bits.TrailingZeros64(m)
+				bs.cnt[w]++
+				if int(bs.cnt[w]) >= k {
+					capMask &^= 1 << uint(w)
+					bs.stop[w] = int32(j) + 1
+				}
+			}
+		}
+		for m := capMask; m != 0; m &= m - 1 {
+			bs.stop[bits.TrailingZeros64(m)] = int32(len(targets))
+		}
+		sn.setRun(i, u, redo, &bs.cnt, &bs.stop)
+	}
+}
+
+// activate queues seed entry parent's offer at row position pos, which
+// activated t at hop 1 in the worlds of mask, adding t's coupon cost to
+// those worlds' sums.
+func (bs *blockScratch) activate(t, parent, pos int32, mask uint64, worldC *[64]float64, cost float64) {
+	bs.active[t] |= mask
+	bs.queue = append(bs.queue, blockEntry{node: t, hop: 1, parent: parent, pos: pos, mask: mask})
+	for m := mask; m != 0; m &= m - 1 {
+		worldC[bits.TrailingZeros64(m)] += cost
+	}
+}
+
 // sweepAll simulates worlds [0, Samples) for deployment d in 64-aligned
 // blocks (a partial mask on the ragged tail block), writing world w's
 // aggregates to its slots in out and, with snaps non-nil, rewriting block
@@ -286,7 +396,7 @@ func (e *Estimator) sweepBlocks(d *Deployment, out *worldSlots, snaps []blockSna
 			snap = &snaps[b]
 			snap.reset()
 		}
-		e.simBlock(bs, d, base, e.blockWorlds(b), out, snap, nil)
+		e.simBlock(bs, d, base, e.blockWorlds(b), out, snap, nil, nil)
 	}
 }
 
@@ -300,14 +410,13 @@ func (e *Estimator) blockWorlds(b int) uint64 {
 // ascending world order — the one summation sequence behind every full
 // evaluation, fresh or cached — together with the raw benefit sum.
 func foldWorlds(out *worldSlots, n int) (Result, float64) {
-	var b, b2, c, a, h, x float64
+	var b, b2, c, a, h float64
 	for w, wb := range out.benefit[:n] {
 		b += wb
 		b2 += wb * wb
 		c += out.cost[w]
 		a += float64(out.activated[w])
 		h += float64(out.hop[w])
-		x += float64(out.explored[w])
 	}
 	count := float64(n)
 	return Result{
@@ -315,7 +424,6 @@ func foldWorlds(out *worldSlots, n int) (Result, float64) {
 		RealizedCost:  c / count,
 		Activated:     a / count,
 		FarthestHop:   h / count,
-		Explored:      x / count,
 		BenefitSqMean: b2 / count,
 	}, b
 }
@@ -327,9 +435,12 @@ func foldWorlds(out *worldSlots, n int) (Result, float64) {
 // a base with d's seeds does), takes the re-simulated worlds' seed scan
 // state in place and their other events merged in place of their old ones
 // (blockSnap.merge), so the cost follows the affected worlds rather than the
-// block, plus one pass over the block's entries; a block re-simulated whole
-// is rewritten instead.
-func (e *Estimator) sweepMasks(d *Deployment, masks []uint64, out *worldSlots, snaps []blockSnap) {
+// block, plus one pass over the block's entries. With rs non-nil too the
+// seeds' scans resume from their recorded ones (resumeSeeds), a block whose
+// every world re-simulates included: its events behind the seeds are
+// replaced (blockSnap.replace). Without rs a block re-simulated whole is
+// rewritten from hop 0.
+func (e *Estimator) sweepMasks(d *Deployment, masks []uint64, out *worldSlots, snaps []blockSnap, rs *seedResume) {
 	// The scratch is taken only once a block needs it: a fresh per-call
 	// estimator (a churn patch's, say) would otherwise allocate one to sweep
 	// nothing.
@@ -345,14 +456,18 @@ func (e *Estimator) sweepMasks(d *Deployment, masks []uint64, out *worldSlots, s
 		n++
 		switch {
 		case snaps == nil:
-			e.simBlock(bs, d, b*bitset.WordBits, mask, out, nil, nil)
-		case mask == e.blockWorlds(b): // every world: the block is rewritten
+			e.simBlock(bs, d, b*bitset.WordBits, mask, out, nil, nil, nil)
+		case rs == nil && mask == e.blockWorlds(b): // every world: the block is rewritten
 			snaps[b].reset()
-			e.simBlock(bs, d, b*bitset.WordBits, mask, out, &snaps[b], nil)
+			e.simBlock(bs, d, b*bitset.WordBits, mask, out, &snaps[b], nil, nil)
 		default:
 			bs.group.reset()
-			e.simBlock(bs, d, b*bitset.WordBits, mask, out, &bs.group, &snaps[b])
-			snaps[b].merge(mask, &bs.group, d.NumSeeds(), &bs.merge)
+			e.simBlock(bs, d, b*bitset.WordBits, mask, out, &bs.group, &snaps[b], rs)
+			if mask == e.blockWorlds(b) {
+				snaps[b].replace(&bs.group, d.NumSeeds(), &bs.merge)
+			} else {
+				snaps[b].merge(mask, &bs.group, d.NumSeeds(), &bs.merge)
+			}
 		}
 	}
 	if bs != nil {

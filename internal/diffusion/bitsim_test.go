@@ -39,7 +39,6 @@ func newTestEngine(t testing.TB, inst *Instance, o EngineOptions) (Evaluator, *E
 type simScratch struct {
 	epoch int32
 	stamp []int32 // stamp[v] == epoch ⇒ v active in current world
-	seen  []int32 // seen[v] == epoch ⇒ v examined (activated or probed)
 	hop   []int32
 	queue []int32
 }
@@ -47,7 +46,6 @@ type simScratch struct {
 func newSimScratch(n int) *simScratch {
 	return &simScratch{
 		stamp: make([]int32, n),
-		seen:  make([]int32, n),
 		hop:   make([]int32, n),
 		queue: make([]int32, 0, 256),
 	}
@@ -58,7 +56,6 @@ func (s *simScratch) reset() {
 	if s.epoch == 0 { // wrapped; clear stamps once per 2^31 worlds
 		for i := range s.stamp {
 			s.stamp[i] = -1
-			s.seen[i] = -1
 		}
 		s.epoch = 1
 	}
@@ -71,15 +68,6 @@ func (s *simScratch) activate(v, hop int32) {
 	s.stamp[v] = s.epoch
 	s.hop[v] = hop
 	s.queue = append(s.queue, v)
-}
-
-// see marks v as examined this world and reports whether it was new.
-func (s *simScratch) see(v int32) bool {
-	if s.seen[v] == s.epoch {
-		return false
-	}
-	s.seen[v] = s.epoch
-	return true
 }
 
 // worldRecord is one world's activation record: the activated nodes in
@@ -137,19 +125,15 @@ func activeWorlds(wc *WorldCache, v int32) (worlds, pos []int32) {
 // simWorld is the scalar reference kernel the block kernel (simBlock) must
 // reproduce world for world: it propagates one possible world for
 // deployment d with a plain one-world BFS, returning the world's benefit,
-// realized SC cost, farthest hop, activated count and examined-node count,
-// and appending the world's activation order and scan state to rec when
-// rec is non-nil.
-func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *worldRecord) (worldB, worldC float64, maxHop int32, activated, explored int) {
+// realized SC cost, farthest hop and activated count, and appending the
+// world's activation order and scan state to rec when rec is non-nil.
+func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *worldRecord) (worldB, worldC float64, maxHop int32, activated int) {
 	g := e.Inst.G
 	le := e.Live
 	s.reset()
 	for _, seed := range d.Seeds() {
 		if !s.active(seed) {
 			s.activate(seed, 0)
-			if s.see(seed) {
-				explored++
-			}
 		}
 	}
 	for head := 0; head < len(s.queue); head++ {
@@ -172,9 +156,6 @@ func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *wo
 				if s.active(t) {
 					continue // already active: no coupon consumed
 				}
-				if s.see(t) {
-					explored++ // probed: a coin was flipped for t
-				}
 				ek := base + uint64(j)
 				if keys != nil {
 					ek = uint64(uint32(keys[j]))
@@ -193,7 +174,7 @@ func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *wo
 			rec.scanRed = append(rec.scanRed, int32(redeemed))
 		}
 	}
-	return worldB, worldC, maxHop, len(s.queue), explored
+	return worldB, worldC, maxHop, len(s.queue)
 }
 
 // scalarEvaluate is the tests' reference for Estimator.Evaluate: it folds
@@ -201,15 +182,14 @@ func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *wo
 // reproduce it bit for bit at every worker count.
 func scalarEvaluate(e *Estimator, d *Deployment) Result {
 	s := newSimScratch(e.Inst.G.NumNodes())
-	var sumB, sumB2, sumC, sumA, sumH, sumX float64
+	var sumB, sumB2, sumC, sumA, sumH float64
 	for w := 0; w < e.Samples; w++ {
-		b, c, hop, activated, explored := e.simWorld(s, d, uint64(w), nil)
+		b, c, hop, activated := e.simWorld(s, d, uint64(w), nil)
 		sumB += b
 		sumB2 += b * b
 		sumC += c
 		sumA += float64(activated)
 		sumH += float64(hop)
-		sumX += float64(explored)
 	}
 	count := float64(e.Samples)
 	return Result{
@@ -217,7 +197,6 @@ func scalarEvaluate(e *Estimator, d *Deployment) Result {
 		RealizedCost:  sumC / count,
 		Activated:     sumA / count,
 		FarthestHop:   sumH / count,
-		Explored:      sumX / count,
 		BenefitSqMean: sumB2 / count,
 	}
 }
@@ -255,12 +234,11 @@ func checkSnapshots(t *testing.T, wc *WorldCache, step int) {
 	o := wc.outs
 	for w := 0; w < e.Samples; w++ {
 		var rec worldRecord
-		b, c, hop, activated, explored := e.simWorld(s, wc.base, uint64(w), &rec)
+		b, c, hop, activated := e.simWorld(s, wc.base, uint64(w), &rec)
 		r := snapshotRecord(wc, w)
-		if o.benefit[w] != b || o.cost[w] != c || o.hop[w] != hop ||
-			int(o.activated[w]) != activated || int(o.explored[w]) != explored {
-			t.Fatalf("step %d world %d: snapshot metrics (%v %v %d %d %d) != simWorld (%v %v %d %d %d)",
-				step, w, o.benefit[w], o.cost[w], o.hop[w], o.activated[w], o.explored[w], b, c, hop, activated, explored)
+		if o.benefit[w] != b || o.cost[w] != c || o.hop[w] != hop || int(o.activated[w]) != activated {
+			t.Fatalf("step %d world %d: snapshot metrics (%v %v %d %d) != simWorld (%v %v %d %d)",
+				step, w, o.benefit[w], o.cost[w], o.hop[w], o.activated[w], b, c, hop, activated)
 		}
 		if !slices.Equal(r.nodes, rec.nodes) || !slices.Equal(r.scanStop, rec.scanStop) ||
 			!slices.Equal(r.scanRed, rec.scanRed) {
@@ -276,7 +254,7 @@ func scalarDelta(wc *WorldCache, d *Deployment) float64 {
 	s := newSimScratch(e.Inst.G.NumNodes())
 	sum := wc.baseSumB
 	for w := 0; w < e.Samples; w++ {
-		b, _, _, _, _ := e.simWorld(s, d, uint64(w), nil)
+		b, _, _, _ := e.simWorld(s, d, uint64(w), nil)
 		sum += b - wc.outs.benefit[w]
 	}
 	return sum / float64(e.Samples)
@@ -316,7 +294,7 @@ func TestBitParallelScalarParity(t *testing.T) {
 // a sparse one and the ragged tail block's: every world's slots and
 // snapshot record must equal simWorld's. The seed prefix — every world's
 // benefit starting from the seeds' benefits summed in ascending seed order,
-// and its activated and explored counts from the seed count — is written
+// and its activated count from the seed count — is written
 // once per block, so this is where a wrong order or count shows.
 func TestSimBlockSeedPrefix(t *testing.T) {
 	inst := randomInstance(t, 40, 140, 71)
@@ -340,18 +318,17 @@ func TestSimBlockSeedPrefix(t *testing.T) {
 			out := newWorldSlots(samples)
 			var snap blockSnap
 			bs := est.getBlockScratch()
-			est.simBlock(bs, d, c.block*64, c.mask, out, &snap, nil)
+			est.simBlock(bs, d, c.block*64, c.mask, out, &snap, nil, nil)
 			est.putBlockScratch(bs)
 			sc := newSimScratch(40)
 			for m := c.mask; m != 0; m &= m - 1 {
 				bit := bits.TrailingZeros64(m)
 				w := c.block*64 + bit
 				var rec worldRecord
-				b, cost, hop, activated, explored := est.simWorld(sc, d, uint64(w), &rec)
-				if out.benefit[w] != b || out.cost[w] != cost || out.hop[w] != hop ||
-					int(out.activated[w]) != activated || int(out.explored[w]) != explored {
-					t.Fatalf("%d seeds, world %d: kernel (%v %v %d %d %d) != simWorld (%v %v %d %d %d)", seeds, w,
-						out.benefit[w], out.cost[w], out.hop[w], out.activated[w], out.explored[w], b, cost, hop, activated, explored)
+				b, cost, hop, activated := est.simWorld(sc, d, uint64(w), &rec)
+				if out.benefit[w] != b || out.cost[w] != cost || out.hop[w] != hop || int(out.activated[w]) != activated {
+					t.Fatalf("%d seeds, world %d: kernel (%v %v %d %d) != simWorld (%v %v %d %d)", seeds, w,
+						out.benefit[w], out.cost[w], out.hop[w], out.activated[w], b, cost, hop, activated)
 				}
 				if got := blockRecord(&snap, bit); !reflect.DeepEqual(got, rec) {
 					t.Fatalf("%d seeds, world %d: snapshot record %+v != simWorld %+v", seeds, w, got, rec)

@@ -84,13 +84,16 @@ func NewEstimator(inst *Instance, samples int, seed uint64) *Estimator {
 	}
 }
 
-// Result aggregates one deployment's Monte-Carlo outcome.
+// Result aggregates one deployment's Monte-Carlo outcome. It keeps no
+// per-world count of examined users: nothing read one, and keeping it exact
+// made every probe write a seen word and every seed add walk the base
+// holders' rows. The public explored ratio is the solver's own count
+// (core.Stats.ExploredNodes), not a simulation metric.
 type Result struct {
 	Benefit      float64 // expected total benefit of activated users
 	RealizedCost float64 // expected SC cost actually paid for redemptions
 	Activated    float64 // expected number of activated users
 	FarthestHop  float64 // expected maximum hop distance from the seeds
-	Explored     float64 // expected nodes examined per world: activated plus probed inactive out-neighbours
 	// BenefitSqMean is the mean of the squared per-world benefit — the
 	// second raw moment the serving layer turns into a Monte-Carlo
 	// standard-error bar (stats.StdErrFromMoments), accumulated in ascending

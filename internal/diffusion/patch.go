@@ -85,8 +85,10 @@ func (e *Estimator) WithGraph(inst2 *Instance, churnTargets []int32) *Estimator 
 //     prefix verbatim, so the scan replays identically and the recorded
 //     resume position stays valid in the new row's coordinates). Everywhere
 //     else the scan could probe an appended edge — redeeming on it when
-//     live, or probing it dead, which still moves the Explored accounting —
-//     so the world re-simulates.
+//     live, or probing it dead, which still moves the recorded stop — so the
+//     world re-simulates, from hop 0 (the seeds' recorded scans are not
+//     reused: a reused seed scan would have to count a row that gained
+//     edges, and under LT a row holding a churn target, as changed).
 //   - Target side (LT only): an appended edge changes its target's in-edge
 //     distribution, so the target's per-world selection is re-drawn; any
 //     world whose old and new choices differ re-simulates (the liveness of
@@ -166,7 +168,7 @@ func (wc *WorldCache) PatchEdges(e2 *Estimator, batch []graph.Edge) Result {
 		}
 	}
 	wc.Est = e2
-	e2.sweepMasks(wc.base, affected, wc.outs, wc.snaps)
+	e2.sweepMasks(wc.base, affected, wc.outs, wc.snaps, nil)
 	wc.inv.markStale(affected)
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, samples)
 	return wc.baseResult

@@ -18,7 +18,8 @@ import (
 // gap between the two op= cells is the price of the snapshot. The
 // op=seedchain cell times the seed steps instead: one op rebases from the
 // empty deployment along 160 single-seed additions, the path the ID loop
-// and snapshot selection take on each seed step. Epinions/10 (≈7,600
+// and snapshot selection take on each seed step (inert worlds patched, the
+// rest resumed from the seeds' recorded scans). Epinions/10 (≈7,600
 // users), 1,000 worlds, one worker; the deployments seed the
 // highest-out-degree users with min(2, out-degree) coupons each. The
 // op=delta cell times one DeltaBenefits instead, the ID loop's candidate

@@ -76,9 +76,7 @@ func (s *blockSnap) addRun(mask uint64, cnt, stop *[64]int32) {
 		s.stop = append(s.stop, stop[lo:lo+k]...)
 		return
 	}
-	n := len(s.red)
-	s.red = slices.Grow(s.red, k)[:n+k]
-	s.stop = slices.Grow(s.stop, k)[:n+k]
+	n := s.extend(k)
 	for m, i := mask, n; m != 0; m, i = m&(m-1), i+1 {
 		w := bits.TrailingZeros64(m)
 		s.red[i], s.stop[i] = cnt[w], stop[w]
@@ -185,9 +183,10 @@ func (s *blockSnap) merge(drop uint64, g *blockSnap, seeds int, sc *mergeScratch
 			e := g.ents[j]
 			if e.scan != noScan {
 				from, k := int(e.scan), bits.OnesCount64(e.mask)
-				e.scan = int32(len(s.red))
-				s.red = append(s.red, g.red[from:from+k]...)
-				s.stop = append(s.stop, g.stop[from:from+k]...)
+				at := s.extend(k)
+				e.scan = int32(at)
+				copy(s.red[at:], g.red[from:from+k])
+				copy(s.stop[at:], g.stop[from:from+k])
 			}
 			e.parent = newParent(e.parent, sc.mapG)
 			out = append(out, e)
@@ -213,6 +212,31 @@ func (s *blockSnap) merge(drop uint64, g *blockSnap, seeds int, sc *mergeScratch
 	s.ents, sc.ents = out, s.ents
 	if s.free > len(s.red)-s.free {
 		sc.runs = s.compact(sc.runs)
+	}
+}
+
+// replace is merge for a block whose every world re-simulated: g, the new
+// simulation's events less the seeds, replaces every event behind s's first
+// seeds entries. The old events' runs are freed and the seeds' runs packed
+// to the front before g's runs go in, so the arrays never hold both. g's
+// parent indexes are queue indexes, the seeds first: they are the new ones.
+func (s *blockSnap) replace(g *blockSnap, seeds int, sc *mergeScratch) {
+	for _, e := range s.ents[seeds:] {
+		if e.scan != noScan {
+			s.free += bits.OnesCount64(e.mask)
+		}
+	}
+	s.ents = s.ents[:seeds]
+	sc.runs = s.compact(sc.runs)
+	for _, e := range g.ents {
+		if e.scan != noScan {
+			from, k := int(e.scan), bits.OnesCount64(e.mask)
+			at := s.extend(k)
+			e.scan = int32(at)
+			copy(s.red[at:], g.red[from:from+k])
+			copy(s.stop[at:], g.stop[from:from+k])
+		}
+		s.ents = append(s.ents, e)
 	}
 }
 
@@ -264,18 +288,19 @@ func (s *blockSnap) fuseRun(e *snapEntry, a snapEntry, keep uint64, g *blockSnap
 		}
 		return
 	}
-	e.scan = int32(len(s.red))
+	at := s.extend(bits.OnesCount64(e.mask))
+	e.scan = int32(at)
 	ia := int(a.scan)
 	for m := a.mask | b.mask; m != 0; m &= m - 1 {
 		bit := m & -m
 		switch {
 		case b.mask&bit != 0:
-			s.red = append(s.red, g.red[ib])
-			s.stop = append(s.stop, g.stop[ib])
+			s.red[at], s.stop[at] = g.red[ib], g.stop[ib]
 			ib++
+			at++
 		case keep&bit != 0:
-			s.red = append(s.red, s.red[ia])
-			s.stop = append(s.stop, s.stop[ia])
+			s.red[at], s.stop[at] = s.red[ia], s.stop[ia]
+			at++
 		}
 		if a.mask&bit != 0 {
 			ia++
@@ -311,7 +336,8 @@ func (s *blockSnap) compact(runs []int32) []int32 {
 // insertSeed adds seed v's event for the worlds of mask, none of which holds
 // v yet, at its key (-1, v): after the seeds below v, ahead of every other
 // event, whose parent indexes move up by one. With scans its run, appended,
-// records 0 redeemed and resume position stop in every world.
+// records 0 redeemed and resume position stop in every world. The entries
+// from the slot on shift up one and take their new parents in one pass.
 func (s *blockSnap) insertSeed(v int32, mask uint64, scans bool, stop int32) {
 	at := 0
 	for at < len(s.ents) && s.ents[at].parent < 0 && s.ents[at].pos < v {
@@ -319,21 +345,52 @@ func (s *blockSnap) insertSeed(v int32, mask uint64, scans bool, stop int32) {
 	}
 	e := snapEntry{node: v, scan: noScan, parent: -1, pos: v, mask: mask}
 	if scans {
-		n, k := len(s.red), bits.OnesCount64(mask)
+		n := s.extend(bits.OnesCount64(mask))
 		e.scan = int32(n)
-		s.red = slices.Grow(s.red, k)[:n+k]
-		s.stop = slices.Grow(s.stop, k)[:n+k]
 		clear(s.red[n:])
-		for i := n; i < n+k; i++ {
+		for i := n; i < len(s.stop); i++ {
 			s.stop[i] = stop
 		}
 	}
-	s.ents = slices.Insert(s.ents, at, e)
-	for i := at + 1; i < len(s.ents); i++ {
-		if p := &s.ents[i].parent; *p >= int32(at) {
-			*p++
+	s.ents = append(s.ents, snapEntry{})
+	for i := len(s.ents) - 1; i > at; i-- {
+		x := s.ents[i-1]
+		if x.parent >= int32(at) {
+			x.parent++
 		}
+		s.ents[i] = x
 	}
+	s.ents[at] = e
+}
+
+// holdScan fits seed entry i's run to whether the seed now holds coupons:
+// a holder without a run gets one of zeroed slots, and an entry with a run
+// that holds none frees it. Its coupons moved between none and some, so
+// every world of the entry re-scans it and writes the slots (setRun).
+func (s *blockSnap) holdScan(i int, holds bool) {
+	e := &s.ents[i]
+	switch k := bits.OnesCount64(e.mask); {
+	case holds && e.scan == noScan:
+		n := s.extend(k)
+		clear(s.red[n:])
+		clear(s.stop[n:])
+		e.scan = int32(n)
+	case !holds && e.scan != noScan:
+		s.free += k
+		e.scan = noScan
+	}
+}
+
+// extend lengthens red and stop by k slots and returns the first. Past
+// their capacity both arrays grow by the runtime's append policy (a
+// quarter past a few hundred slots), not to twice their length: doubling
+// halved the copying but left pooled caches holding up to twice the slots
+// they use. The new slots' contents are stale.
+func (s *blockSnap) extend(k int) int {
+	n := len(s.red)
+	s.red = slices.Grow(s.red, k)[:n+k]
+	s.stop = slices.Grow(s.stop, k)[:n+k]
+	return n
 }
 
 // newParent returns the index in merge's output of the entry at index p of

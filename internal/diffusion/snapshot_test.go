@@ -195,12 +195,17 @@ func sameSnaps(a, b []blockSnap) bool {
 //     while leaving the snapshot untouched, and DeltaBenefits a cold cache
 //     rebased on the same deployment bit for bit.
 //
-// The seed additions cycle through a new seed that already held coupons,
-// one left without coupons, and one in a base holder's row; the test fails
-// unless the chain took the coupon-advance and seed-add paths, had a seed
-// addition whose block mixed inert and re-simulated worlds, and one whose
-// inert worlds had seen a member of the seed's row by a holder's probe
-// (seedAddCase), and freed run slots and compacted them.
+// After every coupon advance and seed add the seed scans kept and re-run
+// must number one per seed holder (the added seed excepted) and
+// re-simulated world. The seed additions cycle through a new seed that
+// already held coupons, one left without coupons, and one in a base
+// holder's row; the test fails unless the chain took the coupon-advance and
+// seed-add paths, advanced the coupons of a seed and of another user, and
+// reached (classifySeedMove) a seed addition whose block mixed inert and
+// re-simulated worlds, an earlier seed whose recorded scan redeemed on the
+// added seed, a later seed whose recorded prefix holds a user the added
+// seed activates, and a seed whose re-run scan came out different; and
+// freed run slots and compacted them.
 func TestWorldCacheBlockSnapshotProperty(t *testing.T) {
 	for _, model := range Models() {
 		for _, sub := range substrateBudgets {
@@ -312,15 +317,21 @@ func snapshotChain(t *testing.T, model string, budget int64, samples int, seed i
 		}
 		return "seed add"
 	}
-	var mixed, probed, freed, compacted bool
+	var reached seedScanCase
+	var seedAdvance, userAdvance, freed, compacted bool
 	taken := map[string]int64{} // moves made, by kind
 	for step := 1; step <= 150; step++ {
 		before := cloneSnaps(wc.snaps)
+		base := d.Clone()
+		counts := wc.Rebases()
 		var what string
 		switch op := r.Intn(12); {
 		case op < 5:
 			what = "advance"
-			couponMove(d)
+			for _, v := range couponMove(d) {
+				seedAdvance = seedAdvance || d.IsSeed(v)
+				userAdvance = userAdvance || !d.IsSeed(v)
+			}
 			checkCacheStep(t, wc, wc.Rebase(d), nil, step)
 		case op < 7:
 			what = "EvaluateDelta"
@@ -354,13 +365,34 @@ func snapshotChain(t *testing.T, model string, budget int64, samples int, seed i
 				t.Fatalf("step %d: DeltaBenefits over the patched snapshot %v != cold %v", step, got, want)
 			}
 		default:
-			base := d.Clone()
 			what = seedMove()
-			if what == "seed add" {
-				m, p := seedAddCase(wc, base, d)
-				mixed, probed = mixed || m, probed || p
-			}
 			checkCacheStep(t, wc, wc.Rebase(d), nil, step)
+		}
+		if what == "advance" || what == "seed add" {
+			// Every re-simulated world keeps or re-runs each seed scan but
+			// the added seed's, and the counts say which, per (seed, world).
+			resim, s := resimulated(wc.Est, before, base, d)
+			c := classifySeedMove(wc.Est, before, wc.snaps, base, d, resim, s)
+			reached.mixed = reached.mixed || c.mixed && s >= 0
+			reached.earlierOnAdded = reached.earlierOnAdded || c.earlierOnAdded
+			reached.laterPrefix = reached.laterPrefix || c.laterPrefix
+			reached.changed = reached.changed || c.changed
+			scans := int64(0)
+			for _, u := range d.Seeds() {
+				if u != s && d.K(u) > 0 {
+					scans++
+				}
+			}
+			worlds := int64(0)
+			for _, m := range resim {
+				worlds += int64(bits.OnesCount64(m))
+			}
+			now := wc.Rebases()
+			kept, rerun := now.SeedScansKept-counts.SeedScansKept, now.SeedScansRerun-counts.SeedScansRerun
+			if kept+rerun != scans*worlds {
+				t.Fatalf("step %d (%s): %d seed scans kept and %d re-run, want %d seeds × %d re-simulated worlds",
+					step, what, kept, rerun, scans, worlds)
+			}
 		}
 		for b := range wc.snaps {
 			s, was := &wc.snaps[b], &before[b]
@@ -384,58 +416,112 @@ func snapshotChain(t *testing.T, model string, budget int64, samples int, seed i
 	if c.Advance != taken["advance"] || c.SeedAdd != taken["seed add"] || c.Full != 1+taken["seed removal"] {
 		t.Fatalf("rebases %+v for moves %v", c, taken)
 	}
-	if c.Advance == 0 || c.SeedAdd == 0 || !mixed || !probed || !freed || !compacted {
-		t.Fatalf("chain took %+v, mixed inert and re-simulated worlds in a block: %v, probed a seed's row: %v, "+
-			"freed run slots: %v, compacted: %v: lengthen it", c, mixed, probed, freed, compacted)
+	if c.Advance == 0 || c.SeedAdd == 0 || c.SeedScansKept == 0 || !seedAdvance || !userAdvance || !freed || !compacted {
+		t.Fatalf("chain took %+v, a coupon advance on a seed: %v and on another user: %v, freed run slots: %v, compacted: %v: lengthen it",
+			c, seedAdvance, userAdvance, freed, compacted)
+	}
+	if !reached.mixed || !reached.earlierOnAdded || !reached.laterPrefix || !reached.changed {
+		t.Fatalf("chain reached %+v of the seed-scan cases: lengthen it", reached)
 	}
 }
 
-// seedAddCase classifies the move from base to d, which adds one seed s, by
-// the scalar reference: a world is inert when base leaves s inactive and,
-// if s holds coupons under d, no out-edge of s is live. It reports whether
-// some block holds both inert and other worlds, and whether in some inert
-// world the base saw s or a target of s's row without activating it — by a
-// holder's probe, which the seed add must count as already explored.
-func seedAddCase(wc *WorldCache, base, d *Deployment) (mixed, probed bool) {
-	e := wc.Est
+// resimulated returns, per block, the worlds the move from base to d
+// re-simulates, read off the outgoing snapshot before: for a seed add of s,
+// every world but the inert ones — where base leaves s inactive and, if s
+// holds coupons under d, no out-edge of s is live; for a coupon move, the
+// worlds activating a changed user whose recorded scan can change
+// (scanUnchanged). It also returns the added seed, -1 for a coupon move.
+func resimulated(e *Estimator, before []blockSnap, base, d *Deployment) ([]uint64, int32) {
 	g := e.Inst.G
-	var s int32
+	out := make([]uint64, len(before))
+	s := int32(-1)
 	for _, v := range d.Seeds() {
 		if !base.IsSeed(v) {
 			s = v
 		}
 	}
-	xs := []int32{s}
-	if d.K(s) > 0 {
-		ts, _ := g.OutEdges(s)
-		xs = append(xs, ts...)
-	}
-	sc := newSimScratch(g.NumNodes())
-	inert := make([]uint64, len(wc.snaps))
 	for w := 0; w < e.Samples; w++ {
-		e.simWorld(sc, base, uint64(w), nil)
-		ok := !sc.active(s)
-		if targets, _, keys, kbase := g.OutRow(s); ok && d.K(s) > 0 {
-			for j := range targets {
-				ek := uint64(kbase) + uint64(j)
-				if keys != nil {
-					ek = uint64(uint32(keys[j]))
+		rec := blockRecord(&before[w/64], w%64)
+		hit := false
+		if s >= 0 {
+			hit = slices.Contains(rec.nodes, s)
+			if targets, _, keys, kbase := g.OutRow(s); !hit && d.K(s) > 0 {
+				for j := range targets {
+					ek := uint64(kbase) + uint64(j)
+					if keys != nil {
+						ek = uint64(uint32(keys[j]))
+					}
+					hit = hit || e.Live.Live(uint64(w), ek)
 				}
-				ok = ok && !e.Live.Live(uint64(w), ek)
+			}
+		} else {
+			for i, v := range rec.nodes {
+				hit = hit || base.K(v) != d.K(v) && !scanUnchanged(base.K(v), d.K(v), int(rec.scanRed[i]))
 			}
 		}
-		if !ok {
-			continue
-		}
-		inert[w/64] |= 1 << uint(w%64)
-		for _, x := range xs {
-			probed = probed || sc.seen[x] == sc.epoch && !sc.active(x)
+		if hit {
+			out[w/64] |= 1 << uint(w%64)
 		}
 	}
-	for b, m := range inert {
-		mixed = mixed || m != 0 && m != e.blockWorlds(b)
+	return out, s
+}
+
+// seedScanCase is what a move from base to d reached of the ways a seed's
+// recorded scan changes, read off the outgoing and incoming snapshots before
+// and after (each equal to simWorld's records, which the chain checks).
+type seedScanCase struct {
+	mixed          bool // a block held both re-simulated and untouched worlds
+	earlierOnAdded bool // an earlier seed's recorded scan redeemed on the added seed
+	laterPrefix    bool // a later seed's recorded prefix holds a user the added seed activates
+	changed        bool // a kept seed's child events differ across the move in some world
+}
+
+// classifySeedMove fills c with the cases the move from base to d (a seed
+// add of s >= 0, or a coupon move) reaches, given its re-simulated worlds.
+func classifySeedMove(e *Estimator, before, after []blockSnap, base, d *Deployment, resim []uint64, s int32) (c seedScanCase) {
+	g := e.Inst.G
+	// children returns the child events of seed entry i in world bit w of
+	// block snapshot sn, as (node, pos) pairs.
+	children := func(sn *blockSnap, i, w int) [][2]int32 {
+		var out [][2]int32
+		for _, ent := range sn.ents {
+			if int(ent.parent) == i && ent.mask>>uint(w)&1 != 0 {
+				out = append(out, [2]int32{ent.node, ent.pos})
+			}
+		}
+		return out
 	}
-	return mixed, probed
+	for b, m := range resim {
+		c.mixed = c.mixed || m != 0 && m != e.blockWorlds(b)
+		was, now := &before[b], &after[b]
+		for ; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			for i, u := range base.Seeds() {
+				j, _ := slices.BinarySearch(d.Seeds(), u)
+				if !slices.Equal(children(was, i, w), children(now, j, w)) {
+					c.changed = true
+				}
+				if s < 0 {
+					continue
+				}
+				for _, ch := range children(was, i, w) {
+					c.earlierOnAdded = c.earlierOnAdded || u < s && ch[0] == s
+				}
+				if u < s || base.K(u) == 0 {
+					continue
+				}
+				_, stop := was.scanAt(was.ents[i], w)
+				row, _ := g.OutEdges(u)
+				is, _ := slices.BinarySearch(d.Seeds(), s)
+				for _, ch := range children(now, is, w) {
+					if at := slices.Index(row, ch[0]); at >= 0 && int32(at) < stop {
+						c.laterPrefix = true
+					}
+				}
+			}
+		}
+	}
+	return c
 }
 
 // TestBlockSnapMerge checks merge and insertSeed on hand-built blocks:

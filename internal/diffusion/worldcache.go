@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"s3crm/internal/bitset"
+	"s3crm/internal/graph"
 	"s3crm/internal/par"
 )
 
@@ -22,8 +23,10 @@ import (
 //     a full simulation per step. Adding one seed re-simulates only the
 //     worlds the seed can reach — where it is already active, or where it
 //     scans and one of its out-edges is live; in the others it joins at
-//     hop 0 and changes nothing else. Other seed-set changes rebase from
-//     scratch.
+//     hop 0 and changes nothing else. Both moves resume a re-simulated
+//     world from the seeds' recorded offer scans, running again only the
+//     ones the move can change (seedResume). Other seed-set changes rebase
+//     from scratch.
 //   - DeltaBenefits — "base plus one coupon at v" for a batch of candidates
 //     v, the greedy ID loop's dominant query. Worlds in which v is inactive
 //     are untouched, and in the remaining worlds only v's resumed offer
@@ -64,12 +67,12 @@ type WorldCache struct {
 	counts RebaseCounts
 
 	// Scratch reused across moves: the per-block affected-world masks, the
-	// coupon diff, and the seed add's state (seedScratch);
-	// ScratchDeployment's deployment; and DeltaBenefits' replay state, one
-	// per worker.
+	// coupon diff, and what a move reuses of the seeds' recorded scans
+	// (seedResume); ScratchDeployment's deployment; and DeltaBenefits'
+	// replay state, one per worker.
 	affected []uint64
 	changed  []int32
-	add      seedScratch
+	resume   seedResume
 	scratch  Deployment
 	deltas   []deltaScratch
 }
@@ -142,12 +145,18 @@ func (wc *WorldCache) Rebase(d *Deployment) Result {
 	return wc.rebaseFull(d)
 }
 
-// RebaseCounts counts a world cache's Rebase calls by the path each took.
+// RebaseCounts counts a world cache's Rebase calls by the path each took,
+// and the seed offer scans of the worlds the incremental paths re-simulated,
+// one per (seed, world): kept from the snapshot, or run again. The seed a
+// move adds is in neither: its scan has no record to keep.
 type RebaseCounts struct {
 	Unchanged int64 // the base already equalled the deployment
 	Advance   int64 // coupon counts moved: worlds activating a changed node re-simulated
 	SeedAdd   int64 // one seed added: worlds the seed can reach re-simulated
 	Full      int64 // every world simulated (the first Rebase included)
+
+	SeedScansKept  int64 // a seed's recorded scan reused in a re-simulated world
+	SeedScansRerun int64 // a seed's scan run again in a re-simulated world
 }
 
 // Rebases returns the cache's Rebase calls so far, by path.
@@ -268,10 +277,12 @@ func (wc *WorldCache) holderDiff(d *Deployment) ([]int32, bool) {
 // changed: worlds that activate none of the changed nodes are provably
 // identical (an inactive user's coupons never matter), and so is a world
 // whose recorded scan of every changed node it activates never ran short
-// of coupons (scanUnchanged); the rest re-simulate. Every world is decided
-// against the OUTGOING base before any re-simulation mutates the snapshot
-// — a world inert for one changed node may still need re-simulation for
-// another.
+// of coupons (scanUnchanged); the rest re-simulate, resuming from the
+// seeds' recorded scans (seedResume): a changed seed scans again, and so
+// does every seed after one whose scan came out changed. Every world is
+// decided against the OUTGOING base before any re-simulation mutates the
+// snapshot — a world inert for one changed node may still need
+// re-simulation for another.
 func (wc *WorldCache) advance(d *Deployment, changed []int32) Result {
 	e := wc.Est
 	e.evals.Add(1)
@@ -290,25 +301,14 @@ func (wc *WorldCache) advance(d *Deployment, changed []int32) Result {
 			}
 		}
 	}
-	e.sweepMasks(d, affected, wc.outs, wc.snaps)
+	rs := wc.resume.forCoupons(d, changed)
+	e.sweepMasks(d, affected, wc.outs, wc.snaps, rs)
+	rs.done(&wc.counts)
 	wc.inv.markStale(affected)
 	wc.setBase(d)
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
 	return wc.baseResult
 }
-
-// seedScratch is addSeed's reusable state.
-type seedScratch struct {
-	tag    []int32  // tag[v]: 1 + v's index in xs; 0 when v is not in xs
-	hold   []int32  // hold[u]: 1 + u's index in the base holders when its row holds a member of xs; else 0
-	xs     []int32  // the users the new seed puts in every inert world's seen set
-	seen   []uint64 // seen[i]: the current block's inert worlds whose base saw xs[i]
-	probes []probe  // base holders' row positions holding a member of xs
-	off    []int32  // probes of base.holders[h]: probes[off[h]:off[h+1]]
-}
-
-// probe is position j of a base holder's row, whose target is xs[x].
-type probe struct{ j, x int32 }
 
 // addSeed moves the base to d, which is the base plus seed s, with coupon
 // counts changed at most at s. A world is inert when the base leaves s
@@ -321,25 +321,24 @@ type probe struct{ j, x int32 }
 //   - one activation;
 //   - a benefit re-folded in the new event order: the seed prefix, then the
 //     world's other entries in snapshot order;
-//   - one explored user for each of s and, if s scans, its row's targets
-//     that the base never saw (seenByBase);
 //   - an entry for s at its seed position, whose run (if any) redeemed 0
 //     and stopped at the row's end (blockSnap.insertSeed).
 //
-// Every other world re-simulates through sweepMasks. Inertness is decided
-// against the outgoing base before anything is rewritten.
+// Every other world re-simulates through sweepMasks, resuming from the
+// seeds' recorded scans (seedResume): s scans, and another seed scans again
+// only where its recorded prefix holds s or a user s activates there, or an
+// earlier scan came out changed. Inertness is decided against the outgoing
+// base before anything is rewritten.
 func (wc *WorldCache) addSeed(d *Deployment, s int32) Result {
 	e := wc.Est
 	e.evals.Add(1)
 	g, in, le := e.Inst.G, e.Inst, e.Live
-	sc := &wc.add
 	targets, _, keys, kbase := g.OutRow(s)
 	scans := d.K(s) > 0
 	rowLen := int32(0)
 	if scans {
 		rowLen = int32(len(targets))
 	}
-	wc.markSeen(s, targets[:rowLen])
 	prefix := 0.0
 	for _, v := range d.Seeds() {
 		prefix += in.Benefit[v]
@@ -366,109 +365,147 @@ func (wc *WorldCache) addSeed(d *Deployment, s int32) Result {
 			inert &^= le.BlockMask(uint64(worldBase), ek, inert)
 		}
 		affected[b] = valid &^ inert
-		if inert == 0 {
-			continue
-		}
-		wc.seenByBase(sn, inert)
-		worldB := (*[64]float64)(wc.outs.benefit[worldBase:])
-		activated := (*[64]int32)(wc.outs.activated[worldBase:])
-		explored := (*[64]int32)(wc.outs.explored[worldBase:])
-		for m := inert; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			worldB[w] = prefix
-			activated[w]++
-			explored[w] += int32(len(sc.xs))
-		}
-		for _, seen := range sc.seen {
-			for m := seen; m != 0; m &= m - 1 {
-				explored[bits.TrailingZeros64(m)]--
+		if inert != 0 {
+			worldB := (*[64]float64)(wc.outs.benefit[worldBase:])
+			activated := (*[64]int32)(wc.outs.activated[worldBase:])
+			for m := inert; m != 0; m &= m - 1 {
+				w := bits.TrailingZeros64(m)
+				worldB[w] = prefix
+				activated[w]++
 			}
-		}
-		for _, ent := range sn.ents[nSeeds:] {
-			if m := ent.mask & inert; m != 0 {
-				benefit := in.Benefit[ent.node]
-				for ; m != 0; m &= m - 1 {
-					worldB[bits.TrailingZeros64(m)] += benefit
+			for _, ent := range sn.ents[nSeeds:] {
+				if m := ent.mask & inert; m != 0 {
+					benefit := in.Benefit[ent.node]
+					for ; m != 0; m &= m - 1 {
+						worldB[bits.TrailingZeros64(m)] += benefit
+					}
 				}
 			}
 		}
+		// The re-simulated worlds resume from a block that opens with d's
+		// seeds; their scan of s is written over the placeholder run.
 		sn.insertSeed(s, valid, scans, rowLen)
 		wc.inv.markBlock(b)
 	}
-	for _, x := range sc.xs {
-		sc.tag[x] = 0
-	}
-	for _, u := range wc.base.holders {
-		sc.hold[u] = 0
-	}
-	e.sweepMasks(d, affected, wc.outs, wc.snaps)
+	rs := wc.resume.forSeed(g, d, s)
+	e.sweepMasks(d, affected, wc.outs, wc.snaps, rs)
+	rs.done(&wc.counts)
 	wc.inv.markStale(affected)
 	wc.setBase(d)
 	wc.baseResult, wc.baseSumB = foldWorlds(wc.outs, e.Samples)
 	return wc.baseResult
 }
 
-// markSeen loads the users a seed add puts in every inert world's seen set
-// — s and, when s scans, its row's targets — into xs and tag, and lists
-// every base holder's row positions that hold one of them in probes.
-func (wc *WorldCache) markSeen(s int32, row []int32) {
-	sc := &wc.add
-	g := wc.Est.Inst.G
-	if n := g.NumNodes(); len(sc.tag) < n {
-		sc.tag = append(sc.tag, make([]int32, n-len(sc.tag))...)
-		sc.hold = append(sc.hold, make([]int32, n-len(sc.hold))...)
-	}
-	sc.xs = append(sc.xs[:0], s)
-	sc.tag[s] = 1
-	for _, x := range row {
-		if sc.tag[x] == 0 {
-			sc.xs = append(sc.xs, x)
-			sc.tag[x] = int32(len(sc.xs))
-		}
-	}
-	sc.probes, sc.off = sc.probes[:0], append(sc.off[:0], 0)
-	for h, u := range wc.base.holders {
-		ts, _ := g.OutEdges(u)
-		for j, t := range ts {
-			if x := sc.tag[t]; x != 0 {
-				sc.probes = append(sc.probes, probe{j: int32(j), x: x - 1})
-			}
-		}
-		sc.off = append(sc.off, int32(len(sc.probes)))
-		if sc.off[h+1] > sc.off[h] {
-			sc.hold[u] = int32(h) + 1
-		}
-	}
-	sc.seen = slices.Grow(sc.seen[:0], len(sc.xs))[:len(sc.xs)]
+// seedResume is what a move lets the block kernel reuse of the seeds'
+// recorded offer scans (Estimator.resumeSeeds). The seeds scan first, in
+// ascending id, and a seed's scan reads only which users of its row are
+// already active when it runs: the seeds, and the users earlier seeds'
+// scans activated. So in a re-simulated world a seed's recorded scan — its
+// child events, redeemed count and stop — holds unless
+//   - the seed is forced: the added seed, or one whose coupon count moved;
+//   - its recorded prefix (the row positions below its stop, the whole row
+//     when it ran to the end) holds a user active there now that may not
+//     have been when it scanned: the added seed in every world, and a user
+//     of the added seed's row where the added seed's scan activated it
+//     (fresh);
+//   - an earlier seed's scan there came out with other child events (dirty):
+//     every later seed scans again in that world.
+//
+// The index of which seeds' rows hold those users at which positions is
+// built once per move (forSeed), not per block.
+type seedResume struct {
+	forced []int32  // indexes into d's seeds whose scans always run, ascending
+	added  int      // index of the added seed, -1 for none
+	tag    []int32  // tag[v]: 1 + v's index in xs; 0 when v is not in xs
+	xs     []int32  // the users a move may newly activate ahead of a seed scan: the added seed, then its row
+	probes []probe  // the seeds' row positions that hold a member of xs
+	off    []int32  // seed i's probes: probes[off[i]:off[i+1]]
+	fresh  []uint64 // fresh[x]: the current block's worlds where xs[x] is newly active
+
+	kept, rerun int64 // seed scans reused and run again, per (seed, world)
 }
 
-// seenByBase fills seen with, for each member x of xs, the inert worlds of
-// block sn in which the base saw x: it activated x there, or a holder
-// active there scanned past a row position holding x (a scan stopped at
-// stop visited positions [0, stop), each either already active or probed).
-func (wc *WorldCache) seenByBase(sn *blockSnap, inert uint64) {
-	sc := &wc.add
-	clear(sc.seen)
-	for _, ent := range sn.ents {
-		m := ent.mask & inert
-		if m == 0 {
-			continue
+// probe is position j of a seed's row, whose target is xs[x].
+type probe struct{ j, x int32 }
+
+// forSeed sets the resume up for d, the base plus seed s: s is forced, and
+// every other seed that holds coupons lists the positions of its row that
+// hold s or, when s scans, a user of s's row.
+func (rs *seedResume) forSeed(g *graph.Graph, d *Deployment, s int32) *seedResume {
+	if n := g.NumNodes(); len(rs.tag) < n {
+		rs.tag = append(rs.tag, make([]int32, n-len(rs.tag))...)
+	}
+	rs.xs = append(rs.xs[:0], s)
+	rs.tag[s] = 1
+	if d.K(s) > 0 {
+		ts, _ := g.OutEdges(s)
+		for _, x := range ts {
+			if rs.tag[x] == 0 {
+				rs.xs = append(rs.xs, x)
+				rs.tag[x] = int32(len(rs.xs))
+			}
 		}
-		if x := sc.tag[ent.node]; x != 0 {
-			sc.seen[x-1] |= m
-		}
-		h := sc.hold[ent.node] - 1
-		if h < 0 {
-			continue
-		}
-		for _, p := range sc.probes[sc.off[h]:sc.off[h+1]] {
-			for mw := m &^ sc.seen[p.x]; mw != 0; mw &= mw - 1 {
-				w := bits.TrailingZeros64(mw)
-				if _, stop := sn.scanAt(ent, w); stop > p.j {
-					sc.seen[p.x] |= 1 << uint(w)
+	}
+	rs.probes, rs.off = rs.probes[:0], append(rs.off[:0], 0)
+	rs.forced, rs.added = rs.forced[:0], -1
+	for i, u := range d.Seeds() {
+		switch {
+		case u == s:
+			rs.forced, rs.added = append(rs.forced, int32(i)), i
+		case d.K(u) > 0:
+			ts, _ := g.OutEdges(u)
+			for j, t := range ts {
+				if x := rs.tag[t]; x != 0 {
+					rs.probes = append(rs.probes, probe{j: int32(j), x: x - 1})
 				}
 			}
 		}
+		rs.off = append(rs.off, int32(len(rs.probes)))
+	}
+	rs.fresh = slices.Grow(rs.fresh[:0], len(rs.xs))[:len(rs.xs)]
+	return rs
+}
+
+// forCoupons sets the resume up for d, which differs from the base only in
+// the coupon counts of changed (ascending): the changed seeds are forced,
+// and no user is newly active ahead of a seed scan.
+func (rs *seedResume) forCoupons(d *Deployment, changed []int32) *seedResume {
+	rs.forced, rs.added = rs.forced[:0], -1
+	rs.xs, rs.probes = rs.xs[:0], rs.probes[:0]
+	for _, v := range changed {
+		if i, ok := slices.BinarySearch(d.Seeds(), v); ok {
+			rs.forced = append(rs.forced, int32(i))
+		}
+	}
+	return rs
+}
+
+// triggered returns the worlds of cand in which a fresh user lies inside
+// seed entry i's recorded prefix in block snapshot sn: below the stop that
+// world's own scan recorded.
+func (rs *seedResume) triggered(sn *blockSnap, i int, cand uint64) uint64 {
+	if len(rs.probes) == 0 { // a coupon move: nothing is newly active
+		return 0
+	}
+	var redo uint64
+	ent := sn.ents[i]
+	for _, p := range rs.probes[rs.off[i]:rs.off[i+1]] {
+		for m := cand & rs.fresh[p.x] &^ redo; m != 0; m &= m - 1 {
+			if _, stop := sn.scanAt(ent, bits.TrailingZeros64(m)); stop > p.j {
+				redo |= m & -m
+			}
+		}
+	}
+	return redo
+}
+
+// done adds the move's scan counts to c and clears the tags forSeed set.
+func (rs *seedResume) done(c *RebaseCounts) {
+	c.SeedScansKept += rs.kept
+	c.SeedScansRerun += rs.rerun
+	rs.kept, rs.rerun = 0, 0
+	for _, x := range rs.xs {
+		rs.tag[x] = 0
 	}
 }
 
@@ -895,7 +932,7 @@ func (wc *WorldCache) EvaluateDelta(d *Deployment, changed []int32) float64 {
 	}
 	slots := getSlots(e.Samples)
 	defer slotPool.Put(slots)
-	e.sweepMasks(d, affected, slots, nil)
+	e.sweepMasks(d, affected, slots, nil, nil)
 	// The deltas fold into the raw base sum in ascending world order.
 	sum := wc.baseSumB
 	for b, m := range affected {

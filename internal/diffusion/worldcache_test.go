@@ -84,8 +84,7 @@ func TestWorldCacheRebaseMatchesEvaluate(t *testing.T) {
 	if !almost(got.Benefit, want.Benefit, 1e-9) ||
 		!almost(got.RealizedCost, want.RealizedCost, 1e-9) ||
 		!almost(got.Activated, want.Activated, 1e-9) ||
-		!almost(got.FarthestHop, want.FarthestHop, 1e-9) ||
-		!almost(got.Explored, want.Explored, 1e-9) {
+		!almost(got.FarthestHop, want.FarthestHop, 1e-9) {
 		t.Fatalf("Rebase %v differs from Evaluate %v", got, want)
 	}
 }
@@ -264,8 +263,8 @@ func testWorldCacheIncrementalRebaseExact(t *testing.T, model string) {
 	}
 
 	// Seed additions take the seed-add path and must leave the following
-	// coupon advances exact too — including the Explored accounting and the
-	// per-world records — through a mix of seed and coupon moves.
+	// coupon advances exact too — including the per-world records — through
+	// a mix of seed and coupon moves.
 	for step := 0; step < 6; step++ {
 		if step%2 == 0 {
 			v := int32(src.Intn(inst.G.NumNodes()))
@@ -370,10 +369,10 @@ func TestWorldCacheEvaluateDeltaExact(t *testing.T) {
 	}
 }
 
-// TestExploredCountsProbedNeighbors pins the Explored metric: activated
-// users plus inactive out-neighbours that were offered a coupon (a coin was
-// flipped), each counted once per world.
-func TestExploredCountsProbedNeighbors(t *testing.T) {
+// TestActivatedCountsRedeemedNeighbors pins the Activated metric: the seeds
+// plus the out-neighbours that redeemed a coupon, each counted once per
+// world; a neighbour probed dead is not activated.
+func TestActivatedCountsRedeemedNeighbors(t *testing.T) {
 	g, err := graph.FromEdges(3, []graph.Edge{
 		{From: 0, To: 1, P: 1},
 		{From: 0, To: 2, P: 0},
@@ -392,18 +391,15 @@ func TestExploredCountsProbedNeighbors(t *testing.T) {
 	d.AddSeed(0)
 	d.SetK(0, 2)
 	r := NewEstimator(inst, 10, 1).Evaluate(d)
-	// Seed 0 activates 1 (p=1) and probes 2 (p=0): 2 activated, 3 examined.
+	// Seed 0 activates 1 (p=1) and probes 2 (p=0): 2 activated.
 	if r.Activated != 2 {
 		t.Fatalf("Activated = %v, want 2", r.Activated)
-	}
-	if r.Explored != 3 {
-		t.Fatalf("Explored = %v, want 3", r.Explored)
 	}
 	// Without coupons nothing is probed.
 	d.SetK(0, 0)
 	r = NewEstimator(inst, 10, 1).Evaluate(d)
-	if r.Explored != 1 || r.Activated != 1 {
-		t.Fatalf("k=0: Explored = %v, Activated = %v, want 1, 1", r.Explored, r.Activated)
+	if r.Activated != 1 {
+		t.Fatalf("k=0: Activated = %v, want 1", r.Activated)
 	}
 }
 

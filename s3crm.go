@@ -374,6 +374,17 @@ type Result struct {
 	SketchBuildNs int64 `json:"sketch_build_ns,omitempty"`
 	SketchReused  int   `json:"sketch_reused,omitempty"`
 	SketchRedrawn int   `json:"sketch_redrawn,omitempty"`
+	// SketchRounds, SketchSamples, SketchLB, SketchUB and SketchCertified
+	// are the SSR engine's certificate: the doubling rounds its stopping
+	// rule ran, the RR samples drawn across both collections, the final
+	// lower and upper bounds on the sketch objective, and whether the
+	// (1−1/e−ε, δ) target was met before the sample cap. All five are zero
+	// — and absent from the JSON encoding — for other engines.
+	SketchRounds    int     `json:"sketch_rounds,omitempty"`
+	SketchSamples   int     `json:"sketch_samples,omitempty"`
+	SketchLB        float64 `json:"sketch_lb,omitempty"`
+	SketchUB        float64 `json:"sketch_ub,omitempty"`
+	SketchCertified bool    `json:"sketch_certified,omitempty"`
 }
 
 // Baselines lists the algorithm names accepted by RunBaseline.
