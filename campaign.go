@@ -51,7 +51,7 @@ type Campaign struct {
 }
 
 // maxEnginePools bounds the engine-state cache. Calls are keyed by
-// (samples, seed, model, memBudget, epsilon, delta) — in a serving
+// (samples, seed, model, epsilon, delta) — in a serving
 // deployment those come from client requests, so without a cap a client
 // sweeping seeds would grow the map (each entry holds a live-edge
 // substrate) until OOM.
@@ -83,7 +83,6 @@ type engineKey struct {
 	samples        int
 	seed           uint64
 	model          string
-	memBudget      int64
 	epsilon, delta float64
 }
 
@@ -238,12 +237,11 @@ func (p *Problem) NewCampaign(opts ...Option) (*Campaign, error) {
 
 func poolKey(cfg config, seed uint64) engineKey {
 	return engineKey{
-		samples:   cfg.samples,
-		seed:      seed,
-		model:     cfg.model,
-		memBudget: cfg.memBudget,
-		epsilon:   cfg.epsilon,
-		delta:     cfg.delta,
+		samples: cfg.samples,
+		seed:    seed,
+		model:   cfg.model,
+		epsilon: cfg.epsilon,
+		delta:   cfg.delta,
 	}
 }
 
@@ -261,12 +259,10 @@ func (c *Campaign) poolLocked(cfg config, seed uint64) (*enginePool, error) {
 	if ep, ok := c.engines[key]; ok {
 		return ep, nil
 	}
-	// EngineMC builds the bare estimator the other engines wrap; the
-	// call-level engine choice is applied per call (see call.engine).
-	ev, err := diffusion.NewEngineOpts(c.inst, diffusion.EngineOptions{
-		Engine: diffusion.EngineMC, Model: cfg.model,
-		Samples: cfg.samples, Seed: seed,
-		LiveEdgeMemBudget: cfg.memBudget,
+	// The pool holds the bare estimator the other engines wrap; the
+	// call-level engine choice is applied per call (see enginesFor).
+	est, err := diffusion.NewEngineOpts(c.inst, diffusion.EngineOptions{
+		Model: cfg.model, Samples: cfg.samples, Seed: seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("s3crm: %w", err)
@@ -279,7 +275,7 @@ func (c *Campaign) poolLocked(cfg config, seed uint64) (*enginePool, error) {
 			delete(c.engines, k)
 		}
 	}
-	ep := &enginePool{proto: ev.(*diffusion.Estimator)}
+	ep := &enginePool{proto: est}
 	c.engines[key] = ep
 	return ep, nil
 }
@@ -332,10 +328,10 @@ func (c *Campaign) newCall(opts []Option) (call, error) {
 	return cl, nil
 }
 
-// callConfig applies a call's options over the campaign's and resolves auto
-// by the campaign's *current* size (ApplyEdges growth included), so every
-// downstream consumer — pools, core dispatch, results — sees a concrete
-// engine name. It takes no call sequence number.
+// callConfig applies a call's options over the campaign's and resolves the
+// engine name by the campaign's *current* size (ApplyEdges growth
+// included), so every downstream consumer — pools, core dispatch, results —
+// sees a concrete engine name. It takes no call sequence number.
 func (c *Campaign) callConfig(opts []Option) (config, error) {
 	base := c.cfg
 	base.seedPinned = false // pinning is a call-level property
@@ -343,10 +339,11 @@ func (c *Campaign) callConfig(opts []Option) (config, error) {
 	if err != nil {
 		return config{}, err
 	}
-	if cfg.engine == diffusion.EngineAuto {
-		c.mu.Lock()
-		cfg.engine = diffusion.AutoEngine(c.inst.G.NumNodes(), c.inst.G.NumEdges())
-		c.mu.Unlock()
+	c.mu.Lock()
+	cfg.engine, err = diffusion.ResolveEngine(cfg.engine, c.inst.G.NumNodes(), c.inst.G.NumEdges())
+	c.mu.Unlock()
+	if err != nil {
+		return config{}, fmt.Errorf("s3crm: %w", err)
 	}
 	return cfg, nil
 }
@@ -496,21 +493,20 @@ func (cl *call) coreOptions(ce *callEngines) core.Options {
 		scorer = ce.evs[1]
 	}
 	return core.Options{
-		Engine:            cl.cfg.engine,
-		Model:             cl.cfg.model,
-		LiveEdgeMemBudget: cl.cfg.memBudget,
-		Samples:           cl.cfg.samples,
-		Seed:              cl.seed,
-		ScorerSeed:        cl.scorerSeed,
-		Workers:           cl.cfg.workers,
-		GPILimit:          cl.cfg.gpiLimit,
-		Epsilon:           cl.cfg.epsilon,
-		Delta:             cl.cfg.delta,
-		Evaluator:         ce.evs[0],
-		Scorer:            scorer,
-		SketchWarm:        ce.sketch,
-		SketchPool:        true,
-		Progress:          cl.progressFor("S3CA"),
+		Engine:     cl.cfg.engine,
+		Model:      cl.cfg.model,
+		Samples:    cl.cfg.samples,
+		Seed:       cl.seed,
+		ScorerSeed: cl.scorerSeed,
+		Workers:    cl.cfg.workers,
+		GPILimit:   cl.cfg.gpiLimit,
+		Epsilon:    cl.cfg.epsilon,
+		Delta:      cl.cfg.delta,
+		Evaluator:  ce.evs[0],
+		Scorer:     scorer,
+		SketchWarm: ce.sketch,
+		SketchPool: true,
+		Progress:   cl.progressFor("S3CA"),
 	}
 }
 

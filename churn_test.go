@@ -85,6 +85,23 @@ func clearSketchTiming(rs ...*Result) {
 	}
 }
 
+// hashDefaultPool rebuilds the estimator of c's construction-time engine
+// pool over the same worlds on a 1-byte live-edge budget, which
+// materializes nothing: every liveness probe of the calls that pool serves
+// (unpinned calls at the campaign's own settings) hashes its draw.
+func hashDefaultPool(t *testing.T, c *Campaign) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	est, err := diffusion.NewEngineOpts(c.inst, diffusion.EngineOptions{
+		Model: c.cfg.model, Samples: c.cfg.samples, Seed: c.cfg.seed, LiveEdgeMemBudget: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.engines[c.defaultKey].proto = est
+}
+
 // TestApplyEdgesColdParity: after ApplyEdges, every engine's Solve and
 // Evaluate answers are bit-identical to a campaign built cold over the
 // stable-keyed rebuild of the extended graph — across engines and models,
@@ -104,13 +121,17 @@ func TestApplyEdgesColdParity(t *testing.T) {
 						WithEngine(engine), WithModel(model),
 						WithSamples(96), WithSeed(7),
 					}
-					if diff == "hash" {
-						opts = append(opts, hashProbes)
+					newCampaign := func(p *Problem) *Campaign {
+						c, err := p.NewCampaign(opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if diff == "hash" {
+							hashDefaultPool(t, c)
+						}
+						return c
 					}
-					warm, err := p.NewCampaign(opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
+					warm := newCampaign(p)
 					// Warm a snapshot before churn so patching has state to move.
 					if _, err := warm.Solve(ctx); err != nil {
 						t.Fatal(err)
@@ -121,10 +142,7 @@ func TestApplyEdgesColdParity(t *testing.T) {
 					if _, err := warm.ApplyEdges(ctx, stream[9:]); err != nil {
 						t.Fatal(err)
 					}
-					cold, err := coldProblemAfter(t, p, stream).NewCampaign(opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
+					cold := newCampaign(coldProblemAfter(t, p, stream))
 					// Align call sequence numbers (the warm campaign spent
 					// call 1 pre-churn) so unpinned scorer streams match.
 					if _, err := cold.Solve(ctx); err != nil {

@@ -9,7 +9,13 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
+	"strings"
 	"testing"
+
+	"s3crm/internal/baselines"
+	"s3crm/internal/core"
+	"s3crm/internal/diffusion"
 )
 
 func parityProblem(t *testing.T) *Problem {
@@ -34,13 +40,38 @@ func runPinned(p *Problem, algo string, seed uint64, opts ...Option) (*Result, e
 	return c.RunBaseline(context.Background(), algo, WithSeed(seed))
 }
 
-// hashProbes reaches per-probe hashing through a Campaign: a one-byte
-// live-edge budget materializes nothing, so every liveness probe takes the
-// substrate's over-budget fallback and recomputes its coin. The budget is
-// not a public option; the campaign's config carries it to the engine key.
-var hashProbes Option = func(c *config) error {
-	c.memBudget = 1
-	return nil
+// substrateEngine builds the named concrete engine under the triggering
+// model over an estimator whose live-edge substrate runs on the given
+// memory budget: 0 materializes worlds within the default budget, 1 byte
+// materializes nothing and hashes every probe.
+func substrateEngine(t *testing.T, inst *diffusion.Instance, engine, model string, samples int, seed uint64, budget int64) diffusion.Evaluator {
+	t.Helper()
+	est, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
+		Model: model, Samples: samples, Seed: seed, LiveEdgeMemBudget: budget,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if engine == diffusion.EngineWorldCache {
+		return &diffusion.WorldCache{Est: est}
+	}
+	return est
+}
+
+// runBaseline runs the named baseline (see Baselines) with cfg.
+func runBaseline(name string, inst *diffusion.Instance, cfg baselines.Config) (*baselines.Outcome, error) {
+	ctx := context.Background()
+	if strings.HasSuffix(name, "-L") {
+		cfg.Strategy = baselines.Limited
+	}
+	switch {
+	case name == "IM-S":
+		return baselines.IMS(ctx, inst, cfg)
+	case strings.HasPrefix(name, "IM-"):
+		return baselines.IM(ctx, inst, cfg)
+	default:
+		return baselines.PM(ctx, inst, cfg)
+	}
 }
 
 func TestEngineParity(t *testing.T) {
@@ -85,38 +116,96 @@ func TestEngineParity(t *testing.T) {
 
 // TestDiffusionSubstrateParity pins that materialized live-edge worlds and
 // the over-budget hash fallback are interchangeable bit for bit: the
-// materialized worlds hold exactly the flips the hash recomputes, so solver
-// runs are identical — not merely close — across the two, for S3CA and
-// every baseline.
+// materialized worlds hold exactly the draws the hash recomputes — per-edge
+// coins under IC, per-node in-edge selections under LT — so solver runs are
+// identical, not merely close, across the two, for S3CA and every baseline
+// under every engine name and both triggering models. The substrates are
+// injected: S3CA takes them through core.Options.Evaluator and Scorer, the
+// baselines through baselines.Config.Evaluator.
 func TestDiffusionSubstrateParity(t *testing.T) {
-	p := parityProblem(t)
-	algos := append([]string{"S3CA"}, Baselines()...)
-	for _, algo := range algos {
+	inst := parityProblem(t).inst
+	const samples, seed = 200, 7
+	for _, model := range Models() {
 		for _, engine := range Engines() {
-			var rates []float64
-			var seeds [][]int
-			for _, substrate := range []Option{nil, hashProbes} {
-				r, err := runPinned(p, algo, 7, WithEngine(engine), WithSamples(200), substrate)
-				if err != nil {
-					t.Fatalf("%s under %s (hash=%v): %v", algo, engine, substrate != nil, err)
-				}
-				rates = append(rates, r.RedemptionRate)
-				seeds = append(seeds, r.Seeds)
+			concrete, err := diffusion.ResolveEngine(engine, inst.G.NumNodes(), inst.G.NumEdges())
+			if err != nil {
+				t.Fatal(err)
 			}
-			if rates[0] != rates[1] {
-				t.Errorf("%s under %s: substrates disagree: %v vs %v", algo, engine, rates[0], rates[1])
-			}
-			if len(seeds[0]) != len(seeds[1]) {
-				t.Errorf("%s under %s: seed sets differ: %v vs %v", algo, engine, seeds[0], seeds[1])
-			} else {
-				for i := range seeds[0] {
-					if seeds[0][i] != seeds[1][i] {
-						t.Errorf("%s under %s: seed sets differ: %v vs %v", algo, engine, seeds[0], seeds[1])
-						break
+			for _, algo := range append([]string{"S3CA"}, Baselines()...) {
+				var rates []float64
+				var seeds [][]int32
+				for _, budget := range []int64{0, 1} {
+					var d *diffusion.Deployment
+					var rate float64
+					if algo == "S3CA" {
+						sol, err := core.Solve(inst, core.Options{
+							Engine: engine, Model: model, Samples: samples, Seed: seed,
+							Evaluator: substrateEngine(t, inst, concrete, model, samples, seed, budget),
+							Scorer:    substrateEngine(t, inst, concrete, model, samples, seed^0x5c04e, budget),
+						})
+						if err != nil {
+							t.Fatalf("%s under %s/%s (budget %d): %v", algo, engine, model, budget, err)
+						}
+						d, rate = sol.Deployment, sol.RedemptionRate
+					} else {
+						est := substrateEngine(t, inst, diffusion.EngineMC, model, samples, seed, budget).(*diffusion.Estimator)
+						o, err := runBaseline(algo, inst, baselines.Config{
+							Engine: engine, Model: model, Samples: samples, Seed: seed, Evaluator: est,
+						})
+						if err != nil {
+							t.Fatalf("%s under %s/%s (budget %d): %v", algo, engine, model, budget, err)
+						}
+						d, rate = o.Deployment, o.RedemptionRate
 					}
+					rates = append(rates, rate)
+					seeds = append(seeds, d.Seeds())
+				}
+				if rates[0] != rates[1] {
+					t.Errorf("%s under %s/%s: substrates disagree: %v vs %v", algo, engine, model, rates[0], rates[1])
+				}
+				if !slices.Equal(seeds[0], seeds[1]) {
+					t.Errorf("%s under %s/%s: seed sets differ: %v vs %v", algo, engine, model, seeds[0], seeds[1])
 				}
 			}
 		}
+	}
+}
+
+// TestInjectedEngineNamesChecked: a caller that injects a pre-built engine
+// still names the engine and the triggering model, and the solver and the
+// baselines validate both names exactly as they do when they build the
+// engine themselves.
+func TestInjectedEngineNamesChecked(t *testing.T) {
+	inst := parityProblem(t).inst
+	est := diffusion.NewEstimator(inst, 50, 1)
+	solve := func(engine, model string) error {
+		_, err := core.Solve(inst, core.Options{
+			Engine: engine, Model: model, Samples: 50, Seed: 1, Evaluator: est,
+		})
+		return err
+	}
+	im := func(engine, model string) error {
+		_, err := baselines.IM(context.Background(), inst, baselines.Config{
+			Engine: engine, Model: model, Samples: 50, Seed: 1, Evaluator: est,
+		})
+		return err
+	}
+	for _, tc := range []struct {
+		name          string
+		run           func(engine, model string) error
+		engine, model string
+	}{
+		{"solve/engine", solve, "quantum", ""},
+		{"solve/model", solve, "", "bogus"},
+		{"IM/engine", im, "quantum", ""},
+		{"IM/model", im, "", "bogus"},
+	} {
+		if err := tc.run(tc.engine, tc.model); err == nil {
+			t.Errorf("%s: injected engine accepted engine %q, model %q", tc.name, tc.engine, tc.model)
+		}
+	}
+	if err := solve(diffusion.EngineMC, diffusion.ModelIC); err != nil {
+		t.Fatalf("solve with valid names: %v", err)
 	}
 }
 

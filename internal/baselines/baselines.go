@@ -83,7 +83,7 @@ type Outcome struct {
 	FarthestHop    float64
 }
 
-func measure(name string, in *diffusion.Instance, est diffusion.Evaluator, d *diffusion.Deployment) *Outcome {
+func measure(name string, in *diffusion.Instance, est *diffusion.Estimator, d *diffusion.Deployment) *Outcome {
 	r := est.Evaluate(d)
 	seedCost := in.SeedCostOf(d)
 	scCost := in.SCCostOf(d)

@@ -55,13 +55,7 @@ func Exhaustive(ctx context.Context, in *diffusion.Instance, cfg ExhaustiveConfi
 	if n > cfg.MaxNodes {
 		return nil, fmt.Errorf("baselines: exhaustive search on %d users exceeds the %d-user bound", n, cfg.MaxNodes)
 	}
-	ev, err := diffusion.NewEngineOpts(in, diffusion.EngineOptions{
-		Samples: cfg.Samples, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("baselines: %w", err)
-	}
-	est := ev.(*diffusion.Estimator)
+	est := diffusion.NewEstimator(in, cfg.Samples, cfg.Seed)
 
 	var bestOutcome *Outcome
 	bestRate := -1.0

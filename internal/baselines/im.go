@@ -12,13 +12,14 @@ import (
 
 // Config parameterizes the baseline runs.
 type Config struct {
-	// Evaluator, when non-nil, is a pre-built evaluation engine used
-	// instead of constructing one from Engine/Model/Samples/Seed — the
-	// serving layer's injection point and the seam tests use to run a
-	// baseline over a parity-oracle engine (see core.Options.Evaluator). The
-	// remaining engine fields should describe the injected engine: sketch
+	// Evaluator, when non-nil, is a pre-built estimator used instead of
+	// constructing one from Model/Samples/Seed — the serving layer's
+	// injection point and the seam tests use to run a baseline over a
+	// parity-oracle engine (see core.Options.Evaluator). The baselines
+	// evaluate whole deployments only, so an estimator serves every
+	// engine. Engine and Model are validated before it is used, and sketch
 	// pruning still reads them.
-	Evaluator diffusion.Evaluator
+	Evaluator *diffusion.Estimator
 	// Progress, when non-nil, receives one event per greedy ranking step
 	// and per sweep configuration. Called synchronously; keep it cheap.
 	Progress progress.Func
@@ -26,13 +27,13 @@ type Config struct {
 	// DefaultLimitedK when the strategy is Limited).
 	Strategy Strategy
 	LimitedK int
-	// Engine selects the evaluation engine (see diffusion.Engines; empty
-	// means diffusion.EngineMC; diffusion.EngineAuto resolves by instance
-	// size at every entry point). Under diffusion.EngineSSR, CandidateCap
-	// prunes greedy seed candidates by estimated influence (RR-set cover
-	// counts under the configured triggering model) instead of raw
-	// out-degree; the baselines have no solver-side SSR path, so that
-	// pruning is what the name means here.
+	// Engine selects the evaluation engine (see diffusion.ResolveEngine:
+	// empty means diffusion.EngineMC and diffusion.EngineAuto resolves by
+	// instance size at every entry point). Under diffusion.EngineSSR,
+	// CandidateCap prunes greedy seed candidates by estimated influence
+	// (RR-set cover counts under the configured triggering model) instead
+	// of raw out-degree; the baselines have no solver-side SSR path, so
+	// that pruning is what the name means here.
 	Engine string
 	// Model selects the triggering model deciding per-world edge liveness
 	// (see diffusion.Models; empty means diffusion.ModelIC). It drives
@@ -51,12 +52,18 @@ type Config struct {
 	CandidateCap int
 }
 
-// withDefaults fills the defaults and resolves diffusion.EngineAuto by
-// in's size, as core.SolveCtx does, so candidate pruning sees the concrete
-// engine.
-func (c Config) withDefaults(in *diffusion.Instance) Config {
-	if c.Engine == diffusion.EngineAuto {
-		c.Engine = diffusion.AutoEngine(in.G.NumNodes(), in.G.NumEdges())
+// setup fills the defaults, validates the model and resolves the engine
+// name by in's size, as core.SolveCtx does, so candidate pruning sees the
+// concrete engine. It returns the injected estimator or constructs the
+// configured one over in.
+func (c Config) setup(in *diffusion.Instance) (Config, *diffusion.Estimator, error) {
+	engine, err := diffusion.ResolveEngine(c.Engine, in.G.NumNodes(), in.G.NumEdges())
+	if err != nil {
+		return c, nil, fmt.Errorf("baselines: %w", err)
+	}
+	c.Engine = engine
+	if _, err := diffusion.ResolveModel(c.Model); err != nil {
+		return c, nil, fmt.Errorf("baselines: %w", err)
 	}
 	if c.Samples <= 0 {
 		c.Samples = 1000
@@ -64,23 +71,16 @@ func (c Config) withDefaults(in *diffusion.Instance) Config {
 	if c.Strategy == Limited && c.LimitedK <= 0 {
 		c.LimitedK = DefaultLimitedK
 	}
-	return c
-}
-
-// engine returns the injected evaluation engine or constructs the
-// configured one over in.
-func (c Config) engine(in *diffusion.Instance) (diffusion.Evaluator, error) {
 	if c.Evaluator != nil {
-		return c.Evaluator, nil
+		return c, c.Evaluator, nil
 	}
-	ev, err := diffusion.NewEngineOpts(in, diffusion.EngineOptions{
-		Engine: c.Engine, Model: c.Model,
-		Samples: c.Samples, Seed: c.Seed, Workers: c.Workers,
+	est, err := diffusion.NewEngineOpts(in, diffusion.EngineOptions{
+		Model: c.Model, Samples: c.Samples, Seed: c.Seed, Workers: c.Workers,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("baselines: %w", err)
+		return c, nil, fmt.Errorf("baselines: %w", err)
 	}
-	return ev, nil
+	return c, est, nil
 }
 
 // celfEntry is a lazily re-evaluated marginal gain.
@@ -201,8 +201,7 @@ func IM(ctx context.Context, in *diffusion.Instance, cfg Config) (*Outcome, erro
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(in)
-	est, err := cfg.engine(in)
+	cfg, est, err := cfg.setup(in)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +231,7 @@ const maxSweep = 10
 
 // selectBySweep evaluates the ranked prefix at sizes |V|/2^n, drops seeds
 // that break the budget, and keeps the feasible outcome maximizing score.
-func selectBySweep(ctx context.Context, in *diffusion.Instance, est diffusion.Evaluator, cfg Config,
+func selectBySweep(ctx context.Context, in *diffusion.Instance, est *diffusion.Estimator, cfg Config,
 	ranked []int32, score func(*Outcome) float64) *Outcome {
 
 	n := in.G.NumNodes()
@@ -291,7 +290,7 @@ func budgetFeasiblePrefix(in *diffusion.Instance, cfg Config, seeds []int32) []i
 	return seeds
 }
 
-func emptyOutcome(name string, in *diffusion.Instance, est diffusion.Evaluator) *Outcome {
+func emptyOutcome(name string, in *diffusion.Instance, est *diffusion.Estimator) *Outcome {
 	d := diffusion.NewDeployment(in.G.NumNodes())
 	o := measure(name, in, est, d)
 	return o

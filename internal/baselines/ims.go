@@ -20,8 +20,7 @@ func IMS(ctx context.Context, in *diffusion.Instance, cfg Config) (*Outcome, err
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(in)
-	est, err := cfg.engine(in)
+	cfg, est, err := cfg.setup(in)
 	if err != nil {
 		return nil, err
 	}

@@ -50,9 +50,20 @@ func unitInstance(t *testing.T, n int, edges []graph.Edge) *diffusion.Instance {
 	return inst
 }
 
+// setUp returns cfg as the baselines run it on inst: defaults filled and
+// the engine name resolved.
+func setUp(t *testing.T, inst *diffusion.Instance, cfg Config) Config {
+	t.Helper()
+	cfg, _, err := cfg.setup(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 func TestSeedCandidatesSketchPruning(t *testing.T) {
 	inst := sketchInstance(t)
-	cfg := Config{CandidateCap: 1, Samples: 50, Seed: 3}.withDefaults(inst)
+	cfg := setUp(t, inst, Config{CandidateCap: 1, Samples: 50, Seed: 3})
 
 	byDegree := seedCandidates(inst, cfg)
 	if len(byDegree) != 1 || byDegree[0] != 0 {
@@ -70,8 +81,8 @@ func TestSeedCandidatesSketchPruning(t *testing.T) {
 // function of the seed.
 func TestSeedCandidatesSketchDeterministic(t *testing.T) {
 	inst := sketchInstance(t)
-	cfg := Config{CandidateCap: 3, Samples: 50, Seed: 9,
-		Engine: diffusion.EngineSSR}.withDefaults(inst)
+	cfg := setUp(t, inst, Config{CandidateCap: 3, Samples: 50, Seed: 9,
+		Engine: diffusion.EngineSSR})
 	a := seedCandidates(inst, cfg)
 	b := seedCandidates(inst, cfg)
 	if len(a) != len(b) {
@@ -90,10 +101,10 @@ func TestSeedCandidatesSketchDeterministic(t *testing.T) {
 // certain spreader, where degree pruning keeps the hub.
 func TestSeedCandidatesSketchPruningLT(t *testing.T) {
 	inst := sketchInstance(t)
-	cfg := Config{
+	cfg := setUp(t, inst, Config{
 		CandidateCap: 1, Samples: 50, Seed: 3,
 		Engine: diffusion.EngineSSR, Model: diffusion.ModelLT,
-	}.withDefaults(inst)
+	})
 	got := seedCandidates(inst, cfg)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("LT sketch pruning kept %v, want the certain spreader [1]", got)
@@ -116,7 +127,7 @@ func TestSeedCandidatesAutoPrunesLikeSSR(t *testing.T) {
 	}
 	inst := unitInstance(t, n, edges)
 	candidates := func(engine string) []int32 {
-		return seedCandidates(inst, Config{Engine: engine, CandidateCap: 1, Seed: 5}.withDefaults(inst))
+		return seedCandidates(inst, setUp(t, inst, Config{Engine: engine, CandidateCap: 1, Seed: 5}))
 	}
 	if got := candidates(diffusion.EngineMC); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("degree pruning kept %v, want the degree-100 hub [0]", got)

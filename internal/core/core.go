@@ -14,13 +14,16 @@ import (
 // Options configures Solve.
 type Options struct {
 	// Evaluator, when non-nil, is a pre-built evaluation engine the solver
-	// uses instead of constructing one from Engine/Model/Samples/Seed —
-	// the serving layer's injection point: a Campaign builds the engine
-	// (and its live-edge substrate) once and hands per-call views to every
+	// uses instead of constructing one from Model/Samples/Seed — the
+	// serving layer's injection point: a Campaign builds the engine (and
+	// its live-edge substrate) once and hands per-call views to every
 	// solve. It is also how tests run the solver over a parity oracle (a
-	// hash-substrate engine built with diffusion.NewEngineOpts). The remaining engine fields still
-	// parameterize the snapshot scorer stream, so they should describe the
-	// injected engine.
+	// hash-substrate estimator built with diffusion.NewEngineOpts). A
+	// *diffusion.WorldCache turns on the incremental search paths; any
+	// other engine is evaluated whole. Engine and Model are validated
+	// before the injected engine is used, exactly as without injection,
+	// and still select the search (ssr or forward) and the triggering
+	// model of the snapshot scorer built when Scorer is nil.
 	Evaluator diffusion.Evaluator
 	// Scorer, when non-nil, is a pre-built engine for the snapshot
 	// selection pass, replacing the internally constructed
@@ -42,7 +45,7 @@ type Options struct {
 	// adaptively by Epsilon/Delta, and only the final deployment is
 	// forward-evaluated). diffusion.EngineAuto
 	// resolves to ssr or worldcache by instance size before dispatch (see
-	// diffusion.AutoEngine).
+	// diffusion.ResolveEngine); an unknown name is an error.
 	Engine string
 	// Model selects the triggering model deciding per-world edge liveness
 	// (see diffusion.Models): diffusion.ModelIC (the default, independent
@@ -52,10 +55,6 @@ type Options struct {
 	// propagation kernel, the world-cache replays and the sketches all
 	// follow the selected model.
 	Model string
-	// LiveEdgeMemBudget caps the bytes the live-edge substrate may commit
-	// to materialized worlds (<= 0 means diffusion.DefaultLiveEdgeMemBudget);
-	// past the cap the solver falls back to hashing.
-	LiveEdgeMemBudget int64
 	// Samples is the Monte-Carlo sample count per benefit evaluation.
 	// 0 means 1000 (the paper's simulation average count). The SSR engine
 	// sizes its own sample set adaptively (see Epsilon/Delta); Samples then
@@ -385,18 +384,17 @@ func solve(ctx context.Context, inst *diffusion.Instance, opts Options, choose c
 	}
 	n := inst.G.NumNodes()
 	opts = opts.withDefaults()
-	if opts.Engine == diffusion.EngineAuto {
-		opts.Engine = diffusion.AutoEngine(n, inst.G.NumEdges())
+	engine, err := diffusion.ResolveEngine(opts.Engine, n, inst.G.NumEdges())
+	if err != nil {
+		return nil, err
+	}
+	opts.Engine = engine
+	if _, err := diffusion.ResolveModel(opts.Model); err != nil {
+		return nil, err
 	}
 	ev := opts.Evaluator
 	if ev == nil {
-		var err error
-		ev, err = diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
-			Engine: opts.Engine, Model: opts.Model,
-			Samples: opts.Samples, Seed: opts.Seed,
-			Workers: opts.Workers, LiveEdgeMemBudget: opts.LiveEdgeMemBudget,
-		})
-		if err != nil {
+		if ev, err = newEngine(inst, opts, opts.Seed, engine == diffusion.EngineWorldCache); err != nil {
 			return nil, err
 		}
 	}
@@ -426,7 +424,7 @@ func solve(ctx context.Context, inst *diffusion.Instance, opts Options, choose c
 		return s.finish(empty), nil
 	}
 
-	if opts.Engine == diffusion.EngineSSR {
+	if engine == diffusion.EngineSSR {
 		// The SSR engine replaces the forward ID/GPI/SCM search wholesale:
 		// selection runs against adaptively sized SSR samples, and the
 		// estimator only measures the returned deployment.
@@ -444,7 +442,10 @@ func solve(ctx context.Context, inst *diffusion.Instance, opts Options, choose c
 	}
 
 	s.enterPhase("id")
-	best := s.investmentDeployment(queue)
+	best, err := s.investmentDeployment(queue)
+	if err != nil {
+		return nil, err
+	}
 	if err := s.partial(); err != nil {
 		return nil, err
 	}
@@ -465,6 +466,21 @@ func solve(ctx context.Context, inst *diffusion.Instance, opts Options, choose c
 		}
 	}
 	return s.finish(best), nil
+}
+
+// newEngine builds the estimator opts describe over the given coin seed,
+// wrapped in a world cache when worldCache is set.
+func newEngine(inst *diffusion.Instance, opts Options, seed uint64, worldCache bool) (diffusion.Evaluator, error) {
+	est, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
+		Model: opts.Model, Samples: opts.Samples, Seed: seed, Workers: opts.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if worldCache {
+		return &diffusion.WorldCache{Est: est}, nil
+	}
+	return est, nil
 }
 
 // worldBlocks reads the bit-parallel block counter off engines that expose

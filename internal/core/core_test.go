@@ -248,6 +248,38 @@ func TestSolveInvalidInstance(t *testing.T) {
 	}
 }
 
+// TestSolveScorerModelError: with an injected engine, the snapshot scorer
+// the solver builds itself follows Model. Under "lt" on an instance whose
+// in-weights break the linear-threshold bound, that construction fails and
+// the solve must report it instead of scoring on another model.
+func TestSolveScorerModelError(t *testing.T) {
+	inst := lazyRandomInstance(t, 1)
+	n := int32(inst.G.NumNodes())
+	var edges []graph.Edge
+	for u := int32(0); u < n; u++ {
+		for d := int32(1); d <= 3; d++ { // every user's in-weights sum to 1.8
+			edges = append(edges, graph.Edge{From: u, To: (u + d) % n, P: 0.6})
+		}
+	}
+	g, err := graph.FromEdges(int(n), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.G = g
+	opts := Options{Samples: 100, Seed: 3, Evaluator: diffusion.NewEstimator(inst, 100, 3)}
+	sol, err := Solve(inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sol.Trajectory) < 2 {
+		t.Fatalf("%d ID moves: snapshot selection never builds a scorer", len(sol.Trajectory))
+	}
+	opts.Model = diffusion.ModelLT
+	if _, err := Solve(inst, opts); err == nil {
+		t.Fatal("solve under lt scored snapshots on an IC scorer instead of failing")
+	}
+}
+
 func TestSolveRespectsBudgetOnRandomInstances(t *testing.T) {
 	src := rng.New(42)
 	for trial := 0; trial < 8; trial++ {

@@ -115,7 +115,7 @@ type candidateChoice func(s *solver, lz *lazyID, d *diffusion.Deployment, curBen
 //     iteration and happens only once per seed;
 //   - capped (K = |N(v)|) and budget-infeasible candidates are dropped for
 //     good — coupon counts never decrease and spend never shrinks.
-func (s *solver) investmentDeployment(queue []pivotEntry) *diffusion.Deployment {
+func (s *solver) investmentDeployment(queue []pivotEntry) (*diffusion.Deployment, error) {
 	in := s.inst
 	choose := s.choose
 	if choose == nil {
@@ -360,13 +360,16 @@ func (s *solver) refreshAll(lz *lazyID, d *diffusion.Deployment, curBenefit, spe
 // maximum are ties, and ties prefer the later — larger — deployment (the
 // paper reports every algorithm's total cost ≈ Binv, which requires
 // spending through rate plateaus). The winner is rebuilt from its prefix.
-func (s *solver) selectSnapshot(d *diffusion.Deployment) *diffusion.Deployment {
+func (s *solver) selectSnapshot(d *diffusion.Deployment) (*diffusion.Deployment, error) {
 	log := s.trajectory
 	if len(log) == 1 || s.opts.SpendBudget || s.aborted() {
-		return d
+		return d, nil
 	}
 	s.enterPhase("select")
-	scorer := s.newScorer()
+	scorer, err := s.newScorer()
+	if err != nil {
+		return nil, err
+	}
 	// Under the world-cache engine the scorer is a world cache too, and the
 	// prefixes form a chain differing by one move each: rebasing along the
 	// chain re-simulates only the worlds a step can change — those
@@ -400,39 +403,22 @@ func (s *solver) selectSnapshot(d *diffusion.Deployment) *diffusion.Deployment {
 			s.emit(i, cost, r)
 		}
 	}
-	return diffusion.Replay(d.NumUsers(), log[:sketch.BestRate(rates)+1])
+	return diffusion.Replay(d.NumUsers(), log[:sketch.BestRate(rates)+1]), nil
 }
 
 // newScorer builds the independent estimator stream snapshot selection
 // re-scores with, on the same engine and triggering model as the solver's
 // own evaluations (but a decorrelated coin, so the selection is
 // unbiased by the noise that guided the greedy).
-func (s *solver) newScorer() diffusion.Evaluator {
+func (s *solver) newScorer() (diffusion.Evaluator, error) {
 	if s.opts.Scorer != nil {
-		return s.opts.Scorer
-	}
-	engine := diffusion.EngineMC
-	if s.incremental() {
-		engine = diffusion.EngineWorldCache
+		return s.opts.Scorer, nil
 	}
 	seed := s.opts.ScorerSeed
 	if seed == 0 {
 		seed = s.opts.Seed ^ 0x5c04e
 	}
-	scorer, err := diffusion.NewEngineOpts(s.inst, diffusion.EngineOptions{
-		Engine: engine, Model: s.opts.Model, Samples: s.opts.Samples,
-		Seed: seed, Workers: s.opts.Workers,
-		LiveEdgeMemBudget: s.opts.LiveEdgeMemBudget,
-	})
-	if err != nil {
-		// Reachable only with an injected Evaluator whose companion option
-		// fields name an unknown model; fall back to the plain estimator so
-		// selection still happens on a fresh stream.
-		est := diffusion.NewEstimator(s.inst, s.opts.Samples, seed)
-		est.Workers = s.opts.Workers
-		return est
-	}
-	return scorer
+	return newEngine(s.inst, s.opts, seed, s.incremental())
 }
 
 // evalCandidates returns, for each candidate, the expected benefit of the

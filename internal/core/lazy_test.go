@@ -232,6 +232,14 @@ func TestEngineParityLazyID(t *testing.T) {
 	}
 }
 
+// worldCache returns a one-worker world cache over an IC estimator with the
+// given sample count and coin seed.
+func worldCache(inst *diffusion.Instance, samples int, seed uint64) *diffusion.WorldCache {
+	est := diffusion.NewEstimator(inst, samples, seed)
+	est.Workers = 1
+	return &diffusion.WorldCache{Est: est}
+}
+
 // TestSeedStepsRebaseIncrementally solves the Epinions profile at scale 10
 // (seed 77) on the world-cache engine and checks the rebase paths: each
 // seed step of the ID loop adds one seed, so it takes the world cache's
@@ -242,7 +250,7 @@ func TestSeedStepsRebaseIncrementally(t *testing.T) {
 		t.Skip("Epinions-profile solve skipped in -short mode")
 	}
 	inst := presetInstance(t, gen.Epinions, 10, 77)
-	wc := diffusion.NewWorldCache(inst, 1000, 77, 1)
+	wc := worldCache(inst, 1000, 77)
 	sol, err := Solve(inst, Options{
 		Engine: diffusion.EngineWorldCache, Samples: 1000, Seed: 77, Evaluator: wc,
 	})
@@ -272,8 +280,8 @@ func TestSeedStepsKeepRecordedScans(t *testing.T) {
 		t.Skip("Epinions-profile solve skipped in -short mode")
 	}
 	inst := presetInstance(t, gen.Epinions, 10, 77)
-	wc := diffusion.NewWorldCache(inst, 1000, 77, 1)
-	scorer := diffusion.NewWorldCache(inst, 1000, 77^0x5c04e, 1)
+	wc := worldCache(inst, 1000, 77)
+	scorer := worldCache(inst, 1000, 77^0x5c04e)
 	if _, err := Solve(inst, Options{
 		Engine: diffusion.EngineWorldCache, Samples: 1000, Seed: 77, Evaluator: wc, Scorer: scorer,
 	}); err != nil {

@@ -49,13 +49,13 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 				opts := Options{Workers: w}
 				var counter *viewCounter
 				if engine == diffusion.EngineMC {
-					ev, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
-						Engine: engine, Samples: samples, Seed: seed, Workers: w,
+					est, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
+						Samples: samples, Seed: seed, Workers: w,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					counter = &viewCounter{Estimator: ev.(*diffusion.Estimator)}
+					counter = &viewCounter{Estimator: est}
 					opts.Evaluator = counter
 				}
 				par := solve(opts)

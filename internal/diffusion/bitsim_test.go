@@ -19,18 +19,34 @@ var substrateBudgets = []struct {
 	budget int64
 }{{"liveedge", 0}, {"hash", 1}}
 
-// newTestEngine builds an engine through NewEngineOpts and returns it with
-// its estimator.
-func newTestEngine(t testing.TB, inst *Instance, o EngineOptions) (Evaluator, *Estimator) {
+// newTestEstimator builds an estimator through NewEngineOpts.
+func newTestEstimator(t testing.TB, inst *Instance, o EngineOptions) *Estimator {
 	t.Helper()
-	ev, err := NewEngineOpts(inst, o)
+	est, err := NewEngineOpts(inst, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wc, ok := ev.(*WorldCache); ok {
-		return ev, wc.Est
+	return est
+}
+
+// newTestEngine builds the named engine, EngineMC or EngineWorldCache, over
+// a newTestEstimator and returns it with that estimator.
+func newTestEngine(t testing.TB, inst *Instance, engine string, o EngineOptions) (Evaluator, *Estimator) {
+	t.Helper()
+	est := newTestEstimator(t, inst, o)
+	if engine == EngineWorldCache {
+		return &WorldCache{Est: est}, est
 	}
-	return ev, ev.(*Estimator)
+	return est, est
+}
+
+// newWorldCache returns a world cache over an IC estimator with the given
+// sample count, coin seed and worker parallelism; it shares NewEstimator's
+// possible worlds for the same seed.
+func newWorldCache(inst *Instance, samples int, seed uint64, workers int) *WorldCache {
+	est := NewEstimator(inst, samples, seed)
+	est.Workers = workers
+	return &WorldCache{Est: est}
 }
 
 // simScratch holds the scalar reference's per-world propagation state,
@@ -273,8 +289,8 @@ func TestBitParallelScalarParity(t *testing.T) {
 			for _, sub := range substrateBudgets {
 				for _, samples := range []int{37, 70, 200} {
 					t.Run(engine+"/"+model+"/"+sub.name, func(t *testing.T) {
-						ev, est := newTestEngine(t, inst, EngineOptions{
-							Engine: engine, Model: model, Samples: samples, Seed: 7,
+						ev, est := newTestEngine(t, inst, engine, EngineOptions{
+							Model: model, Samples: samples, Seed: 7,
 							LiveEdgeMemBudget: sub.budget,
 						})
 						for i, d := range liveEdgeDeployments(inst) {
@@ -345,8 +361,8 @@ func TestBitParallelMemCapParity(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	const samples = 100
 	rowBytes := int64((samples + 63) / 64 * 8)
-	_, est := newTestEngine(t, inst, EngineOptions{
-		Engine: EngineMC, Samples: samples, Seed: 3, LiveEdgeMemBudget: 3 * rowBytes,
+	est := newTestEstimator(t, inst, EngineOptions{
+		Samples: samples, Seed: 3, LiveEdgeMemBudget: 3 * rowBytes,
 	})
 	for i, d := range liveEdgeDeployments(inst) {
 		if got, want := est.Evaluate(d), scalarEvaluate(est, d); got != want {
@@ -365,10 +381,10 @@ func TestBitParallelMemCapParity(t *testing.T) {
 func TestBitParallelWorkersParity(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	forWorkerCells(t, func(t *testing.T, o EngineOptions) {
-		_, seq := newTestEngine(t, inst, o)
+		seq := newTestEstimator(t, inst, o)
 		for _, workers := range []int{2, 3, 7} {
 			o.Workers = workers
-			_, est := newTestEngine(t, inst, o)
+			est := newTestEstimator(t, inst, o)
 			for i, d := range liveEdgeDeployments(inst) {
 				if got, want := est.Evaluate(d), scalarEvaluate(seq, d); got != want {
 					t.Fatalf("workers=%d deployment %d: parallel %v != scalar %v", workers, i, got, want)
@@ -422,10 +438,10 @@ func couponCandidates(inst *Instance, d *Deployment) []int32 {
 func TestWorldCacheBitParallelSequenceParity(t *testing.T) {
 	inst := randomInstance(t, 40, 140, 61)
 	const samples = 170 // 2 full blocks + a 42-world tail
-	wc := NewWorldCache(inst, samples, 63, 0)
+	wc := newWorldCache(inst, samples, 63, 0)
 	worldCacheChain(inst, wc, 8, 3, func(i int, got Result, cands []int32) {
 		checkCacheStep(t, wc, got, cands, i)
-		cold := NewWorldCache(inst, samples, 63, 0)
+		cold := newWorldCache(inst, samples, 63, 0)
 		cold.Rebase(wc.base)
 		want, deltas := cold.DeltaBenefits(cands), wc.DeltaBenefits(cands)
 		for j := range want {
@@ -445,11 +461,11 @@ func TestWorldCacheBitParallelRebaseWorkers(t *testing.T) {
 	const samples = 170
 	d := randomDeployment(inst, 2, 5, 62)
 	cands := couponCandidates(inst, d)
-	base := NewWorldCache(inst, samples, 63, 0)
+	base := newWorldCache(inst, samples, 63, 0)
 	wantRes := base.Rebase(d)
 	wantDeltas := base.DeltaBenefits(cands)
 	for _, workers := range []int{2, 3, 5} {
-		wc := NewWorldCache(inst, samples, 63, workers)
+		wc := newWorldCache(inst, samples, 63, workers)
 		got := wc.Rebase(d)
 		if got != wantRes {
 			t.Fatalf("workers=%d: Rebase %v != sequential %v", workers, got, wantRes)
@@ -508,7 +524,7 @@ func TestWorldCacheLoneWorldResims(t *testing.T) {
 	inst, d := rareStarInstance(t)
 	const samples = 170
 	n := int32(inst.G.NumNodes())
-	wc := NewWorldCache(inst, samples, 63, 0)
+	wc := newWorldCache(inst, samples, 63, 0)
 	checkCacheStep(t, wc, wc.Rebase(d), nil, 0)
 	// loneNode returns a node the base activates in exactly one world whose
 	// record entry passes keep.
@@ -582,7 +598,7 @@ func TestWorldCacheLoneWorldResims(t *testing.T) {
 // fold bit for bit.
 func TestBenefitSqMeanMoments(t *testing.T) {
 	inst := liveEdgeInstance(t)
-	ev, _ := newTestEngine(t, inst, EngineOptions{Engine: EngineMC, Samples: 128, Seed: 7})
+	ev := newTestEstimator(t, inst, EngineOptions{Samples: 128, Seed: 7})
 	for i, d := range liveEdgeDeployments(inst) {
 		res := ev.Evaluate(d)
 		if res.BenefitSqMean < res.Benefit*res.Benefit-1e-9 {
@@ -590,7 +606,7 @@ func TestBenefitSqMeanMoments(t *testing.T) {
 				i, res.BenefitSqMean, res.Benefit*res.Benefit)
 		}
 	}
-	one, _ := newTestEngine(t, inst, EngineOptions{Engine: EngineMC, Samples: 1, Seed: 7})
+	one := newTestEstimator(t, inst, EngineOptions{Samples: 1, Seed: 7})
 	res := one.Evaluate(liveEdgeDeployments(inst)[0])
 	if !almost(res.BenefitSqMean, res.Benefit*res.Benefit, 1e-12) {
 		t.Fatalf("single world: E[B²]=%v, (E[B])²=%v — must coincide",

@@ -305,11 +305,11 @@ func TestMCParallelMatchesSequential(t *testing.T) {
 	d.SetK(1, 2)
 	d.SetK(2, 2)
 	forWorkerCells(t, func(t *testing.T, o EngineOptions) {
-		_, seq := newTestEngine(t, inst, o)
+		seq := newTestEstimator(t, inst, o)
 		want := seq.Evaluate(d)
 		for _, workers := range []int{2, 3, 7} {
 			o.Workers = workers
-			_, par := newTestEngine(t, inst, o)
+			par := newTestEstimator(t, inst, o)
 			if got := par.Evaluate(d); got != want {
 				t.Fatalf("workers=%d: parallel %v != sequential %v", workers, got, want)
 			}
@@ -326,7 +326,7 @@ func forWorkerCells(t *testing.T, check func(t *testing.T, o EngineOptions)) {
 			for _, samples := range []int{100, 170, 1000} {
 				t.Run(fmt.Sprintf("%s/%s/%d", model, sub.name, samples), func(t *testing.T) {
 					check(t, EngineOptions{
-						Engine: EngineMC, Model: model, Samples: samples, Seed: 9,
+						Model: model, Samples: samples, Seed: 9,
 						LiveEdgeMemBudget: sub.budget,
 					})
 				})

@@ -35,6 +35,8 @@
 // per-world snapshots answer the greedy loops' delta queries by replaying
 // only the affected worlds and frontiers) and EngineSSR (MC evaluation of
 // the deployment the SSR sketch solver in internal/core selects).
+// ResolveEngine validates an engine name and resolves EngineAuto;
+// NewEngineOpts builds the Estimator every engine measures through.
 // Edge liveness comes from a stateless hash — of (seed, world, edge) under
 // ModelIC, of (seed, world, target node) walked down the in-row under
 // ModelLT — giving common random numbers, so every deployment sees

@@ -6,7 +6,7 @@ import (
 	"s3crm/internal/rng"
 )
 
-// Engine names accepted by NewEngineOpts and threaded through core.Options,
+// Engine names accepted by ResolveEngine and threaded through core.Options,
 // baselines.Config and the public s3crm.WithEngine.
 const (
 	// EngineMC is the plain Monte-Carlo estimator (the paper's setting):
@@ -31,11 +31,11 @@ const (
 	// raw out-degree.
 	EngineSSR = "ssr"
 	// EngineAuto resolves to EngineSSR or EngineWorldCache by instance size
-	// before any engine is built (see AutoEngine): reverse sampling wins
+	// before any engine is built (see ResolveEngine): reverse sampling wins
 	// once graphs are large enough that forward world simulation dominates,
-	// and the world cache wins below that. Campaign and core resolve the
-	// name at call time, so everything downstream (pools, stats, results)
-	// sees the concrete engine.
+	// and the world cache wins below that. Campaign, core and the baselines
+	// resolve the name at call time, so everything downstream (pools,
+	// stats, results) sees the concrete engine.
 	EngineAuto = "auto"
 )
 
@@ -44,9 +44,9 @@ func Engines() []string {
 	return []string{EngineMC, EngineWorldCache, EngineSSR, EngineAuto}
 }
 
-// Auto-selection thresholds: at or above either, AutoEngine picks the SSR
-// sketch solver. The crossover in the benchmark suite sits between the
-// Epinions-scale profiles (~120k nodes / ~1.6M edges, where worldcache
+// Auto-selection thresholds: at or above either, EngineAuto resolves to
+// the SSR sketch solver. The crossover in the benchmark suite sits between
+// the Epinions-scale profiles (~120k nodes / ~1.6M edges, where worldcache
 // solves in tens of milliseconds) and the million-node profile (1M nodes /
 // 10M edges, where ssr solves seconds faster in a fraction of the memory);
 // the thresholds split that gap.
@@ -55,12 +55,23 @@ const (
 	AutoSSREdgeThreshold = 2_000_000
 )
 
-// AutoEngine resolves EngineAuto for an instance of the given size.
-func AutoEngine(nodes, edges int) string {
-	if nodes >= AutoSSRNodeThreshold || edges >= AutoSSREdgeThreshold {
-		return EngineSSR
+// ResolveEngine validates an engine name and returns the concrete engine it
+// selects for an instance of the given size: the empty name means EngineMC,
+// and EngineAuto resolves by the thresholds above. Every entry point that
+// takes an engine name resolves it here, injected engines included.
+func ResolveEngine(name string, nodes, edges int) (string, error) {
+	switch name {
+	case "":
+		return EngineMC, nil
+	case EngineMC, EngineWorldCache, EngineSSR:
+		return name, nil
+	case EngineAuto:
+		if nodes >= AutoSSRNodeThreshold || edges >= AutoSSREdgeThreshold {
+			return EngineSSR, nil
+		}
+		return EngineWorldCache, nil
 	}
-	return EngineWorldCache
+	return "", fmt.Errorf("diffusion: unknown engine %q (want one of %v)", name, Engines())
 }
 
 // EngineUsage is the one-line engine synopsis shared by both CLIs' -engine
@@ -72,10 +83,11 @@ func EngineUsage() string {
 		"auto (ssr at scale, worldcache below it)"
 }
 
-// Evaluator is the evaluation seam every layer of the reproduction talks
-// to: the S3CA solver, all baselines and the eval harness estimate B(S, K)
-// through this interface, so engines can be swapped without touching the
-// search algorithms.
+// Evaluator is the S3CA solver's evaluation seam: the solver estimates
+// B(S, K) through this interface, so the estimator, the world cache and
+// test engines (exact references, counting wrappers) can be swapped
+// without touching the search. The baselines and the eval harness evaluate
+// whole deployments only and take the *Estimator directly.
 type Evaluator interface {
 	// Evaluate runs a full evaluation of the deployment and returns every
 	// aggregate metric.
@@ -90,12 +102,9 @@ type Evaluator interface {
 	Evals() int64
 }
 
-// EngineOptions configures NewEngineOpts: which engine to build, its
-// Monte-Carlo parameters, and the triggering model that owns per-world edge
-// liveness.
+// EngineOptions configures NewEngineOpts: the Monte-Carlo parameters and
+// the triggering model that owns per-world edge liveness.
 type EngineOptions struct {
-	// Engine names the evaluation engine (see Engines); empty means EngineMC.
-	Engine string
 	// Model names the triggering model deciding per-world edge liveness
 	// (see Models); empty means ModelIC. Under ModelLT the instance's
 	// in-weights must satisfy the linear-threshold precondition
@@ -110,27 +119,17 @@ type EngineOptions struct {
 	// LiveEdgeMemBudget caps the bytes the live-edge substrate may commit
 	// to materialized worlds (<= 0 means DefaultLiveEdgeMemBudget). Above
 	// the cap the substrate hashes every probe instead; results are
-	// identical.
+	// identical, so only tests that pin the hash fallback set it.
 	LiveEdgeMemBudget int64
 }
 
-// NewEngineOpts constructs the configured evaluation engine over inst.
-// EngineSSR returns a plain Monte-Carlo evaluator — its sketches drive
-// selection, not benefit estimation — so all engines agree on Evaluate up
-// to floating-point summation order, whatever the memory budget.
-func NewEngineOpts(inst *Instance, o EngineOptions) (Evaluator, error) {
-	switch o.Engine {
-	case EngineAuto:
-		// Callers normally resolve auto before building (Campaign.newCall,
-		// core.SolveCtx); resolve here too so direct engine construction
-		// accepts every name Engines() lists.
-		o.Engine = AutoEngine(inst.G.NumNodes(), inst.G.NumEdges())
-		return NewEngineOpts(inst, o)
-	case "", EngineMC, EngineSSR, EngineWorldCache:
-	default:
-		return nil, fmt.Errorf("diffusion: unknown engine %q (want one of %v)", o.Engine, Engines())
-	}
-	model, err := normalizeModel(o.Model)
+// NewEngineOpts constructs the Monte-Carlo estimator every engine measures
+// through. The world-cache engine wraps it (&WorldCache{Est: est}) and the
+// SSR engine measures its selected deployment with it, so all engines agree
+// on Evaluate up to floating-point summation order, whatever the memory
+// budget.
+func NewEngineOpts(inst *Instance, o EngineOptions) (*Estimator, error) {
+	model, err := ResolveModel(o.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -144,9 +143,6 @@ func NewEngineOpts(inst *Instance, o EngineOptions) (Evaluator, error) {
 			return nil, err
 		}
 		est.Live = NewLTLiveEdges(inst.G, o.Samples, coin, o.LiveEdgeMemBudget)
-	}
-	if o.Engine == EngineWorldCache {
-		return &WorldCache{Est: est}, nil
 	}
 	return est, nil
 }

@@ -63,14 +63,10 @@ func liveEdgeDeployments(inst *Instance) []*Deployment {
 func substratePair(t testing.TB, inst *Instance, model string, samples int, seed uint64, workers int) (hashed, lived *Estimator) {
 	t.Helper()
 	build := func(budget int64) *Estimator {
-		ev, err := NewEngineOpts(inst, EngineOptions{
+		return newTestEstimator(t, inst, EngineOptions{
 			Model: model, Samples: samples, Seed: seed, Workers: workers,
 			LiveEdgeMemBudget: budget,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ev.(*Estimator)
 	}
 	return build(1), build(0)
 }
@@ -161,14 +157,14 @@ func TestLiveEdgeMemCapFallback(t *testing.T) {
 	// An engine under the tiny budget still evaluates identically to one
 	// hashing every probe.
 	capped, err := NewEngineOpts(inst, EngineOptions{
-		Engine: EngineWorldCache, Samples: samples, Seed: 3,
+		Samples: samples, Seed: 3,
 		LiveEdgeMemBudget: 3 * rowBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hashed, err := NewEngineOpts(inst, EngineOptions{
-		Engine: EngineWorldCache, Samples: samples, Seed: 3, LiveEdgeMemBudget: 1,
+		Samples: samples, Seed: 3, LiveEdgeMemBudget: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,14 +197,14 @@ func TestLTLiveEdgeMemCapFallback(t *testing.T) {
 		t.Fatalf("substrate committed %d bytes under a %d-byte budget", spent, 3*rowBytes)
 	}
 	capped, err := NewEngineOpts(inst, EngineOptions{
-		Engine: EngineWorldCache, Model: ModelLT, Samples: samples, Seed: 3,
+		Model: ModelLT, Samples: samples, Seed: 3,
 		LiveEdgeMemBudget: 3 * rowBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hashed, err := NewEngineOpts(inst, EngineOptions{
-		Engine: EngineWorldCache, Model: ModelLT, Samples: samples, Seed: 3,
+		Model: ModelLT, Samples: samples, Seed: 3,
 		LiveEdgeMemBudget: 1,
 	})
 	if err != nil {
@@ -319,8 +315,8 @@ func TestLiveSubstrateAlwaysPresent(t *testing.T) {
 			for _, model := range Models() {
 				for _, budget := range []int64{0, 1} {
 					t.Run(fmt.Sprintf("%s/%s/%s/budget=%d", engine, model, name, budget), func(t *testing.T) {
-						_, est := newTestEngine(t, inst, EngineOptions{
-							Engine: engine, Model: model, Samples: samples, Seed: seed,
+						_, est := newTestEngine(t, inst, engine, EngineOptions{
+							Model: model, Samples: samples, Seed: seed,
 							LiveEdgeMemBudget: budget,
 						})
 						check(t, est, model == ModelLT, budget)

@@ -38,9 +38,9 @@ const (
 // Models lists the triggering models in documentation order.
 func Models() []string { return []string{ModelIC, ModelLT} }
 
-// normalizeModel maps the empty name to the default and rejects unknowns
-// with the same "want one of" shape as the engine and diffusion validators.
-func normalizeModel(name string) (string, error) {
+// ResolveModel validates a triggering-model name, mapping the empty name to
+// ModelIC, with the same "want one of" shape as ResolveEngine.
+func ResolveModel(name string) (string, error) {
 	switch name {
 	case "":
 		return ModelIC, nil

@@ -146,11 +146,7 @@ func coldEstimator(t *testing.T, base *graph.Graph, steps [][]graph.Edge, upTo i
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEngineOpts(unitInstance(g), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ev.(*Estimator), g
+	return newTestEstimator(t, unitInstance(g), opts), g
 }
 
 // TestEstimatorChurnParity: an estimator advanced through WithGraph over a
@@ -164,14 +160,13 @@ func TestEstimatorChurnParity(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(7919*trial + 13)))
 				base, steps := churnLineage(t, r, 3)
 				opts := EngineOptions{
-					Engine: EngineMC, Model: tc.model, Samples: 96, Seed: 11,
+					Model: tc.model, Samples: 96, Seed: 11,
 					LiveEdgeMemBudget: tc.memBudget,
 				}
-				ev, err := NewEngineOpts(unitInstance(base), opts)
+				est, err := NewEngineOpts(unitInstance(base), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				est := ev.(*Estimator)
 				g := base
 				for bi, batch := range steps {
 					if g, err = g.WithEdges(batch); err != nil {
@@ -212,14 +207,14 @@ func TestEstimatorChurnBatchSplitEquivalence(t *testing.T) {
 			base, steps := churnLineage(t, r, 2)
 			joined := append(append([]graph.Edge(nil), steps[0]...), steps[1]...)
 			opts := EngineOptions{
-				Engine: EngineMC, Model: tc.model, Samples: 64, Seed: 3,
+				Model: tc.model, Samples: 64, Seed: 3,
 			}
 			build := func(batches ...[]graph.Edge) *Estimator {
-				ev, err := NewEngineOpts(unitInstance(base), opts)
+				est, err := NewEngineOpts(unitInstance(base), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				est, g := ev.(*Estimator), base
+				g := base
 				for _, b := range batches {
 					if g, err = g.WithEdges(b); err != nil {
 						t.Fatal(err)
@@ -257,14 +252,13 @@ func TestWorldCachePatchParity(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(104729*trial + 7)))
 				base, steps := churnLineage(t, r, 3)
 				opts := EngineOptions{
-					Engine: EngineMC, Model: tc.model, Samples: 96, Seed: 5,
+					Model: tc.model, Samples: 96, Seed: 5,
 					LiveEdgeMemBudget: tc.memBudget,
 				}
-				ev, err := NewEngineOpts(unitInstance(base), opts)
+				est, err := NewEngineOpts(unitInstance(base), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				est := ev.(*Estimator)
 				wc := &WorldCache{Est: est}
 				d := randDeployment(r, base)
 				wc.Rebase(d)
@@ -321,12 +315,11 @@ func TestWorldCachePatchParity(t *testing.T) {
 func TestWorldCachePatchNeverRebased(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	base, steps := churnLineage(t, r, 1)
-	opts := EngineOptions{Engine: EngineMC, Model: ModelIC, Samples: 64, Seed: 2}
-	ev, err := NewEngineOpts(unitInstance(base), opts)
+	opts := EngineOptions{Model: ModelIC, Samples: 64, Seed: 2}
+	est, err := NewEngineOpts(unitInstance(base), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := ev.(*Estimator)
 	wc := &WorldCache{Est: est}
 	g, err := base.WithEdges(steps[0])
 	if err != nil {
@@ -349,12 +342,11 @@ func TestWorldCachePatchNeverRebased(t *testing.T) {
 func TestPatchEdgesBatchMismatchPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	base, steps := churnLineage(t, r, 1)
-	opts := EngineOptions{Engine: EngineMC, Model: ModelIC, Samples: 16, Seed: 2}
-	ev, err := NewEngineOpts(unitInstance(base), opts)
+	opts := EngineOptions{Model: ModelIC, Samples: 16, Seed: 2}
+	est, err := NewEngineOpts(unitInstance(base), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := ev.(*Estimator)
 	wc := &WorldCache{Est: est}
 	wc.Rebase(NewDeployment(base.NumNodes()))
 	g, err := base.WithEdges(steps[0])
@@ -377,12 +369,11 @@ func TestPatchEdgesBatchMismatchPanics(t *testing.T) {
 func TestDeltaBenefitsAfterNodeGrowth(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	base, steps := churnLineage(t, r, 2) // batch index 1 grows the node set
-	opts := EngineOptions{Engine: EngineMC, Model: ModelIC, Samples: 48, Seed: 6}
-	ev, err := NewEngineOpts(unitInstance(base), opts)
+	opts := EngineOptions{Model: ModelIC, Samples: 48, Seed: 6}
+	est, err := NewEngineOpts(unitInstance(base), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := ev.(*Estimator)
 	wc := &WorldCache{Est: est}
 	d := randDeployment(r, base)
 	wc.Rebase(d)

@@ -39,7 +39,7 @@ func BenchmarkWorldCacheRebase(b *testing.B) {
 		// alt swaps d's last seed for the next user in degree order.
 		alt := seededDeployment(inst, append(slices.Clone(order[:seeds-1]), order[seeds]))
 		b.Run(fmt.Sprintf("seeds=%d/op=rebase", seeds), func(b *testing.B) {
-			wc := diffusion.NewWorldCache(inst, samples, 77, 0)
+			wc := &diffusion.WorldCache{Est: diffusion.NewEstimator(inst, samples, 77)}
 			wc.Rebase(d) // fills the lazily materialized live-edge rows
 			wc.Rebase(alt)
 			b.ReportAllocs()
@@ -68,7 +68,7 @@ func BenchmarkWorldCacheRebase(b *testing.B) {
 		for i := range chain {
 			chain[i] = seededDeployment(inst, order[:i])
 		}
-		wc := diffusion.NewWorldCache(inst, samples, 77, 0)
+		wc := &diffusion.WorldCache{Est: diffusion.NewEstimator(inst, samples, 77)}
 		for _, d := range chain {
 			wc.Rebase(d) // fills the lazily materialized live-edge rows
 		}
@@ -89,7 +89,7 @@ func BenchmarkWorldCacheRebase(b *testing.B) {
 		}
 		d := diffusion.Replay(inst.G.NumNodes(), sol.Trajectory)
 		cands := couponPool(inst, d)
-		wc := diffusion.NewWorldCache(inst, samples, 77, 0)
+		wc := &diffusion.WorldCache{Est: diffusion.NewEstimator(inst, samples, 77)}
 		wc.Rebase(d)
 		wc.DeltaBenefits(cands) // fills the lazily materialized live-edge rows and the replay scratch
 		b.ReportAllocs()

@@ -227,11 +227,7 @@ func snapshotChain(t *testing.T, model string, budget int64, samples int, seed i
 	const n = 36
 	inst, stream := snapshotProblem(t, r, n, 130, 60, model)
 	newEst := func(inst *Instance) *Estimator {
-		ev, err := NewEngineOpts(inst, EngineOptions{Engine: EngineMC, Model: model, Samples: samples, Seed: 9, LiveEdgeMemBudget: budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ev.(*Estimator)
+		return newTestEstimator(t, inst, EngineOptions{Model: model, Samples: samples, Seed: 9, LiveEdgeMemBudget: budget})
 	}
 	est := newEst(inst)
 	est.Workers = 2

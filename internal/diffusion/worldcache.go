@@ -39,10 +39,12 @@ import (
 //     from the base only in the coupon counts of a known set of nodes,
 //     re-simulating only the affected worlds through the same kernel.
 //
-// Full evaluations (Evaluate/Benefit/RedemptionRate) delegate to the
-// underlying Estimator, so WorldCache agrees with EngineMC exactly on every
-// reported metric. WorldCache is not safe for concurrent use; its batch
-// queries parallelize internally when Workers > 1.
+// A world cache is built over the estimator whose possible worlds it
+// caches, as &WorldCache{Est: est}. Full evaluations
+// (Evaluate/Benefit/RedemptionRate) delegate to that Estimator, so
+// WorldCache agrees with EngineMC exactly on every reported metric.
+// WorldCache is not safe for concurrent use; its batch queries parallelize
+// internally when Workers > 1.
 type WorldCache struct {
 	Est *Estimator
 
@@ -82,16 +84,6 @@ type WorldCache struct {
 // everything; past a few dozen changed nodes the affected-world union
 // approaches every world anyway.
 const maxAdvanceChanged = 32
-
-// NewWorldCache returns a world-cache engine over inst with the given
-// sample count, coin seed and worker parallelism. The coin stream is
-// identical to NewEstimator's for the same seed, so the two engines share
-// possible worlds.
-func NewWorldCache(inst *Instance, samples int, seed uint64, workers int) *WorldCache {
-	est := NewEstimator(inst, samples, seed)
-	est.Workers = workers
-	return &WorldCache{Est: est}
-}
 
 // Evaluate runs a full simulation; identical to the MC engine's.
 func (wc *WorldCache) Evaluate(d *Deployment) Result { return wc.Est.Evaluate(d) }

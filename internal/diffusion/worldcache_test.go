@@ -67,7 +67,7 @@ func TestWorldCacheEvaluateMatchesEstimator(t *testing.T) {
 	inst := randomInstance(t, 40, 120, 1)
 	d := randomDeployment(inst, 2, 6, 2)
 	est := NewEstimator(inst, 500, 7)
-	wc := NewWorldCache(inst, 500, 7, 0)
+	wc := newWorldCache(inst, 500, 7, 0)
 	a, b := est.Evaluate(d), wc.Evaluate(d)
 	if a != b {
 		t.Fatalf("WorldCache.Evaluate %v differs from Estimator.Evaluate %v", b, a)
@@ -78,7 +78,7 @@ func TestWorldCacheRebaseMatchesEvaluate(t *testing.T) {
 	inst := randomInstance(t, 40, 120, 3)
 	d := randomDeployment(inst, 2, 6, 4)
 	est := NewEstimator(inst, 400, 9)
-	wc := NewWorldCache(inst, 400, 9, 0)
+	wc := newWorldCache(inst, 400, 9, 0)
 	want := est.Evaluate(d)
 	got := wc.Rebase(d)
 	if !almost(got.Benefit, want.Benefit, 1e-9) ||
@@ -92,7 +92,7 @@ func TestWorldCacheRebaseMatchesEvaluate(t *testing.T) {
 func TestWorldCacheRebaseCachedOnUnchangedDeployment(t *testing.T) {
 	inst := randomInstance(t, 30, 80, 5)
 	d := randomDeployment(inst, 1, 4, 6)
-	wc := NewWorldCache(inst, 200, 11, 0)
+	wc := newWorldCache(inst, 200, 11, 0)
 	wc.Rebase(d)
 	evals := wc.Evals()
 	wc.Rebase(d) // unchanged: must be served from the cache
@@ -116,7 +116,7 @@ func TestWorldCacheDeltaBenefitsCloseToFull(t *testing.T) {
 	d := randomDeployment(inst, 2, 8, 14)
 	const samples = 400
 	est := NewEstimator(inst, samples, 17)
-	wc := NewWorldCache(inst, samples, 17, 0)
+	wc := newWorldCache(inst, samples, 17, 0)
 	wc.Rebase(d)
 	base := est.Benefit(d)
 
@@ -144,8 +144,8 @@ func TestWorldCacheDeltaBenefitsCloseToFull(t *testing.T) {
 func TestWorldCacheParallelRebaseMatchesSequential(t *testing.T) {
 	inst := randomInstance(t, 50, 160, 41)
 	d := randomDeployment(inst, 2, 10, 42)
-	seqWC := NewWorldCache(inst, 300, 43, 0)
-	parWC := NewWorldCache(inst, 300, 43, 4)
+	seqWC := newWorldCache(inst, 300, 43, 0)
+	parWC := newWorldCache(inst, 300, 43, 4)
 	a := seqWC.Rebase(d)
 	b := parWC.Rebase(d)
 	if !almost(a.Benefit, b.Benefit, 1e-9) || !almost(a.Activated, b.Activated, 1e-9) ||
@@ -174,7 +174,7 @@ func TestWorldCacheParallelRebaseMatchesSequential(t *testing.T) {
 // under the given triggering model.
 func newModelWorldCache(t testing.TB, inst *Instance, samples int, seed uint64, model string) *WorldCache {
 	t.Helper()
-	wc := NewWorldCache(inst, samples, seed, 0)
+	wc := newWorldCache(inst, samples, seed, 0)
 	if model == ModelLT {
 		wc.Est.Live = NewLTLiveEdges(inst.G, samples, rng.NewCoin(seed), 0)
 	}
@@ -310,8 +310,8 @@ func testWorldCacheIncrementalRebaseExact(t *testing.T, model string) {
 func TestWorldCacheDeltaBenefitsParallelMatchesSequential(t *testing.T) {
 	inst := randomInstance(t, 50, 160, 19)
 	d := randomDeployment(inst, 2, 10, 20)
-	seqWC := NewWorldCache(inst, 300, 23, 0)
-	parWC := NewWorldCache(inst, 300, 23, 4)
+	seqWC := newWorldCache(inst, 300, 23, 0)
+	parWC := newWorldCache(inst, 300, 23, 4)
 	seqWC.Rebase(d)
 	parWC.Rebase(d)
 	var cands []int32
@@ -340,7 +340,7 @@ func TestWorldCacheEvaluateDeltaExact(t *testing.T) {
 	d := randomDeployment(inst, 2, 10, 30)
 	const samples = 300
 	est := NewEstimator(inst, samples, 31)
-	wc := NewWorldCache(inst, samples, 31, 0)
+	wc := newWorldCache(inst, samples, 31, 0)
 	wc.Rebase(d)
 
 	allocated := d.Allocated()
@@ -411,7 +411,7 @@ func TestDeltaBenefitsKeepsScratchAcrossGC(t *testing.T) {
 	const n = 5000
 	inst := randomInstance(t, n, 4*n, 31)
 	d := randomDeployment(inst, 3, 20, 32)
-	wc := NewWorldCache(inst, 128, 33, 2)
+	wc := newWorldCache(inst, 128, 33, 2)
 	wc.Rebase(d)
 	cands := d.Seeds()
 	if len(cands) < 2 {
@@ -604,11 +604,10 @@ func testDeltaBenefitsBlockReplay(t *testing.T, model string, budget int64, samp
 	if model == ModelLT {
 		inst.G = inst.G.CapInWeights()
 	}
-	ev, _ := newTestEngine(t, inst, EngineOptions{
-		Engine: EngineWorldCache, Model: model, Samples: samples, Seed: 73,
+	wc := &WorldCache{Est: newTestEstimator(t, inst, EngineOptions{
+		Model: model, Samples: samples, Seed: 73,
 		LiveEdgeMemBudget: budget, Workers: workers,
-	})
-	wc := ev.(*WorldCache)
+	})}
 	d := randomDeployment(inst, 2, 14, 74)
 	src := rng.New(75)
 	var cov replayCoverage

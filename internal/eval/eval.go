@@ -159,13 +159,8 @@ func RunOne(algo string, inst *diffusion.Instance, p RunParams) (Measure, error)
 	// Re-measure every algorithm's deployment with a common MC estimator so
 	// comparisons share possible worlds regardless of the engine that drove
 	// the search (full evaluations agree across engines anyway).
-	est, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
-		Engine: diffusion.EngineMC, Samples: p.Samples,
-		Seed: p.Seed ^ 0xfeed, Workers: p.Workers,
-	})
-	if err != nil {
-		return Measure{}, err
-	}
+	est := diffusion.NewEstimator(inst, p.Samples, p.Seed^0xfeed)
+	est.Workers = p.Workers
 	r := est.Evaluate(dep)
 	meas.Algo = algo
 	meas.Benefit = r.Benefit

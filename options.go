@@ -25,7 +25,6 @@ type config struct {
 	limitedK     int
 	candidateCap int
 	gpiLimit     int
-	memBudget    int64
 	epsilon      float64
 	delta        float64
 	progress     func(Event)
@@ -61,23 +60,19 @@ func (c config) apply(opts []Option) (config, error) {
 // adaptive (1−1/e−ε) stopping rule tuned by WithEpsilon and WithDelta, and
 // only the final deployment is measured forward; the baselines rank their
 // CandidateCap candidates by sketched influence instead of out-degree).
-// "auto" defers the choice to instance size, resolving to "ssr" at or above
-// 200k users / 2M edges and "worldcache" below, re-checked per call as
-// ApplyEdges grows the network. See Engines and DESIGN.md
-// ("Evaluation engines", "SSR sketch solver"). The engine name is validated
-// eagerly, at NewCampaign or at the call that carries the option.
+// "auto" defers the choice to instance size: every call resolves it
+// against the campaign's current network, ApplyEdges growth included, to
+// "ssr" at or above 200k users / 2M edges and "worldcache" below. See
+// Engines and DESIGN.md ("Evaluation engines", "SSR sketch solver"). The
+// engine name is validated eagerly, at NewCampaign or at the call that
+// carries the option.
 func WithEngine(name string) Option {
 	return func(c *config) error {
-		if name == "" {
-			name = diffusion.EngineMC
+		if _, err := diffusion.ResolveEngine(name, 0, 0); err != nil {
+			return err
 		}
-		for _, e := range diffusion.Engines() {
-			if name == e {
-				c.engine = name
-				return nil
-			}
-		}
-		return fmt.Errorf("unknown engine %q (want one of %v)", name, diffusion.Engines())
+		c.engine = name
+		return nil
 	}
 }
 
@@ -93,16 +88,12 @@ func WithEngine(name string) Option {
 // DESIGN.md ("Triggering models").
 func WithModel(name string) Option {
 	return func(c *config) error {
-		if name == "" {
-			name = diffusion.ModelIC
+		m, err := diffusion.ResolveModel(name)
+		if err != nil {
+			return err
 		}
-		for _, m := range diffusion.Models() {
-			if name == m {
-				c.model = name
-				return nil
-			}
-		}
-		return fmt.Errorf("unknown triggering model %q (want one of %v)", name, diffusion.Models())
+		c.model = m
+		return nil
 	}
 }
 

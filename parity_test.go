@@ -45,17 +45,8 @@ func TestCSRGoldenParity(t *testing.T) {
 			}
 			opts := core.Options{Samples: 200, Seed: 77, Engine: tc.engine}
 			if tc.hash {
-				oracle := func(seed uint64) diffusion.Evaluator {
-					ev, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
-						Engine: tc.engine, Samples: 200, Seed: seed, LiveEdgeMemBudget: 1,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return ev
-				}
-				opts.Evaluator = oracle(77)
-				opts.Scorer = oracle(77 ^ 0x5c04e)
+				opts.Evaluator = substrateEngine(t, inst, tc.engine, diffusion.ModelIC, 200, 77, 1)
+				opts.Scorer = substrateEngine(t, inst, tc.engine, diffusion.ModelIC, 200, 77^0x5c04e, 1)
 			}
 			sol, err := core.Solve(inst, opts)
 			if err != nil {

@@ -131,7 +131,7 @@ func TestSSRParallelBitIdentical(t *testing.T) {
 			t.Run(model+"-"+sub.name, func(t *testing.T) {
 				solve := func(workers int) *core.Solution {
 					ev, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
-						Engine: diffusion.EngineMC, Model: model,
+						Model:   model,
 						Samples: 500, Seed: 13, LiveEdgeMemBudget: sub.budget,
 					})
 					if err != nil {
